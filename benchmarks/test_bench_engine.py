@@ -1,19 +1,8 @@
-"""Benchmark: the discrete-event kernel's two completion strategies, the
-process-parallel sweep runner, and the columnar flow-state engine's
-scaling curve.
+"""Benchmark: the process-parallel sweep runner and the columnar
+flow-state engine's scaling curve.
 
-Four measurements land in one JSON artifact (``BENCH_engine.json``):
+Two measurements land in one JSON artifact (``BENCH_engine.json``):
 
-* **dispatch micro-benchmark** — a real :class:`~repro.simulator.Simulation`
-  is loaded with ≥10k active flows and the cost of ``K`` dispatches is
-  measured for both strategies: scan mode calls ``_next_completion()`` (an
-  O(active-flows) ETA scan) once per dispatch, event mode arms one kernel
-  completion event per rate epoch and pays a heap peek per dispatch.  This
-  isolates exactly the code path ``completion_mode`` switches.
-* **end-to-end equality run** — the same moderate workload runs to
-  completion under both modes; FCTs must be byte-identical (the ulp
-  contract ``tests/engine/test_event_mode.py`` pins) and both wall times
-  are recorded.
 * **sweep speedup** — the sensitivity sweep runs serially and in parallel
   (workers capped at the detected core count).  Sweep cells ship to
   workers in chunks (see :class:`~repro.engine.sweep.SweepRunner`) so
@@ -24,27 +13,22 @@ Four measurements land in one JSON artifact (``BENCH_engine.json``):
   up, and asserting there only records lies (an earlier artifact pinned a
   0.91× "speedup" from exactly that).  The artifact always records the
   honest timings and ``os.cpu_count()``.
-* **flow-state scaling curve** — the ``flow_state="columnar"`` backend
-  (:class:`~repro.simulator.flowstate.FlowStore`) against the object/dict
-  reference, 1k → 1M flows.  Two probes per size: the rate-recompute
-  microbenchmark times ``_recompute_rates()`` on a loaded simulation
-  (the O(links × flows) progressive filling both backends implement),
-  and a full event-mode run with batched same-instant arrivals and a
+* **flow-state scaling curve** — the simulator's
+  :class:`~repro.simulator.flowstate.FlowStore`, 1k → 1M flows.  Two
+  probes per size: the rate-recompute microbenchmark times
+  ``_recompute_rates()`` on a loaded simulation against the dict
+  reference — the work a per-flow-object backend does per recompute:
+  build a ``path_links_cached`` dict, run
+  :func:`~repro.simulator.fairshare.max_min_fair_rates`, assign the
+  rates — and a full run with batched same-instant arrivals and a
   ``max_time`` cut proves the size actually *runs* end to end.  The
-  object backend is measured up to ``BENCH_ENGINE_SCALE_OBJECTS_CAP``
-  flows and linearly projected beyond (1M ``_ActiveFlow`` + ``dict``
-  fillings would take minutes and say nothing new); full object-backend
-  runs stop at 1k flows because without the columnar backend's
-  same-instant recompute batching an N-flow burst costs N fillings —
-  quadratic admission work the curve exists to retire.  At 100k flows
-  the columnar recompute must be ≥10× faster, and the largest size must
-  complete a run with every flow concurrently active.
+  reference is measured up to ``BENCH_ENGINE_SCALE_OBJECTS_CAP`` flows
+  and linearly projected beyond (1M-flow dict fillings would take
+  minutes and say nothing new).  At 100k flows the columnar recompute
+  must be ≥10× faster, and the largest size must complete a run with
+  every flow concurrently active.
 
 Environment knobs:
-    ``BENCH_ENGINE_FLOWS``            active flows in the dispatch
-                                      micro-benchmark (default 10000).
-    ``BENCH_ENGINE_DISPATCHES``       dispatches measured per strategy
-                                      (default 2000).
     ``BENCH_ENGINE_SWEEP_WORKERS``    parallel worker count (default 4).
     ``BENCH_ENGINE_REQUIRE_SPEEDUP``  set to 1 to assert the ≥2× sweep
                                       speedup (CI, multi-core only).
@@ -52,7 +36,7 @@ Environment knobs:
                                       curve (default 1000000; CI's scale
                                       job caps it at 100000).
     ``BENCH_ENGINE_SCALE_OBJECTS_CAP``  largest flow count at which the
-                                      object backend's recompute is
+                                      dict reference's recompute is
                                       measured rather than projected
                                       (default 100000).
     ``BENCH_ENGINE_OUT``              artifact path (default
@@ -68,130 +52,21 @@ import numpy as np
 from repro.baselines import make_installer
 from repro.experiments.sensitivity import SensitivityConfig
 from repro.experiments.sensitivity import run as run_sensitivity
-from repro.simulator import Simulation, SimulationConfig, TeAppConfig
-from repro.simulator.simulation import _ActiveFlow
+from repro.simulator import (
+    Simulation,
+    SimulationConfig,
+    TeAppConfig,
+    max_min_fair_rates,
+)
 from repro.tcam import get_switch_model
 from repro.obs.perf.bench import write_bench_artifact
 from repro.topology import FatTreeSpec, build_fat_tree, hosts
+from repro.topology.routing import path_links_cached
 from repro.traffic.flows import FlowSpec
-
-
-def _synthetic_flows(count, seed=11, size=5e6):
-    graph = build_fat_tree(FatTreeSpec(k=4, link_capacity=1e9))
-    endpoints = hosts(graph)
-    rng = np.random.default_rng(seed)
-    flows = []
-    for index in range(count):
-        source = endpoints[index % len(endpoints)]
-        destination = endpoints[(index * 7 + 3) % len(endpoints)]
-        if source == destination:
-            destination = endpoints[(index * 7 + 4) % len(endpoints)]
-        flows.append(
-            FlowSpec(
-                source=source,
-                destination=destination,
-                size=size + float(rng.integers(0, 1e6)),
-                start_time=0.001 * (index % 50),
-            )
-        )
-    return graph, flows
-
-
-def _loaded_simulation(flow_count):
-    """A real Simulation whose active set holds ``flow_count`` flows.
-
-    The flows are injected directly (their arrivals never dispatch), so
-    the measurement below isolates the per-dispatch completion-selection
-    cost from arrival/rate-recompute physics.
-    """
-    graph, flows = _synthetic_flows(flow_count)
-    timing = get_switch_model("pica8-p3290")
-    factory = lambda name: make_installer("naive", timing)
-    simulation = Simulation(
-        graph,
-        flows[:1],
-        factory,
-        SimulationConfig(te=TeAppConfig(epoch=1e6), baseline_occupancy=0),
-    )
-    for index, spec in enumerate(flows):
-        simulation._active[spec.flow_id] = _ActiveFlow(
-            spec=spec,
-            remaining_bytes=spec.size,
-            path=(spec.source, spec.destination),
-            rate=1e6 + (index % 97) * 1e3,
-        )
-    return simulation
-
-
-def dispatch_microbench(flow_count, dispatches):
-    """Per-dispatch completion-selection cost, scan vs event strategy.
-
-    Scan mode's loop calls ``_next_completion()`` every iteration — K
-    dispatches cost K full ETA scans over the active set.  Event mode arms
-    the argmin once per rate epoch and pays one heap peek per dispatch.
-    """
-    simulation = _loaded_simulation(flow_count)
-
-    start = time.perf_counter()
-    for _ in range(dispatches):
-        scan_pick = simulation._next_completion()
-    scan_seconds = time.perf_counter() - start
-
-    simulation._schedule_completion()  # one arm per rate epoch
-    scheduler = simulation._scheduler
-    start = time.perf_counter()
-    for _ in range(dispatches):
-        event_pick = scheduler.peek()
-    event_seconds = time.perf_counter() - start
-
-    assert scan_pick[1] is not None
-    assert event_pick is not None
-    # det: allow(float-eq) -- both strategies must pick the same argmin ETA
-    assert event_pick.time == scan_pick[0]
-    return {
-        "flows": flow_count,
-        "dispatches": dispatches,
-        "scan_seconds": scan_seconds,
-        "event_seconds": event_seconds,
-        "speedup": scan_seconds / max(event_seconds, 1e-9),
-    }
-
-
-def end_to_end_comparison(flow_count=300):
-    timings = {}
-    fcts = {}
-    for mode in ("scan", "event"):
-        graph, flows = _synthetic_flows(flow_count, size=1e6)
-        timing = get_switch_model("pica8-p3290")
-        factory = lambda name: make_installer("naive", timing)
-        config = SimulationConfig(
-            te=TeAppConfig(epoch=1e6),
-            baseline_occupancy=0,
-            completion_mode=mode,
-        )
-        simulation = Simulation(graph, flows, factory, config)
-        start = time.perf_counter()
-        metrics = simulation.run()
-        timings[mode] = time.perf_counter() - start
-        fcts[mode] = metrics.fcts()
-    assert len(fcts["event"]) == len(fcts["scan"]) == flow_count
-    assert fcts["event"] == fcts["scan"], (
-        "event mode must stay byte-identical to scan on pure "
-        "arrival/completion workloads"
-    )
-    return {
-        "flows": flow_count,
-        "scan_seconds": timings["scan"],
-        "event_seconds": timings["event"],
-    }
 
 
 SCALE_SIZES = (1_000, 10_000, 100_000, 1_000_000)
 SCALE_INSTANTS = 10
-# Full object-backend runs stop here: every burst arrival pays a whole
-# progressive filling (no same-instant batching), so run time grows
-# quadratically in the flow count.
-SCALE_OBJECTS_RUN_CAP = 1_000
 
 
 def _scaling_flows(count, instants=SCALE_INSTANTS, seed=23):
@@ -222,37 +97,27 @@ def _scaling_flows(count, instants=SCALE_INSTANTS, seed=23):
     return graph, flows
 
 
-def _scale_config(flow_state, completion_mode="scan"):
+def _scale_config():
     return SimulationConfig(
-        te=TeAppConfig(epoch=1e6),
-        baseline_occupancy=0,
-        flow_state=flow_state,
-        completion_mode=completion_mode,
-        max_time=0.5,
+        te=TeAppConfig(epoch=1e6), baseline_occupancy=0, max_time=0.5
     )
 
 
-def _loaded_backend(graph, flows, flow_state):
+def _loaded_simulation(graph, flows):
     """A Simulation with every flow active on its real provider path.
 
-    Flows are injected directly (as in :func:`_loaded_simulation`) so the
-    recompute timing below isolates the progressive filling from
-    arrival dispatch."""
+    Flows are injected directly so the recompute timing below isolates
+    the progressive filling from arrival dispatch."""
     timing = get_switch_model("pica8-p3290")
     factory = lambda name: make_installer("naive", timing)
-    simulation = Simulation(graph, flows[:1], factory, _scale_config(flow_state))
+    simulation = Simulation(graph, flows[:1], factory, _scale_config())
     for spec in flows:
         path = simulation.provider.ecmp_paths(spec.source, spec.destination)[0]
-        if simulation._store is not None:
-            simulation._store.add(spec, path)
-        else:
-            simulation._active[spec.flow_id] = _ActiveFlow(
-                spec=spec, remaining_bytes=spec.size, path=path
-            )
+        simulation._store.add(spec, path)
     return simulation
 
 
-def _time_recompute(simulation, repeats):
+def _time_columnar_recompute(simulation, repeats):
     best = math.inf
     for _ in range(repeats):
         start = time.perf_counter()
@@ -261,12 +126,30 @@ def _time_recompute(simulation, repeats):
     return best
 
 
-def _timed_run(graph, flows, flow_state):
+def _time_reference_recompute(simulation, repeats):
+    """Best-of-N wall time of one dict-reference recompute over the
+    simulation's active flows (path dict, fair share, rate assignment)."""
+    store = simulation._store
+    active = {flow_id: store.path(flow_id) for flow_id in store.flow_ids()}
+    capacities = simulation._capacities
+    best = math.inf
+    for _ in range(repeats):
+        start = time.perf_counter()
+        paths = {
+            flow_id: path_links_cached(path)
+            for flow_id, path in active.items()
+        }
+        rates = max_min_fair_rates(paths, capacities)
+        assigned = {flow_id: rates.get(flow_id, 0.0) for flow_id in active}
+        best = min(best, time.perf_counter() - start)
+    assert len(assigned) == len(store)
+    return best
+
+
+def _timed_run(graph, flows):
     timing = get_switch_model("pica8-p3290")
     factory = lambda name: make_installer("naive", timing)
-    simulation = Simulation(
-        graph, flows, factory, _scale_config(flow_state, completion_mode="event")
-    )
+    simulation = Simulation(graph, flows, factory, _scale_config())
     start = time.perf_counter()
     metrics = simulation.run()
     seconds = time.perf_counter() - start
@@ -274,7 +157,7 @@ def _timed_run(graph, flows, flow_state):
 
 
 def flow_state_scaling(scale_max, objects_cap):
-    """The 1k → 1M curve: columnar vs object flow state at each size."""
+    """The 1k → 1M curve: columnar vs dict-reference recompute per size."""
     sizes = [size for size in SCALE_SIZES if size <= scale_max]
     if not sizes:
         sizes = [min(SCALE_SIZES)]
@@ -287,10 +170,8 @@ def flow_state_scaling(scale_max, objects_cap):
         # so noise on either side must not fake a regression.
         repeats = 3 if size <= 100_000 else 2
 
-        columnar = _loaded_backend(graph, flows, "columnar")
-        columnar_seconds = _time_recompute(columnar, repeats)
-        del columnar
-
+        simulation = _loaded_simulation(graph, flows)
+        columnar_seconds = _time_columnar_recompute(simulation, repeats)
         row = {
             "flows": size,
             "columnar_recompute_seconds": columnar_seconds,
@@ -299,38 +180,30 @@ def flow_state_scaling(scale_max, objects_cap):
             "speedup": None,
         }
         if size <= objects_cap:
-            objects = _loaded_backend(graph, flows, "objects")
-            row["objects_recompute_seconds"] = _time_recompute(objects, repeats)
+            row["objects_recompute_seconds"] = _time_reference_recompute(
+                simulation, repeats
+            )
             objects_anchor = (size, row["objects_recompute_seconds"])
-            del objects
         elif objects_anchor is not None:
             anchor_flows, anchor_seconds = objects_anchor
             row["objects_recompute_seconds"] = anchor_seconds * size / anchor_flows
             row["objects_projected"] = True
+        del simulation
         if row["objects_recompute_seconds"]:
             row["speedup"] = row["objects_recompute_seconds"] / max(
                 columnar_seconds, 1e-9
             )
         recompute_rows.append(row)
 
-        run_seconds, peak = _timed_run(graph, flows, "columnar")
+        run_seconds, peak = _timed_run(graph, flows)
         assert peak == size, (
-            f"columnar run at {size} flows peaked at {peak} concurrent flows"
+            f"run at {size} flows peaked at {peak} concurrent flows"
         )
-        run_rows.append(
-            {"flows": size, "backend": "columnar", "seconds": run_seconds}
-        )
-        if size <= SCALE_OBJECTS_RUN_CAP:
-            run_seconds, peak = _timed_run(graph, flows, "objects")
-            assert peak == size
-            run_rows.append(
-                {"flows": size, "backend": "objects", "seconds": run_seconds}
-            )
+        run_rows.append({"flows": size, "seconds": run_seconds})
     return {
         "sizes": sizes,
         "instants": SCALE_INSTANTS,
         "objects_measure_cap": objects_cap,
-        "objects_run_cap": SCALE_OBJECTS_RUN_CAP,
         "recompute": recompute_rows,
         "runs": run_rows,
     }
@@ -355,8 +228,6 @@ def sweep_speedup(workers):
 
 
 def run_bench():
-    flow_count = int(os.environ.get("BENCH_ENGINE_FLOWS", "10000"))
-    dispatches = int(os.environ.get("BENCH_ENGINE_DISPATCHES", "2000"))
     cpu_count = os.cpu_count() or 1
     # More workers than cores just multiplies process startup; cap at the
     # detected core count so the recorded speedup is honest.
@@ -370,8 +241,6 @@ def run_bench():
     )
     return {
         "cpu_count": cpu_count,
-        "dispatch": dispatch_microbench(flow_count, dispatches),
-        "end_to_end": end_to_end_comparison(),
         "sweep": sweep_speedup(max(workers, 1)),
         "flow_scaling": flow_state_scaling(scale_max, objects_cap),
     }
@@ -379,17 +248,10 @@ def run_bench():
 
 def test_bench_engine(benchmark):
     payload = benchmark.pedantic(run_bench, rounds=1, iterations=1)
-    columnar_runs = [
-        row
-        for row in payload["flow_scaling"]["runs"]
-        if row["backend"] == "columnar"
-    ]
+    runs = payload["flow_scaling"]["runs"]
     write_bench_artifact(
         "engine",
         headline={
-            "dispatch_speedup": payload["dispatch"]["speedup"],
-            "dispatch_event_seconds": payload["dispatch"]["event_seconds"],
-            "end_to_end_event_seconds": payload["end_to_end"]["event_seconds"],
             "sweep_speedup": payload["sweep"]["speedup"],
             "flow_scaling_max_flows": payload["flow_scaling"]["sizes"][-1],
             "flow_scaling_recompute_speedup": max(
@@ -397,26 +259,14 @@ def test_bench_engine(benchmark):
                 for row in payload["flow_scaling"]["recompute"]
                 if not row["objects_projected"]
             ),
-            "flow_scaling_columnar_run_seconds": columnar_runs[-1]["seconds"],
+            "flow_scaling_columnar_run_seconds": runs[-1]["seconds"],
         },
         payload=payload,
         out=os.environ.get("BENCH_ENGINE_OUT"),
     )
 
-    dispatch = payload["dispatch"]
     sweep = payload["sweep"]
     print()
-    print(
-        f"dispatch ({dispatch['flows']} flows x {dispatch['dispatches']}): "
-        f"scan={dispatch['scan_seconds']:.3f}s "
-        f"event={dispatch['event_seconds']:.3f}s "
-        f"({dispatch['speedup']:.0f}x)"
-    )
-    print(
-        f"end-to-end ({payload['end_to_end']['flows']} flows): "
-        f"scan={payload['end_to_end']['scan_seconds']:.2f}s "
-        f"event={payload['end_to_end']['event_seconds']:.2f}s"
-    )
     print(
         f"sweep ({sweep['cells']} cells, {sweep['workers']} workers, "
         f"{payload['cpu_count']} cpus): serial={sweep['serial_seconds']:.2f}s "
@@ -436,18 +286,10 @@ def test_bench_engine(benchmark):
         print(
             f"recompute @ {row['flows']:>7} flows: "
             f"columnar={row['columnar_recompute_seconds']:.4f}s "
-            f"objects={objects_note}"
+            f"reference={objects_note}"
         )
-    for row in scaling["runs"]:
-        print(
-            f"run @ {row['flows']:>7} flows [{row['backend']}]: "
-            f"{row['seconds']:.2f}s"
-        )
-
-    # The headline: scheduled completions beat the per-dispatch ETA scan by
-    # orders of magnitude once the active set is large.
-    assert dispatch["flows"] >= 10_000
-    assert dispatch["speedup"] >= 10, dispatch
+    for row in runs:
+        print(f"run @ {row['flows']:>7} flows: {row['seconds']:.2f}s")
 
     # The columnar contract: ≥10× faster rate recompute at 100k flows
     # (measured head-to-head, not projected) and a completed run at the
@@ -461,7 +303,7 @@ def test_bench_engine(benchmark):
     }
     if 100_000 in measured:
         assert measured[100_000]["speedup"] >= 10, measured[100_000]
-    assert columnar_runs[-1]["flows"] == scaling["sizes"][-1]
+    assert runs[-1]["flows"] == scaling["sizes"][-1]
 
     if payload["cpu_count"] < 2:
         # A 1-core runner cannot parallelize; the artifact records the

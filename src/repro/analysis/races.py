@@ -42,8 +42,8 @@ the seam (the scheduler's hooks are a single ``is None`` test); a run
 *with* the sanitizer must produce identical metrics — the taps are pure
 observers — which ``tests/analysis/test_races.py`` pins cross-process.
 
-Work driven outside the scheduler (arrival admission, scan-mode
-completion handling) is attributed to an *external* footprint via
+Work driven outside the scheduler (arrival admission) is attributed
+to an *external* footprint via
 :meth:`RaceSanitizer.external`: its ordering against kernel events is
 fixed by the driving loop, not by ``seq``, so it never participates in
 race pairs.
@@ -241,10 +241,10 @@ class RaceSanitizer:
     def external(self, label: str) -> None:
         """Attribute subsequent accesses to loop-ordered (non-racing) work.
 
-        The driving loop calls this before handling arrivals or scan-mode
-        completions: their order against kernel events is fixed by the
-        loop's explicit dispatch rules, not by the ``seq`` tie-break, so
-        their accesses must not be charged to the last popped event.
+        The driving loop calls this before admitting an arrival: its
+        order against kernel events is fixed by the loop's explicit
+        dispatch rules, not by the ``seq`` tie-break, so its accesses
+        must not be charged to the last popped event.
         """
         self._close_current()
         self._current = _Footprint(event=None, label=label)

@@ -15,6 +15,7 @@ so a /24 beats the /16 that covers it, exactly as LPM requires.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -45,7 +46,8 @@ class Fib:
     """The FIB compiler: best-path changes in, FlowMods out."""
 
     def __init__(self, port_of_peer: Optional[Dict[str, int]] = None) -> None:
-        """``port_of_peer`` maps a peer to its egress port (default: hash)."""
+        """``port_of_peer`` maps a peer to its egress port (default: a
+        CRC-32 of the peer name, stable across processes and hash seeds)."""
         self._port_of_peer = port_of_peer
         self._installed: Dict[Prefix, Rule] = {}
         self.stats = FibStats()
@@ -54,7 +56,7 @@ class Fib:
         """Egress port for a route's peer."""
         if self._port_of_peer is not None:
             return self._port_of_peer[route.peer]
-        return (hash(route.peer) % 64) + 1
+        return zlib.crc32(route.peer.encode()) % 64 + 1
 
     def compile_change(self, change: BestPathChange) -> List[FlowMod]:
         """Translate one best-path change into zero or more FlowMods."""

@@ -13,8 +13,8 @@ uninstrumented process.
   wall time between two consecutive pops belongs to the first popped
   event (exactly how the sanitizer attributes state accesses), so every
   second of the run loop lands in a bucket keyed by event kind.  Work
-  the loop drives *without* popping (arrival admission, scan-mode
-  completions) is cut into its own bucket by the loop's
+  the loop drives *without* popping (arrival admission, rate
+  recomputes) is cut into its own bucket by the loop's
   :meth:`Profiler.mark` calls.
 * **The tracer span stream** — :meth:`Profiler.watch_tracer` wraps a
   :class:`~repro.obs.tracer.RecordingTracer`'s span open/close path,
@@ -54,7 +54,6 @@ _SUBSYSTEM_PREFIXES: Tuple[Tuple[str, str], ...] = (
     ("event:flowmod", "channel"),
     ("event:", "kernel-dispatch"),
     ("sim.arrival", "arrival"),
-    ("sim.completion", "completion"),
     ("sim.fairshare", "fairshare"),
     ("span:flowmod", "channel"),
     ("span:channel", "channel"),
@@ -292,7 +291,7 @@ class Profiler:
 
     def mark(self, label: str) -> None:
         """Loop hook: work driven outside the scheduler starts here
-        (arrival admission, scan-mode completion handling)."""
+        (arrival admission, rate recomputes)."""
         self._cut(label)
 
     # ------------------------------------------------------------------

@@ -14,13 +14,12 @@ from .fairshare import (
     link_utilization,
     max_min_fair_rates,
 )
-from .flowstate import FlowColumnView, FlowStore, columnar_max_min_fair_rates
+from .flowstate import FlowStore, columnar_max_min_fair_rates
 from .metrics import FlowRecord, MetricsCollector
 from .sdnapp import ProactiveTeApp, Reroute, TeAppConfig
 from .simulation import Simulation, SimulationConfig
 
 __all__ = [
-    "FlowColumnView",
     "FlowRecord",
     "FlowStore",
     "InstallOutcome",

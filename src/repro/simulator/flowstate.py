@@ -1,10 +1,7 @@
 """Columnar flow state: array-backed per-flow bookkeeping for million-flow runs.
 
-The object path keeps one ``_ActiveFlow`` Python object per flow and a
-dict-of-sets progressive filling in :func:`~repro.simulator.fairshare.
-max_min_fair_rates`; per-flow Python overhead is the simulator's scaling
-ceiling after the unified kernel.  This module replaces that data model
-with columns:
+The simulator keeps its per-flow state in columns, not one Python object
+per flow:
 
 * :class:`FlowStore` holds remaining-bytes / rate / flag / blackhole
   columns as numpy arrays, plus a flat link×flow incidence structure
@@ -16,31 +13,22 @@ with columns:
   rank links by first encounter, then repeatedly freeze the bottleneck
   link's flows with ``np.subtract.at``.
 
-**Exactness contract.**  The columnar backend is *bit-identical* to the
-dict backend, not merely close: capacities enter as the same doubles,
-per-iteration shares are the same ``remaining / count`` divisions,
-bottleneck ties break toward the first-encountered link exactly as the
-dict's insertion-ordered strict ``<`` scan does, and every frozen flow
+**Exactness contract.**  The columnar filling is *bit-identical* to the
+dict reference :func:`~repro.simulator.fairshare.max_min_fair_rates`,
+not merely close: capacities enter as the same doubles, per-iteration
+shares are the same ``remaining / count`` divisions, bottleneck ties
+break toward the first-encountered link exactly as the dict's
+insertion-ordered strict ``<`` scan does, and every frozen flow
 subtracts the *same* bottleneck share — so the accumulation order of the
 subtractions (``np.subtract.at`` applies them sequentially) cannot
 change any float.  ``tests/simulator/test_flowstate.py`` pins the
-equality property-by-property; the object path stays the parity
-reference (the same discipline as ``completion_mode``).
+equality against that reference property-by-property.
 """
 
 from __future__ import annotations
 
 import math
-from typing import (
-    Callable,
-    Dict,
-    Hashable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Tuple,
-)
+from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -180,56 +168,15 @@ def columnar_max_min_fair_rates(
     return rates
 
 
-class FlowColumnView(Mapping):
-    """Lazy ``flow_id -> value`` mapping over one :class:`FlowStore` column.
-
-    Iteration follows row (admission) order — the same order the object
-    path's per-flow dicts iterate in — without materializing a dict; the
-    TE app and metrics read these views instead of walking flow objects.
-    """
-
-    def __init__(
-        self,
-        store: "FlowStore",
-        getter: Callable[[int], object],
-        predicate: Optional[Callable[[int], bool]] = None,
-    ) -> None:
-        """Wrap ``store``; ``getter(row)`` produces values, ``predicate(row)``
-        (when given) filters both iteration and lookup."""
-        self._store = store
-        self._getter = getter
-        self._predicate = predicate
-
-    def __iter__(self) -> Iterator[int]:
-        """Active flow ids in admission order (predicate-filtered)."""
-        flow_id = self._store.flow_id
-        for row in self._store.active_rows().tolist():
-            if self._predicate is None or self._predicate(row):
-                yield int(flow_id[row])
-
-    def __len__(self) -> int:
-        """Number of flows the view exposes."""
-        if self._predicate is None:
-            return len(self._store)
-        return sum(1 for _ in self)
-
-    def __getitem__(self, flow_id: int) -> object:
-        """The column value for ``flow_id`` (KeyError when filtered out)."""
-        row = self._store.row(flow_id)
-        if self._predicate is not None and not self._predicate(row):
-            raise KeyError(flow_id)
-        return self._getter(row)
-
-
 class FlowStore:
     """Columnar per-flow simulation state over one topology's links.
 
     Rows are allocated in admission order and never recycled in place —
     completed rows are masked out and reclaimed by a *stable* compaction
     (triggered when at most half the high-water rows are still active),
-    so ascending row order always equals admission order.  That keeps
-    every argmin/iteration tie-break identical to the object path's
-    insertion-ordered dicts.
+    so ascending row order always equals admission order.  Every
+    argmin/iteration tie-break therefore resolves to the earliest-admitted
+    flow.
     """
 
     def __init__(
@@ -466,10 +413,6 @@ class FlowStore:
         """Set/clear the installed-rules flag."""
         self._set_flag(flow_id, FLAG_HAS_RULES, value)
 
-    def pending_activation(self, flow_id: int) -> bool:
-        """True while a TE move's rules are still being installed."""
-        return self._flag(flow_id, FLAG_PENDING)
-
     def set_pending_activation(self, flow_id: int, value: bool) -> None:
         """Set/clear the pending-activation flag."""
         self._set_flag(flow_id, FLAG_PENDING, value)
@@ -500,9 +443,9 @@ class FlowStore:
         self.remaining[rows] = drained
 
     def next_completion(self, now: float) -> Tuple[float, Optional[int]]:
-        """Earliest-finishing flow ``(eta, flow_id)`` — the vectorized ETA
-        scan, tie-breaking to the earliest-admitted flow like the object
-        scan's strict ``<``."""
+        """Earliest-finishing flow ``(eta, flow_id)`` among flows with a
+        positive rate; ties go to the earliest-admitted flow (argmin over
+        admission-ordered rows)."""
         rows = self.active_rows()
         if rows.size == 0:
             return math.inf, None
@@ -556,9 +499,10 @@ class FlowStore:
         )
 
     def utilization(self) -> Dict[Link, float]:
-        """Per-link utilization, bit-identical to the object path's
-        :func:`~repro.simulator.fairshare.link_utilization` (values *and*
-        dict insertion order, so TE planning tie-breaks don't move)."""
+        """Per-link utilization, bit-identical to
+        :func:`~repro.simulator.fairshare.link_utilization` over the active
+        flows (values *and* dict insertion order, so TE planning
+        tie-breaks don't move)."""
         rows, lens, gathered = self._gather_active()
         if gathered.size == 0:
             return {}
@@ -594,20 +538,28 @@ class FlowStore:
         return [int(fid) for fid in self.flow_id[hits]]
 
     # ------------------------------------------------------------------
-    # Views
+    # TE snapshot
     # ------------------------------------------------------------------
-    def te_views(self):
-        """``(flows, paths, eligible_paths, rates)`` mappings for the TE
-        app — store-backed views in admission order, no dict builds."""
-        flows = FlowColumnView(self, lambda row: self._specs[row])
-        paths = FlowColumnView(self, lambda row: self._paths[row])
-        eligible = FlowColumnView(
-            self,
-            lambda row: self._paths[row],
-            predicate=lambda row: not (self.flags[row] & FLAG_PENDING),
-        )
-        rates = FlowColumnView(self, lambda row: float(self.rate[row]))
-        return flows, paths, eligible, rates
+    def te_views(
+        self,
+    ) -> Tuple[Dict[int, object], Dict[int, Path], Dict[int, float]]:
+        """``(flows, eligible_paths, rates)`` dicts for one TE epoch.
+
+        Keyed by flow id in admission order; ``eligible_paths`` leaves out
+        flows whose previous move is still pending activation.  Plain
+        dicts, because the TE app reads every entry several times.
+        """
+        rows = self.active_rows()
+        flow_ids = self.flow_id[rows].tolist()
+        rates = dict(zip(flow_ids, self.rate[rows].tolist()))
+        pending = (self.flags[rows] & FLAG_PENDING).tolist()
+        flows: Dict[int, object] = {}
+        eligible: Dict[int, Path] = {}
+        for flow_id, row, is_pending in zip(flow_ids, rows.tolist(), pending):
+            flows[flow_id] = self._specs[row]
+            if not is_pending:
+                eligible[flow_id] = self._paths[row]
+        return flows, eligible, rates
 
 
 def _gather_indices(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:

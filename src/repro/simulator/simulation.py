@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import networkx as nx
 
@@ -26,7 +26,8 @@ from ..switchsim.channel import ChannelConfig
 from ..topology.routing import Path, PathProvider, path_links_cached
 from ..traffic.flows import FlowSpec
 from .controller import InstallerFactory, SdnController
-from .fairshare import link_utilization, max_min_fair_rates
+# Unused here; hermesbench/layertrace.py wraps it at this module path.
+from .fairshare import max_min_fair_rates  # noqa: F401
 from .flowstate import FlowStore
 from .metrics import MetricsCollector
 from .sdnapp import ProactiveTeApp, TeAppConfig
@@ -53,28 +54,11 @@ class SimulationConfig:
             all-zero plan with the naive channel) leaves results
             byte-identical to a fault-free run.
         fault_seed: seed of the fault injector's random stream.
-        completion_mode: how the next flow completion is found.  ``"scan"``
-            (the default) recomputes every active flow's ETA each loop
-            iteration — the legacy behaviour, byte-identical to the
-            pre-kernel simulator and the reference the parity digests pin.
-            ``"event"`` schedules the earliest completion as a kernel event
-            at each rate recompute and skips stale ones by rate-epoch —
-            O(1) per iteration instead of O(active flows), the mode the
-            10k-flow benchmark measures.  The two modes agree exactly
-            whenever every dispatched event recomputes rates (pure
-            arrival/completion workloads); interleaved non-recomputing
-            events (TE epochs) can move completions by float-rounding ulps.
-        flow_state: the per-flow data model.  ``"objects"`` (the default)
-            keeps one :class:`_ActiveFlow` per flow — the parity
-            reference.  ``"columnar"`` re-seats the run on a
-            :class:`~repro.simulator.flowstate.FlowStore` (numpy columns
-            + link×flow incidence arrays): the ``_advance_to`` drain, the
-            ETA scan, rate recomputes, and the TE epoch's per-flow dicts
-            all become array operations, and same-instant arrival bursts
-            batch their rate recomputes.  The two backends agree exactly
-            on pure arrival/completion workloads and within float-
-            rounding ulps under TE (the ``completion_mode`` discipline;
-            see ``docs/architecture.md``).
+
+    Flow state always lives in a
+    :class:`~repro.simulator.flowstate.FlowStore`, and completions are
+    kernel events (see ``docs/architecture.md``, "The simulator's data
+    path").
     """
 
     control_rtt: float = 0.25e-3
@@ -89,22 +73,8 @@ class SimulationConfig:
     channel_config: Optional[ChannelConfig] = None
     fault_plan: Optional[FaultPlan] = None
     fault_seed: int = 0
-    completion_mode: str = "scan"
-    flow_state: str = "objects"
 
     def __post_init__(self) -> None:
-        if self.completion_mode not in ("scan", "event"):
-            raise ValueError(
-                "completion_mode must be 'scan' (legacy per-iteration ETA "
-                "scan) or 'event' (kernel-scheduled completions): "
-                f"{self.completion_mode!r}"
-            )
-        if self.flow_state not in ("objects", "columnar"):
-            raise ValueError(
-                "flow_state must be 'objects' (per-flow _ActiveFlow, the "
-                "parity reference) or 'columnar' (array-backed FlowStore): "
-                f"{self.flow_state!r}"
-            )
         if self.channel not in ("naive", "resilient"):
             raise ValueError(
                 f"channel must be 'naive' or 'resilient': {self.channel!r}"
@@ -121,19 +91,6 @@ class SimulationConfig:
                 "'reactive' (every new flow punts to the controller and "
                 f"waits for its rules): {self.routing_mode!r}"
             )
-
-
-@dataclass
-class _ActiveFlow:
-    """Mutable per-flow simulation state."""
-
-    spec: FlowSpec
-    remaining_bytes: float
-    path: Path
-    rate: float = 0.0
-    has_installed_rules: bool = False
-    pending_activation: bool = False
-    blackholed_since: Optional[float] = None
 
 
 class Simulation:
@@ -193,12 +150,7 @@ class Simulation:
         }
         self._arrivals = sorted(flows, key=lambda flow: flow.start_time)
         self._arrival_index = 0
-        self._active: Dict[int, _ActiveFlow] = {}
-        self._store: Optional[FlowStore] = (
-            FlowStore(self._capacities)
-            if self.config.flow_state == "columnar"
-            else None
-        )
+        self._store = FlowStore(self._capacities)
         self._rate_epoch = 0
         self._failed_links: set = set()
         self.blackhole_time = 0.0  # flow-seconds spent on failed paths
@@ -237,46 +189,17 @@ class Simulation:
             return self._arrivals[self._arrival_index].start_time
         return math.inf
 
-    def _n_active(self) -> int:
-        """Number of active flows, whichever backend holds them."""
-        if self._store is not None:
-            return len(self._store)
-        return len(self._active)
-
-    def _flow_active(self, flow_id: int) -> bool:
-        """True while ``flow_id`` is an active flow."""
-        if self._store is not None:
-            return flow_id in self._store
-        return flow_id in self._active
-
-    def _next_completion(self) -> Tuple[float, Optional[int]]:
-        """Earliest-finishing active flow by per-iteration ETA scan.
-
-        Ties resolve to the first-inserted flow (strict ``<``) — the
-        tie-break the event mode reproduces through scheduling order and
-        the columnar backend through argmin over admission-ordered rows.
-        """
-        if self._store is not None:
-            return self._store.next_completion(self.now)
-        best_time, best_flow = math.inf, None
-        for flow_id, state in self._active.items():
-            if state.rate <= 0:
-                continue
-            eta = self.now + state.remaining_bytes * 8.0 / state.rate
-            if eta < best_time:
-                best_time, best_flow = eta, flow_id
-        return best_time, best_flow
-
     def _schedule_completion(self) -> None:
-        """Event mode: re-arm the earliest completion for the new rate epoch.
+        """Re-arm the earliest completion for the new rate epoch.
 
         Every rate recompute starts a new epoch; completion events carry
-        the epoch they were computed under, and stale ones are skipped on
-        pop.  Only the argmin is scheduled — when it fires, the resulting
-        recompute re-arms the next one.
+        the epoch they were computed under, and stale ones are discarded
+        on peek.  Only the argmin is scheduled — when it fires, the resulting
+        recompute re-arms the next one.  ETA ties resolve to the
+        earliest-admitted flow (argmin over admission-ordered rows).
         """
         self._rate_epoch += 1
-        best_time, best_flow = self._next_completion()
+        best_time, best_flow = self._store.next_completion(self.now)
         if best_flow is not None:
             self._scheduler.schedule(
                 best_time,
@@ -289,35 +212,19 @@ class Simulation:
         """Drain bytes at current rates up to ``time``."""
         elapsed = time - self.now
         if elapsed > 0:
-            if self._store is not None:
-                self._store.advance(elapsed)
-            else:
-                for state in self._active.values():
-                    state.remaining_bytes -= state.rate * elapsed / 8.0
-                    if state.remaining_bytes < 0:
-                        state.remaining_bytes = 0.0
+            self._store.advance(elapsed)
         self.clock.advance_to(time)
 
     def _recompute_rates(self) -> None:
         profiler = self._scheduler.profiler
         if profiler is not None:
             profiler.mark("sim.fairshare")
-        if self._store is not None:
-            self._store.recompute()
-        else:
-            paths = {
-                flow_id: path_links_cached(state.path)
-                for flow_id, state in self._active.items()
-            }
-            rates = max_min_fair_rates(paths, self._capacities)
-            for flow_id, state in self._active.items():
-                state.rate = rates.get(flow_id, 0.0)
-        if self.config.completion_mode == "event":
-            self._schedule_completion()
+        self._store.recompute()
+        self._schedule_completion()
 
     def _recompute_after_admission(self, spec: FlowSpec) -> None:
         """Recompute rates after admitting ``spec``, batching same-instant
-        arrival bursts on the columnar backend.
+        arrival bursts.
 
         When the *next* arrival shares this exact instant and no kernel
         event can fire in between, the next dispatch is provably that
@@ -329,8 +236,7 @@ class Simulation:
         fillings into one.
         """
         if (
-            self._store is not None
-            and spec.size > 0
+            spec.size > 0
             and self._arrival_index < len(self._arrivals)
             # det: allow(float-eq) -- batching exact same-instant arrivals
             and self._arrivals[self._arrival_index].start_time == self.now
@@ -345,72 +251,27 @@ class Simulation:
     def run(self) -> MetricsCollector:
         """Run to completion (or ``max_time``); returns the metrics."""
         self._schedule(self.config.te.epoch, "epoch")
-        if self.config.completion_mode == "event":
-            self._loop_event()
-        else:
-            self._loop_scan()
+        self._loop()
         if self.injector is not None:
             for kind, count in self.injector.log.counts().items():
                 self.metrics.record_fault(kind, count)
         return self.metrics
 
-    def _loop_scan(self) -> None:
-        """Legacy loop: per-iteration completion scan (the parity reference)."""
-        while True:
-            completion_time, completing_flow = self._next_completion()
-            event_time = self._scheduler.next_time()
-            arrival_time = self._next_arrival_time()
-            next_time = min(completion_time, event_time, arrival_time)
-            if math.isinf(next_time):
-                break  # no arrivals, no events, nothing draining
-            if next_time > self.config.max_time:
-                self._advance_to(self.config.max_time)
-                break
-            self._advance_to(next_time)
-            # next_time is min() over these exact values, so the equality
-            # tests below are identity dispatch (which event fires first),
-            # not equality between independently computed floats.
-            sanitizer = self._scheduler.sanitizer
-            profiler = self._scheduler.profiler
-            # det: allow(float-eq) -- identity dispatch against min()
-            if completion_time == next_time and completing_flow is not None:
-                if sanitizer is not None:
-                    # Scan-mode completions are loop-ordered (the ETA scan
-                    # picks them), not seq-ordered: not race material.
-                    sanitizer.external("scan-completion")
-                if profiler is not None:
-                    profiler.mark("sim.completion")
-                self._complete_flow(completing_flow)
-            # det: allow(float-eq) -- identity dispatch against min()
-            elif arrival_time == next_time:
-                if sanitizer is not None:
-                    sanitizer.external("arrival")
-                if profiler is not None:
-                    profiler.mark("sim.arrival")
-                self._admit_next_flow()
-            else:
-                event = self._scheduler.pop()
-                self._dispatch(event.kind, event.payload)
-            if not self._n_active() and self._arrival_index >= len(self._arrivals):
-                if not self._scheduler.pending(("activate", "start")):
-                    break
-
     def _completion_is_live(self, event) -> bool:
         """True when a scheduled completion is current-epoch and the flow
         is still active (stale ones are discarded, never dispatched)."""
         flow_id, epoch = event.payload
-        return epoch == self._rate_epoch and self._flow_active(flow_id)
+        return epoch == self._rate_epoch and flow_id in self._store
 
-    def _loop_event(self) -> None:
-        """Kernel loop: completions are scheduled events, not scans.
+    def _loop(self) -> None:
+        """Kernel loop: completions are scheduled events.
 
         Stale completion events (superseded by a later rate epoch, or for
         an already-finished flow) are discarded on peek *without advancing
-        time* — extra advance points would change the floating-point
-        draining sequence and break exact agreement with the scan loop.
-        Dispatch order at shared instants matches the scan loop:
-        completions carry :data:`~repro.engine.scheduler.TIER_COMPLETION`
-        so they sort first, arrivals beat all other same-time events.
+        time* — an extra advance point would add a draining step and move
+        the remaining-bytes floats.  At shared instants completions carry
+        :data:`~repro.engine.scheduler.TIER_COMPLETION` so they sort
+        first, and arrivals beat all other same-time events.
         """
         while True:
             head = self._scheduler.peek()
@@ -452,7 +313,7 @@ class Simulation:
                     self._complete_flow(event.payload[0])
                 else:
                     self._dispatch(event.kind, event.payload)
-            if not self._n_active() and self._arrival_index >= len(self._arrivals):
+            if not self._store and self._arrival_index >= len(self._arrivals):
                 if not self._scheduler.pending(("activate", "start")):
                     break
 
@@ -507,77 +368,37 @@ class Simulation:
                 max(outcome.ready_time, self.now), "start", (spec, path)
             )
             return
-        if self._store is not None:
-            self._store.add(spec, path)
-        else:
-            self._active[spec.flow_id] = _ActiveFlow(
-                spec=spec, remaining_bytes=spec.size, path=path
-            )
-        self.metrics.record_active_peak(self._n_active())
+        self._store.add(spec, path)
+        self.metrics.record_active_peak(len(self._store))
         self._recompute_after_admission(spec)
 
     def _start_reactive_flow(self, payload) -> None:
         spec, path = payload
-        if self._store is not None:
-            self._store.add(spec, path, has_installed_rules=True)
-        else:
-            self._active[spec.flow_id] = _ActiveFlow(
-                spec=spec,
-                remaining_bytes=spec.size,
-                path=path,
-                has_installed_rules=True,
-            )
-        self.metrics.record_active_peak(self._n_active())
+        self._store.add(spec, path, has_installed_rules=True)
+        self.metrics.record_active_peak(len(self._store))
         self._recompute_rates()
 
     def _complete_flow(self, flow_id: int) -> None:
-        if self._store is not None:
-            spec = self._store.spec(flow_id)
-            path = self._store.path(flow_id)
-            had_rules = self._store.has_installed_rules(flow_id)
-            self._store.remove(flow_id)
-        else:
-            state = self._active.pop(flow_id)
-            spec, path, had_rules = state.spec, state.path, state.has_installed_rules
+        spec = self._store.spec(flow_id)
+        path = self._store.path(flow_id)
+        had_rules = self._store.has_installed_rules(flow_id)
+        self._store.remove(flow_id)
         self.metrics.flow_finished(flow_id, self.now)
         if had_rules:
             self.controller.remove_flow_rules(spec, path, self.now)
         self._recompute_rates()
 
     def _run_te_epoch(self) -> None:
-        if self._n_active():
-            if self._store is not None:
-                flows, paths, eligible_paths, rates = self._store.te_views()
-                utilization = self._store.utilization()
-            else:
-                paths = {
-                    flow_id: state.path for flow_id, state in self._active.items()
-                }
-                rates = {
-                    flow_id: state.rate for flow_id, state in self._active.items()
-                }
-                flows = {
-                    flow_id: state.spec for flow_id, state in self._active.items()
-                }
-                link_paths = {
-                    flow_id: path_links_cached(path)
-                    for flow_id, path in paths.items()
-                }
-                utilization = link_utilization(
-                    link_paths, rates, self._capacities
-                )
-                eligible_paths = {
-                    flow_id: path
-                    for flow_id, path in paths.items()
-                    if not self._active[flow_id].pending_activation
-                }
+        if self._store:
+            flows, eligible_paths, rates = self._store.te_views()
+            utilization = self._store.utilization()
             moves = [
                 move
                 for move in self.app.plan(
                     flows, eligible_paths, rates, utilization, self._capacities,
                     now=self.now,
                 )
-                if self._flow_active(move.flow_id)
+                if move.flow_id in self._store
                 and not any(
                     link in self._failed_links
                     for link in path_links_cached(move.new_path)
@@ -591,49 +412,34 @@ class Simulation:
             outcomes = self.controller.install_paths(assignments, self.now)
             for move, outcome in zip(moves, outcomes):
                 self._record_outcome(outcome)
-                if self._store is not None:
-                    self._store.set_pending_activation(move.flow_id, True)
-                else:
-                    self._active[move.flow_id].pending_activation = True
+                self._store.set_pending_activation(move.flow_id, True)
                 # det: allow(ambiguous-tier) -- per-move activations are independent; seq order pinned by parity digests
                 self._schedule(
                     max(outcome.ready_time, self.now),
                     "activate",
                     (move.flow_id, move.new_path),
                 )
-        if self._arrival_index < len(self._arrivals) or self._n_active():
+        if self._arrival_index < len(self._arrivals) or self._store:
             self._schedule(self.now + self.config.te.epoch, "epoch")
 
     def _activate_path(self, payload) -> None:
         flow_id, new_path = payload
-        if not self._flow_active(flow_id):
+        store = self._store
+        if flow_id not in store:
             return  # completed while the rules were being installed
-        if self._store is not None:
-            store = self._store
-            old_path = store.path(flow_id)
-            had_rules = store.has_installed_rules(flow_id)
-            spec = store.spec(flow_id)
-            store.set_path(flow_id, new_path)
-            store.set_pending_activation(flow_id, False)
-            store.set_has_installed_rules(flow_id, True)
-            blackholed_since = store.blackhole_start(flow_id)
-            if blackholed_since is not None:
-                self.blackhole_time += self.now - blackholed_since
-                store.set_blackhole_start(flow_id, None)
-        else:
-            state = self._active[flow_id]
-            old_path = state.path
-            had_rules = state.has_installed_rules
-            spec = state.spec
-            state.path = new_path
-            state.pending_activation = False
-            state.has_installed_rules = True
-            if state.blackholed_since is not None:
-                # The flow was stranded on a failed path until this
-                # activation: the whole window is control-plane-induced
-                # blackhole time.
-                self.blackhole_time += self.now - state.blackholed_since
-                state.blackholed_since = None
+        old_path = store.path(flow_id)
+        had_rules = store.has_installed_rules(flow_id)
+        spec = store.spec(flow_id)
+        store.set_path(flow_id, new_path)
+        store.set_pending_activation(flow_id, False)
+        store.set_has_installed_rules(flow_id, True)
+        blackholed_since = store.blackhole_start(flow_id)
+        if blackholed_since is not None:
+            # The flow was stranded on a failed path until this
+            # activation: the whole window is control-plane-induced
+            # blackhole time.
+            self.blackhole_time += self.now - blackholed_since
+            store.set_blackhole_start(flow_id, None)
         self.metrics.flow_rerouted(flow_id)
         if had_rules:
             self.controller.remove_flow_rules(spec, old_path, self.now)
@@ -661,26 +467,15 @@ class Simulation:
         self._failed_links.add(link)
         self._capacities[link] = 0.0
         repairs = []
-        if self._store is not None:
-            self._store.fail_link(link)
-            specs = {}
-            for flow_id in self._store.flows_on_link(link):
-                self._store.set_blackhole_start(flow_id, self.now)
-                spec = self._store.spec(flow_id)
-                specs[flow_id] = spec
-                healthy = self._first_healthy_path(spec)
-                if healthy is not None and healthy != self._store.path(flow_id):
-                    repairs.append((flow_id, healthy))
-        else:
-            specs = {}
-            for flow_id, state in self._active.items():
-                if link not in path_links_cached(state.path):
-                    continue
-                state.blackholed_since = self.now
-                specs[flow_id] = state.spec
-                healthy = self._first_healthy_path(state.spec)
-                if healthy is not None and healthy != state.path:
-                    repairs.append((flow_id, healthy))
+        specs = {}
+        self._store.fail_link(link)
+        for flow_id in self._store.flows_on_link(link):
+            self._store.set_blackhole_start(flow_id, self.now)
+            spec = self._store.spec(flow_id)
+            specs[flow_id] = spec
+            healthy = self._first_healthy_path(spec)
+            if healthy is not None and healthy != self._store.path(flow_id):
+                repairs.append((flow_id, healthy))
         tracer = get_tracer()
         if tracer.enabled:
             tracer.event(
@@ -693,10 +488,7 @@ class Simulation:
         outcomes = self.controller.install_paths(assignments, self.now)
         for (flow_id, path), outcome in zip(repairs, outcomes):
             self._record_outcome(outcome)
-            if self._store is not None:
-                self._store.set_pending_activation(flow_id, True)
-            else:
-                self._active[flow_id].pending_activation = True
+            self._store.set_pending_activation(flow_id, True)
             # det: allow(ambiguous-tier) -- repair activations are independent; seq order pinned by parity digests
             self._schedule(
                 max(outcome.ready_time, self.now), "activate", (flow_id, path)

@@ -1,5 +1,9 @@
 """Tests for the BGP substrate: RIB decision process, FIB compilation, streams."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -218,3 +222,37 @@ class TestStreams:
     def test_duration_validation(self):
         with pytest.raises(ValueError):
             generate_updates(get_router_profile("nwax"), duration=0.0)
+
+
+_FIB_TRACE_SCRIPT = r"""
+import hashlib
+
+from repro.experiments.bgp_section import BgpConfig, fib_trace
+
+trace = fib_trace("nwax", BgpConfig(duration=3.0))
+print(hashlib.sha256("\n".join(repr(t) for t in trace).encode()).hexdigest())
+"""
+
+
+def _fib_trace_digest(hash_seed):
+    root = os.path.dirname(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    )
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = (
+        os.path.join(root, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", _FIB_TRACE_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    return result.stdout.strip()
+
+
+class TestFibDeterminism:
+    def test_default_port_map_independent_of_hash_seed(self):
+        # The default peer -> port map must not ride str hash randomization.
+        assert _fib_trace_digest("0") == _fib_trace_digest("1")

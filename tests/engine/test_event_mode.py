@@ -1,13 +1,8 @@
-"""Tests for ``completion_mode="event"`` — kernel-scheduled completions.
+"""Tests for kernel-scheduled completions.
 
-Scan mode is the parity reference (byte-identical to the pre-kernel
-simulator); event mode replaces the per-iteration O(active flows) ETA scan
-with one scheduled completion per rate epoch.  The two agree *exactly*
-whenever every dispatched event recomputes rates — i.e. pure
-arrival/completion workloads — because then the scheduled ETA and the
-scanned ETA are the same float expression.  With interleaved
-non-recomputing events (TE epochs) completions can move by rounding ulps,
-so there event mode is held to determinism, not byte-parity with scan.
+The simulator arms one completion event per rate epoch (the earliest
+ETA) and discards stale ones on peek.  These tests hold that loop to
+completing every flow exactly once and to cross-process determinism.
 """
 
 import os
@@ -15,7 +10,6 @@ import subprocess
 import sys
 
 import numpy as np
-import pytest
 
 from repro.baselines import make_installer
 from repro.simulator import Simulation, SimulationConfig, TeAppConfig
@@ -46,67 +40,21 @@ def _run(config):
     return metrics, simulation
 
 
-def _no_te_config(completion_mode):
-    # TE epoch far beyond the workload: no epochs fire, so every
-    # dispatched event (arrival or completion) recomputes rates.
-    return SimulationConfig(
-        te=TeAppConfig(epoch=1e6),
-        baseline_occupancy=0,
-        completion_mode=completion_mode,
-    )
-
-
-class TestConfigValidation:
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="completion_mode"):
-            SimulationConfig(completion_mode="magic")
-
-    def test_default_is_scan(self):
-        assert SimulationConfig().completion_mode == "scan"
-
-
-class TestScanEventEquality:
-    def test_pure_arrival_completion_workload_is_byte_identical(self):
-        scan_metrics, _ = _run(_no_te_config("scan"))
-        event_metrics, _ = _run(_no_te_config("event"))
-        assert event_metrics.fcts() == scan_metrics.fcts()
-        # Job ids come from a process-global counter, so the second run's
-        # keys are shifted; the completion times themselves must be equal.
-        assert sorted(event_metrics.jcts().values()) == sorted(
-            scan_metrics.jcts().values()
-        )
-        assert event_metrics.rits() == scan_metrics.rits()
-
+class TestStaleCompletions:
     def test_event_mode_skips_stale_completions(self):
-        # Every arrival recomputes rates and re-arms the completion event,
-        # so all but the last epoch's events go stale — the run must still
-        # complete every flow exactly once.
-        scan_metrics, _ = _run(_no_te_config("scan"))
-        event_metrics, simulation = _run(_no_te_config("event"))
-        assert len(event_metrics.fcts()) == len(scan_metrics.fcts())
-        assert not simulation._active
-
-
-class TestEventModeWithTe:
-    def test_te_workload_matches_scan_within_tolerance(self):
-        config_scan = SimulationConfig(
-            te=TeAppConfig(epoch=0.25),
-            baseline_occupancy=50,
-            max_time=3.0,
-            completion_mode="scan",
+        # TE epoch far beyond the workload: every arrival recomputes rates
+        # and re-arms the completion event, so all but the last epoch's
+        # events go stale — the run must still complete every flow
+        # exactly once.
+        config = SimulationConfig(
+            te=TeAppConfig(epoch=1e6), baseline_occupancy=0
         )
-        config_event = SimulationConfig(
-            te=TeAppConfig(epoch=0.25),
-            baseline_occupancy=50,
-            max_time=3.0,
-            completion_mode="event",
-        )
-        scan_metrics, _ = _run(config_scan)
-        event_metrics, _ = _run(config_event)
-        assert len(event_metrics.fcts()) == len(scan_metrics.fcts())
-        assert np.allclose(
-            sorted(event_metrics.fcts()), sorted(scan_metrics.fcts())
-        )
+        metrics, simulation = _run(config)
+        records = metrics.flow_records()
+        assert records
+        assert all(record.completed for record in records)
+        assert len(metrics.fcts()) == len(records)
+        assert not simulation._store
 
 
 _EVENT_DIGEST_SCRIPT = r"""
@@ -133,7 +81,6 @@ config = SimulationConfig(
     te=TeAppConfig(epoch=0.25),
     baseline_occupancy=100,
     max_time=3.0,
-    completion_mode="event",
 )
 timing = get_switch_model("pica8-p3290")
 hermes_config = default_hermes_config()

@@ -74,7 +74,6 @@ class TestSubsystemOf:
 
     def test_loop_marks(self):
         assert subsystem_of("sim.arrival") == "arrival"
-        assert subsystem_of("sim.completion") == "completion"
 
     def test_unknown_labels_map_to_themselves(self):
         # New instrumentation points surface by name, never as "other".

@@ -1,22 +1,23 @@
 """Tests for the columnar flow-state engine.
 
-Three layers of evidence that ``flow_state="columnar"`` is safe:
+Three layers of evidence that the simulator's :class:`FlowStore` data
+path is exact:
 
 * a hypothesis differential suite pinning the vectorized fair share
-  *bit-identical* (``==``, no tolerance) to the dict backend on random
-  topologies and workloads;
+  *bit-identical* (``==``, no tolerance) to the dict reference
+  :func:`max_min_fair_rates` on random topologies and workloads;
 * FlowStore unit tests for the row lifecycle (stable compaction, path
-  churn, flags, link failure);
-* whole-simulation differentials: the columnar backend must reproduce
-  the object backend's metrics exactly on arrival/completion workloads,
-  under TE, under link failures, in both completion modes, and across
-  same-instant arrival bursts (the batched-recompute fast path);
-* a cross-process digest check that ``flow_state="objects"`` still
-  matches the seed parity digests pinned in ``tests/engine/test_parity``.
+  churn, flags, link failure) checked against the dict references;
+* whole-simulation digests: arrival/completion workloads, TE, link
+  failures and same-instant arrival bursts (the batched-recompute fast
+  path) must reproduce results pinned when a per-flow-object backend
+  still ran beside the columnar one and both agreed exactly.
 """
 
+import hashlib
 import json
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -31,15 +32,9 @@ from repro.simulator import (
     columnar_max_min_fair_rates,
     max_min_fair_rates,
 )
-from repro.simulator.flowstate import FlowColumnView
 from repro.traffic.flows import FlowSpec
 
-from tests.engine.test_parity import (
-    CHAOS_RESULT_DIGEST,
-    CHAOS_TRACE_DIGEST,
-    _SCENARIO_SCRIPT,
-    _run_script,
-)
+from tests.engine.test_parity import _run_script
 
 LINKS = [
     ("a", "b"),
@@ -277,10 +272,10 @@ class TestFlowStore:
         store.add(spec(3, size=5.0), ("a", "b"))
         store.add(spec(1, size=6.0), ("b", "c"))
         store.set_pending_activation(1, True)
-        flows, paths, eligible, rates = store.te_views()
-        assert isinstance(flows, FlowColumnView)
-        assert list(paths) == [3, 1]
-        assert paths[3] == ("a", "b")
+        flows, eligible, rates = store.te_views()
+        assert list(flows) == [3, 1]
+        assert list(rates) == [3, 1]
+        assert eligible[3] == ("a", "b")
         assert list(eligible) == [3] and len(eligible) == 1
         with pytest.raises(KeyError):
             eligible[1]
@@ -306,21 +301,23 @@ def _fat_tree_workload(burst=False, seed=5, flows_count=120):
                 destination=hosts_[dst],
                 size=float(rng.integers(int(1e5), int(5e6))),
                 start_time=start,
+                # Explicit ids: ECMP hashes on them, so the default
+                # process-global counter would tie results to test order.
+                flow_id=index,
             )
         )
     return graph, flows
 
 
-def _run_backend(graph, flows, flow_state, **overrides):
+def _run_digest(graph, flows, **overrides):
+    """sha256 of a tango run's flow records, sorted RITs and blackhole time."""
     from repro.experiments.common import (
         QUICK_SCALE,
         installer_factory,
         te_simulation_config,
     )
 
-    config = replace(
-        te_simulation_config(QUICK_SCALE), flow_state=flow_state, **overrides
-    )
+    config = replace(te_simulation_config(QUICK_SCALE), **overrides)
     simulation = Simulation(
         graph,
         flows,
@@ -337,11 +334,32 @@ def _run_backend(graph, flows, flow_state, **overrides):
         )
         for record in metrics.flow_records()
     )
-    return records, sorted(metrics.rits()), simulation.blackhole_time
+    payload = [records, sorted(metrics.rits()), simulation.blackhole_time]
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
+# Captured with event-scheduled completions while the per-flow-object
+# backend still ran beside the columnar one: on every scenario below both
+# backends produced these exact digests.
+NO_TE_DIGEST = "6f3466d9446d20069503b75decb34e67e4d76abf5ac91a816aa6b548e4368449"
+TE_DIGEST = "c718a6c7a72f06e34940bed8bc6ba9f23cd76c092151ecaa6b86886c51669304"
+LINK_FAILURE_DIGEST = (
+    "3a9ce7b4fba37f15e27dcd732317ac770a6c178bfe58e7a1d0bc723e349304e5"
+)
+BURST_DIGEST = "76129164b9f94791c8c0ff8999da643b47285c94a4a34bc7c0e9c20c3f3ab55c"
+
+_TE_DIGEST_SCRIPT = r"""
+import sys
+
+sys.path.insert(0, sys.argv[1])
+from tests.simulator.test_flowstate import _fat_tree_workload, _run_digest
+
+print(_run_digest(*_fat_tree_workload()))
+"""
 
 
 class TestSimulationDifferential:
-    """Columnar runs must reproduce object runs on whole simulations."""
+    """Whole simulations reproduce the digests both backends agreed on."""
 
     def test_arrival_completion_workload_exact(self):
         # A TE epoch far past max_time: pure arrival/completion dynamics.
@@ -349,61 +367,31 @@ class TestSimulationDifferential:
 
         graph, flows = _fat_tree_workload()
         base = te_simulation_config(QUICK_SCALE)
-        quiet = {"te": replace(base.te, epoch=1e9)}
-        assert _run_backend(graph, flows, "objects", **quiet) == _run_backend(
-            graph, flows, "columnar", **quiet
-        )
+        quiet = replace(base.te, epoch=1e9)
+        assert _run_digest(graph, flows, te=quiet) == NO_TE_DIGEST
 
     def test_te_workload_exact(self):
         graph, flows = _fat_tree_workload()
-        assert _run_backend(graph, flows, "objects") == _run_backend(
-            graph, flows, "columnar"
-        )
+        assert _run_digest(graph, flows) == TE_DIGEST
 
     def test_event_mode_exact(self):
-        graph, flows = _fat_tree_workload()
-        assert _run_backend(
-            graph, flows, "objects", completion_mode="event"
-        ) == _run_backend(graph, flows, "columnar", completion_mode="event")
+        # The same pin from a fresh interpreter: the scheduled-completion
+        # order must not lean on process-global counters (rule ids).
+        root = os.path.dirname(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        )
+        assert _run_script(_TE_DIGEST_SCRIPT, root) == TE_DIGEST
 
     def test_link_failure_exact(self):
         graph, flows = _fat_tree_workload()
-        failures = ((0.4, ("agg0", "core0")),)
-        assert _run_backend(
-            graph, flows, "objects", link_failures=failures
-        ) == _run_backend(graph, flows, "columnar", link_failures=failures)
+        failures = ((0.4, ("agg-0-0", "core-0")),)
+        assert (
+            _run_digest(graph, flows, link_failures=failures)
+            == LINK_FAILURE_DIGEST
+        )
 
     def test_same_instant_bursts_exact(self):
-        # Bursts exercise the columnar backend's batched same-instant
-        # recompute (the deferral fast path) in both completion modes.
+        # Bursts exercise the batched same-instant recompute (the
+        # deferral fast path).
         graph, flows = _fat_tree_workload(burst=True)
-        for mode in ("scan", "event"):
-            assert _run_backend(
-                graph, flows, "objects", completion_mode=mode
-            ) == _run_backend(graph, flows, "columnar", completion_mode=mode)
-
-    def test_invalid_flow_state_rejected(self):
-        from repro.simulator import SimulationConfig
-
-        with pytest.raises(ValueError):
-            SimulationConfig(flow_state="rows")
-
-
-class TestObjectsParityDigest:
-    """``flow_state="objects"`` must stay byte-identical to the seed.
-
-    Runs the chaos parity scenario in a fresh interpreter with the flow
-    state forced to ``"objects"`` explicitly (not just defaulted) and
-    checks the pinned seed digests — the refactor discipline's contract
-    that the reference path never moves.
-    """
-
-    SCRIPT = _SCENARIO_SCRIPT.replace(
-        "config = SimulationConfig(",
-        'config = SimulationConfig(\n        flow_state="objects",',
-    )
-
-    def test_chaos_objects_matches_seed_digests(self):
-        digests = json.loads(_run_script(self.SCRIPT, "chaos"))
-        assert digests["result"] == CHAOS_RESULT_DIGEST
-        assert digests["trace"] == CHAOS_TRACE_DIGEST
+        assert _run_digest(graph, flows) == BURST_DIGEST
