@@ -16,7 +16,9 @@ import sys
 import pytest
 
 # sha256 digests captured from the pre-kernel simulator (seed HEAD).
-FIG01_DIGEST = "ad529ed5085c6c101dd7cb84eb3e514d8b7ba6f74f6110f7d8b0893178e9ea1b"
+# FIG01_DIGEST was re-pinned once when event-scheduled completions became
+# the only loop: RITs and JCTs are identical, 7 of 148 FCTs moved by 2 ulps.
+FIG01_DIGEST = "013797aa04e64382d761a75528bf8fd80d86251b557e0920f48e11da67001a77"
 FIG08_DIGEST = "48c45e3e7ef0a0d64e99b0835def7af97c0711ef10e7c3d2048caa5dffeb44d8"
 CHAOS_RESULT_DIGEST = (
     "acbdc2d3d7e6aa00fe02c53b73b6aa8213ea634e2e4d8f3ee09eab7b8575c244"
