@@ -193,7 +193,6 @@ class FlowStore:
         self._link_id: Dict[Link, int] = {
             link: index for index, link in enumerate(links)
         }
-        self._link_tuple: List[Link] = links
         self.link_capacity = np.array(
             [link_capacities[link] for link in links], dtype=np.float64
         )
@@ -499,22 +498,30 @@ class FlowStore:
         )
 
     def utilization(self) -> Dict[Link, float]:
-        """Per-link utilization, bit-identical to
+        """Per-link utilization, identical to
         :func:`~repro.simulator.fairshare.link_utilization` over the active
-        flows (values *and* dict insertion order, so TE planning
-        tie-breaks don't move)."""
+        flows' ``path_links_cached`` links: the same values, dict insertion
+        order (so TE planning tie-breaks don't move) and key objects.
+
+        Each key is the link tuple of the first active path that uses the
+        link, so the TE planner's ``link in path_links_cached(path)`` tests
+        and dict lookups succeed on identity, not tuple comparison.
+        """
         rows, lens, gathered = self._gather_active()
         if gathered.size == 0:
             return {}
         weights = np.repeat(self.rate[rows], lens)
         load = np.zeros(self.link_capacity.size, dtype=np.float64)
         np.add.at(load, gathered, weights)
-        used, _ranks = _first_encounter_rank(gathered)
+        first_key: Dict[int, Link] = {}
+        for row in rows.tolist():
+            for link in path_links_cached(self._paths[row]):
+                first_key.setdefault(self._link_id[link], link)
         result: Dict[Link, float] = {}
-        for link_id in used.tolist():
+        for link_id, link in first_key.items():
             capacity = float(self.link_capacity[link_id])
             if capacity > 0.0:
-                result[self._link_tuple[link_id]] = float(load[link_id]) / capacity
+                result[link] = float(load[link_id]) / capacity
         return result
 
     # ------------------------------------------------------------------

@@ -254,18 +254,30 @@ class TestFlowStore:
 
     def test_utilization_matches_reference(self):
         from repro.simulator import link_utilization
+        from repro.topology.routing import path_links_cached
 
         store = self.make()
-        store.add(spec(1), ("a", "b", "c"))
-        store.add(spec(2), ("b", "c"))
+        paths = {1: ("a", "b", "c"), 2: ("b", "c")}
+        for flow_id, path in paths.items():
+            store.add(spec(flow_id), path)
         store.recompute()
-        rows = {flow_id: store.row(flow_id) for flow_id in (1, 2)}
         reference = link_utilization(
-            {1: [("a", "b"), ("b", "c")], 2: [("b", "c")]},
-            {flow_id: float(store.rate[row]) for flow_id, row in rows.items()},
+            {
+                flow_id: path_links_cached(path)
+                for flow_id, path in paths.items()
+            },
+            {
+                flow_id: float(store.rate[store.row(flow_id)])
+                for flow_id in paths
+            },
             self.CAPS,
         )
-        assert store.utilization() == reference
+        utilization = store.utilization()
+        assert utilization == reference
+        # Same key objects too: the TE planner's link lookups hit on identity.
+        assert [id(link) for link in utilization] == [
+            id(link) for link in reference
+        ]
 
     def test_te_views_are_admission_ordered_mappings(self):
         store = self.make()
