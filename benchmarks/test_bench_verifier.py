@@ -1,11 +1,12 @@
 """Benchmark: atomic-predicate vs symbolic verification on synthetic FIBs.
 
-Sweeps table sizes with both engines over the same shadow+main pair and
-writes a JSON artifact (``BENCH_verifier.json``) CI can archive.  The
-symbolic engine's pairwise scan is quadratic, so past a time budget its
-runtime is *projected* from the measured curve and the run is skipped —
-that skip is the point: the AP engine keeps verifying sizes the symbolic
-engine can no longer touch.
+Sweeps table sizes over the same shadow+main pair with the shipped
+verifier (the atomic-predicate engine) and the symbolic test oracle
+(``tests/analysis/symbolic_oracle.py``), and writes a JSON artifact
+(``BENCH_verifier.json``) CI can archive.  The symbolic engine's pairwise
+scan is quadratic, so past a time budget its runtime is *projected* from
+the measured curve and the run is skipped — that skip is the point: the AP
+engine keeps verifying sizes the symbolic engine can no longer touch.
 
 Environment knobs:
     ``BENCH_VERIFIER_SIZES``   comma-separated rule counts (default smoke
@@ -23,11 +24,11 @@ import time
 
 import numpy as np
 
-from repro.analysis.ap import engines_agree
 from repro.analysis.verifier import verify_partition
 from repro.obs.perf.bench import write_bench_artifact
 from repro.tcam.rule import Action, Rule
 from repro.tcam.ternary import TernaryMatch
+from tests.analysis.symbolic_oracle import engines_agree, symbolic_verify_partition
 
 SMOKE_SIZES = (1000, 2000, 5000)
 FULL_SIZES = (1000, 5000, 10000, 50000, 100000, 200000)
@@ -75,15 +76,13 @@ def synthetic_fib(count, seed=7):
     return shadow, rules[shadow_count:]
 
 
-def _timed(engine, shadow, main, reference):
+def _timed(verify, shadow, main, reference):
     """Time the *full* verification: errors, warnings, and the semantic
     diff against a reference — the shape the CLI runs on captured
     snapshots, and where the symbolic engine's region algebra goes
     quadratic."""
     start = time.perf_counter()
-    violations = verify_partition(
-        shadow, main, reference=reference, include_warnings=True, engine=engine
-    )
+    violations = verify(shadow, main, reference=reference, include_warnings=True)
     return time.perf_counter() - start, violations
 
 
@@ -93,7 +92,7 @@ def run_sweep(sizes, budget):
     for size in sizes:
         shadow, main = synthetic_fib(size)
         reference = shadow + main  # the pair's own lookup order
-        ap_seconds, ap_violations = _timed("ap", shadow, main, reference)
+        ap_seconds, ap_violations = _timed(verify_partition, shadow, main, reference)
         row = {
             "rules": size,
             "ap_seconds": ap_seconds,
@@ -109,7 +108,7 @@ def run_sweep(sizes, budget):
         )
         if projected <= budget:
             symbolic_seconds, symbolic_violations = _timed(
-                "symbolic", shadow, main, reference
+                symbolic_verify_partition, shadow, main, reference
             )
             assert engines_agree(ap_violations, symbolic_violations)
             row["symbolic_seconds"] = symbolic_seconds

@@ -16,8 +16,8 @@ from .ap import (
     IncrementalPairChecker,
     attach_incremental_checker,
     build_universe,
-    engines_agree,
-    violation_fingerprint,
+    find_duplicate_entries,
+    lookup_order,
 )
 from .lint import (
     LintFinding,
@@ -57,23 +57,11 @@ from .stats import (
     percentile_summary,
 )
 from .tables import ExperimentResult, format_cell, render_table
-from .verifier import (
-    ENGINES,
-    find_duplicate_entries,
-    find_priority_inversions,
-    find_shadowed_rules,
-    find_unreachable_rules,
-    lookup_order,
-    semantic_diff,
-    verify_installer,
-    verify_moveplan,
-    verify_partition,
-)
+from .verifier import verify_installer, verify_moveplan, verify_partition
 from .violations import Violation
 
 __all__ = [
     "AMBIGUOUS_TIER",
-    "ENGINES",
     "SCHEDULE_ORDER_RACE",
     "SHARED_STATE_MUTATION",
     "AtomIndex",
@@ -97,11 +85,7 @@ __all__ = [
     "diff_snapshots",
     "dump_snapshot",
     "empirical_cdf",
-    "engines_agree",
     "find_duplicate_entries",
-    "find_priority_inversions",
-    "find_shadowed_rules",
-    "find_unreachable_rules",
     "fix_paths",
     "format_cell",
     "format_findings",
@@ -120,11 +104,9 @@ __all__ = [
     "replicate_many",
     "run_fixture",
     "run_scenario",
-    "semantic_diff",
     "snapshot_installer",
     "snapshot_tables",
     "verify_installer",
     "verify_moveplan",
     "verify_partition",
-    "violation_fingerprint",
 ]

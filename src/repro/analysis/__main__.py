@@ -16,10 +16,8 @@ exposing ``run(sanitizer)`` — under the dynamic race sanitizer and
 reports every schedule-order race with its witness pair; exit 1 when any
 race is found.
 
-``verify`` and ``scenario`` accept ``--engine {ap,symbolic}`` (default
-``ap``, the atomic-predicate engine) and ``--cross-check``, which runs
-*both* engines and fails with exit 2 if their findings disagree — the
-differential harness for the engines themselves.  With two snapshot
+``verify`` and ``scenario`` decide with the atomic-predicate engine behind
+:func:`~repro.analysis.verifier.verify_partition`.  With two snapshot
 arguments, ``verify`` treats them as captures of the *same* switch at two
 instants: it verifies both, diffs them by rule id, and when the later one
 is corrupt but the earlier clean, names the changed rules implicated in
@@ -30,7 +28,7 @@ the corruption.
 table, snapshots both, and verifies the snapshot — the zero-setup way to
 see the verifier pass, and, with ``--corrupt``, to see each checker catch a
 seeded corruption.  Exit status: 0 clean, 1 violations/findings, 2 usage
-or engine disagreement.
+errors.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from .ap import violation_fingerprint
 from .lint import fix_paths, format_findings, lint_paths
 from .project import lint_project
 from .snapshot import (
@@ -52,7 +49,7 @@ from .snapshot import (
     read_snapshot,
     snapshot_tables,
 )
-from .verifier import ENGINES, verify_partition
+from .verifier import verify_partition
 
 CORRUPTIONS = ("swap-priority", "drop-rule", "duplicate")
 
@@ -157,51 +154,21 @@ def _report(violations, stream=sys.stdout) -> int:
     return 1 if errors else 0
 
 
-def _verify_tables(snapshot, include_warnings: bool, engine: str, cross_check: bool):
-    """Verify one snapshot; returns ``(violations, engines_disagree)``."""
-    violations = verify_partition(
+def _verify_tables(snapshot, include_warnings: bool):
+    """Verify one snapshot against its own reference table, if any."""
+    return verify_partition(
         snapshot.shadow,
         snapshot.main,
         reference=snapshot.reference,
         include_warnings=include_warnings,
-        engine=engine,
     )
-    if not cross_check:
-        return violations, False
-    other_engine = "symbolic" if engine == "ap" else "ap"
-    other = verify_partition(
-        snapshot.shadow,
-        snapshot.main,
-        reference=snapshot.reference,
-        include_warnings=include_warnings,
-        engine=other_engine,
-    )
-    mine, theirs = violation_fingerprint(violations), violation_fingerprint(other)
-    if mine != theirs:
-        print(
-            f"engine disagreement: {engine} found {mine} "
-            f"but {other_engine} found {theirs}",
-            file=sys.stderr,
-        )
-        return violations, True
-    print(
-        f"cross-check: {engine} and {other_engine} agree "
-        f"on {len(violations)} finding(s)"
-    )
-    return violations, False
 
 
-def _verify_over_time(
-    paths, snapshots, include_warnings: bool, engine: str, cross_check: bool
-) -> int:
+def _verify_over_time(paths, snapshots, include_warnings: bool) -> int:
     """Two captures of the same switch: verify both, localize the break."""
     results = []
     for path, snapshot in zip(paths, snapshots):
-        violations, disagree = _verify_tables(
-            snapshot, include_warnings, engine, cross_check
-        )
-        if disagree:
-            return 2
+        violations = _verify_tables(snapshot, include_warnings)
         errors = [violation for violation in violations if violation.is_error]
         results.append((path, violations, errors))
     delta = diff_snapshots(snapshots[0], snapshots[1])
@@ -265,17 +232,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help="also run the unreachable/shadowed-rule analyses",
     )
-    verify_cmd.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="ap",
-        help="decision procedure (default: ap, the atomic-predicate engine)",
-    )
-    verify_cmd.add_argument(
-        "--cross-check",
-        action="store_true",
-        help="run both engines and exit 2 if their findings disagree",
-    )
 
     lint_cmd = commands.add_parser(
         "lint", help="run the determinism lint over source trees"
@@ -323,17 +279,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         choices=CORRUPTIONS,
         default=None,
         help="seed a deliberate corruption before verifying (must fail)",
-    )
-    scenario_cmd.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="ap",
-        help="decision procedure (default: ap, the atomic-predicate engine)",
-    )
-    scenario_cmd.add_argument(
-        "--cross-check",
-        action="store_true",
-        help="run both engines and exit 2 if their findings disagree",
     )
 
     args = parser.parse_args(argv)
@@ -396,18 +341,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 return 2
         if len(snapshots) == 2:
             return _verify_over_time(
-                args.snapshots,
-                snapshots,
-                args.include_warnings,
-                args.engine,
-                args.cross_check,
+                args.snapshots, snapshots, args.include_warnings
             )
-        violations, disagree = _verify_tables(
-            snapshots[0], args.include_warnings, args.engine, args.cross_check
-        )
-        if disagree:
-            return 2
-        return _report(violations)
+        return _report(_verify_tables(snapshots[0], args.include_warnings))
 
     # scenario
     hermes, direct = build_scenario(seed=args.seed, steps=args.steps)
@@ -423,13 +359,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"reference={len(snapshot.reference or [])} rules"
         + (f" (corrupted: {args.corrupt})" if args.corrupt else "")
     )
-    violations, disagree = _verify_tables(
-        snapshot, include_warnings=False, engine=args.engine,
-        cross_check=args.cross_check,
-    )
-    if disagree:
-        return 2
-    return _report(violations)
+    return _report(_verify_tables(snapshot, include_warnings=False))
 
 
 if __name__ == "__main__":

@@ -1,15 +1,15 @@
 """Atomic-predicate verification engine over ternary matches.
 
-The symbolic verifier (:mod:`repro.analysis.verifier`) decides equivalence
-by region decomposition with the ternary subtract/intersect algebra — exact,
-but quadratic-ish in rule count, so `semantic_diff` is intractable on
-full-FIB snapshots.  This module re-expresses the same checks in the
-atomic-predicate style of AP-Verifier / NetPlumber: partition the key space
-once into *atoms* (the coarsest partition in which every rule's match is an
-exact union of cells), label each rule with the set of atom ids it covers,
-and decide overlap / containment / equivalence with integer-set operations.
-Every finding still carries a concrete witness key — one representative per
-atom — so the zero-false-positive contract of the symbolic engine holds.
+The decision procedure behind
+:func:`repro.analysis.verifier.verify_partition`, in the atomic-predicate
+style of AP-Verifier / NetPlumber: partition the key space once into
+*atoms* (the coarsest partition in which every rule's match is an exact
+union of cells), label each rule with the set of atom ids it covers, and
+decide overlap / containment / equivalence with integer-set operations.
+Every finding carries a concrete witness key — one representative per
+atom — so a reported violation is never a false positive.  The test suite
+pins every check against an independent symbolic oracle (region
+decomposition with the ternary subtract/intersect algebra).
 
 Two universe backends:
 
@@ -20,10 +20,10 @@ Two universe backends:
   of atom ids found by bisection.  Construction is O(n log n) and a rule's
   label is O(log n), which is what makes 200k-rule semantic diffs cheap.
 * :class:`_CubeUniverse` — arbitrary ternary matches.  Atoms are kept as
-  lists of disjoint ternary cubes and refined match-by-match with the same
-  intersect/subtract primitives the symbolic engine uses.  Exponential in
-  the worst case (capped), but exact, and cheap at the small widths where
-  general ternary rules actually appear in this repo.
+  lists of disjoint ternary cubes and refined match-by-match with the
+  ternary intersect/subtract primitives.  Exponential in the worst case
+  (capped), but exact, and cheap at the small widths where general ternary
+  rules actually appear in this repo.
 
 The incremental half (:class:`AtomIndex`, :class:`IncrementalPairChecker`)
 maintains the atom boundary multiset and the cross-table inversion /
@@ -46,7 +46,6 @@ from ..tcam.prefix import MAX_PREFIX_LEN
 from ..tcam.rule import Rule
 from ..tcam.ternary import TernaryMatch
 from ..tcam.trie import PrefixRuleIndex
-from .verifier import _rules_of, find_duplicate_entries, lookup_order
 from .violations import (
     DUPLICATE_ENTRY,
     EQUIVALENCE_MISMATCH,
@@ -55,6 +54,8 @@ from .violations import (
     UNREACHABLE_RULE,
     Violation,
 )
+
+RuleSource = Sequence[Rule]
 
 #: A rule's atom label: a contiguous ``range`` (interval backend) or a
 #: sorted tuple of atom ids (cube backend).
@@ -77,6 +78,55 @@ def _contiguous_interval(match: TernaryMatch) -> Optional[Tuple[int, int]]:
     if match.mask != high_mask:
         return None
     return match.value, match.value + match.size
+
+
+# ---------------------------------------------------------------------------
+# Rule sources
+# ---------------------------------------------------------------------------
+def _rules_of(table) -> List[Rule]:
+    """Accept a TcamTable, an installer slice, or a plain rule sequence."""
+    getter = getattr(table, "rules", None)
+    if callable(getter):
+        return list(getter())
+    return list(table)
+
+
+def lookup_order(shadow: RuleSource, main: RuleSource) -> List[Rule]:
+    """The pair's first-match order: shadow physical order, then main.
+
+    This mirrors the hardware (and :meth:`HermesInstaller.lookup`): the
+    shadow slice has higher lookup priority, and within a slice the TCAM
+    returns the topmost entry.
+    """
+    return _rules_of(shadow) + _rules_of(main)
+
+
+def find_duplicate_entries(shadow: RuleSource, main: RuleSource) -> List[Violation]:
+    """Rule ids physically present more than once across the pair.
+
+    A retried FlowMod without xid dedup, or a migration that wrote a rule
+    into the main table without clearing its shadow copy, leaves the same
+    id resident twice; logical deletes then strand the survivor.
+    """
+    violations: List[Violation] = []
+    seen: Dict[int, str] = {}
+    for table_name, rules in (("shadow", _rules_of(shadow)), ("main", _rules_of(main))):
+        for rule in rules:
+            if rule.rule_id in seen:
+                violations.append(
+                    Violation(
+                        kind=DUPLICATE_ENTRY,
+                        message=(
+                            f"rule #{rule.rule_id} is installed in "
+                            f"{seen[rule.rule_id]} and again in {table_name}"
+                        ),
+                        rule_ids=(rule.rule_id,),
+                        table=f"{seen[rule.rule_id]}+{table_name}",
+                    )
+                )
+            else:
+                seen[rule.rule_id] = table_name
+    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +327,9 @@ def first_match_winners(rules: Sequence[Rule], universe):
 
 
 # ---------------------------------------------------------------------------
-# AP re-expressions of the symbolic checkers
+# Checks
 # ---------------------------------------------------------------------------
 def _inversion_violation(main_rule: Rule, shadow_rule: Rule) -> Violation:
-    # Byte-identical to the symbolic engine's report for the same pair.
     overlap = main_rule.match.intersect(shadow_rule.match)
     return Violation(
         kind=PRIORITY_INVERSION,
@@ -340,12 +389,14 @@ def _inversion_pairs(
 
 
 def ap_priority_inversions(shadow, main, universe) -> List[Violation]:
-    """AP equivalent of :func:`~repro.analysis.verifier.find_priority_inversions`.
+    """The Algorithm 1 invariant, checked wholesale.
 
+    A main-table rule that overlaps a shadow resident at strictly higher
+    priority is masked by the hardware's shadow-first lookup over the
+    overlap region — the pair stops behaving like one table (Figure 4(b)).
     Overlap between two prefix-shaped rules is exactly atom-range
-    intersection, so the check vectorizes over the main table; reports are
-    emitted in the symbolic engine's (main order, shadow order) so the two
-    engines produce identical violation lists on identical inputs.
+    intersection, so the check vectorizes over the main table; reports come
+    in (main order, shadow order).
     """
     shadow_rules = _rules_of(shadow)
     main_rules = _rules_of(main)
@@ -364,13 +415,13 @@ def ap_semantic_diff(
     system_name: str = "shadow+main",
     reference_name: str = "reference",
 ) -> List[Violation]:
-    """AP equivalent of :func:`~repro.analysis.verifier.semantic_diff`.
+    """Exact semantic diff of two first-match rule lists.
 
     Paints both rule lists over one shared universe and compares the
     winners atom by atom: a differing action, or a hit on one side with a
     miss on the other, is a mismatch witnessed by the atom's lowest key.
-    One report per (system rule, reference rule) pair, like the symbolic
-    walk, so large disagreement regions don't flood the output.
+    One report per (system rule, reference rule) pair, so large
+    disagreement regions don't flood the output.
     """
     system_rules = _rules_of(system)
     reference_rules = _rules_of(reference)
@@ -438,11 +489,13 @@ def ap_semantic_diff(
 
 
 def ap_unreachable_rules(table, universe, name: str = "table") -> List[Violation]:
-    """AP equivalent of :func:`~repro.analysis.verifier.find_unreachable_rules`.
+    """Rules wholly covered by the entries physically above them.
 
-    A rule is unreachable exactly when the first-match painting leaves it
-    with zero atoms — one linear paint replaces the symbolic engine's
-    quadratic subtract cascade.
+    An unreachable rule can never win a lookup: it wastes an entry and
+    usually marks an upstream bug (a partitioner that failed to subsume, a
+    migration that re-wrote a rule below its own blocker).  Forwarding is
+    unaffected, so this is a warning, not an error.  A rule is unreachable
+    exactly when the first-match painting leaves it with zero atoms.
     """
     rules = _rules_of(table)
     _, claimed = first_match_winners(rules, universe)
@@ -463,8 +516,12 @@ def ap_unreachable_rules(table, universe, name: str = "table") -> List[Violation
 
 
 def ap_shadowed_rules(table, universe, name: str = "table") -> List[Violation]:
-    """AP equivalent of :func:`~repro.analysis.verifier.find_shadowed_rules`.
+    """Rules partially occluded by an earlier overlapping rule whose action
+    differs.
 
+    Partial occlusion is what priorities are *for*, so this is purely
+    informational — useful when auditing an operator-supplied ruleset for
+    surprising interactions, too noisy to enforce on partitioned tables.
     Uses a prefix-trie overlap index over the already-seen rules, so only
     genuine overlap candidates are examined; partial occlusion is
     "labels intersect but mine is not a subset of the prior's".
@@ -503,38 +560,6 @@ def ap_shadowed_rules(table, universe, name: str = "table") -> List[Violation]:
         except ValueError:
             pass  # duplicate id in the same table: reported elsewhere
     return violations
-
-
-def ap_verify_partition(
-    shadow,
-    main,
-    reference=None,
-    include_warnings: bool = False,
-) -> List[Violation]:
-    """Atomic-predicate drop-in for :func:`~repro.analysis.verifier.verify_partition`.
-
-    Builds one universe over shadow + main (+ reference) and runs every
-    requested check as atom-set operations.  Same violation kinds, rule
-    ids, and sort order as the symbolic engine; only witness keys may name
-    a different (equally valid) point of the same disagreement region.
-    """
-    shadow_rules = _rules_of(shadow)
-    main_rules = _rules_of(main)
-    reference_rules = _rules_of(reference) if reference is not None else []
-    universe = build_universe(
-        rule.match for rule in shadow_rules + main_rules + reference_rules
-    )
-    violations = ap_priority_inversions(shadow_rules, main_rules, universe)
-    violations += find_duplicate_entries(shadow_rules, main_rules)
-    if reference is not None:
-        violations += ap_semantic_diff(
-            lookup_order(shadow_rules, main_rules), reference_rules, universe
-        )
-    if include_warnings:
-        violations += ap_unreachable_rules(shadow_rules, universe, "shadow")
-        violations += ap_unreachable_rules(main_rules, universe, "main")
-        violations += ap_shadowed_rules(main_rules, universe, "main")
-    return sorted(violations, key=lambda v: (v.severity != "error", v.kind))
 
 
 # ---------------------------------------------------------------------------
@@ -763,30 +788,3 @@ def attach_incremental_checker(installer) -> Optional[IncrementalPairChecker]:
             checker.insert(name, rule)
         table.add_listener(_TableSync(checker, name))
     return checker
-
-
-# ---------------------------------------------------------------------------
-# Engine agreement
-# ---------------------------------------------------------------------------
-def violation_fingerprint(violations: Iterable[Violation]) -> List[Tuple]:
-    """Engine-independent shape of a violation list.
-
-    The two engines agree on kinds, implicated rule ids, and witness
-    *presence*; the concrete witness key may legitimately differ (any point
-    of the disagreement region is a valid witness).
-    """
-    return sorted(
-        (v.kind, tuple(sorted(v.rule_ids)), v.witness is not None)
-        for v in violations
-    )
-
-
-def engines_agree(
-    ap_violations: Iterable[Violation], symbolic_violations: Iterable[Violation]
-) -> bool:
-    """True when two engines' findings match by fingerprint — same kinds,
-    same implicated rule ids, same witness presence (witness *keys* may
-    differ: any key in the disagreeing atom is a valid witness)."""
-    return violation_fingerprint(ap_violations) == violation_fingerprint(
-        symbolic_violations
-    )

@@ -17,6 +17,9 @@ Rules
 ``wall-clock``
     ``time.time()`` / ``time.monotonic()`` / ``time.perf_counter()`` /
     ``datetime.now()`` and friends: real time leaking into simulated time.
+    Every read is flagged wherever it appears, so a wall-clock timestamp
+    handed to a tracer or span (which must stamp *sim* time, or golden
+    traces stop matching) is caught here too.
 ``wallclock-seam``
     The same wall-clock reads, in any file under ``repro/`` outside
     :mod:`repro.obs.perf` — even ones a ``wall-clock`` pragma justifies.
@@ -57,12 +60,6 @@ are reported but never rewritten.
     ``==`` / ``!=`` between values that look like event timestamps
     (``now``, ``deadline``, ``*_time``, ``*_until``, ...).  Computed floats
     must be compared with tolerances or orderings.
-``tracer-wall-clock``
-    A wall-clock read (``time.time()`` and friends) passed to a tracer or
-    span method (``start_span`` / ``event`` / ``sample`` / ``finish`` /
-    ``annotate``).  Trace timestamps must come from *sim* time, or two
-    runs of the same scenario produce different traces and the
-    golden-trace determinism guarantee breaks.
 ``adhoc-event-loop``
     A private event loop outside :mod:`repro.engine`: importing or
     calling ``heapq`` (the kernel's
@@ -104,7 +101,6 @@ WALL_CLOCK = "wall-clock"
 WALLCLOCK_SEAM = "wallclock-seam"
 UNORDERED_ITERATION = "unordered-iteration"
 FLOAT_EQ = "float-eq"
-TRACER_WALL_CLOCK = "tracer-wall-clock"
 ADHOC_EVENT_LOOP = "adhoc-event-loop"
 BARE_PRAGMA = "bare-pragma"
 
@@ -114,7 +110,6 @@ ALL_RULES = (
     WALLCLOCK_SEAM,
     UNORDERED_ITERATION,
     FLOAT_EQ,
-    TRACER_WALL_CLOCK,
     ADHOC_EVENT_LOOP,
     BARE_PRAGMA,
 )
@@ -166,10 +161,6 @@ _ORDER_SENSITIVE_SINKS = {"list", "tuple", "enumerate", "iter", "sum", "zip"}
 
 _TIMEY_EXACT = {"now", "time", "deadline", "timestamp"}
 _TIMEY_SUFFIXES = ("_time", "_until", "_deadline", "_timestamp", "_at")
-
-# Methods of repro.obs tracers/spans that take (sim-time) timestamps.
-_TRACER_METHODS = {"start_span", "event", "sample"}
-_SPAN_METHODS = {"finish", "annotate"}
 
 # Attributes that smell like a privately-mutated simulated-time cursor.
 _SIM_TIME_ATTRS = {"now", "_now", "busy_until", "_busy_until"}
@@ -481,7 +472,6 @@ class _DeterminismVisitor(ast.NodeVisitor):
                 self._exempt_nodes.add(id(arg))
         self._check_random_call(node)
         self._check_wall_clock_call(node)
-        self._check_tracer_args(node)
         self._check_set_sink(node)
         self._check_heapq_call(node)
         self.generic_visit(node)
@@ -558,35 +548,6 @@ class _DeterminismVisitor(ast.NodeVisitor):
                 "seam; call repro.obs.perf.wallclock() (or unix_time() / "
                 "timestamp() for artifact stamps) instead",
             )
-
-    def _check_tracer_args(self, node: ast.Call) -> None:
-        """Wall-clock reads feeding a tracer/span call break golden traces."""
-        func = node.func
-        if not isinstance(func, ast.Attribute):
-            return
-        receiver = _identifier_of(func.value).lower()
-        is_tracer = func.attr in _TRACER_METHODS and (
-            "tracer" in receiver
-            or (
-                isinstance(func.value, ast.Call)
-                and _identifier_of(func.value.func) == "get_tracer"
-            )
-        )
-        is_span = func.attr in _SPAN_METHODS and "span" in receiver
-        if not (is_tracer or is_span):
-            return
-        values = list(node.args) + [kw.value for kw in node.keywords]
-        for value in values:
-            for sub in ast.walk(value):
-                name = _wall_clock_name(sub)
-                if name:
-                    self._flag(
-                        sub,
-                        TRACER_WALL_CLOCK,
-                        f"'{name}()' feeding '{func.attr}()' on a "
-                        "tracer/span — trace timestamps must come from "
-                        "sim time",
-                    )
 
     def _check_set_sink(self, node: ast.Call) -> None:
         func = node.func

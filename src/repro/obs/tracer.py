@@ -1,8 +1,8 @@
 """The tracing core: sim-time spans, typed events, and gauge samples.
 
 Three record types, all timestamped in *simulated* seconds (the determinism
-lint's ``tracer-wall-clock`` rule enforces that callers never feed a
-wall-clock read into one):
+lint's ``wall-clock`` and ``wallclock-seam`` rules flag every wall-clock
+read, so none can be fed into one):
 
 * **span** — a named interval with attributes, e.g. one FlowMod's trip
   through a channel or one Rule Manager migration.  Spans nest: a span

@@ -44,5 +44,5 @@ def due(now, deadline):
 
 
 def trace(tracer):
-    """tracer-wall-clock: trace timestamps must come from sim time."""
+    """wall-clock: trace timestamps must come from sim time."""
     tracer.event("boot", time=time.time())

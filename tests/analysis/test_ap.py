@@ -1,5 +1,6 @@
 """Atomic-predicate engine tests: exactness, painting, incremental parity,
-and the hypothesis differential suite pinning AP to the symbolic engine."""
+and the hypothesis differential suite pinning the shipped verifier to the
+symbolic oracle (``tests/analysis/symbolic_oracle.py``)."""
 
 import pytest
 from hypothesis import given, settings
@@ -13,14 +14,17 @@ from repro.analysis.ap import (
     atoms_subset,
     attach_incremental_checker,
     build_universe,
-    engines_agree,
     first_common_atom,
     first_match_winners,
-    violation_fingerprint,
 )
-from repro.analysis.verifier import lookup_order, verify_partition
+from repro.analysis.verifier import verify_partition
 from repro.tcam.rule import Action, Rule
 from repro.tcam.ternary import TernaryMatch
+from tests.analysis.symbolic_oracle import (
+    engines_agree,
+    symbolic_verify_partition,
+    violation_fingerprint,
+)
 
 WIDTH = 8
 ALL_KEYS = range(1 << WIDTH)
@@ -154,7 +158,7 @@ class TestAtomIndex:
 
 
 def errors_only(shadow, main):
-    return verify_partition(shadow, main, engine="symbolic")
+    return symbolic_verify_partition(shadow, main)
 
 
 class TestIncrementalChecker:
@@ -224,7 +228,7 @@ class TestIncrementalChecker:
 
 
 # ---------------------------------------------------------------------------
-# Differential suite: AP must agree with the symbolic engine everywhere.
+# Differential suite: the shipped verifier must agree with the oracle.
 # ---------------------------------------------------------------------------
 def bit_pattern():
     return st.text(alphabet="01*", min_size=WIDTH, max_size=WIDTH)
@@ -258,10 +262,8 @@ def width32_rules(max_size):
 
 
 def assert_engines_agree(shadow, main):
-    ap = verify_partition(shadow, main, include_warnings=True, engine="ap")
-    symbolic = verify_partition(
-        shadow, main, include_warnings=True, engine="symbolic"
-    )
+    ap = verify_partition(shadow, main, include_warnings=True)
+    symbolic = symbolic_verify_partition(shadow, main, include_warnings=True)
     assert engines_agree(ap, symbolic), (
         f"AP={violation_fingerprint(ap)}\nSYM={violation_fingerprint(symbolic)}"
     )
@@ -312,11 +314,9 @@ class TestDifferential:
             R(p, prio, port=1 + i % 3, rule_id=100 + i)
             for i, (p, prio) in enumerate(reference)
         ]
-        ap = verify_partition(
-            [], system_rules, reference=reference_rules, engine="ap"
-        )
-        symbolic = verify_partition(
-            [], system_rules, reference=reference_rules, engine="symbolic"
+        ap = verify_partition([], system_rules, reference=reference_rules)
+        symbolic = symbolic_verify_partition(
+            [], system_rules, reference=reference_rules
         )
         assert engines_agree(ap, symbolic)
 
@@ -331,7 +331,7 @@ class TestDifferential:
             R(p, prio, port=2, rule_id=offset + i + 1)
             for i, (p, prio) in enumerate(main)
         ]
-        for violation in verify_partition(shadow_rules, main_rules, engine="ap"):
+        for violation in verify_partition(shadow_rules, main_rules):
             if violation.kind != "priority-inversion" or violation.witness is None:
                 continue
             key = violation.witness

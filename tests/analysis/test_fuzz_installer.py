@@ -30,13 +30,14 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.analysis.ap import attach_incremental_checker, violation_fingerprint
+from repro.analysis.ap import attach_incremental_checker
 from repro.analysis.races import RaceSanitizer
 from repro.analysis.verifier import verify_installer
 from repro.core import HermesConfig, HermesInstaller
 from repro.engine import Clock, EventScheduler
 from repro.switchsim import DirectInstaller, FlowMod, SwitchAgent
 from repro.tcam import Action, Prefix, Rule, dell_8132f, pica8_p3290
+from tests.analysis.symbolic_oracle import violation_fingerprint
 
 FUZZ_EXAMPLES = int(os.environ.get("FUZZ_EXAMPLES", "20"))
 FUZZ_STEPS = int(os.environ.get("FUZZ_STEPS", "30"))

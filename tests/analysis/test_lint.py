@@ -8,7 +8,6 @@ from repro.analysis.lint import (
     ADHOC_EVENT_LOOP,
     BARE_PRAGMA,
     FLOAT_EQ,
-    TRACER_WALL_CLOCK,
     UNORDERED_ITERATION,
     UNSEEDED_RANDOM,
     WALL_CLOCK,
@@ -250,31 +249,35 @@ class TestFloatEq:
 
 
 class TestTracerWallClock:
+    """Trace timestamps must be sim time: a wall-clock read handed to a
+    tracer or span is an ordinary ``wall-clock`` finding (plus
+    ``wallclock-seam`` under ``repro/``)."""
+
     def test_tracer_event_with_wall_clock_flagged(self):
         findings = check(
             "import time\ntracer.event('boot', time=time.time())\n"
         )
-        assert TRACER_WALL_CLOCK in rules_of(findings)
+        assert rules_of(findings) == [WALL_CLOCK]
 
     def test_get_tracer_chain_flagged(self):
         findings = check(
             "import time\nget_tracer().start_span('x', start=time.monotonic())\n"
         )
-        assert TRACER_WALL_CLOCK in rules_of(findings)
+        assert rules_of(findings) == [WALL_CLOCK]
 
     def test_span_finish_with_wall_clock_flagged(self):
         findings = check("import time\nspan.finish(end=time.perf_counter())\n")
-        assert TRACER_WALL_CLOCK in rules_of(findings)
+        assert rules_of(findings) == [WALL_CLOCK]
 
     def test_self_tracer_attribute_flagged(self):
-        findings = check(
-            "import time\nself._tracer.sample('occ', time=time.time(), value=1)\n"
+        findings = lint_source(
+            "import time\nself._tracer.sample('occ', time=time.time(), value=1)\n",
+            "src/repro/obs/online.py",
         )
-        assert TRACER_WALL_CLOCK in rules_of(findings)
+        assert rules_of(findings) == [WALL_CLOCK, WALLCLOCK_SEAM]
 
     def test_sim_time_is_clean(self):
-        findings = check("tracer.event('boot', time=self.now)\n")
-        assert TRACER_WALL_CLOCK not in rules_of(findings)
+        assert check("tracer.event('boot', time=self.now)\n") == []
 
     def test_non_tracer_receiver_is_only_plain_wall_clock(self):
         findings = check("import time\nlogger.event('x', time=time.time())\n")
@@ -284,7 +287,7 @@ class TestTracerWallClock:
         findings = check(
             """\
             import time
-            tracer.event('boot', time=time.time())  # det: allow(tracer-wall-clock, wall-clock) -- test harness stamps real time
+            tracer.event('boot', time=time.time())  # det: allow(wall-clock) -- test harness stamps real time
             """
         )
         assert findings == []
@@ -405,11 +408,9 @@ class TestFixtureAndSources:
             WALL_CLOCK,
             UNORDERED_ITERATION,
             FLOAT_EQ,
-            TRACER_WALL_CLOCK,
         }
         # wall-clock fires three times: time.time(), datetime.now(), and
-        # the time.time() inside the tracer call (which also trips the
-        # tracer-specific rule).
+        # the time.time() inside the tracer call.
         assert rules_of(findings).count(WALL_CLOCK) == 3
 
     def test_findings_are_line_ordered_and_printable(self):

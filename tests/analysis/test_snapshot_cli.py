@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+from repro.analysis.__main__ import CORRUPTIONS, build_scenario, corrupt_snapshot
 from repro.analysis.snapshot import (
     diff_snapshots,
     dump_snapshot,
@@ -21,8 +22,13 @@ from repro.analysis.snapshot import (
     rule_to_dict,
     snapshot_tables,
 )
+from repro.analysis.verifier import verify_partition
 from repro.tcam.rule import Action, Rule
 from repro.tcam.ternary import TernaryMatch
+from tests.analysis.symbolic_oracle import (
+    symbolic_verify_partition,
+    violation_fingerprint,
+)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO_ROOT = os.path.dirname(os.path.dirname(HERE))
@@ -144,6 +150,11 @@ class TestCli:
         result = run_cli("verify", "/nonexistent/snapshot.json")
         assert result.returncode == 2
 
+    def test_engine_flag_is_a_usage_error(self):
+        result = run_cli("scenario", "--engine", "ap")
+        assert result.returncode == 2
+        assert "unrecognized arguments: --engine" in result.stderr
+
 
 def P(prefix, priority, port=1, rule_id=0):
     return Rule.from_prefix(prefix, priority, Action.output(port), rule_id=rule_id)
@@ -197,24 +208,26 @@ class TestSnapshotDiff:
         }
 
 
-class TestCliEngines:
-    def test_scenario_cross_check_agrees(self):
-        result = run_cli("scenario", "--steps", "40", "--cross-check")
-        assert result.returncode == 0, result.stdout + result.stderr
-        assert "agree" in result.stdout
+class TestScenarioDifferential:
+    """The shipped verifier and the symbolic oracle agree on the canned
+    churn scenario's snapshot, clean and under every seeded corruption."""
 
-    def test_scenario_symbolic_engine_matches(self):
-        result = run_cli("scenario", "--steps", "40", "--engine", "symbolic")
-        assert result.returncode == 0, result.stdout + result.stderr
-
-    def test_corrupt_scenario_cross_check_still_fails_cleanly(self):
-        result = run_cli(
-            "scenario", "--steps", "40", "--corrupt", "swap-priority",
-            "--cross-check",
+    @pytest.mark.parametrize("corruption", (None,) + CORRUPTIONS)
+    def test_verifier_matches_oracle(self, corruption):
+        hermes, direct = build_scenario(steps=40)
+        payload = snapshot_tables(hermes.tables(), reference=direct.table)
+        if corruption is not None:
+            payload = corrupt_snapshot(payload, corruption)
+        snapshot = load_snapshot(payload)
+        tables = (snapshot.shadow, snapshot.main)
+        shipped = verify_partition(
+            *tables, reference=snapshot.reference, include_warnings=True
         )
-        # Both engines see the same corruption: exit 1 (violations), not 2.
-        assert result.returncode == 1, result.stdout + result.stderr
-        assert "agree" in result.stdout
+        expected = symbolic_verify_partition(
+            *tables, reference=snapshot.reference, include_warnings=True
+        )
+        assert violation_fingerprint(shipped) == violation_fingerprint(expected)
+        assert any(v.is_error for v in shipped) == (corruption is not None)
 
 
 class TestCliOverTime:

@@ -4,17 +4,16 @@ Each test seeds one deliberate corruption into a known-good table pair (or
 move plan) and asserts the matching checker reports *exactly* the expected
 violation kind — no more, no less.  The clean fixtures double as the
 no-false-positive check the verifier's severity model promises.
+
+The inversion, semantic-diff and occlusion cases run twice: against the
+shipped :func:`verify_partition` filtered to the kind under test, and, in
+an ``...Oracle`` subclass, against the symbolic oracle's checker.
 """
 
 import pytest
 
+from repro.analysis.ap import find_duplicate_entries, lookup_order
 from repro.analysis.verifier import (
-    find_duplicate_entries,
-    find_priority_inversions,
-    find_shadowed_rules,
-    find_unreachable_rules,
-    lookup_order,
-    semantic_diff,
     verify_installer,
     verify_moveplan,
     verify_partition,
@@ -33,6 +32,7 @@ from repro.analysis.violations import (
 from repro.tcam.moveplan import PlacementPlan, plan_batch_placement
 from repro.tcam.rule import Action, Rule
 from repro.tcam.ternary import TernaryMatch
+from tests.analysis import symbolic_oracle as oracle
 
 
 def R(pattern: str, priority: int, port: int = 1, rule_id: int = 0) -> Rule:
@@ -49,6 +49,32 @@ def kinds(violations):
     return [violation.kind for violation in violations]
 
 
+def of_kind(kind, violations):
+    return [violation for violation in violations if violation.kind == kind]
+
+
+def shipped_inversions(shadow, main):
+    return of_kind(PRIORITY_INVERSION, verify_partition(shadow, main))
+
+
+def shipped_semantic_diff(system, reference):
+    return of_kind(
+        EQUIVALENCE_MISMATCH, verify_partition([], system, reference=reference)
+    )
+
+
+def shipped_unreachable(table):
+    return of_kind(
+        UNREACHABLE_RULE, verify_partition([], table, include_warnings=True)
+    )
+
+
+def shipped_shadowed(table):
+    return of_kind(
+        SHADOWED_RULE, verify_partition([], table, include_warnings=True)
+    )
+
+
 def clean_pair():
     """A correctly partitioned pair: shadow dominates every overlap."""
     shadow = [R("1010****", 100, port=2, rule_id=1)]
@@ -60,15 +86,17 @@ def clean_pair():
 
 
 class TestPriorityInversion:
+    inversions = staticmethod(shipped_inversions)
+
     def test_clean_pair_has_none(self):
         shadow, main = clean_pair()
-        assert find_priority_inversions(shadow, main) == []
+        assert self.inversions(shadow, main) == []
 
     def test_swapped_priorities_caught(self):
         # Mutation: hoist the overlapping main rule above the shadow rule.
         shadow, main = clean_pair()
         main[0] = main[0].with_priority(150)
-        violations = find_priority_inversions(shadow, main)
+        violations = self.inversions(shadow, main)
         assert kinds(violations) == [PRIORITY_INVERSION]
         assert set(violations[0].rule_ids) == {1, 2}
         # The witness key really is masked: it matches both rules.
@@ -79,12 +107,16 @@ class TestPriorityInversion:
     def test_equal_priority_is_not_an_inversion(self):
         shadow = [R("1010****", 100, rule_id=1)]
         main = [R("10******", 100, rule_id=2)]
-        assert find_priority_inversions(shadow, main) == []
+        assert self.inversions(shadow, main) == []
 
     def test_disjoint_high_priority_main_rule_is_fine(self):
         shadow = [R("1010****", 100, rule_id=1)]
         main = [R("0*******", 900, rule_id=2)]
-        assert find_priority_inversions(shadow, main) == []
+        assert self.inversions(shadow, main) == []
+
+
+class TestPriorityInversionOracle(TestPriorityInversion):
+    inversions = staticmethod(oracle.find_priority_inversions)
 
 
 class TestDuplicateEntries:
@@ -111,17 +143,19 @@ class TestDuplicateEntries:
 
 
 class TestSemanticDiff:
+    semantic_diff = staticmethod(shipped_semantic_diff)
+
     def test_identical_tables_are_equivalent(self):
         shadow, main = clean_pair()
         system = lookup_order(shadow, main)
-        assert semantic_diff(system, list(system)) == []
+        assert self.semantic_diff(system, list(system)) == []
 
     def test_dropped_rule_caught(self):
         # Mutation: the system lost the shadow rule (a silent write
         # failure); the reference still answers with it.
         shadow, main = clean_pair()
         reference = lookup_order(shadow, main)
-        violations = semantic_diff(lookup_order([], main), reference)
+        violations = self.semantic_diff(lookup_order([], main), reference)
         assert kinds(violations) == [EQUIVALENCE_MISMATCH]
         # The witness key is one the dropped rule decided differently.
         witness = violations[0].witness
@@ -139,14 +173,14 @@ class TestSemanticDiff:
             ),
             main[1],
         ]
-        violations = semantic_diff(corrupted, reference)
+        violations = self.semantic_diff(corrupted, reference)
         assert violations and set(kinds(violations)) == {EQUIVALENCE_MISMATCH}
 
     def test_extra_system_rule_caught(self):
         shadow, main = clean_pair()
         reference = lookup_order(shadow, main)
         extra = R("11******", 40, port=5, rule_id=9)
-        violations = semantic_diff(reference + [extra], reference)
+        violations = self.semantic_diff(reference + [extra], reference)
         assert kinds(violations) == [EQUIVALENCE_MISMATCH]
         assert extra.match.matches(violations[0].witness)
 
@@ -158,16 +192,23 @@ class TestSemanticDiff:
             R("10******", 40, port=1, rule_id=2),
         ]
         system = [reference[0]]
-        assert semantic_diff(system, reference) == []
+        assert self.semantic_diff(system, reference) == []
+
+
+class TestSemanticDiffOracle(TestSemanticDiff):
+    semantic_diff = staticmethod(oracle.semantic_diff)
 
 
 class TestOcclusionWarnings:
+    unreachable = staticmethod(shipped_unreachable)
+    shadowed = staticmethod(shipped_shadowed)
+
     def test_unreachable_rule_flagged(self):
         table = [
             R("1*******", 50, port=1, rule_id=1),
             R("10******", 40, port=2, rule_id=2),
         ]
-        violations = find_unreachable_rules(table, "main")
+        violations = self.unreachable(table)
         assert kinds(violations) == [UNREACHABLE_RULE]
         assert violations[0].rule_ids == (2,)
         assert not violations[0].is_error
@@ -177,20 +218,25 @@ class TestOcclusionWarnings:
             R("10******", 50, port=1, rule_id=1),
             R("1*******", 40, port=2, rule_id=2),
         ]
-        assert find_unreachable_rules(table) == []
+        assert self.unreachable(table) == []
 
     def test_shadowed_rule_flagged_only_on_action_conflict(self):
         table = [
             R("10******", 50, port=1, rule_id=1),
             R("1*******", 40, port=2, rule_id=2),
         ]
-        violations = find_shadowed_rules(table, "main")
+        violations = self.shadowed(table)
         assert kinds(violations) == [SHADOWED_RULE]
         same_action = [
             R("10******", 50, port=1, rule_id=1),
             R("1*******", 40, port=1, rule_id=2),
         ]
-        assert find_shadowed_rules(same_action) == []
+        assert self.shadowed(same_action) == []
+
+
+class TestOcclusionWarningsOracle(TestOcclusionWarnings):
+    unreachable = staticmethod(oracle.find_unreachable_rules)
+    shadowed = staticmethod(oracle.find_shadowed_rules)
 
 
 class TestVerifyPartition:
@@ -205,7 +251,7 @@ class TestVerifyPartition:
 
         inverted_main = [main[0].with_priority(150), main[1]]
         assert kinds(
-            find_priority_inversions(shadow, inverted_main)
+            verify_partition(shadow, inverted_main)
         ) == [PRIORITY_INVERSION]
 
         assert kinds(
