@@ -293,13 +293,17 @@ class RaceSanitizer:
 
     def watch_agent(self, agent) -> None:
         """Record FlowMod submissions to ``agent`` as writes (CPU horizon,
-        history, and dedup cache all mutate) under ``agent:<name>``."""
+        history, and dedup cache all mutate) under ``agent:<name>``.
+
+        Every submission runs through ``submit_batch`` (``submit`` is a
+        batch of one), so wrapping it catches both."""
         key = f"agent:{agent.name}"
-        self._wrap_writes(agent, key, ("submit", "submit_batch"))
+        self._wrap_writes(agent, key, ("submit_batch",))
 
     def watch_channel(self, channel, key: str) -> None:
-        """Record sends through ``channel`` as writes under ``key``."""
-        self._wrap_writes(channel, key, ("send", "send_batch"))
+        """Record sends through ``channel`` as writes under ``key``
+        (``send`` is a batch of one through ``send_batch``)."""
+        self._wrap_writes(channel, key, ("send_batch",))
 
     def watch_installer(self, installer, key: str) -> None:
         """Record installer activity under ``key``.

@@ -498,6 +498,7 @@ class HermesInstaller(RuleInstaller):
                     reason=decision.reason,
                     use_shadow=False,
                     latency=0.0,
+                    rule=rule.rule_id,
                 )
             # Diverted inserts are still offered load: the predictor must
             # see them or a full shadow looks like a quiet workload.
@@ -530,6 +531,7 @@ class HermesInstaller(RuleInstaller):
                 latency=latency,
                 blockers=len(blockers),
                 fragments=len(outcome.fragments),
+                rule=rule.rule_id,
             )
         installed: List[int] = []
         for fragment in outcome.fragments:

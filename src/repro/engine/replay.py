@@ -203,13 +203,15 @@ def replay_records(
         seed: base seed for per-switch installer latency streams.
         prefill: background rules pre-installed per switch (match the
             original run's ``baseline_occupancy`` for comparable numbers).
-        tracer: optional :class:`~repro.obs.RecordingTracer` capturing the
+        tracer: optional :class:`~repro.obs.RecordingTracer` installed as
+            the ambient tracer while the workload runs, capturing the
             replayed run (pass one, write it out, and ``python -m
-            repro.obs diff`` the two files).
+            repro.obs diff`` the two files); None keeps the ambient one.
     """
     from dataclasses import replace as dc_replace
 
     from ..baselines import make_installer
+    from ..obs.tracer import get_tracer, use_tracer
     from ..switchsim.agent import SwitchAgent
     from ..tcam import get_switch_model
     from .rng import RngStreams
@@ -231,9 +233,7 @@ def replay_records(
         )
         if prefill:
             installer.prefill(_background_rules(prefill))
-        agents[switch] = SwitchAgent(
-            installer, name=switch, tracer=tracer, clock=clock
-        )
+        agents[switch] = SwitchAgent(installer, name=switch, clock=clock)
         for timed in workloads[switch]:
             scheduler.schedule(timed.time, "flowmod", (switch, timed.flow_mod))
 
@@ -245,13 +245,16 @@ def replay_records(
         skipped=skipped,
         tracer=tracer,
     )
-    while scheduler:
-        event = scheduler.pop()
-        clock.advance_to(event.time)
-        switch, flow_mod = event.payload
-        completed = agents[switch].submit(flow_mod, at_time=event.time)
-        report.executed += 1
-        report.response_times.append(completed.response_time)
+    # The agents, Hermes, its Rule Manager and the fault log all record
+    # to the ambient tracer.
+    with use_tracer(tracer if tracer is not None else get_tracer()):
+        while scheduler:
+            event = scheduler.pop()
+            clock.advance_to(event.time)
+            switch, flow_mod = event.payload
+            completed = agents[switch].submit(flow_mod, at_time=event.time)
+            report.executed += 1
+            report.response_times.append(completed.response_time)
     return report
 
 

@@ -243,7 +243,8 @@ def canned_scenario(name: str):
     the parity contract: the race-sanitizer and profiler on/off tests pin
     digests of these exact runs, so RNG draws made while building must
     not move.  Callers that want a trace install a recording tracer
-    around the *call* (agents capture the ambient tracer when built).
+    around ``simulation.run()``: every component records to the ambient
+    tracer.
     """
     if name == "fig01":
         scale = WorkloadScale(job_count=10)
@@ -341,7 +342,6 @@ def replay_trace(
     prefill_rules: Sequence = (),
     batch_window: Optional[float] = None,
     seed: int = 7,
-    tracer: Optional[Tracer] = None,
 ) -> ReplayOutcome:
     """Replay a timed trace against a fresh single-switch installer.
 
@@ -354,10 +354,11 @@ def replay_trace(
         batch_window: when set, FlowMods arriving within the same window
             are submitted as one batch (gives Tango/ESPRES reordering and
             aggregation opportunities, as their controller-side batching
-            would).
+            would); None submits each FlowMod as a batch of one.
         seed: RNG seed for latency noise.
-        tracer: optional recording tracer for the replayed agent; None
-            uses the ambient (default no-op) tracer.
+
+    The replay records to the ambient tracer (see
+    :func:`~repro.obs.tracer.use_tracer`).
     """
     installer = make_installer(
         scheme,
@@ -367,40 +368,27 @@ def replay_trace(
     )
     if prefill_rules:
         installer.prefill(list(prefill_rules))
-    agent = SwitchAgent(installer, name=f"{scheme}@{switch}", tracer=tracer)
+    agent = SwitchAgent(installer, name=f"{scheme}@{switch}")
     response_times: List[float] = []
     execution_latencies: List[float] = []
 
-    def record(completed_actions) -> None:
-        for action in completed_actions:
+    def submit(window: List[TimedFlowMod]) -> None:
+        for action in agent.submit_batch(
+            [item.flow_mod for item in window], at_time=window[0].time
+        ):
             response_times.append(action.response_time)
             execution_latencies.append(action.result.latency)
 
-    if batch_window is None:
-        for timed in trace:
-            record([agent.submit(timed.flow_mod, at_time=timed.time)])
-    else:
-        batch: List[TimedFlowMod] = []
-        batch_start = None
-        for timed in trace:
-            if batch_start is None or timed.time - batch_start <= batch_window:
-                if batch_start is None:
-                    batch_start = timed.time
-                batch.append(timed)
-                continue
-            record(
-                agent.submit_batch(
-                    [item.flow_mod for item in batch], at_time=batch_start
-                )
-            )
-            batch = [timed]
-            batch_start = timed.time
-        if batch:
-            record(
-                agent.submit_batch(
-                    [item.flow_mod for item in batch], at_time=batch_start
-                )
-            )
+    window: List[TimedFlowMod] = []
+    for timed in trace:
+        if window and (
+            batch_window is None or timed.time - window[0].time > batch_window
+        ):
+            submit(window)
+            window = []
+        window.append(timed)
+    if window:
+        submit(window)
     return ReplayOutcome(
         response_times=response_times,
         execution_latencies=execution_latencies,

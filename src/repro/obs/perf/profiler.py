@@ -19,7 +19,7 @@ uninstrumented process.
 * **The tracer span stream** — :meth:`Profiler.watch_tracer` wraps a
   :class:`~repro.obs.tracer.RecordingTracer`'s span open/close path,
   stamping wall-clock at both ends.  Because every control-plane layer
-  already emits spans (``agent.action``, ``flowmod``, ``install.path``,
+  already emits spans (``agent.action``, ``flowmod``, ``install.batch``,
   ``hermes.migration``), this yields per-span-name **self** and
   **cumulative** wall time with no per-subsystem instrumentation at all.
 

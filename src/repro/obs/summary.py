@@ -109,14 +109,23 @@ def flowmod_breakdowns(records: Sequence[dict]) -> List[FlowModBreakdown]:
     ``SwitchAgent.submit`` calls, e.g. in replay harnesses) appear with a
     zero channel stage.  Undelivered sends carry no agent span and are
     excluded — they never installed anything.
+
+    Each action sits under an ``agent.batch`` span.  A ``hermes.gatekeeper``
+    event is emitted while that span is open, before its action spans
+    exist, so an event joins its action on (enclosing agent span, rule id).
+    ``shifts`` are measured per batch; a batch of one hands them to its
+    only action.
     """
     spans = [r for r in records if r["type"] == "span"]
-    gatekeeper_by_span: Dict[int, float] = {}
+    # (enclosing span id, rule id) -> gatekeeper latencies, in emission
+    # order; a batch may install the same rule id twice (add, then a
+    # repositioning modify), and each takes the next event.
+    gatekeeper_by_key: Dict[Tuple[int, object], List[float]] = {}
     for record in records:
         if record["type"] == "event" and record["name"] == "hermes.gatekeeper":
-            gatekeeper_by_span[record.get("span", 0)] = record["attrs"].get(
-                "latency", 0.0
-            )
+            attrs = record["attrs"]
+            key = (record.get("span", 0), attrs.get("rule"))
+            gatekeeper_by_key.setdefault(key, []).append(attrs.get("latency", 0.0))
     children = _span_children(spans)
     by_id = {span["id"]: span for span in spans}
     breakdowns: List[FlowModBreakdown] = []
@@ -124,7 +133,15 @@ def flowmod_breakdowns(records: Sequence[dict]) -> List[FlowModBreakdown]:
 
     def action_breakdown(action: dict, channel_time: float, outer: Optional[dict]) -> FlowModBreakdown:
         attrs = action["attrs"]
-        gatekeeper = max(0.0, gatekeeper_by_span.get(action["id"], 0.0))
+        parent = by_id.get(action["parent"])
+        enclosing = action
+        shifts = None
+        if parent is not None and parent["name"] == "agent.batch":
+            enclosing = parent
+            if parent["attrs"].get("size") == 1:
+                shifts = parent["attrs"].get("shifts")
+        pending = gatekeeper_by_key.get((enclosing["id"], attrs.get("rule")))
+        gatekeeper = max(0.0, pending.pop(0)) if pending else 0.0
         queue = max(0.0, attrs.get("queue_delay", 0.0))
         exec_latency = max(0.0, attrs.get("exec_latency", action["end"] - action["start"]))
         tcam = max(0.0, exec_latency - gatekeeper)
@@ -140,7 +157,7 @@ def flowmod_breakdowns(records: Sequence[dict]) -> List[FlowModBreakdown]:
             channel=max(0.0, channel_time),
             attempts=int(outer["attrs"].get("attempts", 1)) if outer else 1,
             delivered=bool(outer["attrs"].get("delivered", True)) if outer else True,
-            shifts=attrs.get("shifts"),
+            shifts=shifts,
             xid=attrs.get("xid"),
         )
 

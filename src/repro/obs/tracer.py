@@ -17,8 +17,9 @@ The process-global tracer defaults to a no-op :class:`Tracer` whose methods
 return immediately — instrumented code paths perform no recording and no
 extra randomness, so untraced runs stay byte-identical to the seed.  Tests
 and experiments install a :class:`RecordingTracer` with
-:func:`use_tracer`/:func:`set_tracer`, or inject one explicitly into the
-components that accept a ``tracer`` argument.
+:func:`use_tracer`/:func:`set_tracer`; the switch agent, the channels,
+Hermes, the Rule Manager and the fault log all record to that ambient
+tracer.
 """
 
 from __future__ import annotations
@@ -277,11 +278,6 @@ def _fold_into_metrics(record: dict, metrics: MetricsRegistry) -> None:
                 metrics.histogram(
                     "hermes_exec_seconds", help="installer execution latency"
                 ).observe(attrs["exec_latency"])
-            shifts = attrs.get("shifts")
-            if shifts:
-                metrics.counter(
-                    "hermes_tcam_shifts_total", help="TCAM entry shifts performed"
-                ).inc(shifts)
             if attrs.get("guaranteed"):
                 metrics.counter(
                     "hermes_guaranteed_actions_total",

@@ -178,59 +178,22 @@ class SdnController:
     def install_path(
         self, flow: FlowSpec, path: Path, now: float
     ) -> InstallOutcome:
-        """Install the flow's override rule on every switch of ``path``.
-
-        The FlowMod reaches each switch after half an RTT; the path is
-        usable once the slowest switch finishes (plus the returning half
-        RTT for the barrier confirmation).
-        """
-        span = get_tracer().start_span(
-            "install.path", start=now, category="controller",
-            flow=flow.flow_id,
-        )
-        ready = now
-        rits: List[float] = []
-        queue_delays: List[float] = []
-        retries = 0
-        undelivered = 0
-        for switch in path_switches(path, self.graph):
-            rule = Rule(
-                match=flow_match(flow),
-                priority=flow_rule_priority(flow),
-                action=Action.output(1),
-            )
-            sent = self.channels[switch].send(
-                FlowMod.add(rule), at_time=now + self.control_rtt / 2
-            )
-            retries += sent.retries
-            if sent.completed is None:
-                # Lost install: the switch never programmed this hop, so
-                # packets of the flow blackhole there until repair.
-                undelivered += 1
-                ready = max(ready, sent.done_time + self.control_rtt / 2)
-                continue
-            self._flow_rules[(flow.flow_id, switch)] = rule.rule_id
-            rits.append(sent.completed.response_time)
-            queue_delays.append(sent.completed.queue_delay)
-            ready = max(ready, sent.done_time + self.control_rtt / 2)
-        span.finish(end=ready, retries=retries, undelivered=undelivered)
-        return InstallOutcome(
-            ready_time=ready,
-            per_switch_rits=rits,
-            per_switch_queue_delays=queue_delays,
-            retries=retries,
-            undelivered=undelivered,
-        )
+        """Install one flow's path: a batch of one (see :meth:`install_paths`)."""
+        return self.install_paths([(flow, path)], now)[0]
 
     def install_paths(
         self, assignments: Sequence[Tuple[FlowSpec, Path]], now: float
     ) -> List[InstallOutcome]:
-        """Install several flows' paths as per-switch FlowMod batches.
+        """Install flows' override rules as per-switch FlowMod batches.
 
         Controllers batch the FlowMods of one reconfiguration round; the
         per-switch batch is what gives reordering/rewriting schemes (ESPRES,
-        Tango) their leverage.  Returns one outcome per assignment, in
-        order.
+        Tango) their leverage.  Each batch reaches its switch after half an
+        RTT; an assignment's path is usable once its slowest switch has
+        finished (plus the returning half RTT for the barrier
+        confirmation).  A lost hop does not delay the ready time: the path
+        is unusable there until repair.  Returns one outcome per
+        assignment, in order.
         """
         per_switch: Dict[str, List[Tuple[int, Rule]]] = {}
         for index, (flow, path) in enumerate(assignments):
@@ -270,8 +233,8 @@ class SdnController:
                 # (redelivery); the path is only usable once the controller
                 # has heard back.
                 done = action.finish_time
-                if sent.ack_time is not None:
-                    done = max(done, sent.ack_time)
+                if sent.done_time is not None:
+                    done = max(done, sent.done_time)
                 outcome.ready_time = max(
                     outcome.ready_time, done + self.control_rtt / 2
                 )

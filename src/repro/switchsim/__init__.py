@@ -2,7 +2,6 @@
 
 from .agent import AgentDownError, AgentStats, CompletedAction, SwitchAgent
 from .channel import (
-    BatchSendOutcome,
     Channel,
     ChannelConfig,
     ChannelStats,
@@ -24,7 +23,6 @@ from .pipeline import (
 __all__ = [
     "AgentDownError",
     "AgentStats",
-    "BatchSendOutcome",
     "Channel",
     "ChannelConfig",
     "ChannelStats",

@@ -38,7 +38,6 @@ class CompletedAction:
         submit_time: when the controller's message reached the agent.
         start_time: when the switch CPU began executing it.
         finish_time: when the TCAM update completed.
-        shifts: physical entry shifts this action cost (installer delta).
     """
 
     flow_mod: FlowMod
@@ -46,7 +45,6 @@ class CompletedAction:
     submit_time: float
     start_time: float
     finish_time: float
-    shifts: int = 0
 
     @property
     def response_time(self) -> float:
@@ -89,6 +87,11 @@ class AgentStats:
         self.background_time += background_time
 
 
+def _rule_id(flow_mod: FlowMod) -> int:
+    """The id of the rule a FlowMod adds or addresses."""
+    return flow_mod.rule.rule_id if flow_mod.rule is not None else flow_mod.rule_id
+
+
 class SwitchAgent:
     """Serializes control-plane actions onto a rule installer.
 
@@ -106,7 +109,6 @@ class SwitchAgent:
         installer: RuleInstaller,
         name: str = "switch",
         injector=None,
-        tracer=None,
         clock: Optional[Clock] = None,
     ) -> None:
         """Wrap ``installer`` behind a serial control queue.
@@ -117,9 +119,6 @@ class SwitchAgent:
             injector: optional :class:`~repro.faults.injector.FaultInjector`
                 supplying CPU-stall and crash decisions; None models a
                 perfectly reliable agent.
-            tracer: optional explicit :class:`~repro.obs.tracer.Tracer`;
-                None follows the process-global tracer (a no-op unless one
-                was installed).
             clock: the shared kernel clock this agent's virtual time is
                 derived from — agents of one co-simulation share one, so
                 their timings live on a single timeline; None gives the
@@ -128,18 +127,12 @@ class SwitchAgent:
         self.installer = installer
         self.name = name
         self.injector = injector
-        self._tracer = tracer
         self.clock = clock if clock is not None else Clock()
         self.stats = AgentStats()
         self._cpu = SerialResource(free_at=self.clock.now)
         self._history: List[CompletedAction] = []
-        # xid -> prior outcome, for exactly-once redelivery semantics.
-        self._xid_cache: Dict[int, object] = {}
-
-    @property
-    def tracer(self):
-        """The injected tracer, or the process-global one."""
-        return self._tracer if self._tracer is not None else get_tracer()
+        # batch xid -> prior outcome, for exactly-once redelivery.
+        self._xid_cache: Dict[int, List[CompletedAction]] = {}
 
     @property
     def busy_until(self) -> float:
@@ -183,65 +176,8 @@ class SwitchAgent:
     def submit(
         self, flow_mod: FlowMod, at_time: Optional[float] = None
     ) -> CompletedAction:
-        """Submit one FlowMod at simulation time ``at_time``.
-
-        ``at_time=None`` submits at the shared clock's current instant.
-        Returns the completed action with its queueing-inclusive timing.
-        A redelivered FlowMod (same xid as an already-applied one) is not
-        re-executed: the cached outcome is returned, so controller-side
-        retransmissions cannot double-install.
-        """
-        if at_time is None:
-            at_time = self.clock.now
-        tracer = self.tracer
-        if flow_mod.xid is not None and flow_mod.xid in self._xid_cache:
-            self.stats.deduplicated += 1
-            tracer.event(
-                "agent.dedup", time=at_time, category="agent",
-                switch=self.name, xid=flow_mod.xid,
-            )
-            return self._xid_cache[flow_mod.xid]
-        self._check_faults(at_time)
-        span = tracer.start_span(
-            "agent.action", start=at_time, category="agent",
-            switch=self.name, command=flow_mod.command.value, xid=flow_mod.xid,
-        )
-        # advance_time first: migration-era shifts belong to the Rule
-        # Manager's own span, not to this action's delta.
-        background = self.installer.advance_time(at_time)
-        shifts_before = self.installer.shift_count()
-        start = self._cpu.start_time(at_time)
-        try:
-            result = self.installer.apply(flow_mod)
-        except BaseException:
-            span.finish(end=at_time, error=True)
-            raise
-        shifts = self.installer.shift_count() - shifts_before
-        finish = start + result.latency
-        self._cpu.occupy_until(finish)
-        completed = CompletedAction(
-            flow_mod=flow_mod,
-            result=result,
-            submit_time=at_time,
-            start_time=start,
-            finish_time=finish,
-            shifts=shifts,
-        )
-        self._history.append(completed)
-        self.stats.record(completed, background_time=background)
-        if flow_mod.xid is not None:
-            self._xid_cache[flow_mod.xid] = completed
-        span.finish(
-            end=finish,
-            queue_delay=completed.queue_delay,
-            exec_latency=result.latency,
-            shifts=shifts,
-            guaranteed=result.used_guaranteed_path,
-            background=background,
-        )
-        if tracer.enabled:
-            self._sample_gauges(tracer, finish)
-        return completed
+        """Submit one FlowMod: a batch of one (see :meth:`submit_batch`)."""
+        return self.submit_batch((flow_mod,), at_time)[0]
 
     def submit_batch(
         self, flow_mods: Sequence[FlowMod], at_time: Optional[float] = None
@@ -251,17 +187,19 @@ class SwitchAgent:
         ``at_time=None`` submits at the shared clock's current instant.
         The installer may reorder or rewrite the batch (ESPRES / Tango);
         results are timed serially in the installer's execution order.
-        Batches are deduplicated as a unit by the xid of their first mod.
+        A redelivered batch (same xid as an already-applied one, taken
+        from its first mod) is not re-executed: the cached outcome is
+        returned, so controller-side retransmissions cannot double-install.
         """
         if at_time is None:
             at_time = self.clock.now
-        tracer = self.tracer
+        tracer = get_tracer()
         batch_xid = flow_mods[0].xid if flow_mods else None
         if batch_xid is not None and batch_xid in self._xid_cache:
             self.stats.deduplicated += 1
             tracer.event(
                 "agent.dedup", time=at_time, category="agent",
-                switch=self.name, xid=batch_xid, batch=True,
+                switch=self.name, xid=batch_xid,
             )
             return self._xid_cache[batch_xid]
         self._check_faults(at_time)
@@ -269,6 +207,8 @@ class SwitchAgent:
             "agent.batch", start=at_time, category="agent",
             switch=self.name, size=len(flow_mods), xid=batch_xid,
         )
+        # advance_time first: migration-era shifts belong to the Rule
+        # Manager's own span, not to this batch's delta.
         background = self.installer.advance_time(at_time)
         shifts_before = self.installer.shift_count()
         start = self._cpu.start_time(at_time)
@@ -298,11 +238,12 @@ class SwitchAgent:
             if tracer.enabled:
                 # Per-action child spans (parented on the open batch span);
                 # shifts are known only batch-wide, so they live on the
-                # batch span instead.
+                # batch span instead.  ``rule`` joins each action to the
+                # Gate Keeper event its installer emitted under the batch.
                 tracer.start_span(
                     "agent.action", start=at_time, category="agent",
                     switch=self.name, command=flow_mod.command.value,
-                    xid=flow_mod.xid,
+                    xid=flow_mod.xid, rule=_rule_id(flow_mod),
                 ).finish(
                     end=finish,
                     queue_delay=completed.queue_delay,

@@ -21,7 +21,7 @@ calls at the same simulated times as the naive one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -66,55 +66,34 @@ class ChannelConfig:
 
 @dataclass
 class SendOutcome:
-    """Result of sending one FlowMod through a channel.
+    """Result of sending one FlowMod batch through a channel.
 
     Attributes:
-        completed: the agent-side outcome, or None when the FlowMod never
-            took effect (dropped on every attempt, or breaker fast-fail).
+        completed: the agent-side outcomes, one per FlowMod; empty when the
+            batch never took effect (dropped on every attempt, or breaker
+            fast-fail).
         attempts: delivery attempts made (0 for a breaker fast-fail).
         done_time: when the controller learned the final status — the ack
-            time on success, the give-up time otherwise.
+            time on success, the give-up time otherwise.  None for a
+            delivery on the naive channel, which has no acks: the
+            controller observes each action's own finish time.
         delivered: True when the controller received an ack.
     """
 
-    completed: Optional[CompletedAction]
+    completed: List[CompletedAction]
     attempts: int
-    done_time: float
+    done_time: Optional[float]
     delivered: bool
 
     @property
     def applied(self) -> bool:
-        """True when the switch actually executed the FlowMod (it may have,
+        """True when the switch actually executed the batch (it may have,
         even unacked, when only the ack was lost)."""
-        return self.completed is not None
-
-    @property
-    def retries(self) -> int:
-        """Attempts beyond the first."""
-        return max(0, self.attempts - 1)
-
-
-@dataclass
-class BatchSendOutcome:
-    """Result of sending one FlowMod batch through a channel.
-
-    ``ack_time`` is None for the naive channel (the controller observes
-    each action's own finish time); the resilient channel sets it to the
-    instant the batch ack arrived, which retries can push past the last
-    action's finish time.
-    """
-
-    completed: List[CompletedAction] = field(default_factory=list)
-    attempts: int = 1
-    ack_time: Optional[float] = None
-    delivered: bool = True
-
-    @property
-    def applied(self) -> bool:
         return bool(self.completed)
 
     @property
     def retries(self) -> int:
+        """Attempts beyond the first."""
         return max(0, self.attempts - 1)
 
 
@@ -131,14 +110,15 @@ class ChannelStats:
 
 
 class Channel:
-    """Interface: deliver FlowMods to one switch agent."""
+    """Interface: deliver FlowMod batches to one switch agent."""
 
     def send(self, flow_mod: FlowMod, at_time: float) -> SendOutcome:
-        raise NotImplementedError
+        """Send one FlowMod: a batch of one (see :meth:`send_batch`)."""
+        return self.send_batch((flow_mod,), at_time)
 
     def send_batch(
         self, flow_mods: Sequence[FlowMod], at_time: float
-    ) -> BatchSendOutcome:
+    ) -> SendOutcome:
         raise NotImplementedError
 
 
@@ -156,21 +136,14 @@ class NaiveChannel(Channel):
         self,
         agent: SwitchAgent,
         injector: Optional[FaultInjector] = None,
-        tracer=None,
         clock: Optional[Clock] = None,
     ) -> None:
         self.agent = agent
         self.injector = injector
-        self._tracer = tracer
         # Channels keep virtual time on the run's shared kernel clock; a
         # standalone channel inherits its agent's timeline.
         self.clock = clock if clock is not None else agent.clock
         self.stats = ChannelStats()
-
-    @property
-    def tracer(self):
-        """The injected tracer, or the process-global one."""
-        return self._tracer if self._tracer is not None else get_tracer()
 
     def _verdict_delay(self, at_time: float) -> Optional[float]:
         """Extra delivery delay, or None when the FlowMod is dropped."""
@@ -186,70 +159,40 @@ class NaiveChannel(Channel):
             return None
         return verdict.delay
 
-    def send(self, flow_mod: FlowMod, at_time: float) -> SendOutcome:
-        self.stats.sends += 1
-        span = self.tracer.start_span(
-            "flowmod", start=at_time, category="channel",
-            switch=self.agent.name, kind="single",
-        )
-        delay = self._verdict_delay(at_time)
-        if delay is None:
-            self.stats.give_ups += 1
-            span.finish(end=at_time, delivered=False, attempts=1)
-            return SendOutcome(
-                completed=None, attempts=1, done_time=at_time, delivered=False
-            )
-        try:
-            completed = self.agent.submit(flow_mod, at_time=at_time + delay)
-        except AgentDownError:
-            self.stats.give_ups += 1
-            span.finish(end=at_time, delivered=False, attempts=1)
-            return SendOutcome(
-                completed=None, attempts=1, done_time=at_time, delivered=False
-            )
-        except BaseException:
-            span.finish(end=at_time, error=True)
-            raise
-        span.finish(end=completed.finish_time, delivered=True, attempts=1)
-        return SendOutcome(
-            completed=completed,
-            attempts=1,
-            done_time=completed.finish_time,
-            delivered=True,
-        )
-
     def send_batch(
         self, flow_mods: Sequence[FlowMod], at_time: float
-    ) -> BatchSendOutcome:
+    ) -> SendOutcome:
         self.stats.sends += 1
-        span = self.tracer.start_span(
+        span = get_tracer().start_span(
             "flowmod", start=at_time, category="channel",
-            switch=self.agent.name, kind="batch", size=len(flow_mods),
+            switch=self.agent.name, size=len(flow_mods),
         )
         delay = self._verdict_delay(at_time)
+        completed: List[CompletedAction] = []
+        if delay is not None:
+            try:
+                completed = self.agent.submit_batch(
+                    flow_mods, at_time=at_time + delay
+                )
+            except AgentDownError:
+                delay = None
+            except BaseException:
+                span.finish(end=at_time, error=True)
+                raise
         if delay is None:
             self.stats.give_ups += 1
             span.finish(end=at_time, delivered=False, attempts=1)
-            return BatchSendOutcome(
-                completed=[], attempts=1, ack_time=at_time, delivered=False
+            return SendOutcome(
+                completed=[], attempts=1, done_time=at_time, delivered=False
             )
-        try:
-            completed = self.agent.submit_batch(flow_mods, at_time=at_time + delay)
-        except AgentDownError:
-            self.stats.give_ups += 1
-            span.finish(end=at_time, delivered=False, attempts=1)
-            return BatchSendOutcome(
-                completed=[], attempts=1, ack_time=at_time, delivered=False
-            )
-        except BaseException:
-            span.finish(end=at_time, error=True)
-            raise
         span.finish(
             end=max((action.finish_time for action in completed), default=at_time),
             delivered=True,
             attempts=1,
         )
-        return BatchSendOutcome(completed=completed, attempts=1, ack_time=None)
+        return SendOutcome(
+            completed=completed, attempts=1, done_time=None, delivered=True
+        )
 
 
 class SwitchUnreachable(RuntimeError):
@@ -276,7 +219,6 @@ class ResilientChannel(Channel):
         config: Optional[ChannelConfig] = None,
         rng: Optional[np.random.Generator] = None,
         on_breaker_open: Optional[Callable[[float], None]] = None,
-        tracer=None,
         clock: Optional[Clock] = None,
     ) -> None:
         self.agent = agent
@@ -285,16 +227,10 @@ class ResilientChannel(Channel):
         self.config = config if config is not None else ChannelConfig()
         self.rng = rng if rng is not None else injector.child_rng(f"channel:{agent.name}")
         self.on_breaker_open = on_breaker_open
-        self._tracer = tracer
         self.stats = ChannelStats()
         self._xids = itertools.count(1)
         self._consecutive_timeouts = 0
         self._open_until: Optional[float] = None
-
-    @property
-    def tracer(self):
-        """The injected tracer, or the process-global one."""
-        return self._tracer if self._tracer is not None else get_tracer()
 
     # ------------------------------------------------------------------
     # Breaker
@@ -334,63 +270,38 @@ class ResilientChannel(Channel):
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
-    def send(self, flow_mod: FlowMod, at_time: float) -> SendOutcome:
-        self.stats.sends += 1
-        if self._fast_fail(at_time):
-            return SendOutcome(
-                completed=None, attempts=0, done_time=at_time, delivered=False
-            )
-        xid = next(self._xids)
-        stamped = replace(flow_mod, xid=xid)
-        span = self.tracer.start_span(
-            "flowmod", start=at_time, category="channel",
-            switch=self.agent.name, kind="single", xid=xid,
-        )
-        try:
-            outcome = self._attempt_loop(
-                at_time, xid, lambda arrival: self.agent.submit(stamped, at_time=arrival)
-            )
-        except BaseException:
-            span.finish(end=at_time, error=True)
-            raise
-        applied, attempts, done_time, delivered = outcome
-        span.finish(end=done_time, delivered=delivered, attempts=attempts)
-        return SendOutcome(
-            completed=applied,
-            attempts=attempts,
-            done_time=done_time,
-            delivered=delivered,
-        )
-
     def send_batch(
         self, flow_mods: Sequence[FlowMod], at_time: float
-    ) -> BatchSendOutcome:
+    ) -> SendOutcome:
         self.stats.sends += 1
         if not flow_mods:
-            return BatchSendOutcome(completed=[], attempts=0, ack_time=at_time)
+            return SendOutcome(
+                completed=[], attempts=0, done_time=at_time, delivered=True
+            )
         if self._fast_fail(at_time):
-            return BatchSendOutcome(
-                completed=[], attempts=0, ack_time=at_time, delivered=False
+            return SendOutcome(
+                completed=[], attempts=0, done_time=at_time, delivered=False
             )
         xid = next(self._xids)
         stamped = [replace(flow_mod, xid=xid) for flow_mod in flow_mods]
-        span = self.tracer.start_span(
+        span = get_tracer().start_span(
             "flowmod", start=at_time, category="channel",
-            switch=self.agent.name, kind="batch", size=len(flow_mods), xid=xid,
+            switch=self.agent.name, size=len(flow_mods), xid=xid,
         )
         try:
-            outcome = self._attempt_loop(
-                at_time, xid, lambda arrival: self.agent.submit_batch(stamped, at_time=arrival)
+            applied, attempts, done_time, delivered = self._attempt_loop(
+                at_time,
+                xid,
+                lambda arrival: self.agent.submit_batch(stamped, at_time=arrival),
             )
         except BaseException:
             span.finish(end=at_time, error=True)
             raise
-        applied, attempts, done_time, delivered = outcome
         span.finish(end=done_time, delivered=delivered, attempts=attempts)
-        return BatchSendOutcome(
+        return SendOutcome(
             completed=applied if applied is not None else [],
             attempts=attempts,
-            ack_time=done_time,
+            done_time=done_time,
             delivered=delivered,
         )
 
@@ -425,12 +336,14 @@ class ResilientChannel(Channel):
                         # Acked: success.
                         self._consecutive_timeouts = 0
                         self._open_until = None
-                        done = max(arrival, self._finish_time(applied))
+                        done = max(
+                            [arrival, *(action.finish_time for action in applied)]
+                        )
                         return applied, attempts, done, True
                     lost = True  # applied, but the controller never hears
             # Timeout path.
             self.stats.timeouts += 1
-            self.tracer.event(
+            get_tracer().event(
                 "channel.timeout", time=now + self.config.timeout,
                 category="channel", switch=self.agent.name, xid=xid,
                 attempt=attempts,
@@ -445,9 +358,3 @@ class ResilientChannel(Channel):
             "give-up", time=now, target=self.agent.name, xid=xid, attempts=attempts
         )
         return applied, attempts, now + self.config.timeout, False
-
-    @staticmethod
-    def _finish_time(applied) -> float:
-        if isinstance(applied, list):
-            return max((action.finish_time for action in applied), default=0.0)
-        return applied.finish_time

@@ -1,14 +1,20 @@
 """Tests for the ESPRES / Tango / ShadowSwitch baselines."""
 
+import itertools
+
+import numpy as np
 import pytest
 
+import repro.tcam.rule as rule_module
 from repro.baselines import (
+    INSTALLER_NAMES,
     EspresInstaller,
     NaiveInstaller,
     ShadowSwitchInstaller,
     TangoInstaller,
     make_installer,
 )
+from repro.experiments.common import default_hermes_config
 from repro.switchsim import FlowMod
 from repro.tcam import Action, Prefix, Rule, pica8_p3290
 
@@ -221,3 +227,59 @@ class TestFactory:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             make_installer("magic", pica8_p3290())
+
+
+def random_flow_mods(count, seed):
+    """A seeded ADD/DELETE/MODIFY sequence that only addresses live rules."""
+    rng = np.random.default_rng(seed)
+    live = []
+    mods = []
+    for _ in range(count):
+        draw = rng.random()
+        if not live or draw < 0.5:
+            length = int(rng.integers(16, 25))
+            address = int(rng.integers(0, 2**32)) >> (32 - length) << (32 - length)
+            dotted = ".".join(str((address >> shift) & 0xFF) for shift in (24, 16, 8, 0))
+            new = rule(f"{dotted}/{length}", int(rng.integers(1, 200)),
+                       port=int(rng.integers(1, 9)))
+            live.append(new.rule_id)
+            mods.append(FlowMod.add(new))
+        elif draw < 0.75:
+            mods.append(FlowMod.delete(live.pop(int(rng.integers(len(live))))))
+        elif draw < 0.9:
+            target = live[int(rng.integers(len(live)))]
+            mods.append(FlowMod.modify(target, action=Action.output(int(rng.integers(1, 9)))))
+        else:
+            target = live[int(rng.integers(len(live)))]
+            mods.append(FlowMod.modify(target, priority=int(rng.integers(1, 200))))
+    return mods
+
+
+class TestBatchOfOne:
+    """``apply_batch([m])`` is ``apply(m)`` for every scheme.
+
+    The switch agent submits a single FlowMod as a batch of one, so this
+    equivalence is what keeps single-FlowMod runs unchanged — including
+    for ESPRES and Tango, which override ``apply_batch``.
+    """
+
+    @pytest.mark.parametrize("scheme", INSTALLER_NAMES)
+    def test_single_mod_batches_match_apply(self, scheme, monkeypatch):
+        mods = random_flow_mods(400, seed=11)
+
+        def run(apply):
+            # Fragments and rewritten rules draw fresh ids: restart the
+            # global counter so both runs name them identically.
+            monkeypatch.setattr(rule_module, "_rule_counter", itertools.count(10**9))
+            installer = make_installer(
+                scheme, pica8_p3290(), rng=np.random.default_rng(5),
+                hermes_config=default_hermes_config(),
+            )
+            results = [apply(installer, flow_mod) for flow_mod in mods]
+            return results, installer.tables()
+
+        single = run(lambda installer, flow_mod: installer.apply(flow_mod))
+        batched = run(lambda installer, flow_mod: installer.apply_batch([flow_mod])[0])
+        assert batched[0] == single[0]
+        assert batched[1] == single[1]
+        assert sum(len(rules) for rules in single[1].values()) > 0

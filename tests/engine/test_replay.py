@@ -155,6 +155,30 @@ class TestReplayExecution:
         assert completed.returncode == 0
         assert "installed FlowMods" in completed.stdout
 
+    def test_replay_records_every_layer_to_the_tracer(
+        self, recorded_trace, tmp_path
+    ):
+        # Hermes and its Rule Manager record to the ambient tracer, not to
+        # the agent: the replay must install its tracer around the run.
+        out_path = str(tmp_path / "replayed.jsonl")
+        report = replay_file(
+            recorded_trace,
+            "hermes",
+            "pica8-p3290",
+            out_path=out_path,
+            hermes_config=default_hermes_config(),
+        )
+        _header, records = read_trace(out_path)
+        adds = sum(1 for action in report.actions if action.command == "add")
+        gatekeeper = sum(
+            1
+            for record in records
+            if record.get("type") == "event"
+            and record.get("name") == "hermes.gatekeeper"
+        )
+        assert adds > 0
+        assert gatekeeper == adds
+
 
 def _run_cli(*args):
     env = dict(os.environ)

@@ -29,22 +29,30 @@ from repro.obs.tracer import TRACE_FORMAT, RecordingTracer
 def build_trace() -> RecordingTracer:
     """One FlowMod through a channel, plus gauges: known stage values.
 
-    flowmod span: 0.000 -> 0.005 (5 ms), action window 0.002 -> 0.004
+    The span nest is the agent's: flowmod -> agent.batch (a batch of one,
+    carrying the shifts) -> agent.action, with the Gate Keeper event
+    emitted under the batch span before the action span opens.
+
+    flowmod span: 0.000 -> 0.005 (5 ms), batch window 0.002 -> 0.004
     (2 ms) => channel = 3 ms.  queue_delay = 1 ms, exec_latency = 2 ms,
     gatekeeper latency = 0.2 ms => tcam = 1.8 ms.
     """
     tracer = RecordingTracer(meta={"scenario": "unit"})
     flowmod = tracer.start_span(
-        "flowmod", start=0.0, category="channel", kind="single", switch="s1"
+        "flowmod", start=0.0, category="channel", switch="s1", size=1
     )
-    action = tracer.start_span(
-        "agent.action", start=0.002, category="agent", switch="s1", command="add"
+    batch = tracer.start_span(
+        "agent.batch", start=0.002, category="agent", switch="s1", size=1
     )
     tracer.event(
         "hermes.gatekeeper", time=0.002, category="hermes",
-        reason="admitted", use_shadow=True, latency=0.0002,
+        reason="admitted", use_shadow=True, latency=0.0002, rule=7,
     )
-    action.finish(end=0.004, queue_delay=0.001, exec_latency=0.002, shifts=3)
+    tracer.start_span(
+        "agent.action", start=0.002, category="agent", switch="s1",
+        command="add", rule=7,
+    ).finish(end=0.004, queue_delay=0.001, exec_latency=0.002)
+    batch.finish(end=0.004, shifts=3)
     flowmod.finish(end=0.005, delivered=True, attempts=2)
     tracer.sample("shadow.occupancy", time=0.004, value=10.0, switch="s1")
     tracer.sample("shadow.occupancy", time=0.005, value=12.0, switch="s1")
@@ -127,6 +135,74 @@ class TestBreakdowns:
         breakdowns = flowmod_breakdowns(tracer.records)
         assert len(breakdowns) == 1
         assert breakdowns[0].channel == 0.0
+
+    def test_gatekeeper_joins_its_action_inside_a_batch(self):
+        # Two actions of one batch: each gatekeeper event goes to the
+        # action with its rule id, not to its neighbour.
+        tracer = RecordingTracer()
+        batch = tracer.start_span("agent.batch", start=0.0, switch="s1", size=2)
+        tracer.event("hermes.gatekeeper", time=0.0, latency=0.0003, rule=2)
+        tracer.event("hermes.gatekeeper", time=0.0, latency=0.0001, rule=1)
+        for rule_id, end in ((1, 0.001), (2, 0.002)):
+            tracer.start_span(
+                "agent.action", start=0.0, switch="s1", command="add", rule=rule_id
+            ).finish(end=end, queue_delay=0.0, exec_latency=0.001)
+        batch.finish(end=0.002, shifts=4)
+        first, second = flowmod_breakdowns(tracer.records)
+        assert first.gatekeeper == pytest.approx(0.0001)
+        assert second.gatekeeper == pytest.approx(0.0003)
+        # Shifts are batch-wide: no single action owns them.
+        assert first.shifts is None and second.shifts is None
+
+    def test_gatekeeper_total_matches_events_on_a_te_run(self):
+        from repro.experiments.common import canned_scenario
+        from repro.obs import use_tracer
+
+        simulation, _meta = canned_scenario("fig01")
+        tracer = RecordingTracer()
+        with use_tracer(tracer):
+            simulation.run()
+        events = [
+            record["attrs"]["latency"]
+            for record in tracer.records
+            if record["type"] == "event" and record["name"] == "hermes.gatekeeper"
+        ]
+        breakdowns = flowmod_breakdowns(tracer.records)
+        assert events and sum(events) > 0
+        assert sum(item.gatekeeper for item in breakdowns) == pytest.approx(
+            sum(events)
+        )
+        assert sum(item.gatekeeper > 0 for item in breakdowns) == sum(
+            latency > 0 for latency in events
+        )
+
+    def test_single_flowmod_replay_keeps_gatekeeper_and_shifts(self):
+        from repro.experiments.common import default_hermes_config, replay_trace
+        from repro.obs import use_tracer
+        from repro.traffic.microbench import (
+            MicrobenchConfig,
+            generate_trace,
+            seed_rules,
+        )
+
+        config = MicrobenchConfig(arrival_rate=1000, duration=0.2)
+        tracer = RecordingTracer()
+        with use_tracer(tracer):
+            replay_trace(
+                generate_trace(config), "hermes", "pica8-p3290",
+                hermes_config=default_hermes_config(),
+                prefill_rules=seed_rules(config),
+            )
+        admitted = sum(
+            record["attrs"]["latency"] > 0
+            for record in tracer.records
+            if record["type"] == "event" and record["name"] == "hermes.gatekeeper"
+        )
+        breakdowns = flowmod_breakdowns(tracer.records)
+        assert len(breakdowns) == 200
+        assert admitted > 150
+        assert sum(item.gatekeeper > 0 for item in breakdowns) == admitted
+        assert all(item.shifts is not None for item in breakdowns)
 
     def test_undelivered_flowmods_excluded(self):
         tracer = RecordingTracer()

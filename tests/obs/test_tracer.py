@@ -123,12 +123,14 @@ class TestListeners:
 class TestMetricFolding:
     def test_agent_action_folds_counters_and_histograms(self):
         tracer = RecordingTracer()
+        batch = tracer.start_span("agent.batch", start=0.0, switch="s1", size=1)
         tracer.start_span(
             "agent.action", start=0.0, switch="s1", command="add"
         ).finish(
-            end=0.003, queue_delay=0.001, exec_latency=0.002, shifts=4,
-            guaranteed=True,
+            end=0.003, queue_delay=0.001, exec_latency=0.002, guaranteed=True,
         )
+        # Shifts are measured batch-wide and fold from the batch span.
+        batch.finish(end=0.003, shifts=4)
         registry = tracer.metrics
         assert registry.counter("hermes_agent_actions_total").value(command="add") == 1
         assert registry.counter("hermes_tcam_shifts_total").total() == 4

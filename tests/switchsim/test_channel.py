@@ -58,8 +58,10 @@ class TestNaiveChannel:
             outcome = channel.send(mod, at_time=index * 0.01)
             assert outcome.delivered
             assert outcome.attempts == 1
-            assert outcome.done_time == expected.finish_time
-            assert outcome.completed.result.latency == expected.result.latency
+            # No acks: the controller observes each action's own finish.
+            assert outcome.done_time is None
+            assert outcome.completed[0].finish_time == expected.finish_time
+            assert outcome.completed[0].result.latency == expected.result.latency
         assert occupancy(direct_agent) == occupancy(channel_agent)
 
     def test_drop_loses_the_install_forever(self):
