@@ -17,7 +17,11 @@ class Corrector(abc.ABC):
 
     @abc.abstractmethod
     def apply(self, prediction: float) -> float:
-        """Return the inflated forecast (never below the raw prediction)."""
+        """Return the inflated forecast (never below the raw prediction).
+
+        Must be monotone non-decreasing in ``prediction``: the predictive
+        trigger relies on it to skip forecasts bounded below the capacity.
+        """
 
 
 class SlackCorrector(Corrector):

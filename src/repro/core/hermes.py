@@ -32,24 +32,6 @@ from ..tcam.rule import Rule
 from ..tcam.slices import CarvedTcam, SliceConfig
 from ..tcam.table import TcamTable
 from ..tcam.timing import EmpiricalTimingModel
-from ..tcam.trie import PrefixRuleIndex
-
-
-class _IndexSync:
-    """Table listener mirroring main-table changes into the overlap index."""
-
-    def __init__(self, index: PrefixRuleIndex) -> None:
-        self._index = index
-
-    def rule_installed(self, rule: Rule) -> None:
-        self._index.add(rule)
-
-    def rule_removed(self, rule: Rule) -> None:
-        self._index.discard(rule.rule_id)
-
-    def rule_modified(self, old: Rule, new: Rule) -> None:
-        self._index.discard(old.rule_id)
-        self._index.add(new)
 from .correction import Corrector, DeadzoneCorrector, SlackCorrector, make_corrector
 from .gatekeeper import GateKeeper, MatchPredicate, TokenBucket, match_all
 from .guarantees import (
@@ -213,12 +195,10 @@ class HermesInstaller(RuleInstaller):
             self._shadow_table = self.tcam.slice("shadow")
             self._main_table = self.tcam.slice("main")
         self.partition_map = PartitionMap()
-        # Overlap index over the main table, kept in lock-step through the
-        # table's change notifications: Algorithm 1's DetectOverlap runs in
-        # O(32 + matches) instead of scanning the whole table (the reason
-        # Fig 15's insertion-side cost stays flat).
-        self._main_index = PrefixRuleIndex()
-        self.main.add_listener(_IndexSync(self._main_index))
+        # The Rule Manager owns the main table's overlap index; Algorithm
+        # 1's DetectOverlap reads it too, in O(32 + matches) instead of a
+        # scan of the whole table (the reason Fig 15's insertion-side cost
+        # stays flat).
         self.rule_manager = RuleManager(
             shadow=self.shadow,
             main=self.main,
@@ -514,7 +494,7 @@ class HermesInstaller(RuleInstaller):
                 installed_rule_ids=(rule.rule_id,),
                 used_guaranteed_path=False,
             )
-        blockers = self._main_index.blockers_for(rule)
+        blockers = self.rule_manager.main_index.blockers_for(rule)
         outcome = partition_new_rule(rule, blockers)
         latency = self.config.partition_latency_budget * max(
             32, 4 * len(blockers)
@@ -636,7 +616,7 @@ class HermesInstaller(RuleInstaller):
     def _reinstall_original(self, original: Rule) -> float:
         latency = 0.0
         outcome = partition_new_rule(
-            original, self._main_index.blockers_for(original)
+            original, self.rule_manager.main_index.blockers_for(original)
         )
         for fragment in outcome.fragments:
             table = self.main if self.shadow.is_full else self.shadow

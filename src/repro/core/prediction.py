@@ -10,6 +10,7 @@ the most effective.  All three are implemented here behind one interface.
 from __future__ import annotations
 
 import abc
+import math
 from collections import deque
 from typing import Deque, Optional
 
@@ -27,6 +28,14 @@ class Predictor(abc.ABC):
     @abc.abstractmethod
     def predict(self) -> float:
         """Predict the arrival count of the next interval (never negative)."""
+
+    def forecast_ceiling(self) -> float:
+        """A cheap upper bound on :meth:`predict` (``inf`` when none is known).
+
+        Lets a trigger skip an expensive fit whose forecast could not change
+        its decision.
+        """
+        return math.inf
 
     def observe_and_predict(self, value: float) -> float:
         """Convenience: update with an observation, then predict."""
@@ -93,6 +102,12 @@ class CubicSplinePredictor(Predictor):
         ceiling = self.clamp_factor * float(ys.max())
         return float(np.clip(forecast, 0.0, ceiling))
 
+    def forecast_ceiling(self) -> float:
+        """The clamp of :meth:`predict`, without fitting the spline."""
+        if len(self._samples) < 4:
+            return self.predict()
+        return self.clamp_factor * max(self._samples)
+
 
 class ArmaPredictor(Predictor):
     """ARMA(p, q) forecaster [Whittle 1951] fit by Hannan–Rissanen.
@@ -152,6 +167,13 @@ class ArmaPredictor(Predictor):
         forecast = mean + ar_part + ma_part
         ceiling = 3.0 * float(ys.max()) if ys.max() > 0 else 1.0
         return float(np.clip(forecast, 0.0, ceiling))
+
+    def forecast_ceiling(self) -> float:
+        """The clamp of :meth:`predict`, without the least-squares fits."""
+        if len(self._samples) < 3 * (self.p + self.q + 1):
+            return self.predict()
+        peak = max(self._samples)
+        return 3.0 * peak if peak > 0 else 1.0
 
     def _estimate_innovations(self, centered: np.ndarray) -> np.ndarray:
         """Stage 1 of Hannan–Rissanen: residuals of a long AR fit."""

@@ -31,10 +31,11 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..faults.table import TcamWriteError, verified_insert
 from ..obs.tracer import get_tracer
 from ..tcam.rule import Rule
+from ..tcam.moveplan import conflicts_with_resident
 from ..tcam.table import TcamTable
 from ..tcam.ternary import TernaryMatch
+from ..tcam.trie import PrefixRuleIndex
 from .correction import Corrector
-from ..tcam.moveplan import conflicts_with_resident
 from .partition import PartitionMap, partition_new_rule
 from .prediction import Predictor
 
@@ -69,6 +70,23 @@ class MigrationReport:
     rules_reissued: int = 0
 
 
+class _IndexSync:
+    """Table listener mirroring main-table changes into the overlap index."""
+
+    def __init__(self, index: PrefixRuleIndex) -> None:
+        self._index = index
+
+    def rule_installed(self, rule: Rule) -> None:
+        self._index.add(rule)
+
+    def rule_removed(self, rule: Rule) -> None:
+        self._index.discard(rule.rule_id)
+
+    def rule_modified(self, old: Rule, new: Rule) -> None:
+        self._index.discard(old.rule_id)
+        self._index.add(new)
+
+
 class MigrationTrigger(abc.ABC):
     """Policy deciding *when* to migrate (Section 5.1's alternatives)."""
 
@@ -85,7 +103,10 @@ class PredictiveTrigger(MigrationTrigger):
 
     The predicted next-epoch arrivals, inflated by the corrector, are added
     to the current occupancy; migration fires when the sum would exceed the
-    shadow capacity.
+    shadow capacity.  Every forecast is at most the predictor's
+    :meth:`~repro.core.prediction.Predictor.forecast_ceiling` and every
+    corrector is monotone, so the forecast is only computed when the
+    corrected ceiling could overflow; otherwise it cannot fire.
     """
 
     def __init__(
@@ -103,7 +124,6 @@ class PredictiveTrigger(MigrationTrigger):
         self.predictor = predictor
         self.corrector = corrector
         self.high_watermark = high_watermark
-        self.last_forecast = 0.0
         # Watermark firings mean the forecast undershot badly enough that
         # the backstop had to act — the signal the auto-tuner learns from.
         self.watermark_fires = 0
@@ -116,8 +136,11 @@ class PredictiveTrigger(MigrationTrigger):
         """Fire when the corrected forecast (or the watermark) overflows."""
         if occupancy == 0:
             return False
-        self.last_forecast = self.corrector.apply(self.predictor.predict())
-        if occupancy + self.last_forecast > capacity:
+        corrected_ceiling = self.corrector.apply(self.predictor.forecast_ceiling())
+        if (
+            occupancy + corrected_ceiling > capacity
+            and occupancy + self.corrector.apply(self.predictor.predict()) > capacity
+        ):
             return True
         if occupancy >= self.high_watermark * capacity:
             self.watermark_fires += 1
@@ -211,6 +234,14 @@ class RuleManager:
         self._arrivals_this_epoch = 0
         self._epoch_start = 0.0
         self._stranded: List[Rule] = []
+        # The one overlap index over the main table, seeded from its rules
+        # and kept in lock-step by the table's change listener (through a
+        # fault-wrapped table it tracks what the slice really holds).  The
+        # step-3 conflict check and Hermes's Algorithm 1 both read it.
+        self.main_index = PrefixRuleIndex()
+        for rule in main.rules():
+            self.main_index.add(rule)
+        main.add_listener(_IndexSync(self.main_index))
 
     # ------------------------------------------------------------------
     # Time and arrivals
@@ -448,9 +479,9 @@ class RuleManager:
         from ..analysis.verifier import verify_moveplan
         from ..tcam.moveplan import plan_batch_placement
 
-        resident = self.main.rules()
         conflicted_ids = {
-            rule.rule_id for rule in conflicts_with_resident(optimized, resident)
+            rule.rule_id
+            for rule in conflicts_with_resident(optimized, self.main_index)
         }
         batch = [
             rule
@@ -461,6 +492,7 @@ class RuleManager:
         batch = batch[:free]
         if not batch:
             return
+        resident = self.main.rules()
         plan = plan_batch_placement(batch, resident, self.main.capacity)
         violations = verify_moveplan(plan, resident, capacity=self.main.capacity)
         self.plans_verified += 1
@@ -514,7 +546,7 @@ class RuleManager:
         # cost (see repro.tcam.moveplan).
         conflicted_ids = {
             rule.rule_id
-            for rule in conflicts_with_resident(optimized, self.main.rules())
+            for rule in conflicts_with_resident(optimized, self.main_index)
         }
         # Highest priority first: in the physical layout each subsequent
         # (lower-priority) rule appends below the previous ones, so the

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
 from .rule import Rule
+from .trie import PrefixRuleIndex
 
 
 def dependency_edges(rules: Sequence[Rule]) -> List[Tuple[int, int]]:
@@ -132,21 +133,18 @@ def plan_batch_placement(
     return PlacementPlan(order=tuple(order), slots=slots, moves_avoided=moves)
 
 
-def conflicts_with_resident(batch: Sequence[Rule], resident: Sequence[Rule]) -> List[Rule]:
+def conflicts_with_resident(
+    batch: Sequence[Rule], resident: PrefixRuleIndex
+) -> List[Rule]:
     """Batch rules that dominate some resident rule (must shift, not append).
 
     A batch rule with higher priority than an overlapping resident rule
     cannot be appended below it; planners hand these to the online path.
+    ``resident`` is an overlap index over the resident table, so each batch
+    rule costs one index query rather than a scan of the table.  The result
+    keeps batch order.
     """
-    conflicted: List[Rule] = []
-    for candidate in batch:
-        for installed in resident:
-            if candidate.priority > installed.priority and candidate.overlaps(
-                installed
-            ):
-                conflicted.append(candidate)
-                break
-    return conflicted
+    return [candidate for candidate in batch if resident.dominates_any(candidate)]
 
 
 def naive_shift_count(batch: Sequence[Rule], resident: Sequence[Rule]) -> int:

@@ -11,6 +11,7 @@ computes the shift count of every insertion, and charges latencies from an
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -19,6 +20,12 @@ import numpy as np
 from .rule import Action, Rule
 from .ternary import TernaryMatch
 from .timing import EmpiricalTimingModel, InsertOrder
+
+
+# Sort keys pack ``(-priority, insertion sequence)`` into one int, which
+# orders the same as the tuple while the sequence stays below the span, at
+# under a third of a tuple's memory per entry.
+_SEQ_SPAN = 1 << 48
 
 
 class TcamError(Exception):
@@ -76,10 +83,13 @@ class TcamTable:
     """A priority-ordered TCAM table with occupancy-driven action latencies.
 
     Entries are kept in descending priority order (ties broken by insertion
-    order), mirroring the physical layout a TCAM must maintain.  All control
-    actions return a :class:`ControlActionResult` carrying the modelled
-    latency; the table itself holds no clock — callers (the switch agent or
-    the simulator) accumulate time.
+    order), mirroring the physical layout a TCAM must maintain.  A parallel
+    ascending list of sort keys — ``(-priority, insertion sequence)`` packed
+    into one int — spells out exactly that order, so every action finds its
+    slot by bisection instead of walking the entries.  All control actions return a
+    :class:`ControlActionResult` carrying the modelled latency; the table
+    itself holds no clock — callers (the switch agent or the simulator)
+    accumulate time.
     """
 
     def __init__(
@@ -107,6 +117,12 @@ class TcamTable:
         self.stats = TableStats()
         self._entries: List[Rule] = []
         self._by_id: Dict[int, Rule] = {}
+        # ``_keys[i]`` is the sort key of ``_entries[i]``; ``_key_of`` maps a
+        # rule id to its key.  A fresh insert takes the next sequence number,
+        # so it sorts below every resident of its priority class.
+        self._keys: List[int] = []
+        self._key_of: Dict[int, int] = {}
+        self._next_seq = 0
         self._listeners: List[object] = []
 
     def add_listener(self, listener: object) -> None:
@@ -197,7 +213,8 @@ class TcamTable:
             )
         if rule.rule_id in self._by_id:
             raise ValueError(f"{self.name}: rule #{rule.rule_id} already installed")
-        position = self._insertion_position(rule.priority)
+        key = -rule.priority * _SEQ_SPAN + self._next_seq
+        position = bisect.bisect_left(self._keys, key)
         shifts = len(self._entries) - position
         effective_occupancy = 0 if planned else len(self._entries)
         latency = self.timing.insertion_latency(
@@ -207,6 +224,9 @@ class TcamTable:
             rng=self.rng,
         )
         self._entries.insert(position, rule)
+        self._keys.insert(position, key)
+        self._key_of[rule.rule_id] = key
+        self._next_seq += 1
         self._by_id[rule.rule_id] = rule
         result = ControlActionResult(latency=latency, shifts=shifts, position=position)
         self.stats.record("insert", result)
@@ -225,8 +245,10 @@ class TcamTable:
             RuleNotFoundError: when no such rule is installed.
         """
         rule = self.get(rule_id)
-        position = self._entries.index(rule)
+        position = self._position_of(rule_id)
         del self._entries[position]
+        del self._keys[position]
+        del self._key_of[rule_id]
         del self._by_id[rule_id]
         latency = self.timing.deletion_latency(rng=self.rng)
         result = ControlActionResult(latency=latency, shifts=0, position=position)
@@ -258,7 +280,7 @@ class TcamTable:
             RuleNotFoundError: when no such rule is installed.
         """
         rule = self.get(rule_id)
-        position = self._entries.index(rule)
+        position = self._position_of(rule_id)
         updated = Rule(
             match=match if match is not None else rule.match,
             priority=rule.priority,
@@ -292,12 +314,9 @@ class TcamTable:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _insertion_position(self, priority: int) -> int:
-        """Index where a rule of ``priority`` lands: below its priority class."""
-        for index, resident in enumerate(self._entries):
-            if resident.priority < priority:
-                return index
-        return len(self._entries)
+    def _position_of(self, rule_id: int) -> int:
+        """Physical index of an installed rule, found by its sort key."""
+        return bisect.bisect_left(self._keys, self._key_of[rule_id])
 
     def __repr__(self) -> str:
         return (

@@ -1,15 +1,18 @@
 """A binary prefix trie indexing rules by their match prefix.
 
 Algorithm 1 must find, for every arriving rule, the main-table rules that
-overlap it.  A linear scan is O(table size) per insertion; production rule
-sets make that the dominant cost.  For prefix rules, overlap is containment
-one way or the other, so a binary trie answers the query in O(32 + answer):
-ancestors of the query prefix lie on the root path, descendants in its
-subtree.
+overlap it, and a migration must find which of its rules dominate a
+main-table resident.  A linear scan is O(table size) per query; production
+rule sets make that the dominant cost.  For prefix rules, overlap is
+containment one way or the other, so a binary trie answers the query in
+O(32 + answer): ancestors of the query prefix lie on the root path,
+descendants in its subtree.
 
-:class:`PrefixRuleIndex` is the rule-facing wrapper the Hermes agent keeps
-in sync with the main table; rules whose match is not prefix-shaped fall
-back to a small linear side list.
+:class:`PrefixRuleIndex` is the rule-facing wrapper.  The Rule Manager owns
+the one instance over the main table and keeps it in sync through the
+table's change listener; Hermes's Algorithm 1 reads that same instance.
+Rules whose match is not prefix-shaped fall back to a small linear side
+list.
 """
 
 from __future__ import annotations
@@ -137,24 +140,23 @@ class PrefixRuleIndex:
 
     def overlapping(self, rule: Rule) -> List[Rule]:
         """All indexed rules whose match overlaps ``rule``'s match."""
+        return list(self._iter_overlapping(rule))
+
+    def _iter_overlapping(self, rule: Rule) -> Iterator[Rule]:
         prefix = rule.match.to_prefix()
-        results: List[Rule] = []
         if prefix is not None:
-            results.extend(self._trie.overlapping(prefix))
+            yield from self._trie.overlapping(prefix)
         else:
-            results.extend(
+            yield from (
                 candidate
-                for candidate in (
-                    self._trie.overlapping(Prefix.default_route())
-                )
+                for candidate in self._trie.overlapping(Prefix.default_route())
                 if candidate.match.overlaps(rule.match)
             )
-        results.extend(
+        yield from (
             candidate
             for candidate in self._non_prefix.values()
             if candidate.match.overlaps(rule.match)
         )
-        return results
 
     def blockers_for(self, rule: Rule) -> List[Rule]:
         """Overlapping rules with strictly higher priority (Algorithm 1)."""
@@ -163,3 +165,11 @@ class PrefixRuleIndex:
             for candidate in self.overlapping(rule)
             if candidate.priority > rule.priority
         ]
+
+    def dominates_any(self, rule: Rule) -> bool:
+        """True when ``rule`` overlaps some indexed rule of strictly lower
+        priority, i.e. must sit physically above it; stops at the first."""
+        return any(
+            candidate.priority < rule.priority
+            for candidate in self._iter_overlapping(rule)
+        )

@@ -1,6 +1,8 @@
 """Tests for the Rule Manager: triggers, migration workflow, consistency."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     CubicSplinePredictor,
@@ -11,8 +13,14 @@ from repro.core import (
     ThresholdTrigger,
     partition_new_rule,
 )
-from repro.core.prediction import EwmaPredictor
-from repro.tcam import Action, Prefix, Rule, TcamTable, pica8_p3290
+from repro.core.correction import DeadzoneCorrector, NoCorrection
+from repro.core.prediction import ArmaPredictor, EwmaPredictor
+from repro.faults import FaultInjector, FaultPlan, TcamWriteFault
+from repro.faults.table import FaultyTable
+from repro.tcam import Action, Prefix, Rule, TcamTable, TernaryMatch, pica8_p3290
+from repro.tcam.moveplan import conflicts_with_resident
+
+from ..tcam.conflict_oracle import pairwise_conflicts
 
 
 def rule(prefix, priority, port=1):
@@ -65,6 +73,184 @@ class TestTriggers:
         trigger = PredictiveTrigger(EwmaPredictor(alpha=1.0), SlackCorrector(5.0))
         trigger.observe_epoch(1000)
         assert not trigger.should_migrate(0, 100)
+
+
+class UngatedTrigger(PredictiveTrigger):
+    """The trigger before the forecast-ceiling gate: fits on every call."""
+
+    def should_migrate(self, occupancy, capacity):
+        if occupancy == 0:
+            return False
+        if occupancy + self.corrector.apply(self.predictor.predict()) > capacity:
+            return True
+        if occupancy >= self.high_watermark * capacity:
+            self.watermark_fires += 1
+            return True
+        return False
+
+
+arrival_counts = st.integers(min_value=0, max_value=400).map(float)
+
+
+@st.composite
+def arrival_windows(draw):
+    """All-zero, short (< 4 samples), steep-tailed and general windows."""
+    shape = draw(st.sampled_from(["zeros", "short", "steep", "general"]))
+    if shape == "zeros":
+        return [0.0] * draw(st.integers(min_value=0, max_value=12))
+    if shape == "short":
+        return draw(st.lists(arrival_counts, max_size=3))
+    if shape == "steep":
+        flat = draw(st.lists(st.integers(0, 5).map(float), min_size=3, max_size=10))
+        tail = draw(st.lists(st.integers(50, 2000).map(float), min_size=1, max_size=3))
+        return flat + tail
+    return draw(st.lists(arrival_counts, max_size=40))
+
+
+def build_predictor(name, window, clamp):
+    if name == "spline":
+        return CubicSplinePredictor(window=window, clamp_factor=clamp)
+    if name == "arma":
+        return ArmaPredictor()
+    return EwmaPredictor(alpha=0.5)
+
+
+def build_corrector(name, amount):
+    if name == "slack":
+        return SlackCorrector(amount)
+    if name == "deadzone":
+        return DeadzoneCorrector(100.0 * amount)
+    return NoCorrection()
+
+
+class TestTriggerGate:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        window=arrival_windows(),
+        predictor=st.sampled_from(["spline", "spline", "arma", "ewma"]),
+        spline_window=st.integers(min_value=4, max_value=10),
+        clamp=st.sampled_from([0.5, 1.0, 3.0]),
+        corrector=st.sampled_from(["slack", "deadzone", "none"]),
+        amount=st.sampled_from([0.0, 0.4, 1.0, 2.5]),
+        watermark=st.sampled_from([0.5, 0.9, 1.0]),
+        probes=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=1200),
+                st.integers(min_value=1, max_value=1000),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_gated_decisions_match_an_ungated_fit(
+        self, window, predictor, spline_window, clamp, corrector, amount,
+        watermark, probes,
+    ):
+        gated = PredictiveTrigger(
+            build_predictor(predictor, spline_window, clamp),
+            build_corrector(corrector, amount),
+            high_watermark=watermark,
+        )
+        ungated = UngatedTrigger(
+            build_predictor(predictor, spline_window, clamp),
+            build_corrector(corrector, amount),
+            high_watermark=watermark,
+        )
+        for arrivals in window:
+            gated.observe_epoch(arrivals)
+            ungated.observe_epoch(arrivals)
+        for occupancy, capacity in probes:
+            assert gated.should_migrate(occupancy, capacity) == (
+                ungated.should_migrate(occupancy, capacity)
+            )
+        assert gated.watermark_fires == ungated.watermark_fires
+
+    def test_quiet_window_skips_the_spline_fit(self, monkeypatch):
+        predictor = CubicSplinePredictor(window=8)
+        trigger = PredictiveTrigger(predictor, SlackCorrector(1.0))
+        for arrivals in (3, 5, 4, 6, 2, 5):
+            trigger.observe_epoch(arrivals)
+        fits = []
+        real_predict = predictor.predict
+        monkeypatch.setattr(
+            predictor, "predict", lambda: fits.append(1) or real_predict()
+        )
+        # 10 + 2 * 3 * 6 <= 100: the corrected ceiling fits, so no forecast.
+        assert not trigger.should_migrate(10, 100)
+        assert fits == []
+        # 90 + 36 > 100: now the forecast could fire and must be computed.
+        trigger.should_migrate(90, 100)
+        assert fits == [1]
+
+
+def indexed_rules(manager):
+    """The main-table index's contents, by rule id (a wildcard overlaps all)."""
+    everything = Rule(TernaryMatch.wildcard(), 0, Action.drop())
+    return {r.rule_id: r for r in manager.main_index.overlapping(everything)}
+
+
+def assert_index_mirrors_main(manager):
+    physical = manager.main.rules()
+    assert len(manager.main_index) == len(physical)
+    assert indexed_rules(manager) == {r.rule_id: r for r in physical}
+
+
+class TestMainIndex:
+    def test_seeded_from_a_populated_main_table(self):
+        shadow = TcamTable(pica8_p3290(), capacity=8, name="shadow")
+        main = TcamTable(pica8_p3290(), capacity=64, name="main")
+        for index in range(5):
+            main.insert(rule(f"10.{index}.0.0/16", 10 + index))
+        manager = RuleManager(shadow, main, PartitionMap(), ThresholdTrigger(0.0))
+        assert_index_mirrors_main(manager)
+
+    def test_tracks_atomic_refreshes_strands_and_modifies(self):
+        manager, shadow, main, _ = make_manager(
+            threshold=0.0, main_capacity=6, atomic=True
+        )
+        resident = rule("10.0.0.0/8", 90)
+        main.insert(resident)
+        # Same id as the resident: the writer refreshes it atomically (it
+        # sorts first, so the refresh runs while the main table has room).
+        shadow.insert(
+            Rule(resident.match, resident.priority, Action.output(7),
+                 rule_id=resident.rule_id)
+        )
+        for index in range(8):
+            shadow.insert(rule(f"11.{index}.0.0/16", 20 + index))
+        manager.migrate(now=0.0)
+        assert shadow.occupancy > 0  # the main table stranded some rules
+        assert_index_mirrors_main(manager)
+        survivor = main.rules()[0]
+        main.modify(survivor.rule_id, action=Action.output(3))
+        assert_index_mirrors_main(manager)
+        for installed in main.rules()[:2]:
+            main.delete(installed.rule_id)
+        manager.migrate(now=1.0)
+        assert_index_mirrors_main(manager)
+
+    def test_tracks_a_fault_wrapped_main_table_through_silent_writes(self):
+        injector = FaultInjector(FaultPlan(tcam=TcamWriteFault(silent=0.4)), seed=5)
+        shadow = TcamTable(pica8_p3290(), capacity=32, name="shadow")
+        main = FaultyTable(
+            TcamTable(pica8_p3290(), capacity=512, name="main"), injector
+        )
+        manager = RuleManager(
+            shadow, main, PartitionMap(), ThresholdTrigger(0.0),
+            verify_writes=True, fault_log=injector.log,
+        )
+        for round_index in range(3):
+            for index in range(10):
+                shadow.insert(
+                    rule(f"10.{round_index}.{index}.0/24", 5 + 10 * round_index + index)
+                )
+            manager.migrate(now=float(round_index))
+            assert_index_mirrors_main(manager)
+        assert injector.log.count("tcam-write-silent") > 0
+        probe = [rule("10.0.0.0/8", 99), rule("10.1.0.0/16", 1), rule("10.2.3.0/24", 30)]
+        assert conflicts_with_resident(probe, manager.main_index) == (
+            pairwise_conflicts(probe, main.rules())
+        )
 
 
 class TestMigrationWorkflow:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tcam import Action, Prefix, Rule
+from repro.tcam import Action, Prefix, Rule, TernaryMatch
 from repro.tcam.moveplan import (
     conflicts_with_resident,
     dependency_edges,
@@ -12,10 +12,20 @@ from repro.tcam.moveplan import (
     plan_batch_placement,
     topological_layers,
 )
+from repro.tcam.trie import PrefixRuleIndex
+
+from .conflict_oracle import pairwise_conflicts
 
 
 def rule(prefix, priority, port=1):
     return Rule.from_prefix(prefix, priority, Action.output(port))
+
+
+def index_of(rules):
+    index = PrefixRuleIndex()
+    for installed in rules:
+        index.add(installed)
+    return index
 
 
 @st.composite
@@ -28,6 +38,28 @@ def rule_batches(draw, max_size=10):
         network = (10 << 24) | (bits << (32 - length))
         priority = draw(st.integers(min_value=1, max_value=50))
         rules.append(rule(Prefix(network, length), priority))
+    return rules
+
+
+@st.composite
+def mixed_rules(draw, max_size=10):
+    """Prefix rules and general (non-prefix) 32-bit ternary rules, drawn
+    from a small key region so that overlaps are common."""
+    count = draw(st.integers(min_value=0, max_value=max_size))
+    rules = []
+    for _ in range(count):
+        priority = draw(st.integers(min_value=1, max_value=12))
+        if draw(st.booleans()):
+            length = draw(st.integers(min_value=0, max_value=12))
+            bits = draw(st.integers(min_value=0, max_value=(1 << length) - 1))
+            network = bits << (32 - length) if length else 0
+            rules.append(rule(Prefix(network, length), priority))
+        else:
+            # Care bits scattered over the top 12 bits: rarely prefix-shaped.
+            mask = draw(st.integers(min_value=0, max_value=(1 << 12) - 1)) << 20
+            value = draw(st.integers(min_value=0, max_value=(1 << 12) - 1)) << 20
+            match = TernaryMatch(value & mask, mask)
+            rules.append(Rule(match, priority, Action.output(1)))
     return rules
 
 
@@ -114,13 +146,21 @@ class TestConflicts:
     def test_dominating_batch_rule_flagged(self):
         resident = [rule("10.0.0.0/8", 10)]
         batch = [rule("10.0.0.0/16", 99), rule("11.0.0.0/8", 99)]
-        conflicted = conflicts_with_resident(batch, resident)
+        conflicted = conflicts_with_resident(batch, index_of(resident))
         assert [r.match for r in conflicted] == [batch[0].match]
 
     def test_lower_priority_batch_is_clean(self):
         resident = [rule("10.0.0.0/8", 90)]
         batch = [rule("10.0.0.0/16", 10)]
-        assert conflicts_with_resident(batch, resident) == []
+        assert conflicts_with_resident(batch, index_of(resident)) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_rules(), mixed_rules())
+    def test_index_matches_pairwise_oracle(self, batch, resident):
+        """Same rules, same batch order as the batch x resident scan."""
+        expected = pairwise_conflicts(batch, resident)
+        observed = conflicts_with_resident(batch, index_of(resident))
+        assert [r.rule_id for r in observed] == [r.rule_id for r in expected]
 
 
 class TestNaiveShiftCount:

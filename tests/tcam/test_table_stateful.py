@@ -5,6 +5,11 @@ modify / lookup sequences against :class:`TcamTable` while maintaining a
 simple dict model, checking after every step that the physical invariants
 hold: descending-priority order, id-index consistency, occupancy bounds,
 and lookup agreement with the model.
+
+The table finds slots by bisecting its sort keys.  A second model, a plain
+list kept in physical order by linear walks (the table's original
+algorithm), is the oracle for every returned ``position`` and ``shifts``
+and for the physical order itself.
 """
 
 from hypothesis import settings
@@ -20,6 +25,19 @@ from hypothesis.stateful import (
 from repro.tcam import Action, Prefix, Rule, TcamTable, pica8_p3290
 
 CAPACITY = 24
+
+
+def walk_insertion_position(physical, priority):
+    """Linear reference: a new rule lands below its whole priority class."""
+    for index, resident in enumerate(physical):
+        if resident.priority < priority:
+            return index
+    return len(physical)
+
+
+def walk_position_of(physical, rule_id):
+    """Linear reference: the physical index of an installed rule."""
+    return [resident.rule_id for resident in physical].index(rule_id)
 
 prefix_strategy = st.builds(
     lambda bits, length: Prefix(
@@ -39,6 +57,7 @@ class TcamTableMachine(RuleBasedStateMachine):
     def setup(self) -> None:
         self.table = TcamTable(pica8_p3290(), capacity=CAPACITY)
         self.model = {}  # rule_id -> Rule
+        self.physical = []  # reference layout, maintained by linear walks
 
     # ------------------------------------------------------------------
     # Operations
@@ -49,7 +68,22 @@ class TcamTableMachine(RuleBasedStateMachine):
         port=st.integers(min_value=1, max_value=8),
     )
     def insert(self, prefix, priority, port):
-        new_rule = Rule.from_prefix(prefix, priority, Action.output(port))
+        self._insert(Rule.from_prefix(prefix, priority, Action.output(port)))
+
+    @precondition(lambda self: self.model)
+    @rule(
+        data=st.data(),
+        prefix=prefix_strategy,
+        port=st.integers(min_value=1, max_value=8),
+    )
+    def insert_into_existing_class(self, data, prefix, port):
+        """Grow a run of equal priorities: the new rule goes below it."""
+        priority = data.draw(
+            st.sampled_from(sorted({r.priority for r in self.model.values()}))
+        )
+        self._insert(Rule.from_prefix(prefix, priority, Action.output(port)))
+
+    def _insert(self, new_rule):
         if self.table.is_full:
             from repro.tcam import TableFullError
 
@@ -58,23 +92,43 @@ class TcamTableMachine(RuleBasedStateMachine):
                 raise AssertionError("full table accepted an insert")
             except TableFullError:
                 return
+        expected = walk_insertion_position(self.physical, new_rule.priority)
         result = self.table.insert(new_rule)
         assert result.latency > 0
-        assert 0 <= result.shifts <= len(self.model)
+        assert result.position == expected
+        assert result.shifts == len(self.physical) - expected
+        self.physical.insert(expected, new_rule)
         self.model[new_rule.rule_id] = new_rule
 
     @precondition(lambda self: self.model)
     @rule(data=st.data())
     def delete(self, data):
         rule_id = data.draw(st.sampled_from(sorted(self.model)))
-        self.table.delete(rule_id)
-        del self.model[rule_id]
+        self._delete(rule_id)
+
+    def _delete(self, rule_id):
+        expected = walk_position_of(self.physical, rule_id)
+        result = self.table.delete(rule_id)
+        assert result.position == expected
+        assert result.shifts == 0
+        del self.physical[expected]
+        return self.model.pop(rule_id)
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def delete_then_reinsert(self, data):
+        """The same rule (same id) comes back at the bottom of its class."""
+        rule_id = data.draw(st.sampled_from(sorted(self.model)))
+        self._insert(self._delete(rule_id))
 
     @precondition(lambda self: self.model)
     @rule(data=st.data(), port=st.integers(min_value=1, max_value=8))
     def modify_action(self, data, port):
         rule_id = data.draw(st.sampled_from(sorted(self.model)))
-        self.table.modify(rule_id, action=Action.output(port))
+        expected = walk_position_of(self.physical, rule_id)
+        result = self.table.modify(rule_id, action=Action.output(port))
+        assert result.position == expected
+        assert result.shifts == 0
         old = self.model[rule_id]
         self.model[rule_id] = Rule(
             match=old.match,
@@ -83,6 +137,7 @@ class TcamTableMachine(RuleBasedStateMachine):
             rule_id=old.rule_id,
             origin_id=old.origin_id,
         )
+        self.physical[expected] = self.model[rule_id]
 
     @rule(address=st.integers(min_value=0, max_value=(1 << 32) - 1))
     def lookup(self, address):
@@ -109,6 +164,12 @@ class TcamTableMachine(RuleBasedStateMachine):
             return
         priorities = [r.priority for r in self.table.rules()]
         assert priorities == sorted(priorities, reverse=True)
+
+    @invariant()
+    def physical_order_matches_reference_walks(self):
+        if not hasattr(self, "table"):
+            return
+        assert self.table.rules() == self.physical
 
     @invariant()
     def occupancy_matches_model(self):
