@@ -23,8 +23,8 @@ from .timing import EmpiricalTimingModel, InsertOrder
 
 
 # Sort keys pack ``(-priority, insertion sequence)`` into one int, which
-# orders the same as the tuple while the sequence stays below the span, at
-# under a third of a tuple's memory per entry.
+# orders the same as the tuple while the sequence stays below the span and
+# costs one int object per entry instead of a tuple and two ints.
 _SEQ_SPAN = 1 << 48
 
 
@@ -86,10 +86,10 @@ class TcamTable:
     order), mirroring the physical layout a TCAM must maintain.  A parallel
     ascending list of sort keys — ``(-priority, insertion sequence)`` packed
     into one int — spells out exactly that order, so every action finds its
-    slot by bisection instead of walking the entries.  All control actions return a
-    :class:`ControlActionResult` carrying the modelled latency; the table
-    itself holds no clock — callers (the switch agent or the simulator)
-    accumulate time.
+    slot by bisection instead of walking the entries.  All control actions
+    return a :class:`ControlActionResult` carrying the modelled latency; the
+    table itself holds no clock — callers (the switch agent or the
+    simulator) accumulate time.
     """
 
     def __init__(
