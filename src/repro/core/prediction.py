@@ -168,13 +168,6 @@ class ArmaPredictor(Predictor):
         ceiling = 3.0 * float(ys.max()) if ys.max() > 0 else 1.0
         return float(np.clip(forecast, 0.0, ceiling))
 
-    def forecast_ceiling(self) -> float:
-        """The clamp of :meth:`predict`, without the least-squares fits."""
-        if len(self._samples) < 3 * (self.p + self.q + 1):
-            return self.predict()
-        peak = max(self._samples)
-        return 3.0 * peak if peak > 0 else 1.0
-
     def _estimate_innovations(self, centered: np.ndarray) -> np.ndarray:
         """Stage 1 of Hannan–Rissanen: residuals of a long AR fit."""
         count = len(centered)
