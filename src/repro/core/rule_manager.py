@@ -553,12 +553,16 @@ class RuleManager:
         # batch incurs the minimum possible shifting.
         for rule in sorted(optimized, key=lambda r: -r.priority):
             planned = rule.rule_id not in conflicted_ids
-            if self.main.is_full and rule.rule_id not in self.main:
+            duplicate_id: Optional[int] = rule.rule_id if rule.rule_id in self.main else None
+            if self.main.is_full and (duplicate_id is None or self.atomic):
                 # The main table cannot absorb the rest of the batch; leave
                 # the remaining rules in the shadow for a later migration.
+                # An atomic refresh needs a free slot too (its replacement
+                # lands before the stale twin leaves); stranded, the fresh
+                # version keeps answering from the shadow, ahead of the
+                # twin, so no packet sees a gap.
                 self._stranded.append(rule)
                 continue
-            duplicate_id: Optional[int] = rule.rule_id if rule.rule_id in self.main else None
             if duplicate_id is None:
                 latency, _visible_ok = self._insert_main(rule, planned)
                 write_time += latency

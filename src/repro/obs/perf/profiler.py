@@ -44,7 +44,10 @@ UNATTRIBUTED_LABELS = frozenset({"setup", "shutdown"})
 
 #: ``(prefix, subsystem)`` pairs, first match wins.  Dispatch labels are
 #: ``event:<kind>``; span labels are ``span:<name>``; loop marks are
-#: ``sim.<what>``.
+#: ``sim.<what>``.  A TE epoch is cut three ways: ``event:epoch`` keeps
+#: the read of rates and link utilization from the flow store (fair-share
+#: state), ``sim.te_plan`` the TE app's planning, and ``sim.te_install``
+#: the installs of the planned moves.
 _SUBSYSTEM_PREFIXES: Tuple[Tuple[str, str], ...] = (
     ("event:epoch", "fairshare"),
     ("event:complete", "completion"),
@@ -55,6 +58,8 @@ _SUBSYSTEM_PREFIXES: Tuple[Tuple[str, str], ...] = (
     ("event:", "kernel-dispatch"),
     ("sim.arrival", "arrival"),
     ("sim.fairshare", "fairshare"),
+    ("sim.te_plan", "te_plan"),
+    ("sim.te_install", "installer"),
     ("span:flowmod", "channel"),
     ("span:channel", "channel"),
     ("span:agent.", "switch-cpu"),

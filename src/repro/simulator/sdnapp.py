@@ -14,7 +14,8 @@ FlowMods, which is exactly the cost Hermes bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping
+from itertools import repeat
+from typing import Dict, List, Mapping, Set
 
 from ..obs.tracer import get_tracer
 from ..topology.routing import Path, PathProvider, path_links_cached
@@ -76,73 +77,89 @@ class ProactiveTeApp:
     ) -> List[Reroute]:
         """Propose up to ``max_moves_per_epoch`` reroutes for this epoch.
 
-        Utilization is updated incrementally as moves are chosen so one
-        epoch's moves do not all pile onto the same cold link.  ``now`` is
-        the sim time of the epoch, used only to timestamp trace events.
+        Congested links are visited hottest first.  On each, the flows
+        that cross it are tried largest rate first (ties in
+        ``current_paths`` order), and a flow moves to its cheapest
+        candidate path when that beats its current path by
+        ``improvement_margin``.  Utilization is updated incrementally as
+        moves are chosen so one epoch's moves do not all pile onto the same
+        cold link.  ``now`` is the sim time of the epoch, used only to
+        timestamp trace events.
+
+        The flows crossing each congested link are indexed once per call.
+        A path's cost is a ``max`` over the working utilization, which only
+        an accepted move writes, so each path is costed at most once
+        between moves, and a flow rejected since the last move is not tried
+        again: the costs that rejected it still hold.
         """
+        threshold = self.config.utilization_threshold
+        max_moves = self.config.max_moves_per_epoch
+        margin = self.config.improvement_margin
         working_utilization: Dict[Link, float] = dict(utilization)
         congested = sorted(
-            (
-                link
-                for link, value in working_utilization.items()
-                if value > self.config.utilization_threshold
-            ),
+            (link for link, value in working_utilization.items() if value > threshold),
             key=lambda link: -working_utilization[link],
         )
-        tracer = get_tracer()
-        if not congested:
-            if tracer.enabled:
-                tracer.event(
-                    "te.plan", time=now, category="controller",
-                    congested=0, moves=0,
-                )
-            return []
         moves: List[Reroute] = []
-        moved_flows: set = set()
-        for hot_link in congested:
-            if len(moves) >= self.config.max_moves_per_epoch:
-                break
-            # Largest flows first: moving them relieves the most load.
-            candidates = sorted(
-                (
-                    flow_id
-                    for flow_id, path in current_paths.items()
-                    if hot_link in path_links_cached(path) and flow_id not in moved_flows
-                ),
-                key=lambda flow_id: -rates.get(flow_id, 0.0),
-            )
-            for flow_id in candidates:
-                if len(moves) >= self.config.max_moves_per_epoch:
+        if congested:
+            # Hot link -> crossing flow ids, largest rate first: one stable
+            # sort, so ties keep ``current_paths`` order in every bucket.
+            crossing: Dict[Link, List[int]] = {link: [] for link in congested}
+            for flow_id in sorted(current_paths, key=lambda flow_id: -rates.get(flow_id, 0.0)):
+                # A path that lists a link twice enters its bucket twice,
+                # back to back: the second entry is skipped as moved or
+                # rejected.
+                for link in path_links_cached(current_paths[flow_id]):
+                    bucket = crossing.get(link)
+                    if bucket is not None:
+                        bucket.append(flow_id)
+            costs: Dict[Path, float] = {}
+            moved_flows: Set[int] = set()
+            rejected: Set[int] = set()
+            for hot_link in congested:
+                if len(moves) >= max_moves:
                     break
-                flow = flows[flow_id]
-                rate = rates.get(flow_id, 0.0)
-                current_path = current_paths[flow_id]
-                current_cost = self._path_cost(
-                    current_path, working_utilization, exclude_rate=0.0, capacities=capacities
-                )
-                best_path = None
-                best_cost = current_cost - self.config.improvement_margin
-                for candidate in self.provider.paths(flow.source, flow.destination):
-                    if candidate == current_path:
+                for flow_id in crossing[hot_link]:
+                    if len(moves) >= max_moves:
+                        break
+                    if flow_id in moved_flows or flow_id in rejected:
                         continue
-                    cost = self._path_cost(
-                        candidate,
-                        working_utilization,
-                        exclude_rate=0.0,
-                        capacities=capacities,
+                    flow = flows[flow_id]
+                    current_path = current_paths[flow_id]
+                    best_path = None
+                    current_cost = costs.get(current_path)
+                    if current_cost is None:
+                        current_cost = costs[current_path] = self._path_cost(
+                            current_path, working_utilization
+                        )
+                    best_cost = current_cost - margin
+                    for candidate in self.provider.paths(flow.source, flow.destination):
+                        if candidate == current_path:
+                            continue
+                        cost = costs.get(candidate)
+                        if cost is None:
+                            cost = costs[candidate] = self._path_cost(
+                                candidate, working_utilization
+                            )
+                        if cost < best_cost:
+                            best_cost = cost
+                            best_path = candidate
+                    if best_path is None:
+                        rejected.add(flow_id)
+                        continue
+                    moves.append(Reroute(flow_id=flow_id, new_path=best_path))
+                    moved_flows.add(flow_id)
+                    self._shift_load(
+                        working_utilization, current_path, best_path,
+                        rates.get(flow_id, 0.0), capacities,
                     )
-                    if cost < best_cost:
-                        best_cost = cost
-                        best_path = candidate
-                if best_path is None:
-                    continue
-                moves.append(Reroute(flow_id=flow_id, new_path=best_path))
-                moved_flows.add(flow_id)
-                self._shift_load(
-                    working_utilization, current_path, best_path, rate, capacities
-                )
-                if working_utilization.get(hot_link, 0.0) <= self.config.utilization_threshold:
-                    break
+                    # The move rewrote utilizations: every cost and
+                    # rejection may be stale.
+                    costs.clear()
+                    rejected.clear()
+                    if working_utilization.get(hot_link, 0.0) <= threshold:
+                        break
+        tracer = get_tracer()
         if tracer.enabled:
             tracer.event(
                 "te.plan", time=now, category="controller",
@@ -151,16 +168,10 @@ class ProactiveTeApp:
         return moves
 
     @staticmethod
-    def _path_cost(
-        path: Path,
-        utilization: Mapping[Link, float],
-        exclude_rate: float,
-        capacities: Mapping[Link, float],
-    ) -> float:
+    def _path_cost(path: Path, utilization: Mapping[Link, float]) -> float:
         """A path's cost: the utilization of its hottest link."""
-        del exclude_rate  # the flow's own share is symmetric across options
         return max(
-            (utilization.get(link, 0.0) for link in path_links_cached(path)), default=0.0
+            map(utilization.get, path_links_cached(path), repeat(0.0)), default=0.0
         )
 
     @staticmethod

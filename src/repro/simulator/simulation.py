@@ -392,12 +392,18 @@ class Simulation:
         if self._store:
             flows, eligible_paths, rates = self._store.te_views()
             utilization = self._store.utilization()
+            profiler = self._scheduler.profiler
+            if profiler is not None:
+                profiler.mark("sim.te_plan")
+            plan = self.app.plan(
+                flows, eligible_paths, rates, utilization, self._capacities,
+                now=self.now,
+            )
+            if profiler is not None:
+                profiler.mark("sim.te_install")
             moves = [
                 move
-                for move in self.app.plan(
-                    flows, eligible_paths, rates, utilization, self._capacities,
-                    now=self.now,
-                )
+                for move in plan
                 if move.flow_id in self._store
                 and not any(
                     link in self._failed_links

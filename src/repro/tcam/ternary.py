@@ -171,15 +171,12 @@ class TernaryMatch:
         """Return the equivalent :class:`Prefix`, or None if not prefix-shaped."""
         if self.width != MAX_PREFIX_LEN:
             return None
-        length = 0
-        for position in range(self.width - 1, -1, -1):
-            if self.mask & (1 << position):
-                length += 1
-            else:
-                break
-        if self.mask != (((1 << length) - 1) << (self.width - length) if length else 0):
+        # Prefix-shaped iff the wildcard bits are a low-order run, that is,
+        # iff the wildcard bits plus one are a power of two.
+        wildcards = ~self.mask & ((1 << MAX_PREFIX_LEN) - 1)
+        if wildcards & (wildcards + 1):
             return None
-        return Prefix(self.value, length)
+        return Prefix(self.value, MAX_PREFIX_LEN - wildcards.bit_length())
 
     @property
     def is_prefix(self) -> bool:

@@ -229,6 +229,31 @@ class TestMainIndex:
         manager.migrate(now=1.0)
         assert_index_mirrors_main(manager)
 
+    def test_atomic_refresh_into_a_full_main_table_is_stranded(self):
+        manager, shadow, main, _ = make_manager(
+            threshold=0.0, main_capacity=4, atomic=True
+        )
+        resident = rule("10.0.0.0/8", 1)
+        main.insert(resident)
+        # A low-priority refresh sorts after the batch, which fills the
+        # main table before the refresh's replacement can go in.
+        shadow.insert(
+            Rule(resident.match, resident.priority, Action.output(7),
+                 rule_id=resident.rule_id)
+        )
+        for index in range(3):
+            shadow.insert(rule(f"11.{index}.0.0/16", 20 + index, port=2 + index))
+        report = manager.migrate(now=0.0)
+        assert main.is_full
+        assert report.transient_gap_time == 0.0
+        # The fresh version still answers from the shadow, ahead of its
+        # stale twin in the main table.
+        assert [(r.rule_id, r.action) for r in shadow.rules()] == [
+            (resident.rule_id, Action.output(7))
+        ]
+        assert main.get(resident.rule_id).action == resident.action
+        assert_index_mirrors_main(manager)
+
     def test_tracks_a_fault_wrapped_main_table_through_silent_writes(self):
         injector = FaultInjector(FaultPlan(tcam=TcamWriteFault(silent=0.4)), seed=5)
         shadow = TcamTable(pica8_p3290(), capacity=32, name="shadow")

@@ -74,6 +74,9 @@ class TestSubsystemOf:
 
     def test_loop_marks(self):
         assert subsystem_of("sim.arrival") == "arrival"
+        assert subsystem_of("sim.fairshare") == "fairshare"
+        assert subsystem_of("sim.te_plan") == "te_plan"
+        assert subsystem_of("sim.te_install") == "installer"
 
     def test_unknown_labels_map_to_themselves(self):
         # New instrumentation points surface by name, never as "other".
@@ -309,6 +312,8 @@ class TestAttributionOnFig08:
         assert any(
             label.startswith("event:") for label in report.segments
         )
+        # TE planning is reported as its own layer, not as fair share.
+        assert report.subsystems.get("te_plan", 0.0) > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import make_installer
 from repro.simulator import (
@@ -17,8 +19,10 @@ from repro.simulator import (
     flow_rule_priority,
 )
 from repro.tcam import ideal_switch, pica8_p3290
-from repro.topology import FatTreeSpec, PathProvider, build_fat_tree, hosts
+from repro.topology import FatTreeSpec, PathProvider, build_fat_tree, hosts, path_links
 from repro.traffic import FlowSpec, flows_of, generate_jobs
+
+from .te_plan_oracle import rescan_plan
 
 
 @pytest.fixture(scope="module")
@@ -125,8 +129,6 @@ class TestTeApp:
             source="host-0-0-0", destination="host-1-0-0", size=1e9, start_time=0.0
         )
         path = provider.shortest_path(flow.source, flow.destination)
-        from repro.topology import path_links
-
         utilization = {link: 0.5 for link in path_links(path)}
         moves = app.plan(
             {flow.flow_id: flow},
@@ -144,8 +146,6 @@ class TestTeApp:
             source="host-0-0-0", destination="host-3-0-0", size=1e9, start_time=0.0
         )
         path = provider.paths(flow.source, flow.destination)[0]
-        from repro.topology import path_links
-
         capacities = {
             tuple(sorted((a, b))): data["capacity"]
             for a, b, data in small_tree.edges(data=True)
@@ -163,6 +163,64 @@ class TestTeApp:
         )
         assert len(moves) == 1
         assert moves[0].new_path != path
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_plan_matches_rescan_oracle(self, small_tree, data):
+        """The indexed, cost-caching planner returns exactly the reroutes of
+        the rescanning oracle: same flows, same paths, same order."""
+        provider = PathProvider(small_tree)
+        threshold = data.draw(st.sampled_from([0.5, 0.7]), label="threshold")
+        config = TeAppConfig(
+            utilization_threshold=threshold,
+            max_moves_per_epoch=data.draw(st.sampled_from([0, 1, 16]), label="moves"),
+            improvement_margin=data.draw(st.sampled_from([0.0, 0.05]), label="margin"),
+        )
+        app = ProactiveTeApp(provider, config)
+        servers = sorted(hosts(small_tree))
+        # Few endpoint pairs, so many flows share one current path.
+        pairs = data.draw(
+            st.lists(
+                st.tuples(st.sampled_from(servers), st.sampled_from(servers)).filter(
+                    lambda pair: pair[0] != pair[1]
+                ),
+                min_size=1,
+                max_size=3,
+            ),
+            label="pairs",
+        )
+        # Equal rates are common: ties must break in current_paths order.
+        rate_values = st.sampled_from([0.0, 1e8, 2e8, 5e8]) | st.floats(0.0, 1e9)
+        flows, current_paths, rates = {}, {}, {}
+        for source, destination in data.draw(
+            st.lists(st.sampled_from(pairs), min_size=1, max_size=32), label="flows"
+        ):
+            flow = FlowSpec(source, destination, size=1e9, start_time=0.0)
+            flows[flow.flow_id] = flow
+            rates[flow.flow_id] = data.draw(rate_values)
+            shape = data.draw(st.sampled_from(["path", "path", "pending", "doubled"]))
+            if shape == "pending":
+                continue  # in flight: planned around, never moved
+            paths = provider.paths(source, destination)
+            path = paths[data.draw(st.integers(0, len(paths) - 1))]
+            if shape == "doubled":
+                # Walk the first transit link back and forth: the path
+                # lists that link three times.
+                path = path[:3] + path[1:]
+            current_paths[flow.flow_id] = path
+        # Load the links the flows can use; a link left out reads as idle.
+        links = sorted(
+            {link for pair in pairs for path in provider.paths(*pair) for link in path_links(path)}
+        )
+        levels = st.sampled_from([None, 0.0, threshold, threshold + 1e-9, 0.8, 0.95, 1.3])
+        utilization = {}
+        for link in links:
+            level = data.draw(levels | st.floats(0.0, 1.5))
+            if level is not None:
+                utilization[link] = level
+        capacities = {link: data.draw(st.sampled_from([1e9, 1e9, 1e9, 0.0])) for link in links}
+        moves = app.plan(flows, current_paths, rates, utilization, capacities)
+        assert moves == rescan_plan(app, flows, current_paths, rates, utilization, capacities)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,10 @@
 """Unit and property tests for ternary match algebra."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tcam.prefix import Prefix
+from repro.tcam.prefix import MAX_PREFIX_LEN, Prefix
 from repro.tcam.ternary import TernaryMatch
 
 
@@ -15,6 +15,40 @@ def T(text):
 @st.composite
 def ternary_matches(draw, width=8):
     mask = draw(st.integers(min_value=0, max_value=(1 << width) - 1))
+    value = draw(st.integers(min_value=0, max_value=(1 << width) - 1)) & mask
+    return TernaryMatch(value, mask, width)
+
+
+def walk_to_prefix(match):
+    """The bit-by-bit reference for ``TernaryMatch.to_prefix``: count the
+    leading care bits, then require the mask to be exactly that run."""
+    if match.width != MAX_PREFIX_LEN:
+        return None
+    length = 0
+    for position in range(match.width - 1, -1, -1):
+        if match.mask & (1 << position):
+            length += 1
+        else:
+            break
+    if match.mask != (((1 << length) - 1) << (match.width - length) if length else 0):
+        return None
+    return Prefix(match.value, length)
+
+
+@st.composite
+def prefix_candidate_matches(draw):
+    """Matches of any width whose masks are prefix-shaped, one bit off a
+    prefix, or arbitrary."""
+    width = draw(st.sampled_from([MAX_PREFIX_LEN, MAX_PREFIX_LEN, 8, 31, 33, 64]))
+    length = draw(st.integers(min_value=0, max_value=width))
+    prefix_mask = ((1 << length) - 1) << (width - length)
+    shape = draw(st.sampled_from(["prefix", "flipped", "arbitrary"]))
+    if shape == "prefix":
+        mask = prefix_mask
+    elif shape == "flipped":
+        mask = prefix_mask ^ (1 << draw(st.integers(min_value=0, max_value=width - 1)))
+    else:
+        mask = draw(st.integers(min_value=0, max_value=(1 << width) - 1))
     value = draw(st.integers(min_value=0, max_value=(1 << width) - 1)) & mask
     return TernaryMatch(value, mask, width)
 
@@ -145,3 +179,8 @@ class TestPrefixConversion:
 
     def test_wildcard_is_default_route(self):
         assert TernaryMatch.wildcard().to_prefix() == Prefix.default_route()
+
+    @settings(max_examples=500)
+    @given(prefix_candidate_matches())
+    def test_to_prefix_matches_the_bit_walk(self, match):
+        assert match.to_prefix() == walk_to_prefix(match)
