@@ -21,8 +21,6 @@ from .ap import (
 )
 from .lint import (
     LintFinding,
-    apply_fixes,
-    fix_paths,
     format_findings,
     lint_file,
     lint_paths,
@@ -57,7 +55,7 @@ from .stats import (
     percentile_summary,
 )
 from .tables import ExperimentResult, format_cell, render_table
-from .verifier import verify_installer, verify_moveplan, verify_partition
+from .verifier import verify_installer, verify_partition
 from .violations import Violation
 
 __all__ = [
@@ -76,7 +74,6 @@ __all__ = [
     "SnapshotDelta",
     "TableSnapshot",
     "Violation",
-    "apply_fixes",
     "clear_pragma_cache",
     "file_pragmas",
     "attach_incremental_checker",
@@ -86,7 +83,6 @@ __all__ = [
     "dump_snapshot",
     "empirical_cdf",
     "find_duplicate_entries",
-    "fix_paths",
     "format_cell",
     "format_findings",
     "increase_ratios",
@@ -107,6 +103,5 @@ __all__ = [
     "snapshot_installer",
     "snapshot_tables",
     "verify_installer",
-    "verify_moveplan",
     "verify_partition",
 ]

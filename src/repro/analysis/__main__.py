@@ -4,7 +4,7 @@ Four subcommands::
 
     python -m repro.analysis verify SNAPSHOT.json     # check a table snapshot
     python -m repro.analysis verify OLD.json NEW.json # localize a corruption
-    python -m repro.analysis lint [--fix] [PATH ...]  # determinism lint
+    python -m repro.analysis lint [PATH ...]          # determinism lint
     python -m repro.analysis scenario [--out F]       # canned churn + verify
     python -m repro.analysis races SCENARIO           # schedule-order races
 
@@ -40,7 +40,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .lint import fix_paths, format_findings, lint_paths
+from .lint import format_findings, lint_paths
 from .project import lint_project
 from .snapshot import (
     diff_snapshots,
@@ -243,11 +243,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="files or directories to lint (default: src/repro)",
     )
     lint_cmd.add_argument(
-        "--fix",
-        action="store_true",
-        help="rewrite provably-safe findings by inserting sorted(...)",
-    )
-    lint_cmd.add_argument(
         "--no-project",
         action="store_true",
         help="skip the project-wide pass (shared-state-mutation, ambiguous-tier)",
@@ -284,11 +279,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "lint":
-        if args.fix:
-            fixed = [(path, count) for path, count in fix_paths(args.paths) if count]
-            for path, count in fixed:
-                print(f"{path}: {count} fix(es) applied")
-            print(f"{sum(count for _, count in fixed)} fix(es) in total")
         findings = lint_paths(args.paths)
         if not args.no_project:
             findings = findings + lint_project(args.paths)

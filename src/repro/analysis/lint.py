@@ -44,18 +44,13 @@ Rules
     iteration order: ``os.environ`` (and its ``.keys()``/``.values()``/
     ``.items()`` views), ``os.listdir()``, ``os.scandir()``, and
     ``Path.iterdir()`` all follow OS-dependent order, which two machines
-    (or two runs) need not agree on.
-
-Autofix
--------
-:func:`apply_fixes` / :func:`fix_paths` (CLI: ``python -m repro.analysis
-lint --fix``) rewrite *provably safe* unordered-iteration findings by
-wrapping the iterable in ``sorted(...)``.  Safe means the elements are
-known to be totally ordered: ``os.environ`` and its views (strings or
-string pairs), ``os.listdir()`` (strings), and ``Path.iterdir()``
-(``Path`` objects).  ``os.scandir()`` yields unorderable ``DirEntry``
-objects and set expressions have unknown element types, so those findings
-are reported but never rewritten.
+    (or two runs) need not agree on.  Such a finding is ``fixable`` when
+    wrapping the iterable in ``sorted(...)`` is provably safe, i.e. its
+    elements are known to be totally ordered: ``os.environ`` and its views
+    (strings or string pairs), ``os.listdir()`` (strings), and
+    ``Path.iterdir()`` (``Path`` objects).  ``os.scandir()`` yields
+    unorderable ``DirEntry`` objects and set expressions have unknown
+    element types, so those findings are not.
 ``float-eq``
     ``==`` / ``!=`` between values that look like event timestamps
     (``now``, ``deadline``, ``*_time``, ``*_until``, ...).  Computed floats
@@ -177,9 +172,9 @@ class LintFinding:
         col: 0-based column offset.
         message: what was found and why it is a hazard.
         text: the source line, stripped.
-        fixable: True when the autofix can provably-safely rewrite it.
-        span: ``(line, col, end_line, end_col)`` of the expression the
-            autofix would wrap in ``sorted(...)`` (fixable findings only).
+        fixable: True when wrapping the flagged iterable in
+            ``sorted(...)`` is provably safe (its elements are totally
+            ordered).
     """
 
     rule: str
@@ -189,7 +184,6 @@ class LintFinding:
     message: str
     text: str = ""
     fixable: bool = False
-    span: Optional[Tuple[int, int, int, int]] = None
 
     def __str__(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: [{self.rule}] {self.message}"
@@ -289,7 +283,7 @@ def _annotation_is_dict_of_sets(node: ast.AST) -> bool:
     return False
 
 
-#: OS-iteration sources: name -> (description, autofix is provably safe).
+#: OS-iteration sources: name -> sorted(...) is provably safe.
 _UNORDERED_FS_FUNCS = {"listdir": True, "scandir": False}
 _ENVIRON_VIEWS = {"keys", "values", "items"}
 
@@ -326,11 +320,6 @@ class _DeterminismVisitor(ast.NodeVisitor):
     ) -> None:
         line = getattr(node, "lineno", 0)
         text = self.lines[line - 1].strip() if 0 < line <= len(self.lines) else ""
-        span = None
-        end_line = getattr(node, "end_lineno", None)
-        end_col = getattr(node, "end_col_offset", None)
-        if fixable and end_line == line and end_col is not None:
-            span = (line, node.col_offset, end_line, end_col)
         self.findings.append(
             LintFinding(
                 rule=rule,
@@ -339,8 +328,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
                 col=getattr(node, "col_offset", 0),
                 message=message,
                 text=text,
-                fixable=span is not None,
-                span=span,
+                fixable=fixable,
             )
         )
 
@@ -755,51 +743,6 @@ def lint_paths(paths: Iterable[str]) -> List[LintFinding]:
     for path in iter_python_files(paths):
         findings.extend(lint_file(path))
     return findings
-
-
-def apply_fixes(source: str, findings: Sequence[LintFinding]) -> Tuple[str, int]:
-    """Rewrite fixable findings by wrapping their spans in ``sorted(...)``.
-
-    Only single-line spans from findings marked ``fixable`` are touched
-    (the visitor marks a finding fixable only when the iterable's elements
-    are provably sortable).  Returns the rewritten source and the number
-    of fixes applied; re-lint the result to see what remains.
-    """
-    lines = source.splitlines()
-    trailing_newline = source.endswith("\n")
-    spans = sorted(
-        {finding.span for finding in findings if finding.fixable and finding.span},
-        reverse=True,
-    )
-    applied = 0
-    for line, col, end_line, end_col in spans:
-        if line != end_line or not 0 < line <= len(lines):
-            continue
-        text = lines[line - 1]
-        lines[line - 1] = (
-            text[:col] + "sorted(" + text[col:end_col] + ")" + text[end_col:]
-        )
-        applied += 1
-    rebuilt = "\n".join(lines) + ("\n" if trailing_newline else "")
-    return rebuilt, applied
-
-
-def fix_paths(paths: Iterable[str]) -> List[Tuple[str, int]]:
-    """Autofix every ``.py`` file under the given files/directories.
-
-    Returns ``(path, fixes_applied)`` for each file examined; files with
-    zero applicable fixes are left untouched on disk.
-    """
-    results: List[Tuple[str, int]] = []
-    for path in iter_python_files(paths):
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        fixed, applied = apply_fixes(source, lint_source(source, path))
-        if applied:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(fixed)
-        results.append((path, applied))
-    return results
 
 
 def format_findings(findings: Sequence[LintFinding]) -> str:

@@ -42,26 +42,11 @@ SHADOWED_RULE = "shadowed-rule"
 #: through the reference monolithic table.
 EQUIVALENCE_MISMATCH = "equivalence-mismatch"
 
-#: An intermediate state of a move plan puts a lower-priority rule
-#: physically above an overlapping higher-priority one — first-match lookup
-#: would return the wrong rule while the batch is being written.
-MOVEPLAN_INVERSION = "moveplan-inversion"
-
-#: A move plan writes two rules into the same slot, or into a slot already
-#: occupied by a resident entry.
-MOVEPLAN_SLOT_CONFLICT = "moveplan-slot-conflict"
-
-#: A move plan writes past the end of the table.
-MOVEPLAN_OVERFLOW = "moveplan-overflow"
-
 ERROR_KINDS = frozenset(
     {
         PRIORITY_INVERSION,
         DUPLICATE_ENTRY,
         EQUIVALENCE_MISMATCH,
-        MOVEPLAN_INVERSION,
-        MOVEPLAN_SLOT_CONFLICT,
-        MOVEPLAN_OVERFLOW,
     }
 )
 

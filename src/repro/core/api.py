@@ -18,7 +18,7 @@ admit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
 import numpy as np
@@ -106,8 +106,12 @@ class HermesService:
             ValueError: when the guarantee is infeasible on the hardware.
         """
         timing = self._timings[switch_id]
-        hermes_config = config if config is not None else HermesConfig()
-        hermes_config.guarantee = perf_guarantee
+        # A copy: the installer rewrites its guarantee on ModQoSConfig, and
+        # one caller's config may seed several QoS instances.
+        hermes_config = replace(
+            config if config is not None else HermesConfig(),
+            guarantee=perf_guarantee,
+        )
         installer = HermesInstaller(
             timing,
             config=hermes_config,

@@ -15,6 +15,10 @@ from dataclasses import dataclass
 
 from ..tcam.timing import EmpiricalTimingModel
 
+#: Seconds of optimizer CPU per rule-sqrt(rules) unit of work (calibrates
+#: the Figure 15(b) curve).
+OPTIMIZER_UNIT_COST = 2e-6
+
 
 @dataclass(frozen=True)
 class GuaranteeSpec:
@@ -87,25 +91,34 @@ def max_insertion_rate(
     return shadow_capacity / (expected_partitions * migration_time)
 
 
+def optimizer_seconds(rules: int, main_occupancy: int) -> float:
+    """Modelled CPU seconds of the step-2 optimizer rewriting ``rules`` rules.
+
+    The optimizer's runtime grows super-linearly in the rules it rewrites
+    (Figure 15(b)).  The Rule Manager charges this to every optimized
+    migration; :func:`estimate_migration_time` uses it before any migration
+    has run.
+    """
+    return OPTIMIZER_UNIT_COST * (
+        rules * max(1.0, (rules + main_occupancy) ** 0.5)
+    )
+
+
 def estimate_migration_time(
     timing: EmpiricalTimingModel,
     rules_to_move: int,
     main_occupancy: int,
-    optimizer_unit_cost: float = 2e-6,
 ) -> float:
     """Estimate t_m: optimizer time plus main-table write time.
 
-    The optimizer's runtime grows super-linearly in the number of rules it
-    rewrites (Figure 15(b)); TCAM writes are charged at the main table's
-    occupancy-dependent insert cost.  Used for admission-control sizing
-    before any migration has actually been observed.
+    TCAM writes are charged at the main table's occupancy-dependent insert
+    cost.  Used for admission-control sizing before any migration has
+    actually been observed.
     """
     if rules_to_move < 0 or main_occupancy < 0:
         raise ValueError("rule counts cannot be negative")
-    total_rules = rules_to_move + main_occupancy
-    optimizer_time = optimizer_unit_cost * rules_to_move * max(1.0, total_rules**0.5)
-    # Migration writes have pre-planned placements (the step-2 optimizer
-    # computes them, in the spirit of RuleTris [62]), so each write costs
-    # the empty-table insert latency rather than the shifting cost.
+    # Migration writes have pre-planned placements (see
+    # repro.tcam.moveplan), so each write costs the empty-table insert
+    # latency rather than the shifting cost.
     write_time = rules_to_move * timing.base_insertion_latency(0)
-    return optimizer_time + write_time
+    return optimizer_seconds(rules_to_move, main_occupancy) + write_time

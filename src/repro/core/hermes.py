@@ -24,7 +24,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..engine.clock import Clock
-from ..faults.table import FaultyTable, verified_insert
+from ..faults.table import FaultyTable
 from ..obs.tracer import get_tracer
 from ..switchsim.installer import RuleInstaller
 from ..switchsim.messages import FlowMod, FlowModCommand, FlowModResult
@@ -40,7 +40,9 @@ from .guarantees import (
     max_insertion_rate,
     shadow_capacity_for,
 )
-from .partition import PartitionMap, partition_new_rule
+from .partition import PartitionMap, PartitionOutcome
+# Unused here; hermesbench/layertrace.py wraps it at this module path.
+from .partition import partition_new_rule  # noqa: F401
 from .prediction import Predictor, make_predictor
 from .rule_manager import (
     MigrationTrigger,
@@ -48,6 +50,16 @@ from .rule_manager import (
     RuleManager,
     ThresholdTrigger,
 )
+
+#: Modelled software cost, per main-table rule examined, of Algorithm 1's
+#: overlap scan (Fig 15(b) shows the insertion-side algorithms are cheap;
+#: this keeps them so).
+PARTITION_LATENCY_BUDGET = 2e-7
+
+#: How long (seconds) Hermes stays degraded after the control channel's
+#: circuit breaker opens: guaranteed rules demote to best-effort for this
+#: window rather than pretending the guarantee still holds.
+DEGRADED_WINDOW = 1.0
 
 
 @dataclass
@@ -71,16 +83,6 @@ class HermesConfig:
         optimize_migration: enable the step-2 rule minimizer.
         shadow_capacity: explicit shadow size; None derives it from the
             guarantee and the switch's timing model.
-        verify_migrations: have the Rule Manager replay each migration's
-            placement plan through the moveplan verifier before writing
-            it; findings land in ``rule_manager.migration_violations``.
-        partition_latency_budget: modelled software cost, per main-table
-            rule examined, of Algorithm 1's overlap scan (Fig 15(b) shows
-            the insertion-side algorithms are cheap; this keeps them so).
-        degraded_window: how long (seconds) Hermes stays degraded after the
-            control channel's circuit breaker opens — guaranteed rules
-            demote to best-effort for this window rather than pretending
-            the guarantee still holds.
     """
 
     guarantee: GuaranteeSpec = field(default_factory=lambda: GuaranteeSpec.milliseconds(5))
@@ -95,10 +97,7 @@ class HermesConfig:
     atomic_migration: bool = True
     optimize_migration: bool = True
     shadow_capacity: Optional[int] = None
-    verify_migrations: bool = False
-    partition_latency_budget: float = 2e-7
     auto_tune: bool = False
-    degraded_window: float = 1.0
 
     def build_corrector(self) -> Corrector:
         """Instantiate the configured corrector."""
@@ -143,11 +142,10 @@ class HermesInstaller(RuleInstaller):
             predicate: selects which rules receive guarantees.
             rng: optional generator enabling latency noise.
             injector: optional :class:`~repro.faults.injector.FaultInjector`.
-                When given, slice writes go through fault-wrapped tables,
-                every insert is verified against the fault log and
-                re-issued on loss, and the Rule Manager verifies its
-                migrations (the partition invariant survives silent write
-                failures).  None keeps the fault-free hot path untouched.
+                When given, slice writes go through fault-wrapped tables and
+                inserts that stay lost are recorded in its fault log.  Every
+                insert is verified and re-issued on loss either way, so the
+                partition invariant survives silent write failures.
 
         Raises:
             ValueError: when the requested guarantee is infeasible on this
@@ -195,8 +193,9 @@ class HermesInstaller(RuleInstaller):
             self._shadow_table = self.tcam.slice("shadow")
             self._main_table = self.tcam.slice("main")
         self.partition_map = PartitionMap()
-        # The Rule Manager owns the main table's overlap index; Algorithm
-        # 1's DetectOverlap reads it too, in O(32 + matches) instead of a
+        # The Rule Manager owns the main table's overlap index and every
+        # verified write, Algorithm 1's included (RuleManager.install).
+        # DetectOverlap reads the index in O(32 + matches) instead of a
         # scan of the whole table (the reason Fig 15's insertion-side cost
         # stays flat).
         self.rule_manager = RuleManager(
@@ -207,8 +206,6 @@ class HermesInstaller(RuleInstaller):
             epoch=self.config.epoch,
             optimize=self.config.optimize_migration,
             atomic=self.config.atomic_migration,
-            verify_writes=injector is not None,
-            verify_migrations=self.config.verify_migrations,
             fault_log=injector.log if injector is not None else None,
         )
         bucket = None
@@ -264,15 +261,15 @@ class HermesInstaller(RuleInstaller):
     # Degraded mode
     # ------------------------------------------------------------------
     def enter_degraded(self, now: float, duration: Optional[float] = None) -> None:
-        """Suspend guarantees for ``duration`` seconds (default: the
-        configured ``degraded_window``).
+        """Suspend guarantees for ``duration`` seconds (default:
+        :data:`DEGRADED_WINDOW`).
 
         Wired to the resilient channel's ``on_breaker_open`` callback: when
         the switch stops acking, pretending the shadow path still meets its
         latency bound would be a lie — new guarantee-eligible rules demote
         to best-effort instead, with the honest ``"degraded"`` reason.
         """
-        window = duration if duration is not None else self.config.degraded_window
+        window = duration if duration is not None else DEGRADED_WINDOW
         until = now + window
         if self._degraded_until is None or until > self._degraded_until:
             self._degraded_until = until
@@ -483,7 +480,9 @@ class HermesInstaller(RuleInstaller):
             # Diverted inserts are still offered load: the predictor must
             # see them or a full shadow looks like a quiet workload.
             self.rule_manager.note_arrival(1)
-            result_latency = self._insert_resilient(self.main, rule)
+            result_latency = self.rule_manager.insert_verified(
+                self.main, rule, self._now
+            )
             # A higher-priority rule landing in the main table can newly
             # dominate lower-priority rules resident in the shadow — the
             # mirror image of the Figure 4 hazard.  Re-partition those
@@ -494,36 +493,28 @@ class HermesInstaller(RuleInstaller):
                 installed_rule_ids=(rule.rule_id,),
                 used_guaranteed_path=False,
             )
-        blockers = self.rule_manager.main_index.blockers_for(rule)
-        outcome = partition_new_rule(rule, blockers)
-        latency = self.config.partition_latency_budget * max(
-            32, 4 * len(blockers)
+
+        def charge(blockers: List[Rule], outcome: PartitionOutcome) -> float:
+            # Pure GateKeeper + Algorithm 1 cost; the TCAM writes add on
+            # top of it.
+            latency = PARTITION_LATENCY_BUDGET * max(32, 4 * len(blockers))
+            if tracer.enabled:
+                tracer.event(
+                    "hermes.gatekeeper",
+                    time=self._now,
+                    category="hermes",
+                    reason=decision.reason,
+                    use_shadow=True,
+                    latency=latency,
+                    blockers=len(blockers),
+                    fragments=len(outcome.fragments),
+                    rule=rule.rule_id,
+                )
+            return latency
+
+        outcome, latency = self.rule_manager.install(
+            rule, self._now, on_partition=charge
         )
-        if tracer.enabled:
-            # ``latency`` at this point is pure GateKeeper + Algorithm 1
-            # cost; the TCAM writes below add on top of it.
-            tracer.event(
-                "hermes.gatekeeper",
-                time=self._now,
-                category="hermes",
-                reason=decision.reason,
-                use_shadow=True,
-                latency=latency,
-                blockers=len(blockers),
-                fragments=len(outcome.fragments),
-                rule=rule.rule_id,
-            )
-        installed: List[int] = []
-        for fragment in outcome.fragments:
-            if self.shadow.is_full:
-                # Defensive overflow path: the remainder of an oversized
-                # fragment family lands in the main table (best effort).
-                latency += self._insert_resilient(self.main, fragment)
-            else:
-                latency += self._insert_resilient(self.shadow, fragment)
-            installed.append(fragment.rule_id)
-        if outcome.was_partitioned:
-            self.partition_map.record(rule, outcome)
         self.rule_manager.note_arrival(max(1, len(outcome.fragments)))
         self.guaranteed_inserts += 1
         if latency > self.config.guarantee.insertion_latency:
@@ -534,7 +525,9 @@ class HermesInstaller(RuleInstaller):
             self.near_violations += 1
         return FlowModResult(
             latency=latency,
-            installed_rule_ids=tuple(installed),
+            installed_rule_ids=tuple(
+                fragment.rule_id for fragment in outcome.fragments
+            ),
             used_guaranteed_path=True,
         )
 
@@ -546,8 +539,7 @@ class HermesInstaller(RuleInstaller):
         if self.partition_map.is_partitioned(rule_id):
             # The logical rule lives as fragments (possibly zero, when it
             # was subsumed on arrival): delete every live fragment.
-            for fragment_id in self.partition_map.fragment_ids(rule_id):
-                latency += self._delete_physical(fragment_id)
+            latency = self._delete_fragments(rule_id, latency)
             self.partition_map.forget(rule_id)
             return FlowModResult(latency=latency)
         if self.tcam.find_rule(rule_id) is None:
@@ -574,10 +566,19 @@ class HermesInstaller(RuleInstaller):
             # add-back-the-original; the stale fragments must go first or
             # they linger as untracked duplicates.
             for origin_id in self.partition_map.origins_blocked_by(rule_id):
-                for fragment_id in self.partition_map.fragment_ids(origin_id):
-                    latency += self._delete_physical(fragment_id)
+                latency = self._delete_fragments(origin_id, latency)
             for original in self.partition_map.forget_blocker(rule_id):
-                latency += self._reinstall_original(original)
+                latency += self.rule_manager.install(original, self._now)[1]
+        return latency
+
+    def _delete_fragments(self, origin_id: int, latency: float) -> float:
+        """Delete every live fragment of a partitioned logical rule.
+
+        Returns ``latency`` plus the seconds spent.  The partition map
+        still tracks the rule afterwards; the caller forgets it.
+        """
+        for fragment_id in self.partition_map.fragment_ids(origin_id):
+            latency += self._delete_physical(fragment_id)
         return latency
 
     def _repartition_shadow_against(self, new_main_rule: Rule) -> float:
@@ -604,45 +605,12 @@ class HermesInstaller(RuleInstaller):
         for origin_id in dominated_origins:
             if self.partition_map.is_partitioned(origin_id):
                 original = self.partition_map.original(origin_id)
-                for fragment_id in self.partition_map.fragment_ids(origin_id):
-                    latency += self._delete_physical(fragment_id)
+                latency = self._delete_fragments(origin_id, latency)
                 self.partition_map.forget(origin_id)
             else:
                 original = self.shadow.get(origin_id)
                 latency += self.shadow.delete(origin_id).latency
-            latency += self._reinstall_original(original)
-        return latency
-
-    def _reinstall_original(self, original: Rule) -> float:
-        latency = 0.0
-        outcome = partition_new_rule(
-            original, self.rule_manager.main_index.blockers_for(original)
-        )
-        for fragment in outcome.fragments:
-            table = self.main if self.shadow.is_full else self.shadow
-            latency += self._insert_resilient(table, fragment)
-        if outcome.was_partitioned:
-            self.partition_map.record(original, outcome)
-        return latency
-
-    def _insert_resilient(self, table, rule: Rule) -> float:
-        """Insert, surviving injected write faults.
-
-        Fault-free installs (no injector) are a plain ``insert`` — byte
-        identical to the seed.  Under injection the write is verified and
-        re-issued; an install that stays lost after the retry budget is
-        recorded in the fault log so experiments can count it.
-        """
-        if self.injector is None:
-            return table.insert(rule).latency
-        latency, ok = verified_insert(table, rule)
-        if not ok:
-            self.injector.log.record(
-                "install-lost",
-                time=self._now,
-                target=table.name,
-                rule_id=rule.rule_id,
-            )
+            latency += self.rule_manager.install(original, self._now)[1]
         return latency
 
     # ------------------------------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..faults.table import TcamWriteError, verified_insert
 from ..obs.tracer import get_tracer
@@ -36,8 +36,12 @@ from ..tcam.table import TcamTable
 from ..tcam.ternary import TernaryMatch
 from ..tcam.trie import PrefixRuleIndex
 from .correction import Corrector
-from .partition import PartitionMap, partition_new_rule
+from .guarantees import OPTIMIZER_UNIT_COST, optimizer_seconds
+from .partition import PartitionMap, PartitionOutcome, partition_new_rule
 from .prediction import Predictor
+
+#: Seconds per rule of the step-1 copy out of the shadow.
+COPY_UNIT_COST = 1e-7
 
 
 @dataclass(frozen=True)
@@ -180,10 +184,6 @@ class RuleManager:
         epoch: float = 0.05,
         optimize: bool = True,
         atomic: bool = True,
-        optimizer_unit_cost: float = 2e-6,
-        copy_unit_cost: float = 1e-7,
-        verify_writes: bool = False,
-        verify_migrations: bool = False,
         fault_log=None,
     ) -> None:
         """Wire the manager to its tables.
@@ -197,19 +197,6 @@ class RuleManager:
             epoch: prediction interval in seconds.
             optimize: enable the step-2 rule minimizer (ablation flag).
             atomic: insert-before-delete consistency (ablation flag).
-            optimizer_unit_cost: seconds of CPU per rule-sqrt(rules) unit of
-                optimizer work (calibrates the Fig 15(b) curve).
-            copy_unit_cost: seconds per rule for the step-1 copy.
-            verify_writes: check every step-3 write against the table and
-                re-issue lost ones — required under fault injection, where
-                a write can silently no-op and break the partition
-                invariant (a migrated rule the main table never received).
-            verify_migrations: run :func:`repro.analysis.verifier.
-                verify_moveplan` over each migration batch *before* it is
-                written, replaying every intermediate state of the planned
-                placement.  Findings accumulate in ``migration_violations``
-                and surface through the tracer; the migration proceeds
-                regardless (the checker is an observer, not a gate).
             fault_log: optional :class:`~repro.faults.log.FaultLog` to
                 record re-issues and permanently lost writes into.
         """
@@ -222,15 +209,9 @@ class RuleManager:
         self.epoch = epoch
         self.optimize = optimize
         self.atomic = atomic
-        self.optimizer_unit_cost = optimizer_unit_cost
-        self.copy_unit_cost = copy_unit_cost
-        self.verify_writes = verify_writes
-        self.verify_migrations = verify_migrations
         self.fault_log = fault_log
         self.reissued_writes = 0
         self.migrations: List[MigrationReport] = []
-        self.migration_violations: List = []
-        self.plans_verified = 0
         self._arrivals_this_epoch = 0
         self._epoch_start = 0.0
         self._stranded: List[Rule] = []
@@ -286,7 +267,7 @@ class RuleManager:
         )
         shadow_rules = self.shadow.rules()
         rules_copied = len(shadow_rules)
-        copy_time = self.copy_unit_cost * (rules_copied + self.main.occupancy)
+        copy_time = COPY_UNIT_COST * (rules_copied + self.main.occupancy)
         if rules_copied == 0:
             report = MigrationReport(
                 started_at=now,
@@ -303,12 +284,12 @@ class RuleManager:
 
         optimized, merged_away, optimizer_time = self._optimize(shadow_rules)
         self._stranded = []
-        if self.verify_migrations:
-            self._verify_migration_plan(optimized, now)
         if self.atomic:
             # Steps 3 then 4: the shadow is emptied only after the main
             # table holds everything (migration-consistency, Section 5.2).
-            write_time, gap_time, reissued = self._write_to_main(optimized, now)
+            write_time, gap_time, reissued, landed = self._write_to_main(
+                optimized, now
+            )
             clear_time = self.shadow.clear().latency
         else:
             # The naive ordering the paper warns against: clear first,
@@ -316,7 +297,9 @@ class RuleManager:
             # clear until its own write lands; the summed uncovered time is
             # the consistency cost the atomic protocol eliminates.
             clear_time = self.shadow.clear().latency
-            write_time, duplicate_gap, reissued = self._write_to_main(optimized, now)
+            write_time, duplicate_gap, reissued, landed = self._write_to_main(
+                optimized, now
+            )
             gap_time = duplicate_gap + len(optimized) * clear_time
             cumulative = 0.0
             for rule_index in range(len(optimized)):
@@ -325,12 +308,9 @@ class RuleManager:
                 gap_time += cumulative
         # Rules the main table had no room for stay behind in the shadow,
         # re-partitioned against the post-migration main table.
+        clear_time += self._strand_dominators(landed)
         for rule in self._stranded:
-            outcome = partition_new_rule(rule, self.main.rules())
-            for fragment in outcome.fragments:
-                clear_time += self._insert_shadow(fragment)
-            if outcome.was_partitioned:
-                self.partition_map.record(rule, outcome)
+            clear_time = self.install(rule, now, latency=clear_time)[1]
         self.reissued_writes += reissued
         report = MigrationReport(
             started_at=now,
@@ -360,6 +340,53 @@ class RuleManager:
         )
         return report
 
+    # ------------------------------------------------------------------
+    # Writes
+    # ------------------------------------------------------------------
+    def install(
+        self,
+        rule: Rule,
+        now: float,
+        latency: float = 0.0,
+        on_partition: Optional[
+            Callable[[List[Rule], PartitionOutcome], float]
+        ] = None,
+    ) -> Tuple[PartitionOutcome, float]:
+        """Algorithm 1 and its writes: the one way a rule enters the shadow.
+
+        Partitions ``rule`` against the higher-priority main-table rules
+        overlapping it, writes the fragments into the shadow (into the main
+        table once the shadow is full) and records the partition.
+        ``on_partition(blockers, outcome)`` runs between the partition and
+        the writes and returns seconds to charge ahead of them.
+
+        Returns:
+            The partition outcome, and ``latency`` plus the seconds spent.
+        """
+        blockers = self.main_index.blockers_for(rule)
+        outcome = partition_new_rule(rule, blockers)
+        if on_partition is not None:
+            latency += on_partition(blockers, outcome)
+        for fragment in outcome.fragments:
+            table = self.main if self.shadow.is_full else self.shadow
+            latency += self.insert_verified(table, fragment, now)
+        self.partition_map.record(rule, outcome)
+        return outcome, latency
+
+    def insert_verified(self, table: TcamTable, rule: Rule, now: float) -> float:
+        """Write ``rule`` into ``table`` and re-issue it until it lands.
+
+        A write still lost after the retry budget is recorded in the fault
+        log as ``install-lost``.  Without injected faults every write lands
+        on the first attempt.  Returns the seconds of every attempt.
+        """
+        latency, ok = verified_insert(table, rule)
+        if not ok and self.fault_log is not None:
+            self.fault_log.record(
+                "install-lost", time=now, target=table.name, rule_id=rule.rule_id
+            )
+        return latency
+
     def migrations_per_second(self, horizon: float) -> float:
         """Migration frequency over a horizon (the Fig 12(b) metric)."""
         if horizon <= 0:
@@ -375,7 +402,7 @@ class RuleManager:
         Returns (optimized rules, rules merged away, modelled CPU seconds).
         """
         if not self.optimize:
-            time_cost = self.optimizer_unit_cost * len(shadow_rules)
+            time_cost = OPTIMIZER_UNIT_COST * len(shadow_rules)
             return list(shadow_rules), 0, time_cost
 
         # Collapse fragment families back into their originals: safe once
@@ -408,10 +435,11 @@ class RuleManager:
 
         optimized = passthrough + collapsed
         merged_away = len(shadow_rules) - len(optimized)
-        work_units = len(shadow_rules) * max(
-            1.0, (len(shadow_rules) + self.main.occupancy) ** 0.5
+        return (
+            optimized,
+            merged_away,
+            optimizer_seconds(len(shadow_rules), self.main.occupancy),
         )
-        return optimized, merged_away, self.optimizer_unit_cost * work_units
 
     def _merge_family(
         self, origin_id: int, fragments: List[Rule], keep_ids: Set[int] = frozenset()
@@ -449,62 +477,26 @@ class RuleManager:
         )
         return survivors
 
-    def _insert_shadow(self, rule: Rule) -> float:
-        """Insert a stranded fragment back into the shadow, surviving faults."""
-        if not self.verify_writes:
-            return self.shadow.insert(rule).latency
-        latency, ok = verified_insert(self.shadow, rule)
-        if not ok and self.fault_log is not None:
-            self.fault_log.record(
-                "migration-strand-lost", time=0.0, target=self.shadow.name,
-                rule_id=rule.rule_id,
-            )
-        return latency
+    def _strand_dominators(self, landed: Dict[int, Rule]) -> float:
+        """Return to the stranded set every rule this migration wrote above
+        an overlapping stranded rule; returns the seconds the deletes took.
 
-    def _verify_migration_plan(self, optimized: List[Rule], now: float) -> None:
-        """Check the placement this migration is about to perform.
-
-        Mirrors the writer's own planning in :meth:`_write_to_main`: rules
-        dominating a resident entry take the online shifting path (they have
-        no zero-shift slot), refreshes of already-resident ids are handled
-        by the refresh protocol, and the remainder — capped at the main
-        table's free slots, exactly where the writer starts stranding — is
-        the planned batch.  That batch is replayed write-by-write over the
-        resident table so every intermediate lookup state is checked, not
-        just the final one.
+        Stranded rules go back into the emptied shadow.  Cut against a rule
+        of their own batch that landed above them, they could need more
+        fragments than the shadow holds (a stranded ``/0`` under a landed
+        ``/8`` becomes eight).  Kept in the shadow beside that rule, they
+        need only the cuts they had before the migration, so the stranded
+        set fits in the shadow it came from.
         """
-        # Imported lazily: repro.analysis' package __init__ pulls plotting
-        # and scipy helpers the migration path must not load unless a plan
-        # is actually being verified.
-        from ..analysis.verifier import verify_moveplan
-        from ..tcam.moveplan import plan_batch_placement
-
-        conflicted_ids = {
-            rule.rule_id
-            for rule in conflicts_with_resident(optimized, self.main_index)
-        }
-        batch = [
-            rule
-            for rule in sorted(optimized, key=lambda r: -r.priority)
-            if rule.rule_id not in conflicted_ids and rule.rule_id not in self.main
-        ]
-        free = max(0, self.main.capacity - self.main.occupancy)
-        batch = batch[:free]
-        if not batch:
-            return
-        resident = self.main.rules()
-        plan = plan_batch_placement(batch, resident, self.main.capacity)
-        violations = verify_moveplan(plan, resident, capacity=self.main.capacity)
-        self.plans_verified += 1
-        if violations:
-            self.migration_violations.extend(violations)
-            get_tracer().event(
-                "hermes.migration.plan-violation",
-                time=now,
-                category="hermes",
-                count=len(violations),
-                kinds=sorted({violation.kind for violation in violations}),
-            )
+        latency = 0.0
+        # The loop also visits the rules it appends: a returned rule can
+        # itself sit below another rule of the batch.
+        for stranded in self._stranded:
+            for blocker in self.main_index.blockers_for(stranded):
+                if landed.pop(blocker.rule_id, None) is not None:
+                    latency += self.main.delete(blocker.rule_id).latency
+                    self._stranded.append(blocker)
+        return latency
 
     def _insert_main(self, rule: Rule, planned: bool) -> Tuple[float, bool]:
         """One main-table write attempt; returns (latency, visibly_ok).
@@ -518,19 +510,22 @@ class RuleManager:
         except TcamWriteError as error:
             return error.latency, False
 
-    def _write_to_main(self, optimized: List[Rule], now: float = 0.0) -> Tuple[float, float, int]:
+    def _write_to_main(
+        self, optimized: List[Rule], now: float = 0.0
+    ) -> Tuple[float, float, int, Dict[int, Rule]]:
         """Step 3: write rules into the main table.
 
-        Returns (write seconds, transient-gap seconds, writes re-issued).
-        Rules whose id (or whose whole-match twin) already exists in the
-        main table are refreshed via the atomic (insert-then-delete) or
-        naive (delete-then-insert) protocol.
+        Returns (write seconds, transient-gap seconds, writes re-issued,
+        the rules that landed by id).  Rules whose id (or whose whole-match
+        twin) already exists in the main table are refreshed via the atomic
+        (insert-then-delete) or naive (delete-then-insert) protocol.
 
-        With ``verify_writes`` every write is checked against the table
-        afterwards and lost ones are re-issued — Algorithm 1's partition
-        invariant rests on migrated rules actually being in the main table,
-        so a silently failed write left unrepaired would leave a shadow
-        resident believing its blocker moved when it never arrived.
+        Every write is checked against the table afterwards and lost ones
+        are re-issued — Algorithm 1's partition invariant rests on migrated
+        rules actually being in the main table, so a silently failed write
+        left unrepaired would leave a shadow resident believing its blocker
+        moved when it never arrived.  Without injected faults every write
+        lands and the check costs one membership test per rule.
         """
         write_time = 0.0
         gap_time = 0.0
@@ -589,8 +584,7 @@ class RuleManager:
                 write_time += insert_latency + delete_latency
                 gap_time += insert_latency  # uncovered until re-inserted
                 expected.append((rule, planned, None))
-        if not self.verify_writes:
-            return write_time, gap_time, reissued
+        landed: Dict[int, Rule] = {}
         for rule, planned, stale_id in expected:
             if rule.rule_id not in self.main:
                 if self.main.is_full:
@@ -611,6 +605,7 @@ class RuleManager:
                     if stale_id is None or stale_id not in self.main:
                         self._stranded.append(rule)
                     continue
+            landed[rule.rule_id] = rule
             if stale_id is not None and stale_id in self.main:
                 write_time += self.main.delete(stale_id).latency
-        return write_time, gap_time, reissued
+        return write_time, gap_time, reissued, landed

@@ -28,7 +28,7 @@ back in.
 from .clock import Clock, SerialResource
 from .rng import RngStreams, child_seed
 from .scheduler import TIER_COMPLETION, TIER_DEFAULT, Event, EventScheduler
-from .sweep import SweepOutcome, SweepRunner, SweepTask, write_bench
+from .sweep import SweepOutcome, SweepRunner, SweepTask
 from . import replay
 
 __all__ = [
@@ -44,5 +44,4 @@ __all__ = [
     "TIER_DEFAULT",
     "child_seed",
     "replay",
-    "write_bench",
 ]

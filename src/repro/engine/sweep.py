@@ -22,15 +22,10 @@ than the serial loop on few-core machines.  The chunk size defaults to an
 auto heuristic (about four chunks per worker, for load balance) and is
 tunable per runner; chunking never changes results or their order, only
 how tasks are batched onto processes.
-
-:func:`write_bench` records sweep timings in the repo's ``BENCH_*.json``
-artifact convention (a ``format`` tag plus a payload dict).
 """
 
 from __future__ import annotations
 
-import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -151,18 +146,3 @@ class SweepRunner:
             workers=self.workers,
             elapsed_seconds=elapsed,
         )
-
-
-def write_bench(
-    path: str, format_tag: str, payload: dict, indent: Optional[int] = 2
-) -> str:
-    """Write a ``BENCH_*.json`` artifact (format tag first); returns path."""
-    document = {"format": format_tag}
-    document.update(payload)
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=indent)
-        handle.write("\n")
-    return path

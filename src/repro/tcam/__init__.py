@@ -5,14 +5,7 @@ memory (ordered storage, shift-on-insert), the empirical per-switch latency
 profiles from Table 1, and the slice-carving mechanism Hermes is built on.
 """
 
-from .moveplan import (
-    PlacementPlan,
-    conflicts_with_resident,
-    dependency_edges,
-    naive_shift_count,
-    plan_batch_placement,
-    topological_layers,
-)
+from .moveplan import conflicts_with_resident
 from .prefix import Prefix, covers_same_addresses, merge_prefixes
 from .trie import PrefixRuleIndex, PrefixTrie
 from .rule import Action, Rule
@@ -44,7 +37,6 @@ __all__ = [
     "EmpiricalTimingModel",
     "IdealTimingModel",
     "InsertOrder",
-    "PlacementPlan",
     "PrefixRuleIndex",
     "PrefixTrie",
     "Prefix",
@@ -61,13 +53,9 @@ __all__ = [
     "conflicts_with_resident",
     "covers_same_addresses",
     "dell_8132f",
-    "dependency_edges",
     "get_switch_model",
     "hp_5406zl",
     "ideal_switch",
     "merge_prefixes",
-    "naive_shift_count",
     "pica8_p3290",
-    "plan_batch_placement",
-    "topological_layers",
 ]

@@ -1,10 +1,10 @@
 """Known-bad fixture: environment/filesystem iteration-order hazards.
 
 Every function below iterates an OS-ordered source in an order-sensitive
-position.  The lint must flag each one, and ``lint --fix`` must rewrite
-every *provably safe* case (strings and Paths sort; ``os.scandir``'s
-``DirEntry`` objects do not).  Kept out of ``src/`` so the shipped-sources
-cleanliness test never sees it.
+position.  The lint must flag each one, and mark as ``fixable`` every case
+where ``sorted(...)`` is provably safe (strings and Paths sort;
+``os.scandir``'s ``DirEntry`` objects do not).  Kept out of ``src/`` so the
+shipped-sources cleanliness test never sees it.
 """
 
 import os

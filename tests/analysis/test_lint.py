@@ -12,8 +12,6 @@ from repro.analysis.lint import (
     UNSEEDED_RANDOM,
     WALL_CLOCK,
     WALLCLOCK_SEAM,
-    apply_fixes,
-    fix_paths,
     format_findings,
     lint_file,
     lint_paths,
@@ -23,7 +21,6 @@ from repro.analysis.lint import (
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO_ROOT = os.path.dirname(os.path.dirname(HERE))
 FIXTURE = os.path.join(HERE, "fixtures", "nondeterminism_bad.py")
-ENV_FIXTURE = os.path.join(HERE, "fixtures", "env_ordering_bad.py")
 LOOP_FIXTURE = os.path.join(HERE, "fixtures", "adhoc_event_loop_bad.py")
 
 
@@ -503,49 +500,6 @@ class TestEnvironmentOrdering:
             """
         )
         assert findings == []
-
-
-class TestAutofix:
-    def test_fixture_roundtrip_leaves_only_scandir(self):
-        with open(ENV_FIXTURE, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        findings = lint_file(ENV_FIXTURE)
-        assert len(findings) == 7
-        fixed, applied = apply_fixes(source, findings)
-        assert applied == 6
-        residual = lint_source(fixed, ENV_FIXTURE)
-        assert [finding.fixable for finding in residual] == [False]
-        assert "os.scandir" in residual[0].message
-
-    def test_fix_inserts_sorted_wrapper(self):
-        source = "import os\nnames = list(os.listdir('.'))\n"
-        fixed, applied = apply_fixes(source, lint_source(source))
-        assert applied == 1
-        assert "list(sorted(os.listdir('.')))" in fixed
-        assert lint_source(fixed) == []
-
-    def test_fix_preserves_unrelated_lines(self):
-        source = "import os\nx = 1\nfor k in os.environ:\n    pass\ny = 2\n"
-        fixed, applied = apply_fixes(source, lint_source(source))
-        assert applied == 1
-        assert "x = 1\n" in fixed and "y = 2\n" in fixed
-        assert "for k in sorted(os.environ):" in fixed
-
-    def test_fix_paths_rewrites_file_in_place(self, tmp_path):
-        target = tmp_path / "needs_fix.py"
-        target.write_text("import os\nnames = list(os.environ)\n")
-        results = fix_paths([str(tmp_path)])
-        assert results == [(str(target), 1)]
-        assert "list(sorted(os.environ))" in target.read_text()
-        assert lint_file(str(target)) == []
-
-    def test_fix_paths_leaves_clean_files_untouched(self, tmp_path):
-        target = tmp_path / "clean.py"
-        original = "import os\nnames = sorted(os.environ)\n"
-        target.write_text(original)
-        results = fix_paths([str(tmp_path)])
-        assert results == [(str(target), 0)]
-        assert target.read_text() == original
 
 
 class TestSharedPragmaHelper:

@@ -1,7 +1,8 @@
 """Mutation self-tests for the ruleset verifier.
 
 Each test seeds one deliberate corruption into a known-good table pair (or
-move plan) and asserts the matching checker reports *exactly* the expected
+a move plan, for the placement checker the test suite keeps as the
+migration writer's oracle) and asserts the matching checker reports *exactly* the expected
 violation kind — no more, no less.  The clean fixtures double as the
 no-false-positive check the verifier's severity model promises.
 
@@ -13,26 +14,26 @@ an ``...Oracle`` subclass, against the symbolic oracle's checker.
 import pytest
 
 from repro.analysis.ap import find_duplicate_entries, lookup_order
-from repro.analysis.verifier import (
-    verify_installer,
-    verify_moveplan,
-    verify_partition,
-)
+from repro.analysis.verifier import verify_installer, verify_partition
 from repro.analysis.violations import (
     DUPLICATE_ENTRY,
     EQUIVALENCE_MISMATCH,
-    MOVEPLAN_INVERSION,
-    MOVEPLAN_OVERFLOW,
-    MOVEPLAN_SLOT_CONFLICT,
     PRIORITY_INVERSION,
     SHADOWED_RULE,
     UNREACHABLE_RULE,
     Violation,
 )
-from repro.tcam.moveplan import PlacementPlan, plan_batch_placement
 from repro.tcam.rule import Action, Rule
 from repro.tcam.ternary import TernaryMatch
 from tests.analysis import symbolic_oracle as oracle
+from tests.tcam.moveplan_oracle import (
+    MOVEPLAN_INVERSION,
+    MOVEPLAN_OVERFLOW,
+    MOVEPLAN_SLOT_CONFLICT,
+    PlacementPlan,
+    plan_batch_placement,
+    verify_moveplan,
+)
 
 
 def R(pattern: str, priority: int, port: int = 1, rule_id: int = 0) -> Rule:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import GuaranteeSpec, HermesService, priority_at_least
+from repro.core import GuaranteeSpec, HermesConfig, HermesService, priority_at_least
 from repro.switchsim import FlowMod
 from repro.tcam import Action, Rule, dell_8132f, pica8_p3290
 
@@ -49,6 +49,20 @@ class TestCreateTCAMQoS:
         low = installer.apply(FlowMod.add(rule("11.0.0.0/8", 5)))
         assert high.used_guaranteed_path
         assert not low.used_guaranteed_path
+
+    def test_shared_config_is_not_aliased(self, service):
+        config = HermesConfig()
+        first = service.CreateTCAMQoS(
+            "edge-1", GuaranteeSpec.milliseconds(5), config=config
+        )
+        second = service.CreateTCAMQoS(
+            "edge-2", GuaranteeSpec.milliseconds(10), config=config
+        )
+        service.ModQoSConfig(second.shadow_id, GuaranteeSpec.milliseconds(1))
+        installer = service.installer(first.shadow_id)
+        assert installer.config.guarantee == GuaranteeSpec.milliseconds(5)
+        assert installer.shadow.capacity == first.shadow_capacity
+        assert config == HermesConfig()
 
     def test_duplicate_switch_registration_rejected(self, service):
         with pytest.raises(ValueError):

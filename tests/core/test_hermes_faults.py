@@ -30,7 +30,7 @@ def invariant_violations(hermes):
 
 class TestDegradedMode:
     def test_window_lifecycle(self):
-        hermes = make_hermes(degraded_window=1.0)
+        hermes = make_hermes()
         assert not hermes.is_degraded(0.0)
         hermes.enter_degraded(2.0)
         assert hermes.is_degraded(2.5)
@@ -38,7 +38,7 @@ class TestDegradedMode:
         assert not hermes.is_degraded(2.5)  # and stays cleared
 
     def test_repeated_entries_extend_not_shrink(self):
-        hermes = make_hermes(degraded_window=1.0)
+        hermes = make_hermes()
         hermes.enter_degraded(2.0, duration=5.0)
         hermes.enter_degraded(2.5)  # shorter window must not shrink the first
         assert hermes.is_degraded(6.0)
@@ -55,7 +55,7 @@ class TestDegradedMode:
         assert hermes.gate_keeper.reason_counts.get("degraded", 0) == 1
 
     def test_guarantee_returns_after_window(self):
-        hermes = make_hermes(degraded_window=1.0)
+        hermes = make_hermes()
         hermes.advance_time(1.0)
         hermes.enter_degraded(1.0)
         hermes.apply(FlowMod.add(rule("10.0.0.0/8", 50)))
@@ -104,9 +104,7 @@ class TestVerifiedWrites:
         assert hermes.rule_manager.reissued_writes > 0  # faults did land
         assert invariant_violations(hermes) == 0
         resident = hermes.shadow.occupancy + hermes.main.occupancy
-        lost = hermes.injector.log.count("install-lost") + hermes.injector.log.count(
-            "migration-strand-lost"
-        )
+        lost = hermes.injector.log.count("install-lost")
         assert resident + lost == installed
 
     def test_null_plan_injector_changes_nothing(self):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.verifier import verify_partition
 from repro.core import (
     CubicSplinePredictor,
     PartitionMap,
@@ -17,10 +18,23 @@ from repro.core.correction import DeadzoneCorrector, NoCorrection
 from repro.core.prediction import ArmaPredictor, EwmaPredictor
 from repro.faults import FaultInjector, FaultPlan, TcamWriteFault
 from repro.faults.table import FaultyTable
-from repro.tcam import Action, Prefix, Rule, TcamTable, TernaryMatch, pica8_p3290
+from repro.tcam import (
+    Action,
+    Prefix,
+    Rule,
+    TcamTable,
+    TernaryMatch,
+    ideal_switch,
+    pica8_p3290,
+)
 from repro.tcam.moveplan import conflicts_with_resident
 
 from ..tcam.conflict_oracle import pairwise_conflicts
+from ..tcam.moveplan_oracle import (
+    MOVEPLAN_INVERSION,
+    PlacementPlan,
+    capturing_writer,
+)
 
 
 def rule(prefix, priority, port=1):
@@ -262,7 +276,7 @@ class TestMainIndex:
         )
         manager = RuleManager(
             shadow, main, PartitionMap(), ThresholdTrigger(0.0),
-            verify_writes=True, fault_log=injector.log,
+            fault_log=injector.log,
         )
         for round_index in range(3):
             for index in range(10):
@@ -289,6 +303,23 @@ class TestMigrationWorkflow:
         assert report.rules_copied == 5
         assert report.rules_written == 5
         assert report.duration > 0
+
+    def test_stranded_rule_under_a_migrated_rule_fits_the_shadow(self):
+        timing = ideal_switch()
+        shadow = TcamTable(timing, capacity=4, name="shadow")
+        main = TcamTable(timing, capacity=3, name="main")
+        main.insert(rule("10.1.1.0/24", 5))
+        main.insert(rule("10.2.2.0/24", 6))
+        migrated, stranded = rule("10.0.0.0/8", 100), rule("0.0.0.0/0", 50)
+        reference = main.rules() + [migrated, stranded]
+        shadow.insert(migrated)
+        shadow.insert(stranded)
+        manager = RuleManager(shadow, main, PartitionMap(), ThresholdTrigger(0.0))
+        # The /8 fills the main table and the /0 is stranded.  Cut against
+        # the /8 it would need eight fragments in a four-entry shadow.
+        manager.migrate(now=0.0)
+        assert verify_partition(shadow, main, reference=reference) == []
+        assert_index_mirrors_main(manager)
 
     def test_empty_shadow_migration_is_cheap(self):
         manager, _, _, _ = make_manager(threshold=0.0)
@@ -437,53 +468,47 @@ class TestTick:
 
 
 class TestMigrationVerification:
-    def test_clean_migration_plan_verifies(self):
-        manager, shadow, main, _ = make_manager(
-            threshold=0.0, verify_migrations=True
+    """Every real migration batch the writer sends down the planned
+    (zero-shift) path must be plannable by the oracle with no finding."""
+
+    def test_clean_migration_plan_verifies(self, monkeypatch):
+        manager, shadow, main, _ = make_manager(threshold=0.0)
+        batches = []
+        monkeypatch.setattr(
+            manager, "_write_to_main", capturing_writer(manager, batches)
         )
         for index in range(4):
             shadow.insert(rule(f"10.{index}.0.0/16", 10 + index))
         manager.migrate(now=1.0)
-        assert manager.plans_verified == 1
-        assert manager.migration_violations == []
+        assert [len(batch.planned) for batch in batches] == [4]
+        assert batches[0].findings() == []
         assert main.occupancy == 4
 
-    def test_verification_off_by_default(self):
-        manager, shadow, _, _ = make_manager(threshold=0.0)
-        shadow.insert(rule("10.0.0.0/16", 10))
-        manager.migrate(now=1.0)
-        assert manager.plans_verified == 0
-        assert manager.migration_violations == []
-
     def test_sabotaged_plan_surfaces_inversion(self, monkeypatch):
-        from repro.tcam import moveplan
-
-        real = moveplan.plan_batch_placement
-
-        def reversed_plan(batch, resident, capacity):
-            plan = real(batch, resident, capacity)
-            return moveplan.PlacementPlan(
-                order=tuple(reversed(plan.order)),
-                slots=plan.slots,
-                moves_avoided=plan.moves_avoided,
-            )
-
-        monkeypatch.setattr(moveplan, "plan_batch_placement", reversed_plan)
-        manager, shadow, _, _ = make_manager(
-            threshold=0.0, verify_migrations=True
+        manager, shadow, _, _ = make_manager(threshold=0.0)
+        batches = []
+        monkeypatch.setattr(
+            manager, "_write_to_main", capturing_writer(manager, batches)
         )
         shadow.insert(rule("10.0.0.0/8", 10))
         shadow.insert(rule("10.0.0.0/16", 20))
         manager.migrate(now=1.0)
-        assert manager.plans_verified == 1
-        kinds = {
-            violation.kind for violation in manager.migration_violations
-        }
-        assert "moveplan-inversion" in kinds
+        (batch,) = batches
+        plan = batch.plan()
+        assert batch.findings(plan) == []
+        reversed_plan = PlacementPlan(
+            order=tuple(reversed(plan.order)),
+            slots=plan.slots,
+            moves_avoided=plan.moves_avoided,
+        )
+        kinds = {finding.kind for finding in batch.findings(reversed_plan)}
+        assert MOVEPLAN_INVERSION in kinds
 
-    def test_refresh_only_migration_skips_planning(self):
-        manager, shadow, main, _ = make_manager(
-            threshold=0.0, verify_migrations=True
+    def test_refresh_only_migration_skips_planning(self, monkeypatch):
+        manager, shadow, main, _ = make_manager(threshold=0.0)
+        batches = []
+        monkeypatch.setattr(
+            manager, "_write_to_main", capturing_writer(manager, batches)
         )
         migrated = rule("10.0.0.0/16", 10)
         main.insert(migrated)
@@ -491,5 +516,4 @@ class TestMigrationVerification:
         manager.migrate(now=1.0)
         # The only rule already lives in the main table, so the writer runs
         # its refresh protocol and there is no planned batch to verify.
-        assert manager.plans_verified == 0
-        assert manager.migration_violations == []
+        assert [batch.planned for batch in batches] == [()]

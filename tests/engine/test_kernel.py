@@ -22,7 +22,6 @@ from repro.engine import (
     SweepRunner,
     SweepTask,
     child_seed,
-    write_bench,
 )
 
 
@@ -329,17 +328,3 @@ class TestSweepRunner:
         outcome = SweepRunner(workers=2, chunksize=3).run(tasks)
         assert outcome.results == [n * n for n in range(7)]
         assert outcome.labels == [f"t{n}" for n in range(7)]
-
-
-class TestWriteBench:
-    def test_writes_format_tagged_json(self, tmp_path):
-        target = tmp_path / "results" / "BENCH_engine.json"
-        path = write_bench(
-            str(target), "hermes-engine-bench/1", {"rows": [1, 2]}
-        )
-        import json
-
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-        assert document["format"] == "hermes-engine-bench/1"
-        assert document["rows"] == [1, 2]

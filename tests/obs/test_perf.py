@@ -314,6 +314,12 @@ class TestAttributionOnFig08:
         )
         # TE planning is reported as its own layer, not as fair share.
         assert report.subsystems.get("te_plan", 0.0) > 0.0
+        # Every write is verified; with no faults injected none is
+        # re-issued.
+        assert all(
+            agent.installer.rule_manager.reissued_writes == 0
+            for agent in simulation.controller.agents.values()
+        )
 
 
 # ---------------------------------------------------------------------------

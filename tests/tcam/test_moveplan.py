@@ -1,20 +1,21 @@
-"""Tests for TCAM update planning (dependency analysis, placement)."""
+"""Tests for TCAM update planning: the shipped conflict check, and the
+placement planner oracle (dependency analysis, placement) it answers to."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.tcam import Action, Prefix, Rule, TernaryMatch
-from repro.tcam.moveplan import (
-    conflicts_with_resident,
+from repro.tcam.moveplan import conflicts_with_resident
+from repro.tcam.trie import PrefixRuleIndex
+
+from .conflict_oracle import pairwise_conflicts
+from .moveplan_oracle import (
     dependency_edges,
     naive_shift_count,
     plan_batch_placement,
     topological_layers,
 )
-from repro.tcam.trie import PrefixRuleIndex
-
-from .conflict_oracle import pairwise_conflicts
 
 
 def rule(prefix, priority, port=1):
