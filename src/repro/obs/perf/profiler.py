@@ -47,7 +47,9 @@ UNATTRIBUTED_LABELS = frozenset({"setup", "shutdown"})
 #: ``sim.<what>``.  A TE epoch is cut three ways: ``event:epoch`` keeps
 #: the read of rates and link utilization from the flow store (fair-share
 #: state), ``sim.te_plan`` the TE app's planning, and ``sim.te_install``
-#: the installs of the planned moves.
+#: the installs of the planned moves.  ``sim.rule_removal`` cuts the rule
+#: deletes that follow a completion or a path activation out of
+#: ``event:complete`` and ``event:activate``.
 _SUBSYSTEM_PREFIXES: Tuple[Tuple[str, str], ...] = (
     ("event:epoch", "fairshare"),
     ("event:complete", "completion"),
@@ -60,6 +62,7 @@ _SUBSYSTEM_PREFIXES: Tuple[Tuple[str, str], ...] = (
     ("sim.fairshare", "fairshare"),
     ("sim.te_plan", "te_plan"),
     ("sim.te_install", "installer"),
+    ("sim.rule_removal", "rule_removal"),
     ("span:flowmod", "channel"),
     ("span:channel", "channel"),
     ("span:agent.", "switch-cpu"),

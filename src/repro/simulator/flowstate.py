@@ -3,32 +3,56 @@
 The simulator keeps its per-flow state in columns, not one Python object
 per flow:
 
-* :class:`FlowStore` holds remaining-bytes / rate / flag / blackhole
-  columns as numpy arrays, plus a flat link×flow incidence structure
-  (per-row segments of dense link ids — a CSR whose ``indptr`` is the
-  ``(_seg_start, _seg_len)`` pair) rebuilt incrementally on path churn
-  and compacted when completed rows dominate.
-* :func:`columnar_max_min_fair_rates` / :meth:`FlowStore.recompute` run
-  progressive filling as array operations — gather the active incidence,
-  rank links by first encounter, then repeatedly freeze the bottleneck
-  link's flows with ``np.subtract.at``.
+* :class:`FlowStore` holds remaining-bytes / rate / flag / blackhole /
+  path-id columns as numpy arrays.  Each distinct path is interned once:
+  the store memoizes its id and its dense link-id list, so a row carries
+  only the path's id and a reroute rewrites one integer.
+* :func:`columnar_max_min_fair_rates` / :meth:`FlowStore.recompute` share
+  one progressive filling, :func:`_fill_paths`.  It runs over *distinct
+  paths with multiplicities* (path classes), not over flows, and takes
+  each bottleneck from a heap keyed by ``(share, first-encounter rank)``.
 
-**Exactness contract.**  The columnar filling is *bit-identical* to the
-dict reference :func:`~repro.simulator.fairshare.max_min_fair_rates`,
-not merely close: capacities enter as the same doubles, per-iteration
-shares are the same ``remaining / count`` divisions, bottleneck ties
-break toward the first-encountered link exactly as the dict's
-insertion-ordered strict ``<`` scan does, and every frozen flow
-subtracts the *same* bottleneck share — so the accumulation order of the
-subtractions (``np.subtract.at`` applies them sequentially) cannot
-change any float.  ``tests/simulator/test_flowstate.py`` pins the
-equality against that reference property-by-property.
+**Cost.**  With ``P`` distinct active paths, ``I`` (path, link)
+incidences among them and ``L`` links they use, one filling is
+O(n + I log L) for ``n`` active flows: one C-level count of the rows'
+path ids, one walk of each path's links to rank them, one walk of each
+path's links when it freezes, and at most ``L + I`` heap pushes.  No
+round rescans the surviving links or pairs.
+
+**Exactness contract.**  The filling is *bit-identical* to the dict
+reference :func:`~repro.simulator.fairshare.max_min_fair_rates`, not
+merely close.  Capacities enter as the same numbers and every share is
+the same ``remaining / count`` division.  The four steps from the flow
+loop to the heap are each exact:
+
+1. Flows on the same path always freeze together: a bottleneck link
+   freezes every flow on it, and same-path flows share every link.  So a
+   path class with ``m`` flows stands for its flows, and it adds ``m`` to
+   the count of each link it uses.
+2. Classes are ordered by their first member's row (admission order).
+   A later member of a class reaches no link its first member did not, so
+   first-encounter link ranks over classes equal those over rows: the
+   order the dict's ``flows_on_link`` is built in.
+3. A heap pop of the smallest ``(share, rank)`` picks the link that the
+   dict's strict-``<`` scan in first-encounter order picks (the lowest
+   share, ties to the lowest rank).  Each push records the link's current
+   share, and a popped entry is stale, and skipped, unless the link still
+   has flows and the entry's share equals the current one.
+4. Every frozen flow subtracts the *same* bottleneck share from each of
+   its links, one subtraction at a time (``m`` of them for a class of
+   ``m``), so each link's float sequence is the dict's.
+
+``tests/simulator/test_flowstate.py`` pins the equality against that
+reference, through random workloads and through random store churn.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, List, Mapping, Optional, Tuple
+from collections import Counter
+# det: allow(adhoc-event-loop) -- a priority queue of links for one filling, not of events
+from heapq import heapify, heappop, heappush
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,75 +65,92 @@ FLAG_HAS_RULES = np.uint8(0x2)
 FLAG_PENDING = np.uint8(0x4)
 
 
-def _progressive_fill(
-    rank_pairs: np.ndarray,
-    pair_pos: np.ndarray,
-    n_rows: int,
-    rem: np.ndarray,
-    n_links: int,
-    row_len: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Vectorized progressive filling over ranked incidence pairs.
+def _drain(
+    ranks: List[int],
+    flows: int,
+    share: float,
+    remaining: List[float],
+    count: List[int],
+) -> None:
+    """Walk a freezing path's links once: take its ``flows`` flows off
+    each link, subtracting ``share`` once per flow."""
+    for rank in ranks:
+        left = remaining[rank] - share
+        if flows > 1:
+            for _ in range(flows - 1):
+                left -= share
+        # det: allow(shared-state-mutation) -- the caller's scratch lists, local to one filling
+        remaining[rank], count[rank] = left, count[rank] - flows
+
+
+def _fill_paths(
+    paths: Sequence[Sequence[int]],
+    multiplicity: Sequence[int],
+    capacity: Sequence[float],
+) -> List[float]:
+    """Max-min fair rate per path class (see the module docstring).
 
     Args:
-        rank_pairs: dense first-encounter link rank per incidence pair,
-            flow-major in path order (the order the dict backend builds
-            ``flows_on_link`` in).
-        pair_pos: per pair, the position of its flow in the row ordering.
-        n_rows: number of flows being filled.
-        rem: remaining capacity per ranked link; mutated in place.
-        n_links: number of ranked links.
-        row_len: pairs per row position, when the caller already has it
-            (saves a bincount over the pairs).
+        paths: the link ids of each class, classes in the order of their
+            first member; no path may repeat a link.
+        multiplicity: the number of flows in each class.
+        capacity: capacity per link id.
 
     Returns:
-        float64 rates per row position (0.0 for rows never frozen, which
-        cannot happen for rows with at least one link).
-
-    Total work is O(pairs · log pairs + links²): one stable sort builds a
-    link→pairs CSR, each link is scanned at most once when it bottlenecks,
-    and each flow's pairs are subtracted exactly once when it freezes —
-    no per-iteration pass over the surviving pair set.  The bit-exactness
-    argument is order-free: every subtraction at a link removes the
-    *same* ``bottleneck_share``, so any ordering of the dead pairs yields
-    the identical float sequence the dict backend produces.
+        the rate of each class's flows, aligned with ``paths``:
+        :data:`UNCONSTRAINED_RATE` for a linkless path.
     """
-    rates = np.zeros(n_rows, dtype=np.float64)
-    counts = np.bincount(rank_pairs, minlength=n_links)
-    share = np.empty(n_links, dtype=np.float64)
-    alive = np.ones(n_rows, dtype=bool)
-    # Flow CSR: pairs are flow-major, so row r's pairs are the slice
-    # [row_start[r], row_start[r] + row_len[r]).
-    if row_len is None:
-        row_len = np.bincount(pair_pos, minlength=n_rows)
-    row_start = np.concatenate(([0], np.cumsum(row_len[:-1])))
-    # Link CSR: the stable sort keeps admission order within each link.
-    by_link = np.argsort(rank_pairs, kind="stable")
-    link_start = np.concatenate(([0], np.cumsum(counts)))
-    link_rows = pair_pos[by_link]
-    remaining_pairs = int(rank_pairs.size)
-    while remaining_pairs:
-        share.fill(np.inf)
-        np.divide(rem, counts, out=share, where=counts > 0)
-        # Ranks are first-encounter order, so argmin's lowest-index tie
-        # win reproduces the dict backend's strict-< first-seen pick.
-        bottleneck = int(np.argmin(share))
-        if not counts[bottleneck]:
-            break  # every remaining link is flowless
-        bottleneck_share = float(share[bottleneck])
-        candidates = link_rows[link_start[bottleneck] : link_start[bottleneck + 1]]
-        frozen = candidates[alive[candidates]]
-        alive[frozen] = False
-        dead_links = rank_pairs[
-            _gather_indices(row_start[frozen], row_len[frozen])
-        ]
-        # Sequential repeated subtraction of the *same* share — matching
-        # the dict backend's per-flow `remaining[link] -= share` loop
-        # bit-for-bit regardless of flow order.
-        np.subtract.at(rem, dead_links, bottleneck_share)
-        counts -= np.bincount(dead_links, minlength=n_links)
-        rates[frozen] = bottleneck_share if bottleneck_share > 0.0 else 0.0
-        remaining_pairs -= int(dead_links.size)
+    rank_of: Dict[int, int] = {}
+    remaining: List[float] = []
+    count: List[int] = []
+    members: List[List[int]] = []
+    ranked: List[List[int]] = []
+    rates = [0.0] * len(paths)
+    for index, (links, flows) in enumerate(zip(paths, multiplicity)):
+        ranks = []
+        for link in links:
+            rank = rank_of.get(link)
+            if rank is None:
+                rank = rank_of[link] = len(remaining)
+                remaining.append(capacity[link])
+                count.append(flows)
+                members.append([index])
+            else:
+                count[rank] += flows
+                members[rank].append(index)
+            ranks.append(rank)
+        ranked.append(ranks)
+        if not ranks:
+            rates[index] = UNCONSTRAINED_RATE
+    share = [left / flows for left, flows in zip(remaining, count)]
+    heap = list(zip(share, range(len(share))))
+    # det: allow(adhoc-event-loop) -- links keyed by (share, rank), not events
+    heapify(heap)
+    frozen = [False] * len(paths)
+    while heap:
+        # det: allow(adhoc-event-loop) -- links keyed by (share, rank), not events
+        bottleneck_share, bottleneck = heappop(heap)
+        # Stale unless the link still has flows and this is its current share.
+        if not count[bottleneck] or bottleneck_share != share[bottleneck]:
+            continue
+        rate = bottleneck_share if bottleneck_share > 0.0 else 0.0
+        touched = set()
+        for index in members[bottleneck]:
+            if frozen[index]:
+                continue
+            frozen[index] = True
+            rates[index] = rate
+            _drain(
+                ranked[index], multiplicity[index], bottleneck_share,
+                remaining, count,
+            )
+            touched.update(ranked[index])
+        # det: allow(unordered-iteration) -- push order cannot matter: pops follow the (share, rank) keys alone
+        for rank in touched:
+            if count[rank]:
+                share[rank] = remaining[rank] / count[rank]
+                # det: allow(adhoc-event-loop) -- links keyed by (share, rank), not events
+                heappush(heap, (share[rank], rank))
     return rates
 
 
@@ -117,7 +158,8 @@ def columnar_max_min_fair_rates(
     flow_paths: Mapping[Hashable, object],
     link_capacities: Mapping[Link, float],
 ) -> Dict[Hashable, float]:
-    """Array-backed max-min fair rates, bit-identical to the dict backend.
+    """Max-min fair rates by the path-class filling, bit-identical to the
+    dict backend.
 
     Same signature and contract as
     :func:`~repro.simulator.fairshare.max_min_fair_rates` (including the
@@ -130,41 +172,36 @@ def columnar_max_min_fair_rates(
         KeyError: when a path uses a link with no declared capacity.
     """
     rates: Dict[Hashable, float] = {}
-    flow_ids: List[Hashable] = []
-    lens: List[int] = []
-    pair_links: List[int] = []
-    link_rank: Dict[Link, int] = {}
-    caps: List[float] = []
+    link_id: Dict[Link, int] = {}
+    capacity: List[float] = []
+    classes: Dict[Tuple[Link, ...], List[Hashable]] = {}
     for flow_id, path in flow_paths.items():
-        links = list(path)
+        links = tuple(path)
         if not links:
             rates[flow_id] = UNCONSTRAINED_RATE
             continue
         if len(set(links)) != len(links):
             return max_min_fair_rates(flow_paths, link_capacities)
-        flow_ids.append(flow_id)
-        lens.append(len(links))
-        for link in links:
-            rank = link_rank.get(link)
-            if rank is None:
-                if link not in link_capacities:
-                    raise KeyError(f"flow {flow_id!r} uses unknown link {link}")
-                rank = link_rank[link] = len(caps)
-                caps.append(link_capacities[link])
-            pair_links.append(rank)
-    if not flow_ids:
-        return rates
-    rank_pairs = np.asarray(pair_links, dtype=np.int64)
-    pair_pos = np.repeat(
-        np.arange(len(flow_ids), dtype=np.int64),
-        np.asarray(lens, dtype=np.int64),
+        members = classes.get(links)
+        if members is None:
+            for link in links:
+                if link not in link_id:
+                    if link not in link_capacities:
+                        raise KeyError(
+                            f"flow {flow_id!r} uses unknown link {link}"
+                        )
+                    link_id[link] = len(capacity)
+                    capacity.append(link_capacities[link])
+            members = classes[links] = []
+        members.append(flow_id)
+    filled = _fill_paths(
+        [[link_id[link] for link in links] for links in classes],
+        [len(members) for members in classes.values()],
+        capacity,
     )
-    rem = np.asarray(caps, dtype=np.float64)
-    filled = _progressive_fill(
-        rank_pairs, pair_pos, len(flow_ids), rem, len(caps)
-    )
-    for pos, flow_id in enumerate(flow_ids):
-        rates[flow_id] = float(filled[pos])
+    for members, rate in zip(classes.values(), filled):
+        for flow_id in members:
+            rates[flow_id] = rate
     return rates
 
 
@@ -196,7 +233,12 @@ class FlowStore:
         self.link_capacity = np.array(
             [link_capacities[link] for link in links], dtype=np.float64
         )
-        self._path_arrays: Dict[Path, np.ndarray] = {}
+        # Interned paths: id per path, and per id the path and its
+        # dense link ids.
+        self._path_id: Dict[Path, int] = {}
+        self._path_of: List[Path] = []
+        self._path_links: List[List[int]] = []
+        self._link_table_cache: Optional[np.ndarray] = None
         capacity = max(int(capacity), 16)
         self._cap = capacity
         self.flow_id = np.zeros(capacity, dtype=np.int64)
@@ -204,12 +246,8 @@ class FlowStore:
         self.rate = np.zeros(capacity, dtype=np.float64)
         self.flags = np.zeros(capacity, dtype=np.uint8)
         self.blackholed_since = np.full(capacity, np.nan, dtype=np.float64)
-        self._seg_start = np.zeros(capacity, dtype=np.int64)
-        self._seg_len = np.zeros(capacity, dtype=np.int64)
+        self.path_id = np.zeros(capacity, dtype=np.int64)
         self._specs: List[Optional[object]] = [None] * capacity
-        self._paths: List[Optional[Path]] = [None] * capacity
-        self._seg_link = np.zeros(max(capacity * 4, 64), dtype=np.int32)
-        self._seg_used = 0
         self._row_of: Dict[int, int] = {}
         self.size = 0  # high-water row count since the last compaction
         self._active_rows_cache: Optional[np.ndarray] = None
@@ -248,28 +286,48 @@ class FlowStore:
     # ------------------------------------------------------------------
     # Row lifecycle
     # ------------------------------------------------------------------
-    def _links_of(self, path: Path) -> np.ndarray:
-        """Dense link-id array for a path (memoized per path).
+    def _intern(self, path: Path) -> int:
+        """The path's id, interning it (and its link ids) on first use.
 
         Raises:
             KeyError: when the path uses a link outside the topology.
+            ValueError: when the path traverses a link twice.
         """
-        array = self._path_arrays.get(path)
-        if array is None:
+        path_id = self._path_id.get(path)
+        if path_id is None:
             ids = []
             for link in path_links_cached(path):
                 link_id = self._link_id.get(link)
                 if link_id is None:
                     raise KeyError(f"path {path!r} uses unknown link {link}")
                 ids.append(link_id)
-            array = np.asarray(ids, dtype=np.int64)
-            self._path_arrays[path] = array
-        return array
+            if len(set(ids)) != len(ids):
+                raise ValueError(f"path {path!r} traverses a link twice")
+            path_id = self._path_id[path] = len(self._path_of)
+            self._path_of.append(path)
+            self._path_links.append(ids)
+            self._link_table_cache = None
+        return path_id
+
+    def _link_table(self) -> np.ndarray:
+        """Link ids per path id as a matrix, padded with ``len(links)``
+        (one past the last link id); rebuilt after a new path is interned."""
+        if self._link_table_cache is None:
+            width = max(map(len, self._path_links), default=0)
+            table = np.full(
+                (len(self._path_links), width),
+                self.link_capacity.size,
+                dtype=np.int64,
+            )
+            for path_id, links in enumerate(self._path_links):
+                table[path_id, : len(links)] = links
+            self._link_table_cache = table
+        return self._link_table_cache
 
     def _grow_rows(self) -> None:
         new_cap = self._cap * 2
         for name in ("flow_id", "remaining", "rate", "flags",
-                     "blackholed_since", "_seg_start", "_seg_len"):
+                     "blackholed_since", "path_id"):
             old = getattr(self, name)
             grown = np.zeros(new_cap, dtype=old.dtype)
             if name == "blackholed_since":
@@ -277,32 +335,20 @@ class FlowStore:
             grown[: self._cap] = old
             setattr(self, name, grown)
         self._specs.extend([None] * (new_cap - self._cap))
-        self._paths.extend([None] * (new_cap - self._cap))
         self._cap = new_cap
-
-    def _write_segment(self, row: int, links: np.ndarray) -> None:
-        need = int(links.size)
-        while self._seg_used + need > self._seg_link.size:
-            grown = np.zeros(self._seg_link.size * 2, dtype=np.int32)
-            grown[: self._seg_used] = self._seg_link[: self._seg_used]
-            self._seg_link = grown
-        start = self._seg_used
-        self._seg_link[start : start + need] = links
-        self._seg_start[row] = start
-        self._seg_len[row] = need
-        self._seg_used = start + need
 
     def add(self, spec, path: Path, has_installed_rules: bool = False) -> int:
         """Admit a flow (remaining bytes = ``spec.size``); returns its row.
 
         Raises:
-            ValueError: when the flow id is already active.
+            ValueError: when the flow id is already active, or the path
+                traverses a link twice.
             KeyError: when the path uses an unknown link.
         """
         flow_id = spec.flow_id
         if flow_id in self._row_of:
             raise ValueError(f"flow {flow_id} is already active")
-        links = self._links_of(path)
+        path_id = self._intern(path)
         if self.size == self._cap:
             if len(self._row_of) <= self.size // 2 and self.size >= 64:
                 self.compact()
@@ -317,9 +363,8 @@ class FlowStore:
             FLAG_HAS_RULES if has_installed_rules else np.uint8(0)
         )
         self.blackholed_since[row] = np.nan
-        self._write_segment(row, links)
+        self.path_id[row] = path_id
         self._specs[row] = spec
-        self._paths[row] = path
         self._row_of[flow_id] = row
         self._active_rows_cache = None
         return row
@@ -333,7 +378,6 @@ class FlowStore:
         row = self._row_of.pop(flow_id)
         self.flags[row] = np.uint8(0)
         self._specs[row] = None
-        self._paths[row] = None
         self._active_rows_cache = None
 
     def compact(self) -> None:
@@ -344,23 +388,13 @@ class FlowStore:
         """
         rows = self.active_rows()
         n = int(rows.size)
-        lens = self._seg_len[rows]
-        gathered = self._seg_link[_gather_indices(self._seg_start[rows], lens)]
         for name in ("flow_id", "remaining", "rate", "flags",
-                     "blackholed_since"):
+                     "blackholed_since", "path_id"):
             column = getattr(self, name)
             column[:n] = column[rows]
         self._specs[:n] = [self._specs[row] for row in rows.tolist()]
-        self._paths[:n] = [self._paths[row] for row in rows.tolist()]
         self._specs[n : self.size] = [None] * (self.size - n)
-        self._paths[n : self.size] = [None] * (self.size - n)
         self.flags[n : self.size] = np.uint8(0)
-        starts = np.zeros(n, dtype=np.int64)
-        np.cumsum(lens[:-1], out=starts[1:])
-        self._seg_start[:n] = starts
-        self._seg_len[:n] = lens
-        self._seg_link[: gathered.size] = gathered
-        self._seg_used = int(gathered.size)
         self.size = n
         self._row_of = {
             int(self.flow_id[row]): row for row in range(n)
@@ -368,20 +402,15 @@ class FlowStore:
         self._active_rows_cache = None
 
     def set_path(self, flow_id: int, path: Path) -> None:
-        """Repoint a flow's incidence segment at a new path.
+        """Repoint a flow at a new path.
 
-        Shrinking paths rewrite in place; growing ones append a fresh
-        segment (the old one is reclaimed by the next compaction).
+        Raises:
+            KeyError: for unknown/completed flows, or a path with an
+                unknown link.
+            ValueError: when the path traverses a link twice.
         """
         row = self._row_of[flow_id]
-        links = self._links_of(path)
-        if links.size <= self._seg_len[row]:
-            start = int(self._seg_start[row])
-            self._seg_link[start : start + links.size] = links
-            self._seg_len[row] = links.size
-        else:
-            self._write_segment(row, links)
-        self._paths[row] = path
+        self.path_id[row] = self._intern(path)
 
     # ------------------------------------------------------------------
     # Column accessors (by flow id)
@@ -392,7 +421,7 @@ class FlowStore:
 
     def path(self, flow_id: int) -> Path:
         """The flow's current path."""
-        return self._paths[self._row_of[flow_id]]
+        return self._path_of[self.path_id[self._row_of[flow_id]]]
 
     def _flag(self, flow_id: int, bit: np.uint8) -> bool:
         return bool(self.flags[self._row_of[flow_id]] & bit)
@@ -457,15 +486,9 @@ class FlowStore:
         best = int(np.argmin(etas))
         return float(etas[best]), int(self.flow_id[selected[best]])
 
-    def _gather_active(self):
-        """(rows, lens, gathered link ids) of the active incidence."""
-        rows = self.active_rows()
-        lens = self._seg_len[rows]
-        gathered = self._seg_link[_gather_indices(self._seg_start[rows], lens)]
-        return rows, lens, gathered
-
     def recompute(self) -> None:
-        """Recompute the rate column: vectorized max-min fair share.
+        """Recompute the rate column: max-min fair share over the active
+        flows' distinct paths.
 
         Bit-identical to running the dict backend over the same flows —
         see the module docstring's exactness contract.
@@ -473,29 +496,17 @@ class FlowStore:
         rows = self.active_rows()
         if rows.size == 0:
             return
-        lens = self._seg_len[rows]
-        empty = lens == 0
-        if empty.any():
-            self.rate[rows[empty]] = UNCONSTRAINED_RATE
-            rows = rows[~empty]
-            lens = lens[~empty]
-            if rows.size == 0:
-                return
-        gathered = self._seg_link[_gather_indices(self._seg_start[rows], lens)]
-        used, rank_pairs = _first_encounter_rank(gathered)
-        # int32 pair columns: link ranks and row positions are tiny, and
-        # the fill's radix sort and gathers are memory-bound — narrowing
-        # roughly halves their traffic.
-        pair_pos = np.repeat(np.arange(rows.size, dtype=np.int32), lens)
-        rem = self.link_capacity[used].copy()
-        self.rate[rows] = _progressive_fill(
-            rank_pairs,
-            pair_pos,
-            int(rows.size),
-            rem,
-            int(used.size),
-            row_len=lens,
+        path_ids = self.path_id[rows]
+        # Counter keeps first-insertion order: classes in first-member order.
+        classes = Counter(path_ids.tolist())
+        filled = _fill_paths(
+            [self._path_links[path_id] for path_id in classes],
+            list(classes.values()),
+            self.link_capacity.tolist(),
         )
+        by_path = np.empty(len(self._path_links), dtype=np.float64)
+        by_path[list(classes)] = filled
+        self.rate[rows] = by_path[path_ids]
 
     def utilization(self) -> Dict[Link, float]:
         """Per-link utilization, identical to
@@ -507,15 +518,22 @@ class FlowStore:
         link, so the TE planner's ``link in path_links_cached(path)`` tests
         and dict lookups succeed on identity, not tuple comparison.
         """
-        rows, lens, gathered = self._gather_active()
-        if gathered.size == 0:
+        rows = self.active_rows()
+        if rows.size == 0:
             return {}
-        weights = np.repeat(self.rate[rows], lens)
-        load = np.zeros(self.link_capacity.size, dtype=np.float64)
-        np.add.at(load, gathered, weights)
+        path_ids = self.path_id[rows]
+        table = self._link_table()
+        # Row-major adds: each link sums its flows' rates in admission
+        # order, as the dict reference does; padding lands in the extra slot.
+        load = np.zeros(self.link_capacity.size + 1, dtype=np.float64)
+        np.add.at(
+            load,
+            table[path_ids].ravel(),
+            np.repeat(self.rate[rows], table.shape[1]),
+        )
         first_key: Dict[int, Link] = {}
-        for row in rows.tolist():
-            for link in path_links_cached(self._paths[row]):
+        for path_id in dict.fromkeys(path_ids.tolist()):
+            for link in path_links_cached(self._path_of[path_id]):
                 first_key.setdefault(self._link_id[link], link)
         result: Dict[Link, float] = {}
         for link_id, link in first_key.items():
@@ -536,13 +554,11 @@ class FlowStore:
     def flows_on_link(self, link: Link) -> List[int]:
         """Active flow ids whose path traverses ``link``, admission order."""
         link_id = self._link_id.get(link)
-        if link_id is None:
+        rows = self.active_rows()
+        if link_id is None or rows.size == 0:
             return []
-        rows, lens, gathered = self._gather_active()
-        if gathered.size == 0:
-            return []
-        hits = np.unique(np.repeat(rows, lens)[gathered == link_id])
-        return [int(fid) for fid in self.flow_id[hits]]
+        hits = (self._link_table()[self.path_id[rows]] == link_id).any(axis=1)
+        return [int(fid) for fid in self.flow_id[rows[hits]]]
 
     # ------------------------------------------------------------------
     # TE snapshot
@@ -560,51 +576,13 @@ class FlowStore:
         flow_ids = self.flow_id[rows].tolist()
         rates = dict(zip(flow_ids, self.rate[rows].tolist()))
         pending = (self.flags[rows] & FLAG_PENDING).tolist()
+        path_ids = self.path_id[rows].tolist()
         flows: Dict[int, object] = {}
         eligible: Dict[int, Path] = {}
-        for flow_id, row, is_pending in zip(flow_ids, rows.tolist(), pending):
+        for flow_id, row, is_pending, path_id in zip(
+            flow_ids, rows.tolist(), pending, path_ids
+        ):
             flows[flow_id] = self._specs[row]
             if not is_pending:
-                eligible[flow_id] = self._paths[row]
+                eligible[flow_id] = self._path_of[path_id]
         return flows, eligible, rates
-
-
-def _gather_indices(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Flat indices of per-row segments ``[starts[k], starts[k]+lens[k])``,
-    concatenated in row order (the CSR row-gather trick)."""
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    offsets = np.zeros(lens.size, dtype=np.int64)
-    np.cumsum(lens[:-1], out=offsets[1:])
-    return np.repeat(starts - offsets, lens) + np.arange(total, dtype=np.int64)
-
-
-def _first_encounter_rank(gathered: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Rank links by first encounter in the gathered pair stream.
-
-    Returns ``(used, ranks)``: the raw link ids in first-encounter order,
-    and each pair's dense rank — the order the dict backend's
-    ``flows_on_link`` insertion gives, which is what bottleneck ties
-    break on.
-
-    Sort-free over the pairs: fancy assignment with duplicate indices
-    writes in index-array order (last wins), so scattering reversed
-    positions through the reversed stream leaves each link id holding its
-    *first* forward position — two O(pairs) passes plus an argsort over
-    the handful of used links.
-    """
-    if not gathered.size:
-        return gathered[:0], np.empty(0, dtype=np.int64)
-    universe = int(gathered.max()) + 1
-    present = np.zeros(universe, dtype=bool)
-    present[gathered] = True
-    first_index = np.empty(universe, dtype=np.int64)
-    first_index[gathered[::-1]] = np.arange(
-        gathered.size - 1, -1, -1, dtype=np.int64
-    )
-    ids = np.flatnonzero(present)
-    used = ids[np.argsort(first_index[ids], kind="stable")]
-    rank_of = np.empty(universe, dtype=np.int32)
-    rank_of[used] = np.arange(used.size, dtype=np.int32)
-    return used, rank_of[gathered]

@@ -385,8 +385,16 @@ class Simulation:
         self._store.remove(flow_id)
         self.metrics.flow_finished(flow_id, self.now)
         if had_rules:
-            self.controller.remove_flow_rules(spec, path, self.now)
+            self._remove_flow_rules(spec, path)
         self._recompute_rates()
+
+    def _remove_flow_rules(self, spec: FlowSpec, path: Path) -> None:
+        """Delete a flow's rules from the switches of ``path``; the
+        profiler books it as rule removal, not as the event that led here."""
+        profiler = self._scheduler.profiler
+        if profiler is not None:
+            profiler.mark("sim.rule_removal")
+        self.controller.remove_flow_rules(spec, path, self.now)
 
     def _run_te_epoch(self) -> None:
         if self._store:
@@ -448,7 +456,7 @@ class Simulation:
             store.set_blackhole_start(flow_id, None)
         self.metrics.flow_rerouted(flow_id)
         if had_rules:
-            self.controller.remove_flow_rules(spec, old_path, self.now)
+            self._remove_flow_rules(spec, old_path)
         self._recompute_rates()
 
     # ------------------------------------------------------------------

@@ -77,6 +77,8 @@ class TestSubsystemOf:
         assert subsystem_of("sim.fairshare") == "fairshare"
         assert subsystem_of("sim.te_plan") == "te_plan"
         assert subsystem_of("sim.te_install") == "installer"
+        # Rule deletes after a completion or a reroute are their own layer.
+        assert subsystem_of("sim.rule_removal") == "rule_removal"
 
     def test_unknown_labels_map_to_themselves(self):
         # New instrumentation points surface by name, never as "other".
@@ -312,8 +314,10 @@ class TestAttributionOnFig08:
         assert any(
             label.startswith("event:") for label in report.segments
         )
-        # TE planning is reported as its own layer, not as fair share.
+        # TE planning is reported as its own layer, not as fair share,
+        # and Hermes rule deletes as their own layer, not as completion.
         assert report.subsystems.get("te_plan", 0.0) > 0.0
+        assert report.subsystems.get("rule_removal", 0.0) > 0.0
         # Every write is verified; with no faults injected none is
         # re-issued.
         assert all(

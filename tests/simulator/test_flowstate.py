@@ -3,9 +3,11 @@
 Three layers of evidence that the simulator's :class:`FlowStore` data
 path is exact:
 
-* a hypothesis differential suite pinning the vectorized fair share
+* hypothesis differentials pinning the path-class fair share
   *bit-identical* (``==``, no tolerance) to the dict reference
-  :func:`max_min_fair_rates` on random topologies and workloads;
+  :func:`max_min_fair_rates`: on random workloads, and after every step
+  of random store churn (adds of many flows per path, removes, reroutes,
+  link failures) over integer capacities that force equal-share ties;
 * FlowStore unit tests for the row lifecycle (stable compaction, path
   churn, flags, link failure) checked against the dict references;
 * whole-simulation digests: arrival/completion workloads, TE, link
@@ -32,6 +34,7 @@ from repro.simulator import (
     columnar_max_min_fair_rates,
     max_min_fair_rates,
 )
+from repro.topology.routing import path_links_cached
 from repro.traffic.flows import FlowSpec
 
 from tests.engine.test_parity import _run_script
@@ -54,7 +57,7 @@ def spec(flow_id, size=1e6, start=0.0, src="h0", dst="h1"):
 
 
 class TestColumnarFairShareDifferential:
-    """The vectorized filling is bit-identical to the dict backend."""
+    """The path-class filling is bit-identical to the dict backend."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -121,6 +124,90 @@ class TestColumnarFairShareDifferential:
         ) == max_min_fair_rates(flow_paths, capacities)
 
 
+# Simple node paths over LINKS' nodes, one linkless (a same-host flow).
+CHURN_PATHS = [
+    ("a", "b"),
+    ("a", "b", "c"),
+    ("b", "c", "d"),
+    ("a", "d"),
+    ("a", "c", "d"),
+    ("d", "b", "a", "c"),
+    ("c", "d"),
+    ("b",),
+]
+
+_CHURN_STEP = st.one_of(
+    st.tuples(
+        st.just("add"),
+        st.integers(0, len(CHURN_PATHS) - 1),
+        st.integers(1, 4),
+    ),
+    st.tuples(st.just("remove"), st.integers(0, 10_000)),
+    st.tuples(
+        st.just("set_path"),
+        st.integers(0, 10_000),
+        st.integers(0, len(CHURN_PATHS) - 1),
+    ),
+    st.tuples(st.just("fail_link"), st.integers(0, len(LINKS) - 1)),
+)
+
+
+class TestFlowStoreChurnDifferential:
+    """``FlowStore.recompute`` equals the dict reference after every step
+    of random churn."""
+
+    # Capacities are small integers times a unit: equal integers force
+    # equal-share ties, and the inexact units make the float rounding
+    # depend on the tie-break and on the subtraction sequence.
+    @settings(max_examples=150, deadline=None)
+    @given(
+        capacities=st.lists(
+            st.integers(0, 12), min_size=len(LINKS), max_size=len(LINKS)
+        ),
+        unit=st.sampled_from([1.0, 0.1, 1e9 / 3]),
+        steps=st.lists(_CHURN_STEP, min_size=10, max_size=40),
+    )
+    def test_recompute_equals_reference_under_churn(
+        self, capacities, unit, steps
+    ):
+        caps = {
+            tuple(sorted(link)): value * unit
+            for link, value in zip(LINKS, capacities)
+        }
+        store = FlowStore(caps, capacity=16)  # small: grows and compacts
+        next_id = 0
+        for step in steps:
+            active = store.flow_ids()
+            if step[0] == "add":
+                # Several flows per path: path classes with multiplicity.
+                for _ in range(step[2]):
+                    store.add(spec(next_id), CHURN_PATHS[step[1]])
+                    next_id += 1
+            elif step[0] == "remove" and active:
+                store.remove(active[step[1] % len(active)])
+            elif step[0] == "set_path" and active:
+                store.set_path(
+                    active[step[1] % len(active)], CHURN_PATHS[step[2]]
+                )
+            elif step[0] == "fail_link":
+                link = tuple(sorted(LINKS[step[1]]))
+                store.fail_link(link)
+                caps[link] = 0.0
+            store.recompute()
+            reference = max_min_fair_rates(
+                {
+                    flow_id: path_links_cached(store.path(flow_id))
+                    for flow_id in store.flow_ids()
+                },
+                caps,
+            )
+            rates = {
+                flow_id: float(store.rate[store.row(flow_id)])
+                for flow_id in store.flow_ids()
+            }
+            assert rates == reference  # exact float equality, no tolerance
+
+
 class TestFlowStore:
     CAPS = {("a", "b"): 8.0, ("b", "c"): 4.0, ("c", "d"): 16.0}
 
@@ -146,6 +233,15 @@ class TestFlowStore:
         store = self.make()
         with pytest.raises(KeyError):
             store.add(spec(1), ("a", "z"))
+
+    def test_path_repeating_a_link_rejected(self):
+        store = self.make()
+        with pytest.raises(ValueError):
+            store.add(spec(1), ("a", "b", "a"))
+        store.add(spec(2), ("a", "b"))
+        with pytest.raises(ValueError):
+            store.set_path(2, ("b", "c", "b"))
+        assert store.path(2) == ("a", "b")
 
     def test_recompute_matches_reference(self):
         store = self.make()
@@ -203,10 +299,10 @@ class TestFlowStore:
     def test_set_path_shrink_and_grow(self):
         store = self.make()
         store.add(spec(1), ("a", "b", "c", "d"))
-        store.set_path(1, ("a", "b"))  # shrinks in place
+        store.set_path(1, ("a", "b"))  # a shorter path
         assert store.path(1) == ("a", "b")
         assert store.flows_on_link(("b", "c")) == []
-        store.set_path(1, ("b", "c", "d"))  # grows: fresh segment
+        store.set_path(1, ("b", "c", "d"))  # a longer one
         assert store.path(1) == ("b", "c", "d")
         assert store.flows_on_link(("b", "c")) == [1]
         assert store.flows_on_link(("a", "b")) == []
