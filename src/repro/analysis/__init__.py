@@ -1,7 +1,7 @@
 """Analysis: result statistics, plus static analysis for TCAM correctness.
 
-Two halves live here.  The *measurement* half (stats, replication, result
-tables) post-processes experiment output.  The *static-analysis* half
+Two halves live here.  The *measurement* half (stats, result tables)
+post-processes experiment output.  The *static-analysis* half
 ([docs/analysis.md](../../../docs/analysis.md)) checks the system itself:
 the ruleset verifier proves or refutes the shadow+main ≡ monolithic
 invariant over table snapshots, the determinism lint keeps
@@ -12,7 +12,6 @@ that depend on the kernel's insertion-order ``seq`` tie-break.
 """
 
 from .ap import (
-    AtomIndex,
     IncrementalPairChecker,
     attach_incremental_checker,
     build_universe,
@@ -36,7 +35,6 @@ from .races import (
     run_fixture,
     run_scenario,
 )
-from .replication import SeedSweep, replicate, replicate_many
 from .snapshot import (
     SnapshotDelta,
     TableSnapshot,
@@ -44,16 +42,9 @@ from .snapshot import (
     dump_snapshot,
     load_snapshot,
     read_snapshot,
-    snapshot_installer,
     snapshot_tables,
 )
-from .stats import (
-    cdf_at,
-    empirical_cdf,
-    increase_ratios,
-    median_improvement,
-    percentile_summary,
-)
+from .stats import increase_ratios, median_improvement, percentile_summary
 from .tables import ExperimentResult, format_cell, render_table
 from .verifier import verify_installer, verify_partition
 from .violations import Violation
@@ -62,7 +53,6 @@ __all__ = [
     "AMBIGUOUS_TIER",
     "SCHEDULE_ORDER_RACE",
     "SHARED_STATE_MUTATION",
-    "AtomIndex",
     "ExperimentResult",
     "IncrementalPairChecker",
     "LintFinding",
@@ -70,7 +60,6 @@ __all__ = [
     "RaceReport",
     "RaceSanitizer",
     "RaceWitness",
-    "SeedSweep",
     "SnapshotDelta",
     "TableSnapshot",
     "Violation",
@@ -78,10 +67,8 @@ __all__ = [
     "file_pragmas",
     "attach_incremental_checker",
     "build_universe",
-    "cdf_at",
     "diff_snapshots",
     "dump_snapshot",
-    "empirical_cdf",
     "find_duplicate_entries",
     "format_cell",
     "format_findings",
@@ -96,11 +83,8 @@ __all__ = [
     "percentile_summary",
     "read_snapshot",
     "render_table",
-    "replicate",
-    "replicate_many",
     "run_fixture",
     "run_scenario",
-    "snapshot_installer",
     "snapshot_tables",
     "verify_installer",
     "verify_partition",

@@ -25,22 +25,20 @@ Two universe backends:
   (capped), but exact, and cheap at the small widths where general ternary
   rules actually appear in this repo.
 
-The incremental half (:class:`AtomIndex`, :class:`IncrementalPairChecker`)
-maintains the atom boundary multiset and the cross-table inversion /
-duplicate findings under single-rule insert/delete/modify, so an online
-check costs O(log n + candidates) per table event instead of re-verifying
-the whole pair.
+The incremental half (:class:`IncrementalPairChecker`) maintains the
+cross-table inversion / duplicate findings under single-rule
+insert/delete/modify through per-table prefix overlap indexes, so an
+online check costs O(log n + candidates) per table event instead of
+re-verifying the whole pair.  It needs no atoms: an inversion is a
+priority comparison between two overlapping rules.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-try:  # numpy is a baked-in dependency, but keep the engine importable without it
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None
+import numpy as np
 
 from ..tcam.prefix import MAX_PREFIX_LEN
 from ..tcam.rule import Rule
@@ -101,32 +99,46 @@ def lookup_order(shadow: RuleSource, main: RuleSource) -> List[Rule]:
     return _rules_of(shadow) + _rules_of(main)
 
 
+def _duplicate_ids(tables: Iterable[Tuple[str, Iterable[int]]]) -> List[Violation]:
+    """One violation per repeat of a rule id, in the order the ids come.
+
+    ``tables`` yields ``(table name, resident rule ids)`` in lookup order;
+    an id's first occurrence is the copy every later one duplicates.
+    """
+    violations: List[Violation] = []
+    seen: Dict[int, str] = {}
+    for table_name, rule_ids in tables:
+        for rule_id in rule_ids:
+            first = seen.get(rule_id)
+            if first is None:
+                seen[rule_id] = table_name
+                continue
+            violations.append(
+                Violation(
+                    kind=DUPLICATE_ENTRY,
+                    message=(
+                        f"rule #{rule_id} is installed in {first} "
+                        f"and again in {table_name}"
+                    ),
+                    rule_ids=(rule_id,),
+                    table=f"{first}+{table_name}",
+                )
+            )
+    return violations
+
+
 def find_duplicate_entries(shadow: RuleSource, main: RuleSource) -> List[Violation]:
-    """Rule ids physically present more than once across the pair.
+    """Rule ids physically present more than once across the pair, in
+    physical lookup order.
 
     A retried FlowMod without xid dedup, or a migration that wrote a rule
     into the main table without clearing its shadow copy, leaves the same
     id resident twice; logical deletes then strand the survivor.
     """
-    violations: List[Violation] = []
-    seen: Dict[int, str] = {}
-    for table_name, rules in (("shadow", _rules_of(shadow)), ("main", _rules_of(main))):
-        for rule in rules:
-            if rule.rule_id in seen:
-                violations.append(
-                    Violation(
-                        kind=DUPLICATE_ENTRY,
-                        message=(
-                            f"rule #{rule.rule_id} is installed in "
-                            f"{seen[rule.rule_id]} and again in {table_name}"
-                        ),
-                        rule_ids=(rule.rule_id,),
-                        table=f"{seen[rule.rule_id]}+{table_name}",
-                    )
-                )
-            else:
-                seen[rule.rule_id] = table_name
-    return violations
+    return _duplicate_ids(
+        (name, [rule.rule_id for rule in _rules_of(table)])
+        for name, table in (("shadow", shadow), ("main", main))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +365,6 @@ def _inversion_pairs(
         return []
     if (
         universe.backend == "interval"
-        and np is not None
         and len(shadow_rules) * len(main_rules) >= _VECTORIZE_THRESHOLD
     ):
         count = len(main_rules)
@@ -563,88 +574,23 @@ def ap_shadowed_rules(table, universe, name: str = "table") -> List[Violation]:
 
 
 # ---------------------------------------------------------------------------
-# Incremental atom-set maintenance
+# Incremental checking
 # ---------------------------------------------------------------------------
-class AtomIndex:
-    """The atom boundary multiset, maintained under match insert/delete.
-
-    Boundaries are reference-counted so deleting one of two rules with the
-    same prefix does not tear the atom wall the survivor still needs.  Only
-    interval-representable matches contribute boundaries; general ternary
-    matches are counted but force :meth:`universe` to decline (callers fall
-    back to a full rebuild, which is the honest cost in that regime).
-    """
-
-    def __init__(self, width: int = MAX_PREFIX_LEN) -> None:
-        self.width = width
-        self._limit = 1 << width
-        self._counts: Dict[int, int] = {}
-        self._bounds: List[int] = [0, self._limit]
-        self.non_interval = 0
-
-    @property
-    def atom_count(self) -> int:
-        return len(self._bounds) - 1
-
-    def add_match(self, match: TernaryMatch) -> None:
-        interval = _contiguous_interval(match)
-        if interval is None:
-            self.non_interval += 1
-            return
-        for boundary in interval:
-            count = self._counts.get(boundary, 0)
-            if count == 0 and 0 < boundary < self._limit:
-                insort(self._bounds, boundary)
-            self._counts[boundary] = count + 1
-
-    def remove_match(self, match: TernaryMatch) -> None:
-        interval = _contiguous_interval(match)
-        if interval is None:
-            self.non_interval -= 1
-            return
-        for boundary in interval:
-            count = self._counts.get(boundary, 0)
-            if count <= 1:
-                self._counts.pop(boundary, None)
-                if 0 < boundary < self._limit:
-                    del self._bounds[bisect_left(self._bounds, boundary)]
-            else:
-                self._counts[boundary] = count - 1
-
-    def atom_range(self, match: TernaryMatch) -> Optional[range]:
-        """The current atom-id range of a registered match (None if not
-        interval-representable)."""
-        interval = _contiguous_interval(match)
-        if interval is None:
-            return None
-        lo, hi = interval
-        return range(bisect_left(self._bounds, lo), bisect_left(self._bounds, hi))
-
-    def universe(self) -> Optional[_IntervalUniverse]:
-        """An interval universe snapshot of the current boundaries, or None
-        when non-interval matches are resident."""
-        if self.non_interval:
-            return None
-        return _IntervalUniverse(list(self._bounds), self.width)
-
-
 class IncrementalPairChecker:
     """Algorithm 1 invariant checking at O(delta) per table event.
 
-    Mirrors a shadow/main pair rule-by-rule: each insert updates the atom
-    boundary multiset, the per-table prefix overlap index, and the live
-    inversion/duplicate findings by querying only the *opposite* table's
-    overlap candidates.  :meth:`violations` then costs O(current findings),
-    not O(table size) — the delta-proportional path the online verifier
-    rides.  Findings match :func:`~repro.analysis.verifier.verify_partition`
-    (errors only; occlusion warnings need global order and stay offline).
+    Mirrors a shadow/main pair rule-by-rule: each insert updates the
+    per-table prefix overlap index and the live inversion findings by
+    querying only the *opposite* table's overlap candidates.
+    :meth:`violations` then costs O(current findings), not O(table size) —
+    the delta-proportional path the online verifier rides.  Findings match
+    :func:`~repro.analysis.verifier.verify_partition` (errors only;
+    occlusion warnings need global order and stay offline).
     """
 
     TABLES = ("shadow", "main")
 
-    def __init__(self, width: int = MAX_PREFIX_LEN) -> None:
-        self.atoms = AtomIndex(width)
-        self.events = 0
+    def __init__(self) -> None:
         self._rules: Dict[str, Dict[int, List[Rule]]] = {
             name: {} for name in self.TABLES
         }
@@ -656,26 +602,22 @@ class IncrementalPairChecker:
 
     # -- mutation ------------------------------------------------------
     def insert(self, table: str, rule: Rule) -> None:
-        self.events += 1
         copies = self._rules[table].setdefault(rule.rule_id, [])
         copies.append(rule)
-        self.atoms.add_match(rule.match)
         if len(copies) == 1:
             self._indexes[table].add(rule)
         self._scan_against_other(table, rule)
 
     def remove(self, table: str, rule: Rule) -> None:
-        self.events += 1
         copies = self._rules[table].get(rule.rule_id)
         if not copies:
             return  # removal of a rule we never saw: nothing to retract
         for position, copy in enumerate(copies):
             if copy == rule:
-                removed = copies.pop(position)
+                copies.pop(position)
                 break
         else:
-            removed = copies.pop()
-        self.atoms.remove_match(removed.match)
+            copies.pop()
         side = 0 if table == "main" else 1
         for key in [k for k in self._inversions if k[side] == rule.rule_id]:
             del self._inversions[key]
@@ -706,35 +648,25 @@ class IncrementalPairChecker:
                     )
 
     # -- results -------------------------------------------------------
-    def _duplicate_violations(self) -> List[Violation]:
-        violations: List[Violation] = []
-        seen: Dict[int, str] = {}
-        for table_name in self.TABLES:
-            for rule_id in sorted(self._rules[table_name]):
-                occurrences = len(self._rules[table_name][rule_id])
-                if rule_id not in seen:
-                    seen[rule_id] = table_name
-                    occurrences -= 1
-                for _ in range(occurrences):
-                    violations.append(
-                        Violation(
-                            kind=DUPLICATE_ENTRY,
-                            message=(
-                                f"rule #{rule_id} is installed in "
-                                f"{seen[rule_id]} and again in {table_name}"
-                            ),
-                            rule_ids=(rule_id,),
-                            table=f"{seen[rule_id]}+{table_name}",
-                        )
-                    )
-        return violations
-
     def violations(self) -> List[Violation]:
-        """Current findings, same order contract as ``verify_partition``."""
-        found = list(self._inversions.values()) + self._duplicate_violations()
-        return sorted(
-            found, key=lambda v: (v.severity != "error", v.kind, v.rule_ids)
+        """Current findings (errors only), sorted by ``(kind, rule_ids)``.
+
+        ``verify_partition`` sorts by kind alone and keeps detection order
+        within a kind, so the two lists hold the same findings, not in the
+        same positions.  A duplicated id yields one finding per extra copy.
+        """
+        found = list(self._inversions.values()) + _duplicate_ids(
+            (
+                name,
+                (
+                    rule_id
+                    for rule_id in sorted(self._rules[name])
+                    for _ in self._rules[name][rule_id]
+                ),
+            )
+            for name in self.TABLES
         )
+        return sorted(found, key=lambda v: (v.kind, v.rule_ids))
 
     @property
     def rule_count(self) -> int:

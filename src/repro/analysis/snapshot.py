@@ -97,11 +97,6 @@ def snapshot_tables(
     return payload
 
 
-def snapshot_installer(installer, reference=None) -> dict:
-    """Snapshot a :class:`RuleInstaller` via its ``tables()`` seam."""
-    return snapshot_tables(installer.tables(), reference=reference)
-
-
 def load_snapshot(data: dict) -> TableSnapshot:
     """Parse a snapshot dict back into rule lists.
 

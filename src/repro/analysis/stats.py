@@ -1,34 +1,15 @@
-"""Statistical helpers: empirical CDFs and percentile summaries.
+"""Statistical helpers: percentile summaries and median comparisons.
 
 The paper reports almost everything as CDFs (Figures 1, 8, 9, 10) or
 percentile statements ("improves the median by 86%").  These helpers turn
-raw sample lists into those forms.
+raw sample lists into the percentiles the result tables print.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
-
-
-def empirical_cdf(values: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
-    """Return (sorted values, cumulative probabilities) for plotting.
-
-    Raises:
-        ValueError: on an empty sample.
-    """
-    if len(values) == 0:
-        raise ValueError("cannot build a CDF from an empty sample")
-    xs = np.sort(np.asarray(values, dtype=float))
-    ys = np.arange(1, len(xs) + 1) / len(xs)
-    return xs, ys
-
-
-def cdf_at(values: Sequence[float], probes: Sequence[float]) -> List[float]:
-    """Fraction of samples <= each probe value."""
-    xs = np.sort(np.asarray(values, dtype=float))
-    return [float(np.searchsorted(xs, probe, side="right")) / len(xs) for probe in probes]
 
 
 def percentile_summary(

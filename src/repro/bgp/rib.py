@@ -84,10 +84,6 @@ class Rib:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def best_route(self, prefix: Prefix) -> Optional[BgpRoute]:
-        """The current best route for a prefix, if any."""
-        return self._best.get(prefix)
-
     def best_routes(self) -> List[BgpRoute]:
         """All current best routes (one per reachable prefix)."""
         return list(self._best.values())

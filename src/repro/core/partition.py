@@ -236,10 +236,6 @@ class PartitionMap:
             raise KeyError(f"rule #{origin_id} is not partitioned")
         self._originals[origin_id] = updated
 
-    def tracked_originals(self) -> List[Rule]:
-        """All logical rules currently represented by fragments."""
-        return list(self._originals.values())
-
     def expected_partitions(self) -> float:
         """Mean fragments per partitioned rule — the r_p of Equation 2."""
         if not self._fragments:

@@ -39,9 +39,9 @@ def _run_chunk(func: Callable, chunk: Sequence[Tuple]) -> List[object]:
     return [func(*args) for args in chunk]
 
 
-def _run_task_chunk(tasks: Sequence["SweepTask"]) -> List[object]:
-    """Worker-side helper for heterogeneous :class:`SweepTask` chunks."""
-    return [task.func(*task.args) for task in tasks]
+def _run_task(task: "SweepTask") -> object:
+    """Run one :class:`SweepTask` (module-level so it pickles)."""
+    return task.func(*task.args)
 
 
 def _chunked(items: Sequence, size: int) -> List[Sequence]:
@@ -128,17 +128,7 @@ class SweepRunner:
         from ..obs.perf.wallclock import wallclock
 
         started = wallclock()
-        if self.workers == 1:
-            results = [task.func(*task.args) for task in tasks]
-        else:
-            chunks = _chunked(list(tasks), self._chunk_size_for(len(tasks)))
-            with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                futures = [
-                    pool.submit(_run_task_chunk, chunk) for chunk in chunks
-                ]
-                results = [
-                    result for future in futures for result in future.result()
-                ]
+        results = self.map(_run_task, [(task,) for task in tasks])
         elapsed = wallclock() - started
         return SweepOutcome(
             results=results,

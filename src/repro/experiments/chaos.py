@@ -122,8 +122,7 @@ def run_cell(
         te=TeAppConfig(epoch=0.25),
         baseline_occupancy=200,
         max_time=config.max_time,
-        channel=channel,
-        channel_config=ChannelConfig(),
+        channel_config=ChannelConfig() if channel == "resilient" else None,
         fault_plan=plan,
         fault_seed=config.seed,
     )

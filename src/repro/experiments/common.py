@@ -281,7 +281,6 @@ def canned_scenario(name: str):
             te=TeAppConfig(epoch=0.25),
             baseline_occupancy=200,
             max_time=2.5,
-            channel="resilient",
             channel_config=ChannelConfig(),
             fault_plan=plan,
             fault_seed=13,

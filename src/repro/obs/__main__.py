@@ -76,7 +76,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         te=TeAppConfig(epoch=0.25),
         baseline_occupancy=200,
         max_time=args.max_time,
-        channel="resilient",
         channel_config=ChannelConfig(),
         fault_plan=plan,
         fault_seed=args.seed,

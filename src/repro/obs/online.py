@@ -7,17 +7,17 @@ re-verifies the switch's installer and records the first sim-instant at
 which a violation exists.  The chaos harness attaches one per cell and
 reports the result through ``ExperimentResult.extras``.
 
-Checks default to the *incremental* atomic-predicate path
+Checks take the *incremental* path
 (:class:`repro.analysis.ap.IncrementalPairChecker`): installers exposing
 ``shadow``/``main`` tables with listener support get a live mirror updated
 per rule event, so each sampled check costs O(current findings) instead of
-re-verifying the whole pair.  Installers without that seam (monolithic
-schemes, bare snapshots) silently fall back to full verification.
+re-verifying the whole pair.  Full verification is only the fallback for
+installers without that seam (monolithic schemes, bare snapshots).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from .tracer import RecordingTracer
 
@@ -29,18 +29,9 @@ class OnlineVerifier:
         installers: mapping of switch name to the installer to verify.
         every: verify a switch after this many of its completed actions
             (1 = after every action; higher values sample).
-        incremental: maintain per-installer incremental checkers where the
-            installer supports it (False forces full verification on every
-            sampled check — the pre-AP behavior, kept for differential
-            tests).
     """
 
-    def __init__(
-        self,
-        installers: Dict[str, object],
-        every: int = 25,
-        incremental: bool = True,
-    ) -> None:
+    def __init__(self, installers: Dict[str, object], every: int = 25) -> None:
         if every < 1:
             raise ValueError(f"every must be >= 1: {every}")
         self.installers = dict(installers)
@@ -50,14 +41,16 @@ class OnlineVerifier:
         self.first_violation: Optional[dict] = None
         self._action_counts: Dict[str, int] = {}
         self._checkers: Dict[str, object] = {}
-        if incremental:
-            # Imported lazily for the same reason as verify_installer below.
-            from ..analysis.ap import attach_incremental_checker
+        # Imported lazily: every simulation loads repro.obs (the tracer
+        # lives here), and a module-level import would load all of
+        # repro.analysis (lint, races, snapshots) into processes that never
+        # verify.  Only a process that builds an OnlineVerifier pays.
+        from ..analysis.ap import attach_incremental_checker
 
-            for name, installer in self.installers.items():
-                checker = attach_incremental_checker(installer)
-                if checker is not None:
-                    self._checkers[name] = checker
+        for name, installer in self.installers.items():
+            checker = attach_incremental_checker(installer)
+            if checker is not None:
+                self._checkers[name] = checker
 
     def attach(self, tracer: RecordingTracer) -> "OnlineVerifier":
         """Subscribe to ``tracer``; returns self for chaining."""
@@ -80,9 +73,7 @@ class OnlineVerifier:
         if checker is not None:
             violations = checker.violations()
         else:
-            # Imported lazily: the verifier lives in repro.analysis, whose
-            # package __init__ pulls plotting/scipy helpers this hot path
-            # must not load unless verification actually runs.
+            # Lazy for the reason given in __init__.
             from ..analysis.verifier import verify_installer
 
             violations = verify_installer(self.installers[switch])
@@ -103,7 +94,3 @@ class OnlineVerifier:
             "violations_found": self.violations_found,
             "first_violation": self.first_violation,
         }
-
-    def violation_times(self) -> List[float]:
-        """Sim-instants of violations seen so far (first only, today)."""
-        return [self.first_violation["time"]] if self.first_violation else []

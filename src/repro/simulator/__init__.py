@@ -14,7 +14,7 @@ from .fairshare import (
     link_utilization,
     max_min_fair_rates,
 )
-from .flowstate import FlowStore, columnar_max_min_fair_rates
+from .flowstate import FlowStore
 from .metrics import FlowRecord, MetricsCollector
 from .sdnapp import ProactiveTeApp, Reroute, TeAppConfig
 from .simulation import Simulation, SimulationConfig
@@ -33,7 +33,6 @@ __all__ = [
     "SimulationConfig",
     "TeAppConfig",
     "UNCONSTRAINED_RATE",
-    "columnar_max_min_fair_rates",
     "flow_match",
     "flow_rule_priority",
     "flow_sort_key",

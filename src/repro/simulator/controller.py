@@ -25,7 +25,7 @@ from ..switchsim.channel import (
     ResilientChannel,
 )
 from ..switchsim.installer import RuleInstaller
-from ..switchsim.messages import FlowMod, FlowModCommand
+from ..switchsim.messages import FlowMod
 from ..tcam.rule import Action, Rule
 from ..tcam.ternary import TernaryMatch
 from ..topology.routing import Path, path_switches
@@ -63,18 +63,12 @@ class InstallOutcome:
         ready_time: when the new path is fully programmed (all switches
             done) and the flow may switch over.
         per_switch_rits: rule-installation time at each switch touched.
-        per_switch_queue_delays: switch-CPU queueing delay of each
-            delivered FlowMod — the queue share of the RIT breakdown.
-        retries: control-channel redeliveries this installation needed
-            (always 0 on the naive channel).
         undelivered: FlowMods that never took effect on their switch —
             blackholed installs on a lossy channel.
     """
 
     ready_time: float
     per_switch_rits: List[float] = field(default_factory=list)
-    per_switch_queue_delays: List[float] = field(default_factory=list)
-    retries: int = 0
     undelivered: int = 0
 
 
@@ -87,7 +81,6 @@ class SdnController:
         installer_factory: InstallerFactory,
         control_rtt: float = 0.25e-3,
         injector=None,
-        channel: str = "naive",
         channel_config: Optional[ChannelConfig] = None,
         clock: Optional[Clock] = None,
     ) -> None:
@@ -101,17 +94,16 @@ class SdnController:
                 (data-center default 250 us; WAN experiments pass more).
             injector: optional :class:`~repro.faults.injector.FaultInjector`
                 shared by every agent and channel of this controller.
-            channel: ``"naive"`` (fire-and-forget, the seed behaviour) or
-                ``"resilient"`` (retry/backoff/dedup/breaker).
-            channel_config: resilient-channel tunables; ignored for naive.
+            channel_config: None for the naive channel (fire-and-forget,
+                the seed behaviour); a :class:`ChannelConfig` selects the
+                resilient channel (retry/backoff/dedup/breaker) with those
+                tunables.
             clock: shared kernel clock every agent and channel derives its
                 virtual time from; None creates one for this controller.
         """
         if control_rtt < 0:
             raise ValueError(f"control_rtt cannot be negative: {control_rtt}")
-        if channel not in ("naive", "resilient"):
-            raise ValueError(f"unknown channel kind: {channel!r}")
-        if channel == "resilient" and injector is None:
+        if channel_config is not None and injector is None:
             raise ValueError("the resilient channel requires a fault injector")
         self.graph = graph
         self.control_rtt = control_rtt
@@ -129,7 +121,7 @@ class SdnController:
         }
         self.channels: Dict[str, Channel] = {}
         for node, agent in self.agents.items():
-            if channel == "resilient":
+            if channel_config is not None:
                 # A breaker opening means the switch stopped acking — if the
                 # scheme can degrade (Hermes), tell it to stop promising.
                 enter_degraded = getattr(agent.installer, "enter_degraded", None)
@@ -222,13 +214,10 @@ class SdnController:
                     flow_id = assignments[index][0].flow_id
                     self._flow_rules.pop((flow_id, switch), None)
                     outcomes[index].undelivered += 1
-                    outcomes[index].retries += sent.retries
                 continue
             for (index, _rule), action in zip(entries, sent.completed):
                 outcome = outcomes[index]
                 outcome.per_switch_rits.append(action.response_time)
-                outcome.per_switch_queue_delays.append(action.queue_delay)
-                outcome.retries += sent.retries
                 # The resilient channel's ack can trail the last TCAM write
                 # (redelivery); the path is only usable once the controller
                 # has heard back.
@@ -269,29 +258,9 @@ class SdnController:
     # ------------------------------------------------------------------
     # Aggregate telemetry
     # ------------------------------------------------------------------
-    def all_rits(self) -> List[float]:
-        """Response times of every ADD processed by any switch agent."""
-        rits: List[float] = []
-        for agent in self.agents.values():
-            for completed in agent.history():
-                if completed.flow_mod.command is FlowModCommand.ADD:
-                    rits.append(completed.response_time)
-        return rits
-
     def total_violations(self) -> int:
         """Guarantee violations across Hermes-managed switches (0 otherwise)."""
         total = 0
         for agent in self.agents.values():
             total += getattr(agent.installer, "violations", 0)
         return total
-
-    def total_channel_retries(self) -> int:
-        """Control-channel redeliveries across every switch."""
-        return sum(channel.stats.retries for channel in self.channels.values())
-
-    def total_channel_losses(self) -> int:
-        """Sends that never took effect (give-ups plus breaker fast-fails)."""
-        return sum(
-            channel.stats.give_ups + channel.stats.fast_fails
-            for channel in self.channels.values()
-        )

@@ -7,10 +7,10 @@ per flow:
   path-id columns as numpy arrays.  Each distinct path is interned once:
   the store memoizes its id and its dense link-id list, so a row carries
   only the path's id and a reroute rewrites one integer.
-* :func:`columnar_max_min_fair_rates` / :meth:`FlowStore.recompute` share
-  one progressive filling, :func:`_fill_paths`.  It runs over *distinct
-  paths with multiplicities* (path classes), not over flows, and takes
-  each bottleneck from a heap keyed by ``(share, first-encounter rank)``.
+* :meth:`FlowStore.recompute` runs one progressive filling,
+  :func:`_fill_paths`.  It runs over *distinct paths with multiplicities*
+  (path classes), not over flows, and takes each bottleneck from a heap
+  keyed by ``(share, first-encounter rank)``.
 
 **Cost.**  With ``P`` distinct active paths, ``I`` (path, link)
 incidences among them and ``L`` links they use, one filling is
@@ -52,12 +52,12 @@ import math
 from collections import Counter
 # det: allow(adhoc-event-loop) -- a priority queue of links for one filling, not of events
 from heapq import heapify, heappop, heappush
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..topology.routing import Path, path_links_cached
-from .fairshare import Link, UNCONSTRAINED_RATE, max_min_fair_rates
+from .fairshare import Link, UNCONSTRAINED_RATE
 
 #: Flag bits of the :class:`FlowStore` ``flags`` column.
 FLAG_ACTIVE = np.uint8(0x1)
@@ -151,57 +151,6 @@ def _fill_paths(
                 share[rank] = remaining[rank] / count[rank]
                 # det: allow(adhoc-event-loop) -- links keyed by (share, rank), not events
                 heappush(heap, (share[rank], rank))
-    return rates
-
-
-def columnar_max_min_fair_rates(
-    flow_paths: Mapping[Hashable, object],
-    link_capacities: Mapping[Link, float],
-) -> Dict[Hashable, float]:
-    """Max-min fair rates by the path-class filling, bit-identical to the
-    dict backend.
-
-    Same signature and contract as
-    :func:`~repro.simulator.fairshare.max_min_fair_rates` (including the
-    ``KeyError`` on unknown links and the sentinel rate for empty paths);
-    paths that repeat a link — which :func:`~repro.topology.routing.
-    path_links` never produces — fall back to the reference backend so
-    the duplicate-subtraction semantics stay identical.
-
-    Raises:
-        KeyError: when a path uses a link with no declared capacity.
-    """
-    rates: Dict[Hashable, float] = {}
-    link_id: Dict[Link, int] = {}
-    capacity: List[float] = []
-    classes: Dict[Tuple[Link, ...], List[Hashable]] = {}
-    for flow_id, path in flow_paths.items():
-        links = tuple(path)
-        if not links:
-            rates[flow_id] = UNCONSTRAINED_RATE
-            continue
-        if len(set(links)) != len(links):
-            return max_min_fair_rates(flow_paths, link_capacities)
-        members = classes.get(links)
-        if members is None:
-            for link in links:
-                if link not in link_id:
-                    if link not in link_capacities:
-                        raise KeyError(
-                            f"flow {flow_id!r} uses unknown link {link}"
-                        )
-                    link_id[link] = len(capacity)
-                    capacity.append(link_capacities[link])
-            members = classes[links] = []
-        members.append(flow_id)
-    filled = _fill_paths(
-        [[link_id[link] for link in links] for links in classes],
-        [len(members) for members in classes.values()],
-        capacity,
-    )
-    for members, rate in zip(classes.values(), filled):
-        for flow_id in members:
-            rates[flow_id] = rate
     return rates
 
 

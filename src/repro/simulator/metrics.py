@@ -48,10 +48,7 @@ class MetricsCollector:
     def __init__(self) -> None:
         self._flows: Dict[int, FlowRecord] = {}
         self._rits: List[float] = []
-        self._queue_delays: List[float] = []
-        self._retries = 0
         self._undelivered = 0
-        self._fault_counts: Dict[str, int] = {}
         self._peak_active = 0
 
     # ------------------------------------------------------------------
@@ -77,34 +74,19 @@ class MetricsCollector:
         """Record one rule installation time."""
         self._rits.append(latency)
 
-    def record_queue_delay(self, delay: float) -> None:
-        """Record one action's switch-CPU queueing delay (the RIT share
-        spent waiting, as opposed to executing against the TCAM)."""
-        self._queue_delays.append(delay)
-
-    def record_retries(self, count: int) -> None:
-        """Count control-channel redeliveries."""
-        if count < 0:
-            raise ValueError(f"retry count cannot be negative: {count}")
-        self._retries += count
-
     def record_undelivered(self, count: int) -> None:
         """Count FlowMods that never took effect on their switch."""
         if count < 0:
             raise ValueError(f"undelivered count cannot be negative: {count}")
         self._undelivered += count
 
-    def record_fault(self, kind: str, count: int = 1) -> None:
-        """Count injected fault events by kind (mirrors the FaultLog)."""
-        self._fault_counts[kind] = self._fault_counts.get(kind, 0) + count
-
     def record_active_peak(self, count: int) -> None:
         """Track the high-water mark of concurrently active flows.
 
-        The simulator reports its backend's live count (``len`` of the
-        columnar :class:`~repro.simulator.flowstate.FlowStore` or of the
-        object dict) after each admission; the collector keeps the max —
-        the concurrency the scaling curve reports against.
+        The simulator reports the live count (``len`` of its
+        :class:`~repro.simulator.flowstate.FlowStore`) after each
+        admission; the collector keeps the max — the concurrency the
+        scaling curve reports against.
         """
         if count > self._peak_active:
             self._peak_active = count
@@ -123,10 +105,6 @@ class MetricsCollector:
     def rits(self) -> List[float]:
         """All recorded rule installation times."""
         return list(self._rits)
-
-    def queue_delays(self) -> List[float]:
-        """Per-action queueing delays (pairs with :meth:`rits`)."""
-        return list(self._queue_delays)
 
     def jcts(self) -> Dict[int, float]:
         """Per-job completion times (only jobs whose flows all completed)."""
@@ -148,31 +126,13 @@ class MetricsCollector:
             if job_id not in incomplete
         }
 
-    def job_bytes(self) -> Dict[int, float]:
-        """Total bytes per job (for the short/long split of Figure 1)."""
-        totals: Dict[int, float] = {}
-        for record in self._flows.values():
-            job_id = record.spec.job_id
-            if job_id is None:
-                continue
-            totals[job_id] = totals.get(job_id, 0.0) + record.spec.size
-        return totals
-
     def total_reroutes(self) -> int:
         """TE path changes across all flows."""
         return sum(record.reroutes for record in self._flows.values())
 
-    def retry_total(self) -> int:
-        """Control-channel redeliveries across the run."""
-        return self._retries
-
     def undelivered_total(self) -> int:
         """FlowMods that never took effect across the run."""
         return self._undelivered
-
-    def fault_counts(self) -> Dict[str, int]:
-        """Injected fault events by kind."""
-        return dict(self._fault_counts)
 
     @property
     def peak_active(self) -> int:

@@ -46,9 +46,10 @@ class SimulationConfig:
         baseline_occupancy: background rules pre-installed per switch —
             production tables are never empty, and occupancy is what makes
             TCAM inserts slow (Table 1).
-        channel: controller→switch delivery, ``"naive"`` (fire-and-forget,
-            the seed behaviour) or ``"resilient"`` (retry/backoff/dedup).
-        channel_config: resilient-channel tunables (None = defaults).
+        channel_config: controller→switch delivery.  None is the naive
+            channel (fire-and-forget, the seed behaviour); a
+            :class:`~repro.switchsim.channel.ChannelConfig` selects the
+            resilient channel (retry/backoff/dedup) with those tunables.
         fault_plan: optional :class:`~repro.faults.spec.FaultPlan` injected
             into every agent, table, and channel of the run.  None (or an
             all-zero plan with the naive channel) leaves results
@@ -69,16 +70,11 @@ class SimulationConfig:
     initial_path_policy: str = "ecmp-hash"
     routing_mode: str = "proactive"
     link_failures: tuple = ()  # ((time, (node_a, node_b)), ...)
-    channel: str = "naive"
     channel_config: Optional[ChannelConfig] = None
     fault_plan: Optional[FaultPlan] = None
     fault_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.channel not in ("naive", "resilient"):
-            raise ValueError(
-                f"channel must be 'naive' or 'resilient': {self.channel!r}"
-            )
         if self.initial_path_policy not in ("ecmp-hash", "static"):
             raise ValueError(
                 "initial_path_policy must be 'ecmp-hash' (hash flows over the "
@@ -123,7 +119,8 @@ class Simulation:
         self.graph = graph
         self.provider = PathProvider(graph, k_paths=self.config.k_paths)
         if injector is None and (
-            self.config.fault_plan is not None or self.config.channel == "resilient"
+            self.config.fault_plan is not None
+            or self.config.channel_config is not None
         ):
             injector = FaultInjector(
                 plan=self.config.fault_plan, seed=self.config.fault_seed
@@ -136,7 +133,6 @@ class Simulation:
             installer_factory,
             control_rtt=self.config.control_rtt,
             injector=injector,
-            channel=self.config.channel,
             channel_config=self.config.channel_config,
             clock=self.clock,
         )
@@ -171,10 +167,6 @@ class Simulation:
         """Fold one installation outcome into the metrics."""
         for rit in outcome.per_switch_rits:
             self.metrics.record_rit(rit)
-        for delay in outcome.per_switch_queue_delays:
-            self.metrics.record_queue_delay(delay)
-        if outcome.retries:
-            self.metrics.record_retries(outcome.retries)
         if outcome.undelivered:
             self.metrics.record_undelivered(outcome.undelivered)
 
@@ -252,9 +244,6 @@ class Simulation:
         """Run to completion (or ``max_time``); returns the metrics."""
         self._schedule(self.config.te.epoch, "epoch")
         self._loop()
-        if self.injector is not None:
-            for kind, count in self.injector.log.counts().items():
-                self.metrics.record_fault(kind, count)
         return self.metrics
 
     def _completion_is_live(self, event) -> bool:

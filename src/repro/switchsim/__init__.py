@@ -8,7 +8,6 @@ from .channel import (
     NaiveChannel,
     ResilientChannel,
     SendOutcome,
-    SwitchUnreachable,
 )
 from .installer import DirectInstaller, RuleInstaller
 from .messages import FlowMod, FlowModCommand, FlowModResult
@@ -41,5 +40,4 @@ __all__ = [
     "RuleInstaller",
     "SendOutcome",
     "SwitchAgent",
-    "SwitchUnreachable",
 ]

@@ -147,10 +147,6 @@ class SwitchAgent:
         """Per-action response times — the series the RIT CDFs are built from."""
         return [completed.response_time for completed in self._history]
 
-    def queue_delays(self) -> List[float]:
-        """Per-action CPU queueing delays (submit to execution start)."""
-        return [completed.queue_delay for completed in self._history]
-
     def _sample_gauges(self, tracer, at_time: float) -> None:
         """Record the installer's gauge readings under this switch's name."""
         readings = self.installer.gauges()

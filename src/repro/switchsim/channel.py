@@ -195,10 +195,6 @@ class NaiveChannel(Channel):
         )
 
 
-class SwitchUnreachable(RuntimeError):
-    """Raised by strict callers when the circuit breaker is open."""
-
-
 class ResilientChannel(Channel):
     """Reliable delivery over a lossy control channel.
 

@@ -1,44 +1,15 @@
-"""Tests for CDF/percentile helpers and result rendering."""
+"""Tests for percentile helpers and result rendering."""
 
-import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.analysis import (
     ExperimentResult,
-    cdf_at,
-    empirical_cdf,
     format_cell,
     increase_ratios,
     median_improvement,
     percentile_summary,
     render_table,
 )
-
-
-class TestEmpiricalCdf:
-    def test_sorted_and_normalized(self):
-        xs, ys = empirical_cdf([3.0, 1.0, 2.0])
-        assert list(xs) == [1.0, 2.0, 3.0]
-        assert ys[-1] == 1.0
-        assert ys[0] == pytest.approx(1 / 3)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_cdf([])
-
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=50))
-    def test_cdf_is_monotone(self, values):
-        xs, ys = empirical_cdf(values)
-        assert all(b >= a for a, b in zip(ys, ys[1:]))
-        assert all(b >= a for a, b in zip(xs, xs[1:]))
-
-
-class TestCdfAt:
-    def test_probe_fractions(self):
-        values = [1, 2, 3, 4]
-        assert cdf_at(values, [0, 2, 10]) == [0.0, 0.5, 1.0]
 
 
 class TestPercentiles:

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.ap import (
-    AtomIndex,
     IncrementalPairChecker,
     _contiguous_interval,
     atoms_intersect,
@@ -135,35 +134,13 @@ class TestFirstMatchPainting:
         assert claimed == expected_claimed
 
 
-class TestAtomIndex:
-    def test_add_remove_roundtrip(self):
-        index = AtomIndex(width=WIDTH)
-        matches = [TernaryMatch.from_string(p) for p in PREFIX_PATTERNS]
-        for match in matches:
-            index.add_match(match)
-        full_count = index.atom_count
-        assert full_count == build_universe(matches).atom_count
-        for match in matches:
-            index.remove_match(match)
-        assert index.atom_count == 1  # only the sentinels remain
-
-    def test_duplicate_bounds_survive_one_removal(self):
-        index = AtomIndex(width=WIDTH)
-        match = TernaryMatch.from_string("10******")
-        index.add_match(match)
-        index.add_match(match)
-        index.remove_match(match)
-        assert index.atom_range(match) is not None
-        assert index.atom_count == build_universe([match]).atom_count
-
-
 def errors_only(shadow, main):
     return symbolic_verify_partition(shadow, main)
 
 
 class TestIncrementalChecker:
     def test_mirrors_full_verification_under_churn(self):
-        checker = IncrementalPairChecker(width=WIDTH)
+        checker = IncrementalPairChecker()
         shadow, main = [], []
         script = [
             ("insert", "shadow", R("1010****", 100, port=2, rule_id=1)),
@@ -192,7 +169,7 @@ class TestIncrementalChecker:
             ), f"diverged after {op} {rule.rule_id}"
 
     def test_modify_rescans(self):
-        checker = IncrementalPairChecker(width=WIDTH)
+        checker = IncrementalPairChecker()
         low = R("10******", 50, port=1, rule_id=2)
         checker.insert("shadow", R("1010****", 100, port=2, rule_id=1))
         checker.insert("main", low)

@@ -255,7 +255,6 @@ config = SimulationConfig(
     te=TeAppConfig(epoch=0.25),
     baseline_occupancy=200,
     max_time=2.5,
-    channel="resilient",
     channel_config=ChannelConfig(),
     fault_plan=plan,
     fault_seed=13,

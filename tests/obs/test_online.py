@@ -69,7 +69,6 @@ class TestOnlineVerifier:
         assert verifier.first_violation["time"] == 0.5
         assert verifier.first_violation["switch"] == "s1"
         assert verifier.first_violation["kinds"]
-        assert verifier.violation_times() == [0.5]
 
     def test_ignores_unknown_switches_and_other_records(self):
         tracer = RecordingTracer()

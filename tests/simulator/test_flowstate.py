@@ -31,7 +31,6 @@ from repro.simulator import (
     FlowStore,
     Simulation,
     UNCONSTRAINED_RATE,
-    columnar_max_min_fair_rates,
     max_min_fair_rates,
 )
 from repro.topology.routing import path_links_cached
@@ -56,16 +55,42 @@ def spec(flow_id, size=1e6, start=0.0, src="h0", dst="h1"):
     )
 
 
+def store_rates(flow_paths, capacities):
+    """``FlowStore.recompute`` rates of node paths, keyed by flow id."""
+    store = FlowStore(capacities)
+    for flow_id, path in flow_paths.items():
+        store.add(spec(flow_id), path)
+    store.recompute()
+    return {
+        flow_id: float(store.rate[store.row(flow_id)])
+        for flow_id in store.flow_ids()
+    }
+
+
+def reference_rates(flow_paths, capacities):
+    return max_min_fair_rates(
+        {
+            flow_id: path_links_cached(path)
+            for flow_id, path in flow_paths.items()
+        },
+        capacities,
+    )
+
+
+# LINKS is the complete graph on a..d, so every node order is a path; a
+# one-node path has no links (a same-host flow).
+_NODE_PATH = st.permutations(["a", "b", "c", "d"]).flatmap(
+    lambda nodes: st.integers(1, 4).map(lambda length: tuple(nodes[:length]))
+)
+
+
 class TestColumnarFairShareDifferential:
-    """The path-class filling is bit-identical to the dict backend."""
+    """``FlowStore.recompute``'s path-class filling is bit-identical to
+    the dict backend."""
 
     @settings(max_examples=200, deadline=None)
     @given(
-        flow_paths=st.dictionaries(
-            st.integers(min_value=0, max_value=40),
-            st.lists(st.sampled_from(LINKS), max_size=4, unique=True),
-            max_size=25,
-        ),
+        paths=st.lists(_NODE_PATH, max_size=25),
         capacities=st.fixed_dictionaries(
             {
                 link: st.floats(
@@ -75,53 +100,27 @@ class TestColumnarFairShareDifferential:
             }
         ),
     )
-    def test_bit_identical_on_random_workloads(self, flow_paths, capacities):
-        reference = max_min_fair_rates(flow_paths, capacities)
-        columnar = columnar_max_min_fair_rates(flow_paths, capacities)
-        assert columnar == reference  # exact float equality, no tolerance
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        flow_ids=st.lists(
-            st.text(min_size=1, max_size=6), min_size=1, max_size=12,
-            unique=True,
-        )
-    )
-    def test_string_flow_ids_bit_identical(self, flow_ids):
-        flow_paths = {
-            flow_id: [LINKS[index % len(LINKS)]]
-            for index, flow_id in enumerate(flow_ids)
-        }
-        capacities = {link: 7.5e8 for link in LINKS}
-        assert columnar_max_min_fair_rates(
-            flow_paths, capacities
-        ) == max_min_fair_rates(flow_paths, capacities)
+    def test_bit_identical_on_random_workloads(self, paths, capacities):
+        # Up to 25 flows over at most 64 paths: many flows share a path.
+        flow_paths = dict(enumerate(paths))
+        reference = reference_rates(flow_paths, capacities)
+        # exact float equality, no tolerance
+        assert store_rates(flow_paths, capacities) == reference
 
     def test_zero_capacity_bottleneck(self):
-        flow_paths = {1: [LINKS[0], LINKS[1]], 2: [LINKS[1]]}
+        flow_paths = {1: ("a", "b", "c"), 2: ("b", "c")}
         capacities = {LINKS[0]: 0.0, LINKS[1]: 10.0}
-        reference = max_min_fair_rates(flow_paths, capacities)
-        assert columnar_max_min_fair_rates(flow_paths, capacities) == reference
+        reference = reference_rates(flow_paths, capacities)
+        assert store_rates(flow_paths, capacities) == reference
         assert reference[1] == 0.0
 
     def test_empty_paths_get_sentinel_rate(self):
-        rates = columnar_max_min_fair_rates({1: [], 2: [LINKS[0]]}, {LINKS[0]: 4.0})
+        rates = store_rates({1: ("a",), 2: ("a", "b")}, {LINKS[0]: 4.0})
         assert rates[1] == UNCONSTRAINED_RATE
         assert rates[2] == 4.0
 
-    def test_unknown_link_raises_keyerror(self):
-        with pytest.raises(KeyError):
-            columnar_max_min_fair_rates({1: [("x", "y")]}, {LINKS[0]: 1.0})
-
     def test_no_flows(self):
-        assert columnar_max_min_fair_rates({}, {LINKS[0]: 1.0}) == {}
-
-    def test_duplicate_link_paths_fall_back_to_reference(self):
-        flow_paths = {1: [LINKS[0], LINKS[0]], 2: [LINKS[0]]}
-        capacities = {LINKS[0]: 9.0}
-        assert columnar_max_min_fair_rates(
-            flow_paths, capacities
-        ) == max_min_fair_rates(flow_paths, capacities)
+        assert store_rates({}, {LINKS[0]: 1.0}) == {}
 
 
 # Simple node paths over LINKS' nodes, one linkless (a same-host flow).

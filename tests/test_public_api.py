@@ -1,6 +1,10 @@
 """Public-API hygiene: everything exported exists and is documented."""
 
 import inspect
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -71,3 +75,25 @@ def test_public_class_methods_are_documented():
 
 def test_version_string():
     assert repro.__version__.count(".") == 2
+
+
+def test_experiment_imports_leave_scipy_stats_unloaded():
+    """Every benchmark and experiment process imports the result tables
+    (``repro.experiments.common``) and so ``repro.analysis``; neither may
+    pull in ``scipy.stats``, which alone adds ~20 MiB of resident memory.
+    A fresh interpreter, because the test process imports everything."""
+    src = pathlib.Path(repro.__file__).resolve().parent.parent
+    script = (
+        "import sys\n"
+        "import repro.experiments.common, repro.analysis\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "False"
