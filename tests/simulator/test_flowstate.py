@@ -101,7 +101,7 @@ class TestColumnarFairShareDifferential:
         ),
     )
     def test_bit_identical_on_random_workloads(self, paths, capacities):
-        # Up to 25 flows over at most 64 paths: many flows share a path.
+        # Up to 25 flows drawn from 64 paths: flows often share a path.
         flow_paths = dict(enumerate(paths))
         reference = reference_rates(flow_paths, capacities)
         # exact float equality, no tolerance
