@@ -26,6 +26,15 @@ CHAOS_RESULT_DIGEST = (
 CHAOS_TRACE_DIGEST = (
     "f9af0d1c220df4e67fdd252413ce0f9e8cc0b32694975bedfd5256ca55adaddb"
 )
+# sha256 of ``result.rows`` for small sensitivity and ablation runs,
+# captured while their cells ran through the process-pool sweep runner.
+# Any rewrite of the cell loop must keep the same rows in the same order.
+SENSITIVITY_ROWS_DIGEST = (
+    "93b62a08c4ec0c78ab69dcec60ff3d08269630371f523313182edf042cf25b23"
+)
+ABLATION_ROWS_DIGEST = (
+    "4f16fb4aaf9ed3624935d37c1b36c954249ebb698959180cc9d380ae5ede965e"
+)
 
 _SCENARIO_SCRIPT = r"""
 import hashlib
@@ -136,8 +145,30 @@ def chaos():
     return _digest(metrics), hashlib.sha256(trace_payload).hexdigest()
 
 
-name = sys.argv[1]
-result, trace = {"fig01": fig01, "fig08": fig08, "chaos": chaos}[name]()
+def _rows_digest(result) -> str:
+    return hashlib.sha256(json.dumps(result.rows).encode()).hexdigest()
+
+
+def sensitivity():
+    from repro.experiments.sensitivity import SensitivityConfig, run
+
+    return _rows_digest(run(SensitivityConfig(duration=1.0))), None
+
+
+def ablation():
+    from repro.experiments.ablation import AblationConfig, run
+
+    return _rows_digest(run(AblationConfig(duration=0.3))), None
+
+
+SCENARIOS = {
+    "fig01": fig01,
+    "fig08": fig08,
+    "chaos": chaos,
+    "sensitivity": sensitivity,
+    "ablation": ablation,
+}
+result, trace = SCENARIOS[sys.argv[1]]()
 print(json.dumps({"result": result, "trace": trace}))
 """
 
@@ -206,6 +237,13 @@ class TestPinnedDigests:
         digests = _scenario_digests("chaos")
         assert digests["result"] == CHAOS_RESULT_DIGEST
         assert digests["trace"] == CHAOS_TRACE_DIGEST
+
+    def test_sensitivity_rows_pinned(self):
+        digests = _scenario_digests("sensitivity")
+        assert digests["result"] == SENSITIVITY_ROWS_DIGEST
+
+    def test_ablation_rows_pinned(self):
+        assert _scenario_digests("ablation")["result"] == ABLATION_ROWS_DIGEST
 
     def test_chaos_cross_process_determinism(self):
         # Two fresh interpreters, identical digests — the trace digest
