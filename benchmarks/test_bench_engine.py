@@ -1,37 +1,20 @@
-"""Benchmark: the process-parallel sweep runner and the columnar
-flow-state engine's scaling curve.
+"""Benchmark: the columnar flow-state engine's scaling curve.
 
-Two measurements land in one JSON artifact (``BENCH_engine.json``):
-
-* **sweep speedup** — the sensitivity sweep runs serially and in parallel
-  (workers capped at the detected core count).  Sweep cells ship to
-  workers in chunks (see :class:`~repro.engine.sweep.SweepRunner`) so
-  process startup is amortized.  On multi-core CI runners the parallel
-  run must be ≥2× faster; that assertion fires only when
-  ``BENCH_ENGINE_REQUIRE_SPEEDUP=1`` (the CI engine job sets it) AND the
-  runner has at least 2 cores — a 1-core runner physically cannot speed
-  up, and asserting there only records lies (an earlier artifact pinned a
-  0.91× "speedup" from exactly that).  The artifact always records the
-  honest timings and ``os.cpu_count()``.
-* **flow-state scaling curve** — the simulator's
-  :class:`~repro.simulator.flowstate.FlowStore`, 1k → 1M flows.  Two
-  probes per size: the rate-recompute microbenchmark times
-  ``_recompute_rates()`` on a loaded simulation against the dict
-  reference — the work a per-flow-object backend does per recompute:
-  build a ``path_links_cached`` dict, run
-  :func:`~repro.simulator.fairshare.max_min_fair_rates`, assign the
-  rates — and a full run with batched same-instant arrivals and a
-  ``max_time`` cut proves the size actually *runs* end to end.  The
-  reference is measured up to ``BENCH_ENGINE_SCALE_OBJECTS_CAP`` flows
-  and linearly projected beyond (1M-flow dict fillings would take
-  minutes and say nothing new).  At 100k flows the columnar recompute
-  must be ≥10× faster, and the largest size must complete a run with
-  every flow concurrently active.
+The simulator's :class:`~repro.simulator.flowstate.FlowStore` is measured
+from 1k to 1M flows, and the curve lands in one JSON artifact
+(``BENCH_engine.json``).  Two probes per size: the rate-recompute
+microbenchmark times ``_recompute_rates()`` on a loaded simulation
+against the dict reference — the work a per-flow-object backend does per
+recompute: build a ``path_links_cached`` dict, run
+:func:`~repro.simulator.fairshare.max_min_fair_rates`, assign the rates —
+and a full run with batched same-instant arrivals and a ``max_time`` cut
+proves the size actually *runs* end to end.  The reference is measured up
+to ``BENCH_ENGINE_SCALE_OBJECTS_CAP`` flows and linearly projected beyond
+(1M-flow dict fillings would take minutes and say nothing new).  At 100k
+flows the columnar recompute must be ≥10× faster, and the largest size
+must complete a run with every flow concurrently active.
 
 Environment knobs:
-    ``BENCH_ENGINE_SWEEP_WORKERS``    parallel worker count (default 4).
-    ``BENCH_ENGINE_REQUIRE_SPEEDUP``  set to 1 to assert the ≥2× sweep
-                                      speedup (CI, multi-core only).
     ``BENCH_ENGINE_SCALE_MAX``        largest flow count on the scaling
                                       curve (default 1000000; CI's scale
                                       job caps it at 100000).
@@ -50,8 +33,6 @@ import time
 import numpy as np
 
 from repro.baselines import make_installer
-from repro.experiments.sensitivity import SensitivityConfig
-from repro.experiments.sensitivity import run as run_sensitivity
 from repro.simulator import (
     Simulation,
     SimulationConfig,
@@ -209,41 +190,12 @@ def flow_state_scaling(scale_max, objects_cap):
     }
 
 
-def sweep_speedup(workers):
-    config = SensitivityConfig(duration=1.0)
-    start = time.perf_counter()
-    serial = run_sensitivity(config, workers=1)
-    serial_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    parallel = run_sensitivity(config, workers=workers)
-    parallel_seconds = time.perf_counter() - start
-    assert parallel.rows == serial.rows
-    return {
-        "cells": len(serial.rows),
-        "workers": workers,
-        "serial_seconds": serial_seconds,
-        "parallel_seconds": parallel_seconds,
-        "speedup": serial_seconds / max(parallel_seconds, 1e-9),
-    }
-
-
 def run_bench():
-    cpu_count = os.cpu_count() or 1
-    # More workers than cores just multiplies process startup; cap at the
-    # detected core count so the recorded speedup is honest.
-    workers = min(
-        int(os.environ.get("BENCH_ENGINE_SWEEP_WORKERS", "4")),
-        max(cpu_count, 1),
-    )
     scale_max = int(os.environ.get("BENCH_ENGINE_SCALE_MAX", "1000000"))
     objects_cap = int(
         os.environ.get("BENCH_ENGINE_SCALE_OBJECTS_CAP", "100000")
     )
-    return {
-        "cpu_count": cpu_count,
-        "sweep": sweep_speedup(max(workers, 1)),
-        "flow_scaling": flow_state_scaling(scale_max, objects_cap),
-    }
+    return {"flow_scaling": flow_state_scaling(scale_max, objects_cap)}
 
 
 def test_bench_engine(benchmark):
@@ -252,7 +204,6 @@ def test_bench_engine(benchmark):
     write_bench_artifact(
         "engine",
         headline={
-            "sweep_speedup": payload["sweep"]["speedup"],
             "flow_scaling_max_flows": payload["flow_scaling"]["sizes"][-1],
             "flow_scaling_recompute_speedup": max(
                 row["speedup"] or 0.0
@@ -265,15 +216,7 @@ def test_bench_engine(benchmark):
         out=os.environ.get("BENCH_ENGINE_OUT"),
     )
 
-    sweep = payload["sweep"]
     print()
-    print(
-        f"sweep ({sweep['cells']} cells, {sweep['workers']} workers, "
-        f"{payload['cpu_count']} cpus): serial={sweep['serial_seconds']:.2f}s "
-        f"parallel={sweep['parallel_seconds']:.2f}s "
-        f"({sweep['speedup']:.2f}x)"
-    )
-
     scaling = payload["flow_scaling"]
     for row in scaling["recompute"]:
         objects_note = "-"
@@ -304,10 +247,3 @@ def test_bench_engine(benchmark):
     if 100_000 in measured:
         assert measured[100_000]["speedup"] >= 10, measured[100_000]
     assert runs[-1]["flows"] == scaling["sizes"][-1]
-
-    if payload["cpu_count"] < 2:
-        # A 1-core runner cannot parallelize; the artifact records the
-        # honest timings but a speedup assertion there is meaningless.
-        print("sweep speedup gate skipped: fewer than 2 cores detected")
-    elif os.environ.get("BENCH_ENGINE_REQUIRE_SPEEDUP"):
-        assert sweep["speedup"] >= 2.0, sweep

@@ -12,23 +12,19 @@ re-implement privately:
   order; :data:`TIER_COMPLETION` slots flow completions ahead of
   same-time events);
 * **randomness** — :class:`RngStreams`, named seeded streams replacing
-  the experiment layer's closure-counter seed derivation, plus
-  :func:`child_seed` for per-task sweep seeds.
+  the experiment layer's closure-counter seed derivation.
 
-The clock/scheduler core is pure stdlib.  On top of it ride
-:class:`SweepRunner` (process-parallel experiment fan-out with
-deterministic, task-ordered merging) and :mod:`repro.engine.replay`
-(re-execute a recorded ``hermes-trace/1`` workload against a different
-scheme/switch model).  The simulator, the switch agents, and the
-experiment drivers are all clients of this package; the determinism
-lint's ``adhoc-event-loop`` rule keeps private event loops from creeping
-back in.
+The clock/scheduler core is pure stdlib and single-process.  On top of
+it rides :mod:`repro.engine.replay` (re-execute a recorded
+``hermes-trace/1`` workload against a different scheme/switch model).
+The simulator, the switch agents, and the experiment drivers are all
+clients of this package; the determinism lint's ``adhoc-event-loop``
+rule keeps private event loops from creeping back in.
 """
 
 from .clock import Clock, SerialResource
-from .rng import RngStreams, child_seed
+from .rng import RngStreams
 from .scheduler import TIER_COMPLETION, TIER_DEFAULT, Event, EventScheduler
-from .sweep import SweepOutcome, SweepRunner, SweepTask
 from . import replay
 
 __all__ = [
@@ -37,11 +33,7 @@ __all__ = [
     "EventScheduler",
     "RngStreams",
     "SerialResource",
-    "SweepOutcome",
-    "SweepRunner",
-    "SweepTask",
     "TIER_COMPLETION",
     "TIER_DEFAULT",
-    "child_seed",
     "replay",
 ]

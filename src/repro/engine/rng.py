@@ -10,26 +10,12 @@ in first-request order so existing seeded scenarios stay byte-identical
 
 The bookkeeping is pure stdlib; numpy is imported lazily only when a
 generator is actually constructed, so the kernel core stays importable
-without it.  :func:`child_seed` derives per-config worker seeds for
-:class:`~repro.engine.sweep.SweepRunner` fan-out.
+without it.
 """
 
 from __future__ import annotations
 
-import zlib
 from typing import Dict
-
-
-def child_seed(base_seed: int, index: int) -> int:
-    """A stable derived seed for the ``index``-th child of ``base_seed``.
-
-    Used by sweep fan-out: each config slot gets an independent,
-    reproducible seed regardless of which worker runs it.  The derivation
-    (crc32 over a tagged string) matches the spirit of
-    :meth:`repro.faults.injector.FaultInjector.child_rng` and is identical
-    across processes and platforms.
-    """
-    return zlib.crc32(f"{base_seed}/{index}".encode()) & 0x7FFFFFFF
 
 
 class RngStreams:
@@ -64,12 +50,6 @@ class RngStreams:
                 self.seed + self.ordinal(name)
             )
         return self._streams[name]
-
-    def spawn(self, index: int) -> "RngStreams":
-        """A child registry for the ``index``-th parallel task (sweep
-        workers): independent streams, deterministic regardless of worker
-        placement."""
-        return RngStreams(child_seed(self.seed, index))
 
     def names(self) -> list:
         """Stream names requested so far, in ordinal order."""

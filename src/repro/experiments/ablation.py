@@ -20,7 +20,6 @@ import numpy as np
 
 from ..analysis import ExperimentResult
 from ..core import GuaranteeSpec, HermesConfig
-from ..engine.sweep import SweepRunner
 from ..traffic import MicrobenchConfig, generate_trace, seed_rules
 from .common import replay_trace
 
@@ -80,20 +79,11 @@ def run_variant(overrides: dict, config: AblationConfig):
     }
 
 
-def run(
-    config: AblationConfig = AblationConfig(), workers: int = 1
-) -> ExperimentResult:
-    """Run every ablation variant on the shared workload.
-
-    ``workers > 1`` runs the independent variants on a kernel
-    :class:`~repro.engine.sweep.SweepRunner` process pool; rows merge back
-    in :data:`VARIANTS` order, identical to the serial sweep.
-    """
-    variant_stats = SweepRunner(workers=workers).map(
-        run_variant, [(overrides, config) for _, overrides in VARIANTS]
-    )
+def run(config: AblationConfig = AblationConfig()) -> ExperimentResult:
+    """Run every ablation variant on the shared workload."""
     rows: List[tuple] = []
-    for (label, _overrides), stats in zip(VARIANTS, variant_stats):
+    for label, overrides in VARIANTS:
+        stats = run_variant(overrides, config)
         rows.append(
             (
                 label,

@@ -28,7 +28,6 @@ import numpy as np
 from ..analysis import ExperimentResult, verify_installer
 from ..analysis.violations import DUPLICATE_ENTRY, PRIORITY_INVERSION
 from ..baselines import make_installer
-from ..engine.sweep import SweepRunner
 from ..faults import FaultInjector, FaultPlan, FlowModFault, TcamWriteFault
 from ..obs import OnlineVerifier, RecordingTracer, use_tracer
 from ..simulator import Simulation, SimulationConfig, TeAppConfig
@@ -184,9 +183,7 @@ def run_cell(
     )
 
 
-def run(
-    config: ChaosConfig = ChaosConfig(), workers: int = 1
-) -> ExperimentResult:
+def run(config: ChaosConfig = ChaosConfig()) -> ExperimentResult:
     """Sweep drop rate x scheme and tabulate loss/recovery behaviour.
 
     Every cell's end-state tables are checked with the shared ruleset
@@ -194,31 +191,21 @@ def run(
     the result's ``extras["violations"]``, keyed by cell.  Each cell also
     contributes its online-verification report
     (``extras["online_verification"]``) and the metrics-registry dump
-    (``extras["metrics"]``) from the cell's recording tracer.  ``workers
-    > 1`` spreads the independent cells over a kernel
-    :class:`~repro.engine.sweep.SweepRunner` process pool; the table
-    merges back in sweep order either way.
+    (``extras["metrics"]``) from the cell's recording tracer.
     """
-    grid = [
-        (label, scheme, channel, drop_rate)
-        for label, scheme, channel in SCHEMES
-        for drop_rate in config.drop_rates
-    ]
-    cells = SweepRunner(workers=workers).map(
-        run_cell,
-        [(scheme, channel, drop_rate, config) for _, scheme, channel, drop_rate in grid],
-    )
     rows: List[tuple] = []
     violations_by_cell = {}
     online_by_cell = {}
     metrics_by_cell = {}
-    for (label, _scheme, _channel, drop_rate), cell in zip(grid, cells):
-        rows.append((label, drop_rate) + cell[:-2])
-        key = f"{label} @ {drop_rate}"
-        if cell[-2]:
-            violations_by_cell[key] = cell[-2]
-        online_by_cell[key] = cell[-1]["online"]
-        metrics_by_cell[key] = cell[-1]["counters"]
+    for label, scheme, channel in SCHEMES:
+        for drop_rate in config.drop_rates:
+            cell = run_cell(scheme, channel, drop_rate, config)
+            rows.append((label, drop_rate) + cell[:-2])
+            key = f"{label} @ {drop_rate}"
+            if cell[-2]:
+                violations_by_cell[key] = cell[-2]
+            online_by_cell[key] = cell[-1]["online"]
+            metrics_by_cell[key] = cell[-1]["counters"]
     return ExperimentResult(
         extras={
             "violations": violations_by_cell,

@@ -9,7 +9,7 @@ fat tree, thousands of jobs); the shapes are identical, the tails longer.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import networkx as nx
 import numpy as np
@@ -68,42 +68,6 @@ def default_hermes_config(guarantee_ms: float = 5.0) -> HermesConfig:
         corrector="slack",
         slack=1.0,
     )
-
-
-def heterogeneous_installer_factory(
-    scheme: str,
-    model_by_role: Dict[str, str],
-    default_switch: str = "pica8-p3290",
-    hermes_config: Optional[HermesConfig] = None,
-    seed: Optional[int] = None,
-) -> Callable[[str], object]:
-    """Per-role switch models (real fabrics mix hardware generations).
-
-    ``model_by_role`` maps a switch-name prefix (``"edge"`` / ``"agg"`` /
-    ``"core"``, or any prefix of your topology's naming scheme) to a switch
-    model registry key; unmatched switches use ``default_switch``.
-    """
-    streams = RngStreams(seed) if seed is not None else None
-
-    def factory(switch_name: str):
-        switch = default_switch
-        for role, model in model_by_role.items():
-            if switch_name.startswith(role):
-                switch = model
-                break
-        rng = None
-        if streams is not None:
-            rng = streams.stream(f"installer:{switch_name}")
-        return make_installer(
-            scheme,
-            get_switch_model(switch),
-            rng=rng,
-            hermes_config=(
-                replace(hermes_config) if hermes_config is not None else None
-            ),
-        )
-
-    return factory
 
 
 def installer_factory(

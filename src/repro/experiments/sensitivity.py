@@ -20,7 +20,6 @@ import numpy as np
 
 from ..analysis import ExperimentResult
 from ..core import GuaranteeSpec, HermesConfig
-from ..engine.sweep import SweepRunner
 from ..traffic import MicrobenchConfig, TimedFlowMod, generate_trace, seed_rules
 from .common import replay_trace
 
@@ -105,24 +104,12 @@ def run_pair(
     )
 
 
-def run(
-    config: SensitivityConfig = SensitivityConfig(), workers: int = 1
-) -> ExperimentResult:
-    """Regenerate the predictor/corrector comparison.
-
-    ``workers > 1`` fans the independent (predictor, corrector) cells out
-    over a kernel :class:`~repro.engine.sweep.SweepRunner` process pool;
-    results merge back in pair order, identical to the serial sweep.
-    """
-    cells = SweepRunner(workers=workers).map(
-        run_pair,
-        [(predictor, corrector, config) for predictor, corrector in PAIRS],
-    )
+def run(config: SensitivityConfig = SensitivityConfig()) -> ExperimentResult:
+    """Regenerate the predictor/corrector comparison."""
     rows: List[tuple] = []
     results = {}
-    for (predictor, corrector), (mean_ms, p99_ms, violations) in zip(
-        PAIRS, cells
-    ):
+    for predictor, corrector in PAIRS:
+        mean_ms, p99_ms, violations = run_pair(predictor, corrector, config)
         results[(predictor, corrector)] = mean_ms
         rows.append(
             (

@@ -81,7 +81,7 @@ class TestWallclockSeam:
     CODE = "import time\nt = time.perf_counter()\n"
 
     def test_direct_read_under_repro_flagged_twice(self):
-        findings = lint_source(self.CODE, "src/repro/engine/sweep.py")
+        findings = lint_source(self.CODE, "src/repro/engine/scheduler.py")
         assert rules_of(findings) == [WALL_CLOCK, WALLCLOCK_SEAM]
 
     def test_perf_package_owns_the_seam(self):

@@ -1,9 +1,8 @@
 """Unit tests for the discrete-event kernel (repro.engine).
 
 The kernel's contract is deterministic ordering: events dispatch in
-``(time, tier, seq)`` order, named RNG streams reproduce the legacy
-closure-counter seed derivation byte-for-byte, and sweep results merge in
-task order no matter how many workers ran them.
+``(time, tier, seq)`` order, and named RNG streams reproduce the legacy
+closure-counter seed derivation byte-for-byte.
 """
 
 import math
@@ -19,9 +18,6 @@ from repro.engine import (
     EventScheduler,
     RngStreams,
     SerialResource,
-    SweepRunner,
-    SweepTask,
-    child_seed,
 )
 
 
@@ -248,83 +244,3 @@ class TestRngStreams:
         assert streams.ordinal("a") == 1
         assert streams.ordinal("b") == 2
         assert streams.names() == ["a", "b"]
-
-    def test_spawn_gives_decorrelated_deterministic_children(self):
-        parent = RngStreams(5)
-        child_a = parent.spawn(0)
-        child_b = parent.spawn(1)
-        assert child_a.seed == child_seed(5, 0)
-        assert child_a.seed != child_b.seed
-        assert parent.spawn(0).seed == child_a.seed
-
-    def test_child_seed_is_stable_and_non_negative(self):
-        assert child_seed(5, 0) == child_seed(5, 0)
-        assert child_seed(5, 0) != child_seed(5, 1)
-        assert child_seed(5, 0) >= 0
-
-
-def _square(value):
-    return value * value
-
-
-def _fail(value):
-    raise RuntimeError(f"boom {value}")
-
-
-class TestSweepRunner:
-    def test_workers_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SweepRunner(workers=0)
-
-    def test_serial_map_is_a_plain_loop(self):
-        assert SweepRunner().map(_square, [(2,), (3,), (4,)]) == [4, 9, 16]
-
-    def test_parallel_map_merges_in_task_order(self):
-        serial = SweepRunner(workers=1).map(_square, [(n,) for n in range(8)])
-        parallel = SweepRunner(workers=2).map(
-            _square, [(n,) for n in range(8)]
-        )
-        assert parallel == serial
-
-    def test_run_reports_labels_workers_and_timing(self):
-        outcome = SweepRunner(workers=1).run(
-            [
-                SweepTask(func=_square, args=(3,), label="three"),
-                SweepTask(func=_square, args=(4,), label="four"),
-            ]
-        )
-        assert outcome.results == [9, 16]
-        assert outcome.labels == ["three", "four"]
-        assert outcome.workers == 1
-        assert outcome.elapsed_seconds >= 0.0
-
-    def test_task_errors_propagate(self):
-        with pytest.raises(RuntimeError, match="boom"):
-            SweepRunner(workers=1).map(_fail, [(1,)])
-        with pytest.raises(RuntimeError, match="boom"):
-            SweepRunner(workers=2).map(_fail, [(1,), (2,)])
-
-    def test_chunksize_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SweepRunner(workers=2, chunksize=0)
-
-    def test_explicit_chunksize_preserves_task_order(self):
-        serial = SweepRunner(workers=1).map(_square, [(n,) for n in range(9)])
-        chunked = SweepRunner(workers=2, chunksize=4).map(
-            _square, [(n,) for n in range(9)]
-        )
-        assert chunked == serial
-
-    def test_auto_chunksize_batches_tasks(self):
-        # 2 workers -> ~8 chunks; 100 tasks -> 13 per chunk, not 1.
-        assert SweepRunner(workers=2)._chunk_size_for(100) == 13
-        assert SweepRunner(workers=2)._chunk_size_for(3) == 1
-        assert SweepRunner(workers=2, chunksize=5)._chunk_size_for(100) == 5
-
-    def test_chunked_run_preserves_heterogeneous_order(self):
-        tasks = [
-            SweepTask(func=_square, args=(n,), label=f"t{n}") for n in range(7)
-        ]
-        outcome = SweepRunner(workers=2, chunksize=3).run(tasks)
-        assert outcome.results == [n * n for n in range(7)]
-        assert outcome.labels == [f"t{n}" for n in range(7)]

@@ -13,8 +13,6 @@ import os
 import subprocess
 import sys
 
-import pytest
-
 # sha256 digests captured from the pre-kernel simulator (seed HEAD).
 # FIG01_DIGEST was re-pinned once when event-scheduled completions became
 # the only loop: RITs and JCTs are identical, 7 of 148 FCTs moved by 2 ulps.
@@ -274,14 +272,3 @@ class TestGoldenEventOrder:
             _run_script(_EVENT_ORDER_SCRIPT).encode()
         ).hexdigest()
 
-
-@pytest.mark.parametrize("workers", [2])
-class TestSweepParity:
-    def test_sensitivity_parallel_matches_serial(self, workers):
-        from repro.experiments.sensitivity import SensitivityConfig, run
-
-        config = SensitivityConfig(duration=0.3)
-        serial = run(config, workers=1)
-        parallel = run(config, workers=workers)
-        assert parallel.rows == serial.rows
-        assert parallel.headers == serial.headers

@@ -129,48 +129,6 @@ class TestCommonHelpers:
         _, flows = isp_workload("abilene", scale, tomogravity=True)
         assert flows
 
-    def test_heterogeneous_factory_assigns_by_role(self):
-        from repro.experiments.common import heterogeneous_installer_factory
-
-        factory = heterogeneous_installer_factory(
-            "naive",
-            {"edge": "dell-8132f", "core": "pica8-p3290"},
-            default_switch="hp-5406zl",
-        )
-        assert factory("edge-0-1").table.timing.name == "Dell 8132F"
-        assert factory("core-3").table.timing.name == "Pica8 P-3290"
-        assert factory("agg-1-0").table.timing.name == "HP 5406zl"
-
-    def test_heterogeneous_factory_in_simulation(self):
-        import numpy as np
-
-        from repro.experiments.common import heterogeneous_installer_factory
-        from repro.simulator import Simulation, SimulationConfig, TeAppConfig
-        from repro.topology import FatTreeSpec, build_fat_tree, hosts
-        from repro.traffic import flows_of, generate_jobs
-
-        graph = build_fat_tree(FatTreeSpec(k=4, link_capacity=1e9))
-        flows = flows_of(
-            generate_jobs(hosts(graph), job_count=4, rng=np.random.default_rng(0))
-        )
-        factory = heterogeneous_installer_factory(
-            "hermes", {"edge": "dell-8132f"}, default_switch="pica8-p3290"
-        )
-        sim = Simulation(
-            graph,
-            flows,
-            factory,
-            SimulationConfig(
-                te=TeAppConfig(epoch=0.5), baseline_occupancy=100, max_time=1e3
-            ),
-        )
-        metrics = sim.run()
-        assert len(metrics.fcts()) == len(flows)
-        edge_agent = sim.controller.agents["edge-0-0"]
-        core_agent = sim.controller.agents["core-0"]
-        assert edge_agent.installer.timing.name == "Dell 8132F"
-        assert core_agent.installer.timing.name == "Pica8 P-3290"
-
     def test_installer_factory_fresh_instances(self):
         factory = installer_factory("naive", "pica8-p3290", seed=1)
         first, second = factory("s1"), factory("s2")

@@ -97,3 +97,25 @@ def test_experiment_imports_leave_scipy_stats_unloaded():
     )
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.strip() == "False"
+
+
+def test_kernel_and_experiment_imports_leave_process_pools_unloaded():
+    """The kernel and every experiment run in one process; importing them
+    must not load ``multiprocessing`` or ``concurrent.futures.process``.
+    A fresh interpreter, because the test process imports everything."""
+    src = pathlib.Path(repro.__file__).resolve().parent.parent
+    script = (
+        "import sys\n"
+        "import repro.engine, repro.experiments\n"
+        "print(sorted(name for name in ('multiprocessing',"
+        " 'concurrent.futures.process') if name in sys.modules))\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "[]"
