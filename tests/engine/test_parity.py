@@ -271,4 +271,3 @@ class TestGoldenEventOrder:
         assert digest == hashlib.sha256(
             _run_script(_EVENT_ORDER_SCRIPT).encode()
         ).hexdigest()
-

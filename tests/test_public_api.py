@@ -77,16 +77,16 @@ def test_version_string():
     assert repro.__version__.count(".") == 2
 
 
-def test_experiment_imports_leave_scipy_stats_unloaded():
-    """Every benchmark and experiment process imports the result tables
-    (``repro.experiments.common``) and so ``repro.analysis``; neither may
-    pull in ``scipy.stats``, which alone adds ~20 MiB of resident memory.
-    A fresh interpreter, because the test process imports everything."""
+def _loaded_after_import(modules, watched):
+    """Which of ``watched`` a fresh interpreter has loaded after importing
+    ``modules``.  A fresh interpreter, because the test process imports
+    everything."""
     src = pathlib.Path(repro.__file__).resolve().parent.parent
     script = (
         "import sys\n"
-        "import repro.experiments.common, repro.analysis\n"
-        "print('scipy.stats' in sys.modules)\n"
+        f"import {', '.join(modules)}\n"
+        f"print(sorted(name for name in {tuple(watched)!r}"
+        " if name in sys.modules))\n"
     )
     completed = subprocess.run(
         [sys.executable, "-c", script],
@@ -96,26 +96,24 @@ def test_experiment_imports_leave_scipy_stats_unloaded():
         timeout=120,
     )
     assert completed.returncode == 0, completed.stderr
-    assert completed.stdout.strip() == "False"
+    return completed.stdout.strip()
+
+
+def test_experiment_imports_leave_scipy_stats_unloaded():
+    """Every benchmark and experiment process imports the result tables
+    (``repro.experiments.common``) and so ``repro.analysis``; neither may
+    pull in ``scipy.stats``, which alone adds ~20 MiB of resident memory."""
+    loaded = _loaded_after_import(
+        ["repro.experiments.common", "repro.analysis"], ["scipy.stats"]
+    )
+    assert loaded == "[]"
 
 
 def test_kernel_and_experiment_imports_leave_process_pools_unloaded():
     """The kernel and every experiment run in one process; importing them
-    must not load ``multiprocessing`` or ``concurrent.futures.process``.
-    A fresh interpreter, because the test process imports everything."""
-    src = pathlib.Path(repro.__file__).resolve().parent.parent
-    script = (
-        "import sys\n"
-        "import repro.engine, repro.experiments\n"
-        "print(sorted(name for name in ('multiprocessing',"
-        " 'concurrent.futures.process') if name in sys.modules))\n"
+    must not load ``multiprocessing`` or ``concurrent.futures.process``."""
+    loaded = _loaded_after_import(
+        ["repro.engine", "repro.experiments"],
+        ["multiprocessing", "concurrent.futures.process"],
     )
-    completed = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-        timeout=120,
-    )
-    assert completed.returncode == 0, completed.stderr
-    assert completed.stdout.strip() == "[]"
+    assert loaded == "[]"
