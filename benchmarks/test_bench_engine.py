@@ -22,8 +22,8 @@ Environment knobs:
                                       dict reference's recompute is
                                       measured rather than projected
                                       (default 100000).
-    ``BENCH_ENGINE_OUT``              artifact path (default
-                                      ``results/BENCH_engine.json``).
+    ``HERMES_BENCH_DIR``              where the artifact, history and
+                                      index go (default ``results/``).
 """
 
 import math
@@ -213,7 +213,6 @@ def test_bench_engine(benchmark):
             "flow_scaling_columnar_run_seconds": runs[-1]["seconds"],
         },
         payload=payload,
-        out=os.environ.get("BENCH_ENGINE_OUT"),
     )
 
     print()

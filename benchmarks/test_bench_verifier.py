@@ -15,8 +15,8 @@ Environment knobs:
                                (1k → 200k rules).
     ``BENCH_VERIFIER_BUDGET``  per-size symbolic time budget in seconds
                                (default 25).
-    ``BENCH_VERIFIER_OUT``     artifact path (default
-                               ``results/BENCH_verifier.json``).
+    ``HERMES_BENCH_DIR``       where the artifact, history and index go
+                               (default ``results/``).
 """
 
 import os
@@ -141,7 +141,6 @@ def test_bench_verifier(benchmark):
             "symbolic_budget_seconds": budget,
             "rows": rows,
         },
-        out=os.environ.get("BENCH_VERIFIER_OUT"),
     )
 
     print()

@@ -12,8 +12,6 @@ that depend on the kernel's insertion-order ``seq`` tie-break.
 """
 
 from .ap import (
-    IncrementalPairChecker,
-    attach_incremental_checker,
     build_universe,
     find_duplicate_entries,
     lookup_order,
@@ -54,7 +52,6 @@ __all__ = [
     "SCHEDULE_ORDER_RACE",
     "SHARED_STATE_MUTATION",
     "ExperimentResult",
-    "IncrementalPairChecker",
     "LintFinding",
     "PragmaIndex",
     "RaceReport",
@@ -65,7 +62,6 @@ __all__ = [
     "Violation",
     "clear_pragma_cache",
     "file_pragmas",
-    "attach_incremental_checker",
     "build_universe",
     "diff_snapshots",
     "dump_snapshot",

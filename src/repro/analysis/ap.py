@@ -24,13 +24,6 @@ Two universe backends:
   ternary intersect/subtract primitives.  Exponential in the worst case
   (capped), but exact, and cheap at the small widths where general ternary
   rules actually appear in this repo.
-
-The incremental half (:class:`IncrementalPairChecker`) maintains the
-cross-table inversion / duplicate findings under single-rule
-insert/delete/modify through per-table prefix overlap indexes, so an
-online check costs O(log n + candidates) per table event instead of
-re-verifying the whole pair.  It needs no atoms: an inversion is a
-priority comparison between two overlapping rules.
 """
 
 from __future__ import annotations
@@ -99,46 +92,36 @@ def lookup_order(shadow: RuleSource, main: RuleSource) -> List[Rule]:
     return _rules_of(shadow) + _rules_of(main)
 
 
-def _duplicate_ids(tables: Iterable[Tuple[str, Iterable[int]]]) -> List[Violation]:
-    """One violation per repeat of a rule id, in the order the ids come.
-
-    ``tables`` yields ``(table name, resident rule ids)`` in lookup order;
-    an id's first occurrence is the copy every later one duplicates.
-    """
-    violations: List[Violation] = []
-    seen: Dict[int, str] = {}
-    for table_name, rule_ids in tables:
-        for rule_id in rule_ids:
-            first = seen.get(rule_id)
-            if first is None:
-                seen[rule_id] = table_name
-                continue
-            violations.append(
-                Violation(
-                    kind=DUPLICATE_ENTRY,
-                    message=(
-                        f"rule #{rule_id} is installed in {first} "
-                        f"and again in {table_name}"
-                    ),
-                    rule_ids=(rule_id,),
-                    table=f"{first}+{table_name}",
-                )
-            )
-    return violations
-
-
 def find_duplicate_entries(shadow: RuleSource, main: RuleSource) -> List[Violation]:
     """Rule ids physically present more than once across the pair, in
     physical lookup order.
 
     A retried FlowMod without xid dedup, or a migration that wrote a rule
     into the main table without clearing its shadow copy, leaves the same
-    id resident twice; logical deletes then strand the survivor.
+    id resident twice; logical deletes then strand the survivor.  One
+    violation per repeat; an id's first occurrence is the copy every later
+    one duplicates.
     """
-    return _duplicate_ids(
-        (name, [rule.rule_id for rule in _rules_of(table)])
-        for name, table in (("shadow", shadow), ("main", main))
-    )
+    violations: List[Violation] = []
+    seen: Dict[int, str] = {}
+    for table_name, table in (("shadow", shadow), ("main", main)):
+        for rule in _rules_of(table):
+            first = seen.get(rule.rule_id)
+            if first is None:
+                seen[rule.rule_id] = table_name
+                continue
+            violations.append(
+                Violation(
+                    kind=DUPLICATE_ENTRY,
+                    message=(
+                        f"rule #{rule.rule_id} is installed in {first} "
+                        f"and again in {table_name}"
+                    ),
+                    rule_ids=(rule.rule_id,),
+                    table=f"{first}+{table_name}",
+                )
+            )
+    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -571,152 +554,3 @@ def ap_shadowed_rules(table, universe, name: str = "table") -> List[Violation]:
         except ValueError:
             pass  # duplicate id in the same table: reported elsewhere
     return violations
-
-
-# ---------------------------------------------------------------------------
-# Incremental checking
-# ---------------------------------------------------------------------------
-class IncrementalPairChecker:
-    """Algorithm 1 invariant checking at O(delta) per table event.
-
-    Mirrors a shadow/main pair rule-by-rule: each insert updates the
-    per-table prefix overlap index and the live inversion findings by
-    querying only the *opposite* table's overlap candidates.
-    :meth:`violations` then costs O(current findings), not O(table size) —
-    the delta-proportional path the online verifier rides.  Findings match
-    :func:`~repro.analysis.verifier.verify_partition` (errors only;
-    occlusion warnings need global order and stay offline).
-    """
-
-    TABLES = ("shadow", "main")
-
-    def __init__(self) -> None:
-        self._rules: Dict[str, Dict[int, List[Rule]]] = {
-            name: {} for name in self.TABLES
-        }
-        self._indexes: Dict[str, PrefixRuleIndex] = {
-            name: PrefixRuleIndex() for name in self.TABLES
-        }
-        # Live inversion findings keyed (main rule id, shadow rule id).
-        self._inversions: Dict[Tuple[int, int], Violation] = {}
-
-    # -- mutation ------------------------------------------------------
-    def insert(self, table: str, rule: Rule) -> None:
-        copies = self._rules[table].setdefault(rule.rule_id, [])
-        copies.append(rule)
-        if len(copies) == 1:
-            self._indexes[table].add(rule)
-        self._scan_against_other(table, rule)
-
-    def remove(self, table: str, rule: Rule) -> None:
-        copies = self._rules[table].get(rule.rule_id)
-        if not copies:
-            return  # removal of a rule we never saw: nothing to retract
-        for position, copy in enumerate(copies):
-            if copy == rule:
-                copies.pop(position)
-                break
-        else:
-            copies.pop()
-        side = 0 if table == "main" else 1
-        for key in [k for k in self._inversions if k[side] == rule.rule_id]:
-            del self._inversions[key]
-        self._indexes[table].discard(rule.rule_id)
-        if copies:
-            # A duplicate with the same id survives: re-index one copy and
-            # re-derive the pairs the id still participates in.
-            self._indexes[table].add(copies[0])
-            self._scan_against_other(table, copies[0])
-        else:
-            del self._rules[table][rule.rule_id]
-
-    def modify(self, table: str, old: Rule, new: Rule) -> None:
-        self.remove(table, old)
-        self.insert(table, new)
-
-    def _scan_against_other(self, table: str, rule: Rule) -> None:
-        other = "shadow" if table == "main" else "main"
-        for candidate in self._indexes[other].overlapping(rule):
-            main_rule, shadow_rule = (
-                (rule, candidate) if table == "main" else (candidate, rule)
-            )
-            if main_rule.priority > shadow_rule.priority:
-                key = (main_rule.rule_id, shadow_rule.rule_id)
-                if key not in self._inversions:
-                    self._inversions[key] = _inversion_violation(
-                        main_rule, shadow_rule
-                    )
-
-    # -- results -------------------------------------------------------
-    def violations(self) -> List[Violation]:
-        """Current findings (errors only), sorted by ``(kind, rule_ids)``.
-
-        ``verify_partition`` sorts by kind alone and keeps detection order
-        within a kind, so the two lists hold the same findings, not in the
-        same positions.  A duplicated id yields one finding per extra copy.
-        """
-        found = list(self._inversions.values()) + _duplicate_ids(
-            (
-                name,
-                (
-                    rule_id
-                    for rule_id in sorted(self._rules[name])
-                    for _ in self._rules[name][rule_id]
-                ),
-            )
-            for name in self.TABLES
-        )
-        return sorted(found, key=lambda v: (v.kind, v.rule_ids))
-
-    @property
-    def rule_count(self) -> int:
-        return sum(
-            len(copies)
-            for table in self._rules.values()
-            for copies in table.values()
-        )
-
-
-class _TableSync:
-    """TcamTable listener feeding one table's events into a checker."""
-
-    def __init__(self, checker: IncrementalPairChecker, table: str) -> None:
-        self._checker = checker
-        self._table = table
-
-    def rule_installed(self, rule: Rule) -> None:
-        self._checker.insert(self._table, rule)
-
-    def rule_removed(self, rule: Rule) -> None:
-        self._checker.remove(self._table, rule)
-
-    def rule_modified(self, old: Rule, new: Rule) -> None:
-        self._checker.modify(self._table, old, new)
-
-
-def attach_incremental_checker(installer) -> Optional[IncrementalPairChecker]:
-    """Wire an :class:`IncrementalPairChecker` onto a live installer.
-
-    Needs ``installer.shadow`` / ``installer.main`` objects exposing
-    ``rules()`` and ``add_listener`` (HermesInstaller does, through its
-    FaultyTable wrappers too — a *silently* failed write emits no listener
-    event, so the mirror tracks what is physically resident).  Returns None
-    for installers without that seam (monolithic schemes, bare snapshot
-    objects); callers fall back to full verification.
-    """
-    tables = []
-    for name in IncrementalPairChecker.TABLES:
-        table = getattr(installer, name, None)
-        if (
-            table is None
-            or not callable(getattr(table, "rules", None))
-            or not callable(getattr(table, "add_listener", None))
-        ):
-            return None
-        tables.append((name, table))
-    checker = IncrementalPairChecker()
-    for name, table in tables:
-        for rule in table.rules():
-            checker.insert(name, rule)
-        table.add_listener(_TableSync(checker, name))
-    return checker

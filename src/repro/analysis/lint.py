@@ -44,23 +44,14 @@ Rules
     iteration order: ``os.environ`` (and its ``.keys()``/``.values()``/
     ``.items()`` views), ``os.listdir()``, ``os.scandir()``, and
     ``Path.iterdir()`` all follow OS-dependent order, which two machines
-    (or two runs) need not agree on.  Such a finding is ``fixable`` when
-    wrapping the iterable in ``sorted(...)`` is provably safe, i.e. its
-    elements are known to be totally ordered: ``os.environ`` and its views
-    (strings or string pairs), ``os.listdir()`` (strings), and
-    ``Path.iterdir()`` (``Path`` objects).  ``os.scandir()`` yields
-    unorderable ``DirEntry`` objects and set expressions have unknown
-    element types, so those findings are not.
+    (or two runs) need not agree on.
 ``float-eq``
     ``==`` / ``!=`` between values that look like event timestamps
     (``now``, ``deadline``, ``*_time``, ``*_until``, ...).  Computed floats
     must be compared with tolerances or orderings.
 ``adhoc-event-loop``
-    A private event loop outside :mod:`repro.engine`: importing or
-    calling ``heapq`` (the kernel's
-    :class:`~repro.engine.EventScheduler` owns the priority queue — a
-    second heap means a second, unsynchronized notion of "next event"),
-    or assigning a mutable simulated-time attribute (``now`` / ``_now`` /
+    A private simulated clock outside :mod:`repro.engine`: assigning a
+    mutable simulated-time attribute (``now`` / ``_now`` /
     ``busy_until`` / ``_busy_until``) — virtual time must derive from the
     kernel :class:`~repro.engine.Clock` /
     :class:`~repro.engine.SerialResource` so every layer shares one
@@ -87,7 +78,7 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from .pragmas import DET, PragmaIndex
 
@@ -172,9 +163,6 @@ class LintFinding:
         col: 0-based column offset.
         message: what was found and why it is a hazard.
         text: the source line, stripped.
-        fixable: True when wrapping the flagged iterable in
-            ``sorted(...)`` is provably safe (its elements are totally
-            ordered).
     """
 
     rule: str
@@ -183,7 +171,6 @@ class LintFinding:
     col: int
     message: str
     text: str = ""
-    fixable: bool = False
 
     def __str__(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: [{self.rule}] {self.message}"
@@ -283,8 +270,8 @@ def _annotation_is_dict_of_sets(node: ast.AST) -> bool:
     return False
 
 
-#: OS-iteration sources: name -> sorted(...) is provably safe.
-_UNORDERED_FS_FUNCS = {"listdir": True, "scandir": False}
+#: OS-iteration sources in the ``os`` module.
+_UNORDERED_FS_FUNCS = {"listdir", "scandir"}
 _ENVIRON_VIEWS = {"keys", "values", "items"}
 
 
@@ -295,15 +282,14 @@ class _DeterminismVisitor(ast.NodeVisitor):
         self.findings: List[LintFinding] = []
         self._random_imports: Set[str] = set()
         self._os_imports: Dict[str, str] = {}  # local alias -> os.* name
-        self._heapq_imports: Set[str] = set()
         self._exempt_nodes: Set[int] = set()
         # Flow-insensitive type inference feeding unordered-iteration:
         # names whose latest binding (or annotation) is a set, and names
         # annotated Dict[..., Set[...]] whose subscripts are sets.
         self._set_vars: Set[str] = set()
         self._dict_of_set_vars: Set[str] = set()
-        # The kernel is the one place allowed to own a heap and mutate
-        # simulated time; everything else must go through it.
+        # The kernel is the one place allowed to mutate simulated time;
+        # everything else must go through it.
         normalized = path.replace(os.sep, "/")
         self._in_engine = "repro/engine/" in normalized
         # repro.obs.perf owns the audited wall-clock seam; everything else
@@ -315,9 +301,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
         )
 
     # -- helpers ------------------------------------------------------
-    def _flag(
-        self, node: ast.AST, rule: str, message: str, fixable: bool = False
-    ) -> None:
+    def _flag(self, node: ast.AST, rule: str, message: str) -> None:
         line = getattr(node, "lineno", 0)
         text = self.lines[line - 1].strip() if 0 < line <= len(self.lines) else ""
         self.findings.append(
@@ -328,7 +312,6 @@ class _DeterminismVisitor(ast.NodeVisitor):
                 col=getattr(node, "col_offset", 0),
                 message=message,
                 text=text,
-                fixable=fixable,
             )
         )
 
@@ -397,39 +380,27 @@ class _DeterminismVisitor(ast.NodeVisitor):
             return self._os_imports.get(node.id) == "environ"
         return False
 
-    def _unordered_source(self, node: ast.AST) -> Optional[Tuple[str, bool]]:
-        """``(description, fix_is_safe)`` for OS-order iterables, else None."""
+    def _unordered_source(self, node: ast.AST) -> Optional[str]:
+        """A description of an OS-order iterable, else None."""
         if self._is_environ(node):
-            return "os.environ", True
+            return "os.environ"
         if not isinstance(node, ast.Call):
             return None
         func = node.func
         if isinstance(func, ast.Attribute):
             if func.attr in _ENVIRON_VIEWS and self._is_environ(func.value):
-                # environ maps str -> str, so every view sorts safely.
-                return f"os.environ.{func.attr}()", True
+                return f"os.environ.{func.attr}()"
             if func.attr in _UNORDERED_FS_FUNCS and _root_name(func) == "os":
-                return f"os.{func.attr}()", _UNORDERED_FS_FUNCS[func.attr]
+                return f"os.{func.attr}()"
             if func.attr == "iterdir":
-                return "Path.iterdir()", True
+                return "Path.iterdir()"
         elif isinstance(func, ast.Name):
             original = self._os_imports.get(func.id)
             if original in _UNORDERED_FS_FUNCS:
-                return f"os.{original}()", _UNORDERED_FS_FUNCS[original]
+                return f"os.{original}()"
         return None
 
     # -- imports ------------------------------------------------------
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            if alias.name == "heapq" and not self._in_engine:
-                self._flag(
-                    node,
-                    ADHOC_EVENT_LOOP,
-                    "'import heapq' outside repro.engine builds a private "
-                    "event queue; schedule through "
-                    "repro.engine.EventScheduler",
-                )
-        self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         if node.module == "random":
@@ -439,17 +410,6 @@ class _DeterminismVisitor(ast.NodeVisitor):
             for alias in node.names:
                 if alias.name in {"environ", "listdir", "scandir"}:
                     self._os_imports[alias.asname or alias.name] = alias.name
-        if node.module == "heapq":
-            for alias in node.names:
-                self._heapq_imports.add(alias.asname or alias.name)
-            if not self._in_engine:
-                self._flag(
-                    node,
-                    ADHOC_EVENT_LOOP,
-                    "'from heapq import ...' outside repro.engine builds a "
-                    "private event queue; schedule through "
-                    "repro.engine.EventScheduler",
-                )
         self.generic_visit(node)
 
     # -- calls --------------------------------------------------------
@@ -461,28 +421,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
         self._check_random_call(node)
         self._check_wall_clock_call(node)
         self._check_set_sink(node)
-        self._check_heapq_call(node)
         self.generic_visit(node)
-
-    def _check_heapq_call(self, node: ast.Call) -> None:
-        if self._in_engine:
-            return
-        func = node.func
-        if isinstance(func, ast.Attribute) and _root_name(func) == "heapq":
-            self._flag(
-                node,
-                ADHOC_EVENT_LOOP,
-                f"'heapq.{func.attr}()' outside repro.engine runs a private "
-                "event queue; schedule through repro.engine.EventScheduler",
-            )
-        elif isinstance(func, ast.Name) and func.id in self._heapq_imports:
-            self._flag(
-                node,
-                ADHOC_EVENT_LOOP,
-                f"'{func.id}()' (imported from heapq) outside repro.engine "
-                "runs a private event queue; schedule through "
-                "repro.engine.EventScheduler",
-            )
 
     def _check_random_call(self, node: ast.Call) -> None:
         func = node.func
@@ -556,13 +495,11 @@ class _DeterminismVisitor(ast.NodeVisitor):
             return
         source = self._unordered_source(node.args[0])
         if source is not None:
-            description, fix_safe = source
             self._flag(
                 node.args[0],
                 UNORDERED_ITERATION,
-                f"'{func.id}()' over {description} materializes "
+                f"'{func.id}()' over {source} materializes "
                 "OS-dependent order; wrap it in sorted(...)",
-                fixable=fix_safe,
             )
 
     # -- iteration ----------------------------------------------------
@@ -577,13 +514,11 @@ class _DeterminismVisitor(ast.NodeVisitor):
         elif id(node.iter) not in self._exempt_nodes:
             source = self._unordered_source(node.iter)
             if source is not None:
-                description, fix_safe = source
                 self._flag(
                     node.iter,
                     UNORDERED_ITERATION,
-                    f"for-loop over {description} iterates in OS-dependent "
+                    f"for-loop over {source} iterates in OS-dependent "
                     "order; wrap it in sorted(...)",
-                    fixable=fix_safe,
                 )
         self.generic_visit(node)
 
@@ -604,13 +539,11 @@ class _DeterminismVisitor(ast.NodeVisitor):
                 continue
             source = self._unordered_source(generator.iter)
             if source is not None:
-                description, fix_safe = source
                 self._flag(
                     generator.iter,
                     UNORDERED_ITERATION,
-                    f"comprehension over {description} inherits "
+                    f"comprehension over {source} inherits "
                     "OS-dependent order; wrap it in sorted(...)",
-                    fixable=fix_safe,
                 )
         self.generic_visit(node)
 

@@ -19,7 +19,8 @@ it rides :mod:`repro.engine.replay` (re-execute a recorded
 ``hermes-trace/1`` workload against a different scheme/switch model).
 The simulator, the switch agents, and the experiment drivers are all
 clients of this package; the determinism lint's ``adhoc-event-loop``
-rule keeps private event loops from creeping back in.
+rule flags a private simulated clock (an assigned ``now`` /
+``busy_until`` attribute) anywhere outside it.
 """
 
 from .clock import Clock, SerialResource

@@ -7,7 +7,8 @@ time lives now: a :class:`Clock` is the timeline (shared by everything
 co-simulating in it), and a :class:`SerialResource` is the busy-horizon of
 anything that executes one thing at a time (a switch CPU, a TCAM write
 port).  The determinism lint's ``adhoc-event-loop`` rule keeps it that way:
-``now``/``busy_until`` attributes outside ``repro.engine`` are findings.
+an assignment to a ``now`` / ``_now`` / ``busy_until`` / ``_busy_until``
+attribute outside ``repro.engine`` is a finding.
 """
 
 from __future__ import annotations

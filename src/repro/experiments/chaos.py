@@ -59,7 +59,6 @@ class ChaosConfig:
     switch: str = "pica8-p3290"
     max_time: float = 8.0
     seed: int = 11
-    verify_every: int = 25  # online-verifier sampling period, in actions
 
 
 def verify_simulation(simulation) -> List[dict]:
@@ -147,8 +146,7 @@ def run_cell(
             {
                 name: agent.installer
                 for name, agent in simulation.controller.agents.items()
-            },
-            every=config.verify_every,
+            }
         )
         verifier.attach(tracer)
         metrics = simulation.run()

@@ -7,12 +7,10 @@ re-verifies the switch's installer and records the first sim-instant at
 which a violation exists.  The chaos harness attaches one per cell and
 reports the result through ``ExperimentResult.extras``.
 
-Checks take the *incremental* path
-(:class:`repro.analysis.ap.IncrementalPairChecker`): installers exposing
-``shadow``/``main`` tables with listener support get a live mirror updated
-per rule event, so each sampled check costs O(current findings) instead of
-re-verifying the whole pair.  Full verification is only the fallback for
-installers without that seam (monolithic schemes, bare snapshots).
+Every sampled check is a full
+:func:`repro.analysis.verifier.verify_installer` over the installer's
+current tables, so the online and post-hoc verdicts come from one code
+path.  Sampling every ``every`` actions is what bounds the cost.
 """
 
 from __future__ import annotations
@@ -40,17 +38,6 @@ class OnlineVerifier:
         self.violations_found = 0
         self.first_violation: Optional[dict] = None
         self._action_counts: Dict[str, int] = {}
-        self._checkers: Dict[str, object] = {}
-        # Imported lazily: every simulation loads repro.obs (the tracer
-        # lives here), and a module-level import would load all of
-        # repro.analysis (lint, races, snapshots) into processes that never
-        # verify.  Only a process that builds an OnlineVerifier pays.
-        from ..analysis.ap import attach_incremental_checker
-
-        for name, installer in self.installers.items():
-            checker = attach_incremental_checker(installer)
-            if checker is not None:
-                self._checkers[name] = checker
 
     def attach(self, tracer: RecordingTracer) -> "OnlineVerifier":
         """Subscribe to ``tracer``; returns self for chaining."""
@@ -69,14 +56,13 @@ class OnlineVerifier:
             self._check(switch, record["end"])
 
     def _check(self, switch: str, now: float) -> None:
-        checker = self._checkers.get(switch)
-        if checker is not None:
-            violations = checker.violations()
-        else:
-            # Lazy for the reason given in __init__.
-            from ..analysis.verifier import verify_installer
+        # Imported lazily: every simulation loads repro.obs (the tracer
+        # lives here), and a module-level import would load all of
+        # repro.analysis (lint, races, snapshots) into processes that never
+        # verify.  Only a process that runs a check pays.
+        from ..analysis.verifier import verify_installer
 
-            violations = verify_installer(self.installers[switch])
+        violations = verify_installer(self.installers[switch])
         self.checks_run += 1
         if violations:
             self.violations_found += len(violations)

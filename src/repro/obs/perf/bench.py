@@ -157,31 +157,23 @@ def write_bench_artifact(
     headline: Dict[str, float],
     payload: Optional[dict] = None,
     meta: Optional[dict] = None,
-    out: Optional[str] = None,
     results_dir: Optional[str] = None,
-    history: bool = True,
-    index: bool = True,
 ) -> str:
     """Write one suite's artifact; append history; refresh the index.
 
-    ``out`` overrides the artifact path (the ``BENCH_*_OUT`` env-var
-    convention); history and the index still land in ``results_dir``.
-    Returns the artifact path.
+    All three land in ``results_dir`` (default: :func:`default_results_dir`,
+    so ``$HERMES_BENCH_DIR`` moves them together).  Returns the artifact
+    path.
     """
     directory = results_dir if results_dir is not None else default_results_dir()
     os.makedirs(directory, exist_ok=True)
     document = bench_artifact(suite, headline, payload=payload, meta=meta)
-    path = out if out else os.path.join(directory, f"BENCH_{suite}.json")
-    out_dir = os.path.dirname(path)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(directory, f"BENCH_{suite}.json")
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    if history:
-        append_history(document, directory)
-    if index:
-        write_index(directory)
+    append_history(document, directory)
+    write_index(directory)
     return path
 
 

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-# det: allow(adhoc-event-loop) -- a priority queue of links for one filling, not of events
 from heapq import heapify, heappop, heappush
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -124,11 +123,9 @@ def _fill_paths(
             rates[index] = UNCONSTRAINED_RATE
     share = [left / flows for left, flows in zip(remaining, count)]
     heap = list(zip(share, range(len(share))))
-    # det: allow(adhoc-event-loop) -- links keyed by (share, rank), not events
     heapify(heap)
     frozen = [False] * len(paths)
     while heap:
-        # det: allow(adhoc-event-loop) -- links keyed by (share, rank), not events
         bottleneck_share, bottleneck = heappop(heap)
         # Stale unless the link still has flows and this is its current share.
         if not count[bottleneck] or bottleneck_share != share[bottleneck]:
@@ -149,7 +146,6 @@ def _fill_paths(
         for rank in touched:
             if count[rank]:
                 share[rank] = remaining[rank] / count[rank]
-                # det: allow(adhoc-event-loop) -- links keyed by (share, rank), not events
                 heappush(heap, (share[rank], rank))
     return rates
 

@@ -1,42 +1,24 @@
 """Known-bad fixture for the ``adhoc-event-loop`` lint rule.
 
-Every function here re-implements a slice of the discrete-event kernel
-privately — the exact pattern :mod:`repro.engine` exists to delete.  The
-module is valid Python that passes the style checks (ruff); only
-``python -m repro.analysis lint`` complains, so CI can assert the lint
-fails on it for the right reason.  It is never imported by tests; it is
-linted as text.
+The class below keeps a private simulated clock — the exact pattern
+:mod:`repro.engine` exists to delete.  The module is valid Python that
+passes the style checks (ruff); only ``python -m repro.analysis lint``
+complains, so CI can assert the lint fails on it for the right reason.  It
+is never imported by tests; it is linted as text.
 """
 
-import heapq
-from heapq import heappop
 
-
-class PrivateLoop:
-    """An ad-hoc event loop: its own heap, its own mutable clock."""
+class PrivateClock:
+    """An ad-hoc timeline: its own mutable ``now`` and busy horizon."""
 
     def __init__(self):
         self.now = 0.0
         self._busy_until = 0.0
-        self._events = []
 
-    def schedule(self, time, payload):
-        """adhoc-event-loop: heapq call building a private queue."""
-        heapq.heappush(self._events, (time, payload))
-
-    def step(self):
-        """adhoc-event-loop: pops the private heap and mutates ``now``."""
-        time, payload = heappop(self._events)
+    def step(self, time):
+        """adhoc-event-loop: mutates ``now`` outside the kernel clock."""
         self.now = time
-        return payload
 
     def occupy(self, duration):
         """adhoc-event-loop: augmented assignment to a busy horizon."""
         self._busy_until += duration
-
-
-def allowed_private_heap(items):
-    """A justified suppression the lint must honour, not flag."""
-    # det: allow(adhoc-event-loop) -- sorts a static list, no event loop
-    heapq.heapify(items)
-    return items

@@ -1,17 +1,15 @@
-"""Atomic-predicate engine tests: exactness, painting, incremental parity,
-and the hypothesis differential suite pinning the shipped verifier to the
-symbolic oracle (``tests/analysis/symbolic_oracle.py``)."""
+"""Atomic-predicate engine tests: exactness, painting, and the hypothesis
+differential suite pinning the shipped verifier to the symbolic oracle
+(``tests/analysis/symbolic_oracle.py``)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.ap import (
-    IncrementalPairChecker,
     _contiguous_interval,
     atoms_intersect,
     atoms_subset,
-    attach_incremental_checker,
     build_universe,
     first_common_atom,
     first_match_winners,
@@ -132,76 +130,6 @@ class TestFirstMatchPainting:
             if first is not None:
                 expected_claimed[first] = True
         assert claimed == expected_claimed
-
-
-def errors_only(shadow, main):
-    return symbolic_verify_partition(shadow, main)
-
-
-class TestIncrementalChecker:
-    def test_mirrors_full_verification_under_churn(self):
-        checker = IncrementalPairChecker()
-        shadow, main = [], []
-        script = [
-            ("insert", "shadow", R("1010****", 100, port=2, rule_id=1)),
-            ("insert", "main", R("10******", 50, port=1, rule_id=2)),
-            ("insert", "main", R("0*******", 60, port=3, rule_id=3)),
-            # An inversion appears...
-            ("insert", "main", R("1011****", 150, port=4, rule_id=4)),
-            # ...a duplicate appears...
-            ("insert", "main", R("1010****", 100, port=2, rule_id=1)),
-            # ...then both are repaired.
-            ("remove", "main", R("1010****", 100, port=2, rule_id=1)),
-            ("remove", "main", R("1011****", 150, port=4, rule_id=4)),
-            ("insert", "shadow", R("11******", 90, port=5, rule_id=5)),
-            ("remove", "shadow", R("1010****", 100, port=2, rule_id=1)),
-        ]
-        tables = {"shadow": shadow, "main": main}
-        for op, table, rule in script:
-            if op == "insert":
-                checker.insert(table, rule)
-                tables[table].append(rule)
-            else:
-                checker.remove(table, rule)
-                tables[table].remove(rule)
-            assert violation_fingerprint(checker.violations()) == (
-                violation_fingerprint(errors_only(shadow, main))
-            ), f"diverged after {op} {rule.rule_id}"
-
-    def test_modify_rescans(self):
-        checker = IncrementalPairChecker()
-        low = R("10******", 50, port=1, rule_id=2)
-        checker.insert("shadow", R("1010****", 100, port=2, rule_id=1))
-        checker.insert("main", low)
-        assert checker.violations() == []
-        checker.modify("main", low, low.with_priority(150))
-        assert [v.kind for v in checker.violations()] == ["priority-inversion"]
-
-    def test_attaches_to_hermes_installer(self):
-        from repro.core import GuaranteeSpec, HermesConfig, HermesInstaller
-        from repro.switchsim import FlowMod
-        from repro.tcam import pica8_p3290
-
-        hermes = HermesInstaller(
-            pica8_p3290(),
-            config=HermesConfig(guarantee=GuaranteeSpec.milliseconds(5)),
-        )
-        checker = attach_incremental_checker(hermes)
-        assert checker is not None
-        hermes.apply(
-            FlowMod.add(
-                Rule.from_prefix("10.0.0.0/8", 50, Action.output(1))
-            )
-        )
-        assert checker.rule_count == 1
-        assert checker.violations() == []
-
-    def test_returns_none_without_table_seam(self):
-        class Bare:
-            def tables(self):
-                return {"shadow": [], "main": []}
-
-        assert attach_incremental_checker(Bare()) is None
 
 
 # ---------------------------------------------------------------------------

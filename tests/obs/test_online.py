@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.core import GuaranteeSpec, HermesConfig, HermesInstaller
 from repro.obs.online import OnlineVerifier
 from repro.obs.tracer import RecordingTracer
+from repro.switchsim import FlowMod
+from repro.tcam import pica8_p3290
 from repro.tcam.rule import Action, Rule
 
 
@@ -69,6 +72,32 @@ class TestOnlineVerifier:
         assert verifier.first_violation["time"] == 0.5
         assert verifier.first_violation["switch"] == "s1"
         assert verifier.first_violation["kinds"]
+
+    def test_live_hermes_inversion_named_at_its_instant(self):
+        hermes = HermesInstaller(
+            pica8_p3290(),
+            config=HermesConfig(guarantee=GuaranteeSpec.milliseconds(5)),
+        )
+        shadow_rule = Rule.from_prefix("10.0.0.0/24", 10, Action.output(1))
+        hermes.apply(FlowMod.add(shadow_rule))
+        assert hermes.tables()["shadow"] == [shadow_rule]
+        tracer = RecordingTracer()
+        verifier = OnlineVerifier({"s1": hermes}, every=1).attach(tracer)
+        emit_actions(tracer, "s1", 3)
+        assert verifier.checks_run == 3
+        assert verifier.first_violation is None
+        # A main-table write that bypasses Algorithm 1: it overlaps the
+        # shadow rule at a higher priority, so shadow-first lookup masks it.
+        hermes.main.insert(
+            Rule.from_prefix("10.0.0.0/16", 50, Action.output(2))
+        )
+        emit_actions(tracer, "s1", 2, start=3.0)
+        assert verifier.checks_run == 5
+        assert verifier.first_violation == {
+            "time": 3.5,
+            "switch": "s1",
+            "kinds": ["priority-inversion"],
+        }
 
     def test_ignores_unknown_switches_and_other_records(self):
         tracer = RecordingTracer()

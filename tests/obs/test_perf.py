@@ -498,6 +498,7 @@ class TestBenchArtifacts:
         write_bench_artifact("unit", {"run_seconds": 1.0})
         assert (tmp_path / "BENCH_unit.json").exists()
         assert (tmp_path / "perf_history.jsonl").exists()
+        assert (tmp_path / "INDEX.md").exists()
 
     def test_history_point_is_compact(self, tmp_path):
         document = bench_artifact("unit", {"run_seconds": 1.0})

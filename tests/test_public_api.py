@@ -117,3 +117,13 @@ def test_kernel_and_experiment_imports_leave_process_pools_unloaded():
         ["multiprocessing", "concurrent.futures.process"],
     )
     assert loaded == "[]"
+
+
+def test_simulator_and_obs_imports_leave_analysis_unloaded():
+    """Every simulation loads ``repro.obs`` (the tracer lives there), so
+    the online verifier imports ``repro.analysis`` only when it checks;
+    importing the simulator and ``repro.obs`` must not load it."""
+    loaded = _loaded_after_import(
+        ["repro.simulator", "repro.obs"], ["repro.analysis"]
+    )
+    assert loaded == "[]"
