@@ -516,7 +516,7 @@ def ap_shadowed_rules(table, universe, name: str = "table") -> List[Violation]:
     Partial occlusion is what priorities are *for*, so this is purely
     informational — useful when auditing an operator-supplied ruleset for
     surprising interactions, too noisy to enforce on partitioned tables.
-    Uses a prefix-trie overlap index over the already-seen rules, so only
+    Uses the overlap index over the already-seen rules, so only
     genuine overlap candidates are examined; partial occlusion is
     "labels intersect but mine is not a subset of the prior's".
     """

@@ -195,9 +195,9 @@ class HermesInstaller(RuleInstaller):
         self.partition_map = PartitionMap()
         # The Rule Manager owns the main table's overlap index and every
         # verified write, Algorithm 1's included (RuleManager.install).
-        # DetectOverlap reads the index in O(32 + matches) instead of a
-        # scan of the whole table (the reason Fig 15's insertion-side cost
-        # stays flat).
+        # DetectOverlap reads the index (one probe per prefix length in use
+        # plus one key-list range) instead of a scan of the whole table
+        # (the reason Fig 15's insertion-side cost stays flat).
         self.rule_manager = RuleManager(
             shadow=self.shadow,
             main=self.main,

@@ -163,20 +163,6 @@ def reconstruct_workload(records: Sequence[dict]):
     return workloads, skipped
 
 
-def _background_rules(count: int) -> List[object]:
-    """The controller's prefill rule set (low-priority /24 background)."""
-    from ..tcam.rule import Action, Rule
-
-    return [
-        Rule.from_prefix(
-            f"10.{(index // 256) % 256}.{index % 256}.0/24",
-            10 + (index % 80),
-            Action.output((index % 8) + 1),
-        )
-        for index in range(count)
-    ]
-
-
 def replay_records(
     records: Sequence[dict],
     scheme: str,
@@ -212,6 +198,7 @@ def replay_records(
 
     from ..baselines import make_installer
     from ..obs.tracer import get_tracer, use_tracer
+    from ..simulator.controller import background_rules
     from ..switchsim.agent import SwitchAgent
     from ..tcam import get_switch_model
     from .rng import RngStreams
@@ -232,7 +219,7 @@ def replay_records(
             ),
         )
         if prefill:
-            installer.prefill(_background_rules(prefill))
+            installer.prefill(background_rules(prefill))
         agents[switch] = SwitchAgent(installer, name=switch, clock=clock)
         for timed in workloads[switch]:
             scheduler.schedule(timed.time, "flowmod", (switch, timed.flow_mod))

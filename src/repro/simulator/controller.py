@@ -34,6 +34,22 @@ from ..traffic.flows import FlowSpec
 InstallerFactory = Callable[[str], RuleInstaller]
 
 
+def background_rules(count: int) -> List[Rule]:
+    """The prefill rule set: ``count`` low-priority /24s over 10.0.0.0/8.
+
+    The ``index``-th rule matches ``10.<index // 256 % 256>.<index % 256>.0/24``
+    at priority ``10 + index % 80``, below every TE override rule.
+    """
+    return [
+        Rule(
+            TernaryMatch((10 << 24) | ((index & 0xFFFF) << 8), 0xFFFFFF00),
+            10 + (index % 80),
+            Action.output((index % 8) + 1),
+        )
+        for index in range(count)
+    ]
+
+
 def flow_match(flow: FlowSpec) -> TernaryMatch:
     """The exact-match TCAM key identifying one flow.
 
@@ -154,15 +170,7 @@ class SdnController:
         if rules_per_switch < 0:
             raise ValueError("rules_per_switch cannot be negative")
         for agent in self.agents.values():
-            background = [
-                Rule.from_prefix(
-                    f"10.{(index // 256) % 256}.{index % 256}.0/24",
-                    10 + (index % 80),
-                    Action.output((index % 8) + 1),
-                )
-                for index in range(rules_per_switch)
-            ]
-            agent.installer.prefill(background)
+            agent.installer.prefill(background_rules(rules_per_switch))
 
     # ------------------------------------------------------------------
     # Path programming

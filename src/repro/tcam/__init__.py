@@ -7,7 +7,7 @@ profiles from Table 1, and the slice-carving mechanism Hermes is built on.
 
 from .moveplan import conflicts_with_resident
 from .prefix import Prefix, covers_same_addresses, merge_prefixes
-from .trie import PrefixRuleIndex, PrefixTrie
+from .trie import PrefixRuleIndex
 from .rule import Action, Rule
 from .slices import CarvedTcam, SliceConfig
 from .table import (
@@ -38,7 +38,6 @@ __all__ = [
     "IdealTimingModel",
     "InsertOrder",
     "PrefixRuleIndex",
-    "PrefixTrie",
     "Prefix",
     "Rule",
     "RuleNotFoundError",

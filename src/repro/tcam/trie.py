@@ -1,120 +1,75 @@
-"""A binary prefix trie indexing rules by their match prefix.
+"""The overlap index: which indexed rules overlap a given rule.
 
 Algorithm 1 must find, for every arriving rule, the main-table rules that
 overlap it, and a migration must find which of its rules dominate a
 main-table resident.  A linear scan is O(table size) per query; production
 rule sets make that the dominant cost.  For prefix rules, overlap is
-containment one way or the other, so a binary trie answers the query in
-O(32 + answer): ancestors of the query prefix lie on the root path,
-descendants in its subtree.
+containment one way or the other: the answer is the query prefix's
+ancestors (itself included) plus its descendants.
 
-:class:`PrefixRuleIndex` is the rule-facing wrapper.  The Rule Manager owns
-the one instance over the main table and keeps it in sync through the
-table's change listener; Hermes's Algorithm 1 reads that same instance.
-Rules whose match is not prefix-shaped fall back to a small linear side
-list.
+:class:`PrefixRuleIndex` keeps prefix rules in two flat structures, both
+keyed by a prefix's *slot key* ``(inverted care bits << 6) | length``:
+
+* a dict from slot key to the rules at that prefix, in insertion order;
+* the sorted list of the slot keys in use.
+
+Sorted, the slot keys are the pre-order of a binary prefix trie that visits
+the 1-child before the 0-child, so a prefix's descendants form one
+contiguous run right after its own key.  Ancestors are one dict probe per
+prefix length in use, shortest first (the root path); descendants are one
+``bisect`` range of the key list.  Slot keys come from the match's value
+and mask by bit arithmetic, so no add or query builds a ``Prefix``.
+
+The Rule Manager owns the one instance over the main table and keeps it in
+sync through the table's change listener; Hermes's Algorithm 1 reads that
+same instance.  Rules whose match is not prefix-shaped fall back to a small
+linear side list.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from typing import Dict, Iterator, List, Optional
 
-from .prefix import MAX_PREFIX_LEN, Prefix
+from .prefix import MAX_PREFIX_LEN
 from .rule import Rule
+from .ternary import TernaryMatch
+
+_ALL_ONES = (1 << MAX_PREFIX_LEN) - 1
+#: The network mask of every prefix length.
+_MASKS = [_ALL_ONES ^ (_ALL_ONES >> length) for length in range(MAX_PREFIX_LEN + 1)]
+#: Slot keys keep the prefix length in their low bits.
+_LENGTH_BITS = 6
+_LENGTH_MASK = (1 << _LENGTH_BITS) - 1
 
 
-class _TrieNode:
-    __slots__ = ("children", "rules")
-
-    def __init__(self) -> None:
-        self.children: List[Optional["_TrieNode"]] = [None, None]
-        self.rules: Dict[int, Rule] = {}
-
-
-class PrefixTrie:
-    """A binary trie over IPv4 prefixes holding rules at their nodes."""
-
-    def __init__(self) -> None:
-        self._root = _TrieNode()
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    # ------------------------------------------------------------------
-    # Mutation
-    # ------------------------------------------------------------------
-    def insert(self, prefix: Prefix, rule: Rule) -> None:
-        """Store ``rule`` at ``prefix``'s node.
-
-        Raises:
-            ValueError: when the rule id is already stored at this prefix.
-        """
-        node = self._descend(prefix, create=True)
-        if rule.rule_id in node.rules:
-            raise ValueError(f"rule #{rule.rule_id} already indexed at {prefix}")
-        node.rules[rule.rule_id] = rule
-        self._size += 1
-
-    def remove(self, prefix: Prefix, rule_id: int) -> bool:
-        """Remove one rule; returns False when absent (idempotent)."""
-        node = self._descend(prefix, create=False)
-        if node is None or rule_id not in node.rules:
-            return False
-        del node.rules[rule_id]
-        self._size -= 1
-        return True
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def overlapping(self, prefix: Prefix) -> Iterator[Rule]:
-        """Yield every stored rule whose prefix overlaps ``prefix``.
-
-        For prefixes, overlap means one contains the other: the result is
-        the rules on the root path (ancestors, including the node itself)
-        plus the rules in the node's subtree (descendants).
-        """
-        node = self._root
-        yield from node.rules.values()
-        for depth in range(prefix.length):
-            bit = (prefix.network >> (MAX_PREFIX_LEN - 1 - depth)) & 1
-            node = node.children[bit]
-            if node is None:
-                return
-            yield from node.rules.values()
-        # ``node`` is now the prefix's own node (already yielded): walk the
-        # subtree for descendants.
-        stack = [child for child in node.children if child is not None]
-        while stack:
-            current = stack.pop()
-            yield from current.rules.values()
-            stack.extend(child for child in current.children if child is not None)
-
-    def _descend(self, prefix: Prefix, create: bool) -> Optional[_TrieNode]:
-        node = self._root
-        for depth in range(prefix.length):
-            bit = (prefix.network >> (MAX_PREFIX_LEN - 1 - depth)) & 1
-            child = node.children[bit]
-            if child is None:
-                if not create:
-                    return None
-                child = _TrieNode()
-                node.children[bit] = child
-            node = child
-        return node
+def _slot_key(match: TernaryMatch) -> Optional[int]:
+    """The slot key of a prefix-shaped match; None for any other match."""
+    if match.width != MAX_PREFIX_LEN:
+        return None
+    # Prefix-shaped iff the wildcard bits are a low-order run.
+    wildcards = match.mask ^ _ALL_ONES
+    if wildcards & (wildcards + 1):
+        return None
+    length = MAX_PREFIX_LEN - wildcards.bit_length()
+    return ((match.value ^ match.mask) << _LENGTH_BITS) | length
 
 
 class PrefixRuleIndex:
-    """Overlap index over a rule set (trie for prefixes, list otherwise)."""
+    """Overlap index over a rule set (slot map for prefixes, list otherwise)."""
 
     def __init__(self) -> None:
-        self._trie = PrefixTrie()
+        self._slots: Dict[int, Dict[int, Rule]] = {}
+        self._keys: List[int] = []
+        # Prefix lengths with at least one slot, ascending, and the number
+        # of slots at each length.
+        self._lengths: List[int] = []
+        self._slots_at_length = [0] * (MAX_PREFIX_LEN + 1)
+        self._key_of: Dict[int, int] = {}
         self._non_prefix: Dict[int, Rule] = {}
-        self._prefix_of: Dict[int, Prefix] = {}
 
     def __len__(self) -> int:
-        return len(self._trie) + len(self._non_prefix)
+        return len(self._key_of) + len(self._non_prefix)
 
     def add(self, rule: Rule) -> None:
         """Index one rule.
@@ -122,41 +77,77 @@ class PrefixRuleIndex:
         Raises:
             ValueError: when the rule id is already indexed.
         """
-        if rule.rule_id in self._prefix_of or rule.rule_id in self._non_prefix:
-            raise ValueError(f"rule #{rule.rule_id} already indexed")
-        prefix = rule.match.to_prefix()
-        if prefix is None:
-            self._non_prefix[rule.rule_id] = rule
-        else:
-            self._trie.insert(prefix, rule)
-            self._prefix_of[rule.rule_id] = prefix
+        rule_id = rule.rule_id
+        if rule_id in self._key_of or rule_id in self._non_prefix:
+            raise ValueError(f"rule #{rule_id} already indexed")
+        key = _slot_key(rule.match)
+        if key is None:
+            self._non_prefix[rule_id] = rule
+            return
+        slot = self._slots.get(key)
+        if slot is None:
+            slot = self._slots[key] = {}
+            insort(self._keys, key)
+            length = key & _LENGTH_MASK
+            self._slots_at_length[length] += 1
+            if self._slots_at_length[length] == 1:
+                insort(self._lengths, length)
+        slot[rule_id] = rule
+        self._key_of[rule_id] = key
 
     def discard(self, rule_id: int) -> bool:
         """Remove a rule by id; returns False when absent (idempotent)."""
-        prefix = self._prefix_of.pop(rule_id, None)
-        if prefix is not None:
-            return self._trie.remove(prefix, rule_id)
-        return self._non_prefix.pop(rule_id, None) is not None
+        key = self._key_of.pop(rule_id, None)
+        if key is None:
+            return self._non_prefix.pop(rule_id, None) is not None
+        slot = self._slots[key]
+        del slot[rule_id]
+        if not slot:
+            del self._slots[key]
+            del self._keys[bisect_left(self._keys, key)]
+            length = key & _LENGTH_MASK
+            self._slots_at_length[length] -= 1
+            if not self._slots_at_length[length]:
+                self._lengths.remove(length)
+        return True
 
     def overlapping(self, rule: Rule) -> List[Rule]:
-        """All indexed rules whose match overlaps ``rule``'s match."""
+        """All indexed rules whose match overlaps ``rule``'s match.
+
+        Prefix rules come first, in trie order: the ancestors shortest
+        first, then the descendants in pre-order (1-child first); rules at
+        one prefix keep insertion order.  Non-prefix rules follow.
+        """
         return list(self._iter_overlapping(rule))
 
     def _iter_overlapping(self, rule: Rule) -> Iterator[Rule]:
-        prefix = rule.match.to_prefix()
-        if prefix is not None:
-            yield from self._trie.overlapping(prefix)
+        match = rule.match
+        slots = self._slots
+        key = _slot_key(match)
+        if key is not None:
+            inverted, length = key >> _LENGTH_BITS, key & _LENGTH_MASK
+            for ancestor in self._lengths:
+                if ancestor > length:
+                    break
+                ancestor_key = ((inverted & _MASKS[ancestor]) << _LENGTH_BITS) | ancestor
+                slot = slots.get(ancestor_key)
+                if slot is not None:
+                    yield from slot.values()
+            keys = self._keys
+            start = bisect_right(keys, key)
+            # Past the subtree: the next value of the query's care bits.
+            end = (inverted + (1 << (MAX_PREFIX_LEN - length))) << _LENGTH_BITS
+            stop = bisect_left(keys, end, start)
+            for descendant in keys[start:stop]:
+                yield from slots[descendant].values()
         else:
-            yield from (
-                candidate
-                for candidate in self._trie.overlapping(Prefix.default_route())
-                if candidate.match.overlaps(rule.match)
-            )
-        yield from (
-            candidate
-            for candidate in self._non_prefix.values()
-            if candidate.match.overlaps(rule.match)
-        )
+            for candidate_key in self._keys:
+                for candidate in slots[candidate_key].values():
+                    if candidate.match.overlaps(match):
+                        yield candidate
+        for candidate in self._non_prefix.values():
+            if candidate.match.overlaps(match):
+                yield candidate
 
     def blockers_for(self, rule: Rule) -> List[Rule]:
         """Overlapping rules with strictly higher priority (Algorithm 1)."""

@@ -405,7 +405,7 @@ class TestFixtureAndSources:
 
 
 class TestEnvironmentOrdering:
-    def test_for_over_environ_flagged_and_fixable(self):
+    def test_for_over_environ_flagged(self):
         findings = check(
             """
             import os
@@ -435,7 +435,7 @@ class TestEnvironmentOrdering:
         )
         assert rules_of(findings) == [UNORDERED_ITERATION]
 
-    def test_listdir_flagged_scandir_not_fixable(self):
+    def test_listdir_and_scandir_flagged(self):
         findings = check(
             """
             import os

@@ -268,7 +268,7 @@ class TestCliOverTime:
         assert result.returncode == 2
 
 
-class TestCliLintFix:
+class TestCliLint:
     def test_env_fixture_fails_lint(self):
         result = run_cli("lint", ENV_FIXTURE)
         assert result.returncode == 1

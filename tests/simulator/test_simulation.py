@@ -18,7 +18,8 @@ from repro.simulator import (
     flow_match,
     flow_rule_priority,
 )
-from repro.tcam import ideal_switch, pica8_p3290
+from repro.simulator.controller import background_rules
+from repro.tcam import Action, Rule, ideal_switch, pica8_p3290
 from repro.topology import FatTreeSpec, PathProvider, build_fat_tree, hosts, path_links
 from repro.traffic import FlowSpec, flows_of, generate_jobs
 
@@ -108,6 +109,23 @@ class TestController:
         agent = next(iter(controller.agents.values()))
         assert agent.installer.occupancy() == 100
         assert agent.stats.actions == 0  # warm-up is not measured
+
+    def test_background_rules_are_the_dotted_quad_slash24s(self):
+        count = 70_000  # past 65,536, where the second octet wraps
+        rules = background_rules(count)
+        expected = [
+            Rule.from_prefix(
+                f"10.{(index // 256) % 256}.{index % 256}.0/24",
+                10 + (index % 80),
+                Action.output((index % 8) + 1),
+            )
+            for index in range(count)
+        ]
+        assert [(r.match, r.priority, r.action) for r in rules] == [
+            (r.match, r.priority, r.action) for r in expected
+        ]
+        # Fresh ids, one per rule, in order.
+        assert [r.rule_id - rules[0].rule_id for r in rules] == list(range(count))
 
     def test_flow_match_unique_and_exact(self):
         a = FlowSpec(source="a", destination="b", size=1.0, start_time=0.0)

@@ -9,7 +9,9 @@ fails on any machine:
 * ``Rule.__eq__`` raises while the measured code runs, which catches
   ``list.index`` / ``list.remove`` / ``in`` scans over rule lists;
 * reads of ``Rule.priority`` and calls of ``TernaryMatch.overlaps`` are
-  counted, which catches priority walks and pairwise overlap scans.
+  counted, which catches priority walks and pairwise overlap scans;
+* ``Prefix`` constructions are counted where the overlap index must find
+  a rule's slot by bit arithmetic alone.
 
 Each test also runs a linear reference under the same counters and checks
 that it blows the bound, so the counters are known to see a scan.
@@ -25,6 +27,7 @@ from repro.tcam.trie import PrefixRuleIndex
 
 from .conflict_oracle import pairwise_conflicts
 from .test_table_stateful import walk_insertion_position
+from .trie_oracle import TrieRuleIndex
 
 RESIDENT = 4096
 PRIORITY_CLASSES = 16
@@ -201,3 +204,47 @@ class TestConflictCheckDoesNotScan:
         assert len(conflicted) == 33
         assert spent <= bound, spent_counts
         assert reference > bound
+
+
+class TestOverlapIndexBuildsNoPrefix:
+    """Index adds and queries take a rule's slot from its value and mask:
+    not one ``Prefix`` is constructed."""
+
+    QUERIES = 64
+
+    @staticmethod
+    def count_prefixes(monkeypatch, counts):
+        real_post_init = Prefix.__post_init__
+
+        def counting_post_init(prefix):
+            counts["prefix"] += 1
+            real_post_init(prefix)
+
+        monkeypatch.setattr(Prefix, "__post_init__", counting_post_init)
+
+    @staticmethod
+    def slash24_rule(index, priority):
+        network = (10 << 24) | (index << 8)
+        return Rule(TernaryMatch(network, 0xFFFFFF00), priority, Action.output(1))
+
+    def index_and_query(self, index):
+        for i in range(RESIDENT):
+            index.add(self.slash24_rule(i, i % PRIORITY_CLASSES))
+        queries = [
+            self.slash24_rule(i * 61, -1) for i in range(self.QUERIES)
+        ]
+        return [index.blockers_for(query) for query in queries]
+
+    def test_add_and_query_build_no_prefix(self, monkeypatch):
+        counts = Counter()
+        self.count_prefixes(monkeypatch, counts)
+        answers = self.index_and_query(PrefixRuleIndex())
+        spent = counts["prefix"]
+        counts.clear()
+        self.index_and_query(TrieRuleIndex())
+        reference = counts["prefix"]
+        monkeypatch.undo()
+
+        assert spent == 0
+        assert reference >= RESIDENT + self.QUERIES
+        assert all(answers)

@@ -1,11 +1,18 @@
-"""Tests for the prefix trie and the rule overlap index."""
+"""Tests for the rule overlap index, against a binary-trie order oracle."""
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.rule_manager import _IndexSync
 from repro.tcam import Action, Prefix, Rule, TernaryMatch
-from repro.tcam.trie import PrefixRuleIndex, PrefixTrie
+from repro.tcam.trie import PrefixRuleIndex
+
+from .trie_oracle import TrieRuleIndex
+
+ALL_ONES = (1 << 32) - 1
 
 
 def P(text):
@@ -25,63 +32,69 @@ def prefixes_10slash8(draw):
 
 
 class TestPrefixTrie:
+    """The index answers prefix queries the way a binary prefix trie does:
+    ancestors on the root path, descendants in the subtree."""
+
     def test_insert_and_size(self):
-        trie = PrefixTrie()
-        trie.insert(P("10.0.0.0/8"), rule("10.0.0.0/8", 1))
-        assert len(trie) == 1
+        index = PrefixRuleIndex()
+        index.add(rule("10.0.0.0/8", 1))
+        assert len(index) == 1
 
     def test_duplicate_id_at_same_prefix_rejected(self):
-        trie = PrefixTrie()
+        index = PrefixRuleIndex()
         r = rule("10.0.0.0/8", 1)
-        trie.insert(P("10.0.0.0/8"), r)
+        index.add(r)
         with pytest.raises(ValueError):
-            trie.insert(P("10.0.0.0/8"), r)
+            index.add(replace(r, priority=2))
+        assert len(index) == 1
 
     def test_remove_is_idempotent(self):
-        trie = PrefixTrie()
+        index = PrefixRuleIndex()
         r = rule("10.0.0.0/8", 1)
-        trie.insert(P("10.0.0.0/8"), r)
-        assert trie.remove(P("10.0.0.0/8"), r.rule_id)
-        assert not trie.remove(P("10.0.0.0/8"), r.rule_id)
-        assert len(trie) == 0
+        index.add(r)
+        assert index.discard(r.rule_id)
+        assert not index.discard(r.rule_id)
+        assert len(index) == 0
+        assert index.overlapping(rule("0.0.0.0/0", 1)) == []
 
     def test_overlapping_finds_ancestors_and_descendants(self):
-        trie = PrefixTrie()
+        index = PrefixRuleIndex()
         ancestor = rule("10.0.0.0/8", 1)
         exact = rule("10.1.0.0/16", 2)
         descendant = rule("10.1.2.0/24", 3)
         sibling = rule("10.2.0.0/16", 4)
         for r in (ancestor, exact, descendant, sibling):
-            trie.insert(r.match.to_prefix(), r)
-        found = {r.rule_id for r in trie.overlapping(P("10.1.0.0/16"))}
-        assert found == {ancestor.rule_id, exact.rule_id, descendant.rule_id}
+            index.add(r)
+        found = [r.rule_id for r in index.overlapping(rule("10.1.0.0/16", 9))]
+        assert found == [ancestor.rule_id, exact.rule_id, descendant.rule_id]
 
     def test_disjoint_prefix_finds_nothing(self):
-        trie = PrefixTrie()
-        trie.insert(P("10.0.0.0/8"), rule("10.0.0.0/8", 1))
-        assert list(trie.overlapping(P("11.0.0.0/8"))) == []
+        index = PrefixRuleIndex()
+        index.add(rule("10.0.0.0/8", 1))
+        assert index.overlapping(rule("11.0.0.0/8", 1)) == []
 
     def test_default_route_overlaps_everything(self):
-        trie = PrefixTrie()
+        index = PrefixRuleIndex()
         rules = [rule(f"{i}.0.0.0/8", i) for i in range(1, 6)]
         for r in rules:
-            trie.insert(r.match.to_prefix(), r)
-        found = list(trie.overlapping(Prefix.default_route()))
+            index.add(r)
+        found = index.overlapping(rule("0.0.0.0/0", 1))
         assert len(found) == 5
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(prefixes_10slash8(), min_size=1, max_size=20), prefixes_10slash8())
     def test_overlapping_agrees_with_linear_scan(self, stored, query):
-        trie = PrefixTrie()
+        index = PrefixRuleIndex()
         rules = []
-        for index, prefix in enumerate(stored):
-            r = Rule.from_prefix(prefix, index + 1, Action.output(1))
-            trie.insert(prefix, r)
+        for priority, prefix in enumerate(stored):
+            r = Rule.from_prefix(prefix, priority + 1, Action.output(1))
+            index.add(r)
             rules.append(r)
         expected = {
             r.rule_id for r in rules if r.match.to_prefix().overlaps(query)
         }
-        found = {r.rule_id for r in trie.overlapping(query)}
+        probe = Rule.from_prefix(query, 1, Action.drop())
+        found = {r.rule_id for r in index.overlapping(probe)}
         assert found == expected
 
 
@@ -147,3 +160,82 @@ class TestPrefixRuleIndex:
         expected = {r.rule_id for r in detect_overlaps(query, rules)}
         found = {r.rule_id for r in index.blockers_for(query)}
         assert found == expected
+
+
+#: Addresses the churn carves its matches from; a few shared ones make
+#: prefixes nest, which is where the order of ancestors and subtree counts.
+BASES = [0x00000000, 0x0A000000, 0x0A0100FF, 0x0A01FF00, 0xC0A80101, ALL_ONES]
+
+
+@st.composite
+def churn_matches(draw):
+    """A prefix match of any length /0 to /32, or a non-prefix ternary one."""
+    base = draw(st.one_of(st.sampled_from(BASES), st.integers(0, ALL_ONES)))
+    if draw(st.integers(0, 5)) == 0:
+        mask = draw(st.integers(0, ALL_ONES))
+    else:
+        length = draw(st.integers(0, 32))
+        mask = ALL_ONES ^ (ALL_ONES >> length)
+    return TernaryMatch(base & mask, mask)
+
+
+CHURN_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "add", "discard", "modify", "query"]),
+        churn_matches(),
+        st.integers(0, 9),
+        st.integers(0, 1 << 16),
+    ),
+    max_size=80,
+)
+
+
+class TestOrderAgainstTrieOracle:
+    """Under add/discard/modify churn, every query returns the oracle's
+    rule ids in the oracle's order."""
+
+    @staticmethod
+    def assert_same_answers(index, oracle, query):
+        assert [r.rule_id for r in index.overlapping(query)] == [
+            r.rule_id for r in oracle.overlapping(query)
+        ]
+        assert [r.rule_id for r in index.blockers_for(query)] == [
+            r.rule_id for r in oracle.blockers_for(query)
+        ]
+        assert index.dominates_any(query) == oracle.dominates_any(query)
+
+    @settings(max_examples=150, deadline=None)
+    @given(CHURN_OPS, st.lists(churn_matches(), min_size=1, max_size=8))
+    def test_churn_matches_oracle(self, ops, final_queries):
+        index, oracle = PrefixRuleIndex(), TrieRuleIndex()
+        syncs = (_IndexSync(index), _IndexSync(oracle))
+        live = []
+        for kind, match, priority, pick in ops:
+            if kind == "query" or (kind != "add" and not live):
+                self.assert_same_answers(
+                    index, oracle, Rule(match, priority, Action.drop())
+                )
+            elif kind == "add":
+                added = Rule(match, priority, Action.output(1))
+                for sync in syncs:
+                    sync.rule_installed(added)
+                live.append(added)
+            elif kind == "discard":
+                removed = live.pop(pick % len(live))
+                for sync in syncs:
+                    sync.rule_removed(removed)
+                assert not index.discard(removed.rule_id)
+                assert not oracle.discard(removed.rule_id)
+            else:
+                position = pick % len(live)
+                old = live[position]
+                new = replace(old, match=match, action=Action.output(pick % 4 + 1))
+                for sync in syncs:
+                    sync.rule_modified(old, new)
+                live[position] = new
+            assert len(index) == len(oracle) == len(live)
+        for match in final_queries:
+            for priority in (0, 5, 10):
+                self.assert_same_answers(
+                    index, oracle, Rule(match, priority, Action.drop())
+                )
