@@ -7,51 +7,71 @@ per flow:
   path-id columns as numpy arrays.  Each distinct path is interned once:
   the store memoizes its id and its dense link-id list, so a row carries
   only the path's id and a reroute rewrites one integer.
-* :meth:`FlowStore.recompute` runs one progressive filling,
-  :func:`_fill_paths`.  It runs over *distinct paths with multiplicities*
-  (path classes), not over flows, and takes each bottleneck from a heap
-  keyed by ``(share, first-encounter rank)``.
+* Beside the columns the store keeps the fair-share filling's setup state
+  live across ``add``/``remove``/``set_path``: per *path class* (the
+  active flows on one interned path) its flow count and its member rows;
+  per link its active flow count and the classes on it; and the links in
+  use.  Each change interns its path first and only then moves the row
+  between classes, so a path that raises leaves this state as it was.
+* :meth:`FlowStore.recompute` runs one progressive filling
+  (:class:`_Filling`) over that state: over classes with multiplicities,
+  not over flows.
 
-**Cost.**  With ``P`` distinct active paths, ``I`` (path, link)
-incidences among them and ``L`` links they use, one filling is
-O(n + I log L) for ``n`` active flows: one C-level count of the rows'
-path ids, one walk of each path's links to rank them, one walk of each
-path's links when it freezes, and at most ``L + I`` heap pushes.  No
-round rescans the surviving links or pairs.
+**Cost.**  With ``P`` active classes, ``I`` (class, link) incidences
+among them and ``L`` links in use, upkeep is one walk of a path's links
+per ``add``/``remove``/``set_path``, booked to its caller, and one
+filling is O((L + I) log L) plus a rate gather over the ``n`` active
+rows.
+A filling copies the live per-link counts, walks each class's links once,
+when the class freezes, and recomputes a share only for a link the round
+touched.  Nothing in it walks the class lists to rebuild per-link state.
+The bottleneck comes from a heap whose entries are lower bounds on link
+shares: freezing a class at the smallest share never lowers another
+link's share, so an entry is re-keyed only when it reaches the top, and
+only a share that rounding lowered is pushed at once.  A class of ``m``
+flows subtracts its share ``m`` times per link; from 16 on, numpy's
+subtract reduction does the subtractions, in the same order.
 
 **Exactness contract.**  The filling is *bit-identical* to the dict
 reference :func:`~repro.simulator.fairshare.max_min_fair_rates`, not
 merely close.  Capacities enter as the same numbers and every share is
-the same ``remaining / count`` division.  The four steps from the flow
-loop to the heap are each exact:
+the same ``remaining / count`` division.  Four steps carry the dict's
+flow loop over to the classes unchanged:
 
 1. Flows on the same path always freeze together: a bottleneck link
    freezes every flow on it, and same-path flows share every link.  So a
    path class with ``m`` flows stands for its flows, and it adds ``m`` to
    the count of each link it uses.
-2. Classes are ordered by their first member's row (admission order).
-   A later member of a class reaches no link its first member did not, so
-   first-encounter link ranks over classes equal those over rows: the
-   order the dict's ``flows_on_link`` is built in.
-3. A heap pop of the smallest ``(share, rank)`` picks the link that the
-   dict's strict-``<`` scan in first-encounter order picks (the lowest
-   share, ties to the lowest rank).  Each push records the link's current
-   share, and a popped entry is stale, and skipped, unless the link still
-   has flows and the entry's share equals the current one.
-4. Every frozen flow subtracts the *same* bottleneck share from each of
-   its links, one subtraction at a time (``m`` of them for a class of
-   ``m``), so each link's float sequence is the dict's.
+2. The dict picks the smallest share, ties to the link its rows reach
+   first (its strict-``<`` scan runs in ``flows_on_link`` insertion
+   order).  The filling takes the smallest share from the heap and, only
+   when another link ties it, ranks the tied links by first encounter:
+   the smallest ``(first-member row, position of the link in the path)``
+   over the classes on the link.  A later member of a class reaches no
+   link its first member did not, so the first member stands for the
+   class.  The dict's order is fixed when the filling starts, so the key
+   runs over every class on the link, frozen ones included.  Rows are in
+   admission order and compaction keeps that order.
+3. Order inside a round is free: every class frozen in a round subtracts
+   the same share, so neither the order of the classes nor of their
+   links changes a float.  Each link gets one subtraction per frozen
+   flow (``m`` for a class of ``m``), as in the dict.
+4. A link no round touched keeps its count and remaining capacity, so its
+   share is the quotient the dict recomputes for it.
 
 ``tests/simulator/test_flowstate.py`` pins the equality against that
-reference, through random workloads and through random store churn.
+reference, through random workloads, through random store churn (with
+the live counts recounted from the rows after every step) and through
+churn that moves the first-encounter order of tied links.
+``tests/simulator/test_fill_counts.py`` counts a filling's work.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from bisect import bisect_left
 from heapq import heapify, heappop, heappush
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -64,90 +84,141 @@ FLAG_HAS_RULES = np.uint8(0x2)
 FLAG_PENDING = np.uint8(0x4)
 
 
-def _drain(
-    ranks: List[int],
-    flows: int,
-    share: float,
-    remaining: List[float],
-    count: List[int],
-) -> None:
-    """Walk a freezing path's links once: take its ``flows`` flows off
-    each link, subtracting ``share`` once per flow."""
-    for rank in ranks:
-        left = remaining[rank] - share
-        if flows > 1:
-            for _ in range(flows - 1):
-                left -= share
-        # det: allow(shared-state-mutation) -- the caller's scratch lists, local to one filling
-        remaining[rank], count[rank] = left, count[rank] - flows
+def _subtract(left: float, value: float, times: int) -> float:
+    """``left`` minus ``value``, ``times`` times over, rounding after each
+    subtraction as a loop does (numpy's subtract reduction runs in order)."""
+    if times < 16:
+        for _ in range(times):
+            left -= value
+        return left
+    steps = np.full(times + 1, value)
+    steps[0] = left
+    return float(np.subtract.reduce(steps))
 
 
-def _fill_paths(
-    paths: Sequence[Sequence[int]],
-    multiplicity: Sequence[int],
-    capacity: Sequence[float],
-) -> List[float]:
-    """Max-min fair rate per path class (see the module docstring).
+class _Filling:
+    """One progressive filling over a :class:`FlowStore`'s live link state.
 
-    Args:
-        paths: the link ids of each class, classes in the order of their
-            first member; no path may repeat a link.
-        multiplicity: the number of flows in each class.
-        capacity: capacity per link id.
-
-    Returns:
-        the rate of each class's flows, aligned with ``paths``:
-        :data:`UNCONSTRAINED_RATE` for a linkless path.
+    Scratch per-link ``remaining``/``count`` lists start as copies of the
+    store's capacities and live flow counts; ``share`` holds the current
+    share of each link that still has unfrozen flows.  Each round takes
+    the smallest share (:meth:`pick`), freezes the bottleneck's unfrozen
+    classes, walking each class's links once, and recomputes the shares
+    of the links that round touched (:meth:`reshare`).
     """
-    rank_of: Dict[int, int] = {}
-    remaining: List[float] = []
-    count: List[int] = []
-    members: List[List[int]] = []
-    ranked: List[List[int]] = []
-    rates = [0.0] * len(paths)
-    for index, (links, flows) in enumerate(zip(paths, multiplicity)):
-        ranks = []
-        for link in links:
-            rank = rank_of.get(link)
-            if rank is None:
-                rank = rank_of[link] = len(remaining)
-                remaining.append(capacity[link])
-                count.append(flows)
-                members.append([index])
+
+    def __init__(self, store: "FlowStore") -> None:
+        self.store = store
+        self.remaining: List[float] = store.link_capacity.tolist()
+        self.count: List[int] = store._link_flows.copy()
+        remaining, count = self.remaining, self.count
+        self.share: Dict[int, float] = {
+            link: remaining[link] / count[link] for link in store._live_links
+        }
+        # Every link in ``share`` has an entry here no larger than its
+        # share (see pick).
+        self.heap = [(value, link) for link, value in self.share.items()]
+        heapify(self.heap)
+        self.touched: Dict[int, None] = {}
+        self.keys: Dict[int, Tuple[int, int]] = {}
+
+    def rates(self) -> Dict[int, float]:
+        """The rate of every class with links, keyed by path id."""
+        store = self.store
+        classes_on, path_links = store._link_classes, store._path_links
+        class_size = store._class_size
+        share, remaining, count = self.share, self.remaining, self.count
+        rates: Dict[int, float] = {}
+        while share:
+            bottleneck = self.pick()
+            value = share[bottleneck]
+            rate = value if value > 0.0 else 0.0
+            touched = self.touched = {}
+            for path_id in classes_on[bottleneck]:
+                if path_id in rates:
+                    continue
+                # Freeze the class: take its flows off each of its links,
+                # subtracting the share once per flow.
+                rates[path_id] = rate
+                flows = class_size[path_id]
+                for link in path_links[path_id]:
+                    left = remaining[link] - value
+                    if flows > 1:
+                        left = _subtract(left, value, flows - 1)
+                    remaining[link] = left
+                    count[link] -= flows
+                    touched[link] = None
+            self.reshare()
+        return rates
+
+    def pick(self) -> int:
+        """The link with the smallest share; a tie goes to the link the
+        active rows reach first (:meth:`tie_key`).
+
+        A link's share only grows as classes freeze, so an entry that is
+        no larger than it stays a valid lower bound and is re-keyed only
+        when it reaches the top; :meth:`reshare` pushes a share that
+        rounding made smaller.  The top entry that equals its link's share
+        is therefore a smallest share, and every link tied with it has an
+        entry of that same value.
+        """
+        heap, share = self.heap, self.share
+        while True:
+            best, link = heappop(heap)
+            current = share.get(link)
+            if current == best:
+                break
+            if current is not None and current > best:
+                heappush(heap, (current, link))
+        if not heap or heap[0][0] != best:
+            return link
+        tied = [link]
+        while heap and heap[0][0] == best:
+            _, other = heappop(heap)
+            current = share.get(other)
+            if current == best:
+                if other not in tied:
+                    tied.append(other)
+            elif current is not None and current > best:
+                heappush(heap, (current, other))
+        if len(tied) == 1:
+            return link
+        keys = self.keys
+        for other in tied:
+            if other not in keys:
+                keys[other] = self.tie_key(other)
+        chosen = min(tied, key=keys.__getitem__)
+        for other in tied:
+            if other != chosen:
+                heappush(heap, (best, other))
+        return chosen
+
+    def tie_key(self, link: int) -> Tuple[int, int]:
+        """Where the active rows first reach ``link``: ``(row, position of
+        the link in that row's path)``.  It runs over every class on the
+        link, frozen ones included, as the rows are fixed for the filling."""
+        store = self.store
+        members, head = store._members, store._head
+        first_row, path_id = min(
+            (members[path_id][head[path_id]], path_id)
+            for path_id in store._link_classes[link]
+        )
+        return first_row, store._path_links[path_id].index(link)
+
+    def reshare(self) -> None:
+        """Recompute the shares of the links this round touched; a link
+        left with no unfrozen flows leaves the pick."""
+        share, remaining, count = self.share, self.remaining, self.count
+        heap = self.heap
+        for link in self.touched:
+            flows = count[link]
+            if flows:
+                value = remaining[link] / flows
+                if value < share[link]:
+                    heappush(heap, (value, link))
+                share[link] = value
             else:
-                count[rank] += flows
-                members[rank].append(index)
-            ranks.append(rank)
-        ranked.append(ranks)
-        if not ranks:
-            rates[index] = UNCONSTRAINED_RATE
-    share = [left / flows for left, flows in zip(remaining, count)]
-    heap = list(zip(share, range(len(share))))
-    heapify(heap)
-    frozen = [False] * len(paths)
-    while heap:
-        bottleneck_share, bottleneck = heappop(heap)
-        # Stale unless the link still has flows and this is its current share.
-        if not count[bottleneck] or bottleneck_share != share[bottleneck]:
-            continue
-        rate = bottleneck_share if bottleneck_share > 0.0 else 0.0
-        touched = set()
-        for index in members[bottleneck]:
-            if frozen[index]:
-                continue
-            frozen[index] = True
-            rates[index] = rate
-            _drain(
-                ranked[index], multiplicity[index], bottleneck_share,
-                remaining, count,
-            )
-            touched.update(ranked[index])
-        # det: allow(unordered-iteration) -- push order cannot matter: pops follow the (share, rank) keys alone
-        for rank in touched:
-            if count[rank]:
-                share[rank] = remaining[rank] / count[rank]
-                heappush(heap, (share[rank], rank))
-    return rates
+                del share[link]
 
 
 class FlowStore:
@@ -184,6 +255,17 @@ class FlowStore:
         self._path_of: List[Path] = []
         self._path_links: List[List[int]] = []
         self._link_table_cache: Optional[np.ndarray] = None
+        # Live fill state, kept in step by add/remove/set_path: per path
+        # id, its active flow count and its member rows (ascending from
+        # ``_head``, which indexes the first member; entries before it,
+        # and rows that have since left, are skipped); per link id, its
+        # active flow count and the classes on it; and the links in use.
+        self._class_size: List[int] = []
+        self._members: List[List[int]] = []
+        self._head: List[int] = []
+        self._link_flows: List[int] = [0] * len(links)
+        self._link_classes: List[Dict[int, None]] = [{} for _ in links]
+        self._live_links: Dict[int, None] = {}
         capacity = max(int(capacity), 16)
         self._cap = capacity
         self.flow_id = np.zeros(capacity, dtype=np.int64)
@@ -251,8 +333,74 @@ class FlowStore:
             path_id = self._path_id[path] = len(self._path_of)
             self._path_of.append(path)
             self._path_links.append(ids)
+            self._class_size.append(0)
+            self._members.append([])
+            self._head.append(0)
             self._link_table_cache = None
         return path_id
+
+    def _enter(self, row: int, path_id: int) -> None:
+        """Count ``row`` into class ``path_id`` and the class's links."""
+        size = self._class_size[path_id]
+        self._class_size[path_id] = size + 1
+        links = self._path_links[path_id]
+        link_flows = self._link_flows
+        for link in links:
+            link_flows[link] += 1
+        members = self._members[path_id]
+        if not size:
+            # The class appears on each of its links.
+            link_classes, live = self._link_classes, self._live_links
+            for link in links:
+                classes = link_classes[link]
+                if not classes:
+                    live[link] = None
+                classes[path_id] = None
+            members.append(row)
+        elif row > members[-1]:
+            members.append(row)
+        else:
+            # An older row moved in by set_path; it may still be listed
+            # from an earlier stay.
+            at = bisect_left(members, row, self._head[path_id])
+            if at == len(members) or members[at] != row:
+                members.insert(at, row)
+
+    def _leave(self, row: int, path_id: int) -> None:
+        """Count ``row`` out of class ``path_id``, whose flag or path-id
+        column no longer names it."""
+        size = self._class_size[path_id] - 1
+        self._class_size[path_id] = size
+        links = self._path_links[path_id]
+        link_flows = self._link_flows
+        for link in links:
+            link_flows[link] -= 1
+        members = self._members[path_id]
+        if not size:
+            # The class leaves each of its links.
+            link_classes, live = self._link_classes, self._live_links
+            for link in links:
+                classes = link_classes[link]
+                del classes[path_id]
+                if not classes:
+                    del live[link]
+            members.clear()
+            self._head[path_id] = 0
+            return
+        head = self._head[path_id]
+        if members[head] != row:
+            return
+        # The first member left: advance to the next row still in the class.
+        head += 1
+        while not (
+            self.flags[members[head]] & FLAG_ACTIVE
+            and self.path_id[members[head]] == path_id
+        ):
+            head += 1
+        if head * 2 > len(members):
+            del members[:head]
+            head = 0
+        self._head[path_id] = head
 
     def _link_table(self) -> np.ndarray:
         """Link ids per path id as a matrix, padded with ``len(links)``
@@ -304,14 +452,15 @@ class FlowStore:
         self.flow_id[row] = flow_id
         self.remaining[row] = float(spec.size)
         self.rate[row] = 0.0
-        self.flags[row] = FLAG_ACTIVE | (
-            FLAG_HAS_RULES if has_installed_rules else np.uint8(0)
+        self.flags[row] = (
+            FLAG_ACTIVE | FLAG_HAS_RULES if has_installed_rules else FLAG_ACTIVE
         )
         self.blackholed_since[row] = np.nan
         self.path_id[row] = path_id
         self._specs[row] = spec
         self._row_of[flow_id] = row
         self._active_rows_cache = None
+        self._enter(row, path_id)
         return row
 
     def remove(self, flow_id: int) -> None:
@@ -324,6 +473,7 @@ class FlowStore:
         self.flags[row] = np.uint8(0)
         self._specs[row] = None
         self._active_rows_cache = None
+        self._leave(row, int(self.path_id[row]))
 
     def compact(self) -> None:
         """Stable compaction: drop retired rows, keep admission order.
@@ -345,6 +495,12 @@ class FlowStore:
             int(self.flow_id[row]): row for row in range(n)
         }
         self._active_rows_cache = None
+        # Rows were renumbered in order: relist each class's members.
+        for members in self._members:
+            members.clear()
+        for row, path_id in enumerate(self.path_id[:n].tolist()):
+            self._members[path_id].append(row)
+        self._head = [0] * len(self._members)
 
     def set_path(self, flow_id: int, path: Path) -> None:
         """Repoint a flow at a new path.
@@ -355,7 +511,12 @@ class FlowStore:
             ValueError: when the path traverses a link twice.
         """
         row = self._row_of[flow_id]
-        self.path_id[row] = self._intern(path)
+        path_id = self._intern(path)
+        old = int(self.path_id[row])
+        if path_id != old:
+            self.path_id[row] = path_id
+            self._leave(row, old)
+            self._enter(row, path_id)
 
     # ------------------------------------------------------------------
     # Column accessors (by flow id)
@@ -441,17 +602,11 @@ class FlowStore:
         rows = self.active_rows()
         if rows.size == 0:
             return
-        path_ids = self.path_id[rows]
-        # Counter keeps first-insertion order: classes in first-member order.
-        classes = Counter(path_ids.tolist())
-        filled = _fill_paths(
-            [self._path_links[path_id] for path_id in classes],
-            list(classes.values()),
-            self.link_capacity.tolist(),
-        )
-        by_path = np.empty(len(self._path_links), dtype=np.float64)
-        by_path[list(classes)] = filled
-        self.rate[rows] = by_path[path_ids]
+        rates = _Filling(self).rates()
+        # Classes without links keep the sentinel rate.
+        by_path = np.full(len(self._path_links), UNCONSTRAINED_RATE)
+        by_path[list(rates)] = list(rates.values())
+        self.rate[rows] = by_path[self.path_id[rows]]
 
     def utilization(self) -> Dict[Link, float]:
         """Per-link utilization, identical to

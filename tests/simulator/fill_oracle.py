@@ -1,34 +1,37 @@
-"""A rescanning fair-share filling: the counter check for the fill gate.
+"""A setup-walk fair-share filling: the counter check for the fill gate.
 
-:func:`repro.simulator.flowstate._fill_paths` re-keys a link in its heap
-only in a round that froze one of the link's paths.  This module keeps
-the filling that shortcut replaces: every round re-keys every live link,
-as a per-round ``argmin`` over the links does.  Its rates are still exact
-(stale entries are rejected the same way), so the differential holds it to
-the shipped filling, and the operation-count gate checks that the counter
-sees its extra work.  It calls the heap and ``_drain`` through the
-``flowstate`` module, so the gate's counters see its calls.
+:meth:`repro.simulator.flowstate.FlowStore.recompute` fills over the
+store's live per-link state; no filling walks the classes' link lists to
+rebuild it.  This module keeps the filling that state replaces: it counts
+the active rows' path ids, walks every class's links to rank the links
+and list their classes, then takes each bottleneck from a heap keyed by
+``(share, rank)``.  Its rates are still exact, so the gate holds it to the
+shipped filling, and checks that its counters see this setup walk.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from heapq import heapify, heappop, heappush
 from typing import Dict, List, Sequence
 
-from repro.simulator import flowstate
+import numpy as np
+
 from repro.simulator.fairshare import UNCONSTRAINED_RATE
 
 
-def rescan_fill(
+def _fill_paths(
     paths: Sequence[Sequence[int]],
     multiplicity: Sequence[int],
     capacity: Sequence[float],
 ) -> List[float]:
-    """Max-min fair rate per path class, re-keying every live link each round."""
+    """Max-min fair rate per class, classes in first-member order."""
     rank_of: Dict[int, int] = {}
     remaining: List[float] = []
     count: List[int] = []
     members: List[List[int]] = []
     ranked: List[List[int]] = []
+    rates = [0.0] * len(paths)
     for index, (links, flows) in enumerate(zip(paths, multiplicity)):
         ranks = []
         for link in links:
@@ -42,25 +45,45 @@ def rescan_fill(
             members[rank].append(index)
             ranks.append(rank)
         ranked.append(ranks)
-    rates = [UNCONSTRAINED_RATE if not ranks else 0.0 for ranks in ranked]
+        if not ranks:
+            rates[index] = UNCONSTRAINED_RATE
     share = [left / flows for left, flows in zip(remaining, count)]
     heap = list(zip(share, range(len(share))))
-    flowstate.heapify(heap)
+    heapify(heap)
     frozen = [False] * len(paths)
     while heap:
-        bottleneck_share, bottleneck = flowstate.heappop(heap)
+        bottleneck_share, bottleneck = heappop(heap)
         if not count[bottleneck] or bottleneck_share != share[bottleneck]:
             continue
+        touched = {}
         for index in members[bottleneck]:
-            if not frozen[index]:
-                frozen[index] = True
-                rates[index] = max(0.0, bottleneck_share)
-                flowstate._drain(
-                    ranked[index], multiplicity[index], bottleneck_share,
-                    remaining, count,
-                )
-        for rank, flows in enumerate(count):
-            if flows:
-                share[rank] = remaining[rank] / flows
-                flowstate.heappush(heap, (share[rank], rank))
+            if frozen[index]:
+                continue
+            frozen[index] = True
+            rates[index] = max(0.0, bottleneck_share)
+            flows = multiplicity[index]
+            for rank in ranked[index]:
+                for _ in range(flows):
+                    remaining[rank] -= bottleneck_share
+                count[rank] -= flows
+                touched[rank] = None
+        for rank in touched:
+            if count[rank]:
+                share[rank] = remaining[rank] / count[rank]
+                heappush(heap, (share[rank], rank))
     return rates
+
+
+def setup_walk_rates(store) -> np.ndarray:
+    """The rate of each of ``store``'s active rows, filled from scratch."""
+    rows = store.active_rows()
+    path_ids = store.path_id[rows]
+    classes = Counter(path_ids.tolist())
+    filled = _fill_paths(
+        [store._path_links[path_id] for path_id in classes],
+        list(classes.values()),
+        store.link_capacity.tolist(),
+    )
+    by_path = np.empty(len(store._path_links), dtype=np.float64)
+    by_path[list(classes)] = filled
+    return by_path[path_ids]

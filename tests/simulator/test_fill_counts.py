@@ -1,144 +1,191 @@
 """Per-filling work of the max-min fair share, counted.
 
-``FlowStore.recompute`` fills over distinct paths: each path's links are
-walked once, when the path freezes, and a link is re-keyed in the
-bottleneck heap only in a round that froze one of its paths.  A
-wall-clock gate for this depends on the host; this test counts the work
-instead, so a per-round rescan that comes back fails on any machine.
-The counters wrap the module's heap calls and ``_drain``, the one
-function that walks a freezing path's links.
+``FlowStore.recompute`` fills over per-link state the store keeps live
+across ``add``/``remove``/``set_path``.  A wall-clock gate for this
+depends on the host; this test counts the work instead, so a setup walk
+or a per-round rescan that comes back fails on any machine.  Per filling
+of the canned Figure 8 run it logs, in order:
 
-The rescanning oracle runs under the same counters, returns the same
-rates and must break the round rule, so the counters are known to see a
-rescan.
+* each walk of a class's link list (the lists are swapped for counting
+  lists, so any walk is seen, not only the filling's own);
+* each round's pick, with how many links then share the smallest share;
+* each first-encounter key computed for a tied link;
+* each round's share recomputation, with the links it recomputed.
+
+The rules: every class is walked exactly once, inside a round, so the
+links walked equal the incidences and nothing walks the class lists to
+rebuild per-link state; a round recomputes the shares of exactly the
+links its walks touched; and keys are computed only in tied rounds.
+
+The setup-walk oracle (the filling the live state replaced) runs under
+the same counters, returns the same rates and must break the setup-walk
+rule, so the counters are known to see a rebuild.
 """
 
+from dataclasses import dataclass, field
+from typing import List, Optional
+
+import numpy as np
 import pytest
 
 from repro.experiments.common import canned_scenario
-from repro.simulator import flowstate
+from repro.simulator.flowstate import FlowStore, _Filling
 
 from . import fill_oracle
+
+# Fillings the setup-walk oracle is run on (every Nth): enough to show
+# the counters see it, cheap enough for the canned run.
+ORACLE_STRIDE = 25
+
+
+class Recorder:
+    """The open filling's event log (None between fillings)."""
+
+    def __init__(self) -> None:
+        self.log: Optional[list] = None
+
+
+class CountingLinks(list):
+    """A class's link list that logs every walk of it while a log is open."""
+
+    def __init__(self, links, path_id: int, recorder: Recorder) -> None:
+        super().__init__(links)
+        self.path_id = path_id
+        self.recorder = recorder
+
+    def __iter__(self):
+        if self.recorder.log is not None:
+            self.recorder.log.append(("walk", self.path_id))
+        return super().__iter__()
+
+
+@dataclass
+class Fill:
+    """One filling: its log, its linked classes and its rows' shape."""
+
+    log: list
+    classes: List[int]
+    flows: int
+    largest_class: int
+    oracle_log: Optional[list] = None
+    oracle_exact: Optional[bool] = None
+    path_links: list = field(repr=False, default_factory=list)
+
+
+def breaches(log, classes, path_links):
+    """The gate's rules one filling's log breaks (an empty set if none)."""
+    found = set()
+    walked = [value for kind, value in log if kind == "walk"]
+    if sorted(walked) != sorted(classes):
+        found.add("each class walked once")
+    if sum(len(path_links[p]) for p in walked) != sum(
+        len(path_links[p]) for p in classes
+    ):
+        found.add("links walked equal the incidences")
+    in_round, ties, keys, touched = False, 0, 0, set()
+    for kind, value in log:
+        if kind == "pick":
+            in_round, ties, keys, touched = True, value, 0, set()
+        elif kind == "walk":
+            if not in_round:
+                found.add("no setup walk")
+            touched.update(path_links[value])
+        elif kind == "key":
+            keys += 1
+            if ties < 2 or keys > ties:
+                found.add("tie keys only in tied rounds")
+        elif kind == "reshare":
+            if set(value) != touched:
+                found.add("shares recomputed only for touched links")
+            in_round = False
+    return found
 
 
 @pytest.fixture(scope="module")
 def fills():
-    """The inputs of every filling of the canned Figure 8 run (the ISP
-    TE scenario with Hermes installs)."""
-    recorded = []
-    real = flowstate._fill_paths
+    """Every filling of the canned Figure 8 run (the ISP TE scenario with
+    Hermes installs), logged."""
+    recorder = Recorder()
+    recorded: List[Fill] = []
+    real = {
+        name: getattr(_Filling, name) for name in ("pick", "tie_key", "reshare")
+    }
+    real_recompute = FlowStore.recompute
 
-    def recording(paths, multiplicity, capacity):
-        recorded.append((paths, multiplicity, capacity))
-        return real(paths, multiplicity, capacity)
+    def pick(self):
+        values = list(self.share.values())
+        recorder.log.append(("pick", values.count(min(values))))
+        return real["pick"](self)
+
+    def tie_key(self, link):
+        recorder.log.append(("key", link))
+        return real["tie_key"](self, link)
+
+    def reshare(self):
+        recorder.log.append(("reshare", tuple(self.touched)))
+        real["reshare"](self)
+
+    def recompute(store):
+        links = store._path_links
+        for path_id, path in enumerate(links):
+            if not isinstance(path, CountingLinks):
+                links[path_id] = CountingLinks(path, path_id, recorder)
+        rows = store.active_rows()
+        path_ids = store.path_id[rows].tolist()
+        fill = Fill(
+            log=[],
+            classes=sorted({p for p in path_ids if links[p]}),
+            flows=len(path_ids),
+            largest_class=max(np.bincount(path_ids), default=0),
+            path_links=links,
+        )
+        recorder.log = fill.log
+        try:
+            real_recompute(store)
+            if len(recorded) % ORACLE_STRIDE == 0 and len(rows):
+                fill.oracle_log = recorder.log = []
+                rates = fill_oracle.setup_walk_rates(store)
+                fill.oracle_exact = bool(
+                    np.array_equal(rates, store.rate[rows])
+                )
+        finally:
+            recorder.log = None
+        recorded.append(fill)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(flowstate, "_fill_paths", recording)
+        patch.setattr(_Filling, "pick", pick)
+        patch.setattr(_Filling, "tie_key", tie_key)
+        patch.setattr(_Filling, "reshare", reshare)
+        patch.setattr(FlowStore, "recompute", recompute)
         simulation, _meta = canned_scenario("fig08")
         simulation.run()
     return recorded
 
 
-@pytest.fixture
-def events(monkeypatch):
-    """Records heap initialisation, pops, pushes and path walks in order."""
-    log = []
-    heapify, heappop, heappush = (
-        flowstate.heapify, flowstate.heappop, flowstate.heappush
-    )
-    drain = flowstate._drain
-
-    def counting_heapify(heap):
-        log.append(("init", len(heap)))
-        heapify(heap)
-
-    def counting_heappop(heap):
-        log.append(("pop", None))
-        return heappop(heap)
-
-    def counting_heappush(heap, entry):
-        log.append(("push", entry[1]))
-        heappush(heap, entry)
-
-    def counting_drain(ranks, *args):
-        log.append(("walk", ranks))
-        drain(ranks, *args)
-
-    monkeypatch.setattr(flowstate, "heapify", counting_heapify)
-    monkeypatch.setattr(flowstate, "heappop", counting_heappop)
-    monkeypatch.setattr(flowstate, "heappush", counting_heappush)
-    monkeypatch.setattr(flowstate, "_drain", counting_drain)
-    return log
-
-
-def work_of(log):
-    """Walks, walked links, heap entries and round-rule breaks of one filling.
-
-    A round runs from one pop to the next.  A push breaks the round rule
-    when no walk of that round covered the pushed link, or when the link
-    was already pushed in that round.
-    """
-    walks = [ranks for kind, ranks in log if kind == "walk"]
-    entries = sum(value for kind, value in log if kind == "init")
-    breaks = 0
-    walked, pushed = set(), set()
-    for kind, value in log:
-        if kind == "pop":
-            walked, pushed = set(), set()
-        elif kind == "walk":
-            walked.update(value)
-        elif kind == "push":
-            entries += 1
-            if value not in walked or value in pushed:
-                breaks += 1
-            pushed.add(value)
-    return {
-        "walks": len(walks),
-        "distinct_walks": len({id(ranks) for ranks in walks}),
-        "walked_links": sum(len(ranks) for ranks in walks),
-        "entries": entries,
-        "breaks": breaks,
-    }
-
-
-def shape_of(paths):
-    """(linked paths, incidences, links) of one filling's input."""
-    linked = [links for links in paths if links]
-    return (
-        len(linked),
-        sum(len(links) for links in linked),
-        len({link for links in linked for link in links}),
-    )
-
-
 def test_fills_are_contended(fills):
-    """The recorded fillings exercise the heap: many paths, shared links,
-    multi-flow path classes."""
+    """The recorded fillings exercise the rules: many flows, multi-flow
+    classes, and tied rounds that compute first-encounter keys."""
     assert len(fills) >= 1000
-    assert sum(len(paths) for paths, _, _ in fills) / len(fills) >= 50
-    assert sum(max(mult) > 1 for _, mult, _ in fills) >= len(fills) // 2
+    assert sum(fill.flows for fill in fills) / len(fills) >= 50
+    assert sum(fill.largest_class > 1 for fill in fills) >= len(fills) // 2
+    tied = [
+        fill for fill in fills
+        if any(kind == "pick" and value > 1 for kind, value in fill.log)
+    ]
+    assert len(tied) >= 10
+    assert any(kind == "key" for fill in tied for kind, _ in fill.log)
 
 
-def test_each_path_walked_once_and_pushes_bounded(fills, events):
-    for paths, multiplicity, capacity in fills:
-        events.clear()
-        flowstate._fill_paths(paths, multiplicity, capacity)
-        work = work_of(events)
-        linked, incidences, links = shape_of(paths)
-        assert work["walks"] == work["distinct_walks"] == linked
-        assert work["walked_links"] == incidences
-        assert work["entries"] <= incidences + links
-        assert work["breaks"] == 0
+def test_each_class_walked_once_and_only_touched_links_reshared(fills):
+    for fill in fills:
+        assert breaches(fill.log, fill.classes, fill.path_links) == set()
 
 
-def test_rescan_oracle_breaks_the_round_rule(fills, events):
-    pushes = breaks = 0
-    for paths, multiplicity, capacity in fills:
-        expected = flowstate._fill_paths(paths, multiplicity, capacity)
-        events.clear()
-        rates = fill_oracle.rescan_fill(paths, multiplicity, capacity)
-        assert rates == expected
-        work = work_of(events)
-        pushes += work["entries"]
-        breaks += work["breaks"]
-    assert breaks > pushes // 4, (breaks, pushes)
+def test_setup_walk_oracle_breaks_the_gate(fills):
+    checked = [fill for fill in fills if fill.oracle_log is not None]
+    assert len(checked) >= 40
+    for fill in checked:
+        assert fill.oracle_exact
+        assert "no setup walk" in breaches(
+            fill.oracle_log, fill.classes, fill.path_links
+        )

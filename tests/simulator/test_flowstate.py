@@ -8,6 +8,10 @@ path is exact:
   :func:`max_min_fair_rates`: on random workloads, and after every step
   of random store churn (adds of many flows per path, removes, reroutes,
   link failures) over integer capacities that force equal-share ties;
+* hard cases of the live fill state, bit-identical to the reference: a
+  class's first member leaving flips two tied links, ``set_path`` moves
+  a class earlier, compaction renumbers rows mid-churn, and a path that
+  raises leaves the live counts as they were;
 * FlowStore unit tests for the row lifecycle (stable compaction, path
   churn, flags, link failure) checked against the dict references;
 * whole-simulation digests: arrival/completion workloads, TE, link
@@ -20,6 +24,8 @@ import hashlib
 import json
 import math
 import os
+import random
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +39,7 @@ from repro.simulator import (
     UNCONSTRAINED_RATE,
     max_min_fair_rates,
 )
+from repro.simulator.flowstate import _Filling
 from repro.topology.routing import path_links_cached
 from repro.traffic.flows import FlowSpec
 
@@ -65,6 +72,62 @@ def store_rates(flow_paths, capacities):
         flow_id: float(store.rate[store.row(flow_id)])
         for flow_id in store.flow_ids()
     }
+
+
+def live_state(store):
+    """A copy of the store's live fill state."""
+    return (
+        list(store._link_flows),
+        [dict(classes) for classes in store._link_classes],
+        dict(store._live_links),
+        list(store._class_size),
+        [list(members) for members in store._members],
+        list(store._head),
+    )
+
+
+def assert_live_state_recounted(store):
+    """The store's live fill state equals a recount from its active rows."""
+    rows = store.active_rows().tolist()
+    path_ids = store.path_id[rows].tolist()
+    link_flows = [0] * len(store._link_flows)
+    link_classes = [set() for _ in link_flows]
+    first_row = {}
+    for row, path_id in zip(rows, path_ids):
+        first_row.setdefault(path_id, row)
+        for link in store._path_links[path_id]:
+            link_flows[link] += 1
+            link_classes[link].add(path_id)
+    assert store._link_flows == link_flows
+    assert [set(classes) for classes in store._link_classes] == link_classes
+    assert set(store._live_links) == {
+        link for link, flows in enumerate(link_flows) if flows
+    }
+    sizes = Counter(path_ids)
+    assert {
+        path_id: size for path_id, size in enumerate(store._class_size) if size
+    } == dict(sizes)
+    assert {
+        path_id: store._members[path_id][store._head[path_id]]
+        for path_id in sizes
+    } == first_row
+
+
+def store_and_reference(store, capacities):
+    """``(recompute rates, reference rates)`` of the store's active flows."""
+    store.recompute()
+    rates = {
+        flow_id: float(store.rate[store.row(flow_id)])
+        for flow_id in store.flow_ids()
+    }
+    reference = max_min_fair_rates(
+        {
+            flow_id: path_links_cached(store.path(flow_id))
+            for flow_id in store.flow_ids()
+        },
+        capacities,
+    )
+    return rates, reference
 
 
 def reference_rates(flow_paths, capacities):
@@ -105,6 +168,23 @@ class TestColumnarFairShareDifferential:
         flow_paths = dict(enumerate(paths))
         reference = reference_rates(flow_paths, capacities)
         # exact float equality, no tolerance
+        assert store_rates(flow_paths, capacities) == reference
+
+    def test_large_classes_subtract_once_per_flow(self):
+        # Classes of 16 flows and more take numpy's subtract reduction;
+        # one product per link instead would round differently.
+        flow_paths = {}
+        for flow_id in range(120):
+            flow_paths[flow_id] = [
+                ("a", "b", "c"), ("b", "c"), ("a", "b"), ("c", "d", "a")
+            ][flow_id % 7 % 4]
+        capacities = {
+            link: value * 1e9 / 3
+            for link, value in zip(
+                [tuple(sorted(link)) for link in LINKS], [7, 5, 11, 13, 1, 1]
+            )
+        }
+        reference = reference_rates(flow_paths, capacities)
         assert store_rates(flow_paths, capacities) == reference
 
     def test_zero_capacity_bottleneck(self):
@@ -192,19 +272,132 @@ class TestFlowStoreChurnDifferential:
                 link = tuple(sorted(LINKS[step[1]]))
                 store.fail_link(link)
                 caps[link] = 0.0
-            store.recompute()
-            reference = max_min_fair_rates(
-                {
-                    flow_id: path_links_cached(store.path(flow_id))
-                    for flow_id in store.flow_ids()
-                },
-                caps,
-            )
-            rates = {
-                flow_id: float(store.rate[store.row(flow_id)])
-                for flow_id in store.flow_ids()
-            }
+            assert_live_state_recounted(store)
+            rates, reference = store_and_reference(store, caps)
             assert rates == reference  # exact float equality, no tolerance
+
+
+# Node paths for the hard cases: every simple path in LINKS' graph that
+# the cases below use.
+TIE_PATHS = [
+    ("a", "b"),
+    ("a", "b", "c"),
+    ("b", "c", "d"),
+    ("a", "d"),
+    ("a", "c", "d"),
+    ("d", "b", "a", "c"),
+    ("c", "d"),
+    ("b", "d", "c"),
+    ("a", "b", "d"),
+]
+
+
+def tie_key(store, link):
+    """The filling's first-encounter key of a link (a node-pair tuple)."""
+    return _Filling(store).tie_key(store._link_id[tuple(sorted(link))])
+
+
+class TestLiveStateHardCases:
+    """Churn that moves the first-encounter order of tied links, each
+    step bit-identical to the dict reference.
+
+    Capacities are small integers times an inexact unit, so which of two
+    tied links freezes first changes the rounding of the other's share:
+    a filling that broke ties by link id, or by a stale first member,
+    would return different floats.
+    """
+
+    UNIT = 1e9 / 3
+
+    def caps(self, units):
+        return {
+            tuple(sorted(link)): value * self.UNIT
+            for link, value in zip(LINKS, units)
+        }
+
+    def test_first_member_leaving_flips_tied_links(self):
+        caps = self.caps([1, 2, 6, 6, 8, 5])
+        store = FlowStore(caps)
+        paths = [
+            ("b", "c", "d"), ("b", "d", "c"), ("a", "c", "d"),
+            ("b", "c", "d"), ("a", "b"),
+        ]
+        for flow_id, path in enumerate(paths):
+            store.add(spec(flow_id), path)
+        rates, reference = store_and_reference(store, caps)
+        assert rates == reference
+        # b-c is reached first, through flow 0.
+        assert tie_key(store, ("b", "c")) < tie_key(store, ("c", "d"))
+        store.remove(0)  # its class keeps flow 3
+        assert_live_state_recounted(store)
+        # Now flow 1 reaches c-d first; b-c and c-d tie in round two
+        # with different members ({3} and {1, 2, 3}).
+        assert tie_key(store, ("c", "d")) < tie_key(store, ("b", "c"))
+        rates, reference = store_and_reference(store, caps)
+        assert rates == reference
+
+    def test_set_path_moves_a_class_earlier(self):
+        caps = self.caps([3, 4, 1, 2, 2, 2])
+        store = FlowStore(caps)
+        for flow_id, path in enumerate(
+            [("a", "b"), ("a", "b"), ("d", "b", "a", "c")]
+        ):
+            store.add(spec(flow_id), path)
+        rates, reference = store_and_reference(store, caps)
+        assert rates == reference
+        assert tie_key(store, ("a", "b")) < tie_key(store, ("b", "d"))
+        # Flow 0 joins flow 2's class: the class's first member is now
+        # row 0, so its first link b-d leads the three tied links.
+        store.set_path(0, ("d", "b", "a", "c"))
+        assert_live_state_recounted(store)
+        assert tie_key(store, ("b", "d")) < tie_key(store, ("a", "b"))
+        rates, reference = store_and_reference(store, caps)
+        assert rates == reference
+
+    def test_compaction_mid_churn(self):
+        rng = random.Random(82)
+        caps = {
+            tuple(sorted(link)): rng.randint(1, 9) * 0.1 for link in LINKS
+        }
+        store = FlowStore(caps, capacity=16)
+        for flow_id in range(64):
+            store.add(spec(flow_id), TIE_PATHS[rng.randrange(len(TIE_PATHS))])
+        for flow_id in rng.sample(range(64), 40):
+            store.remove(flow_id)
+            rates, reference = store_and_reference(store, caps)
+            assert rates == reference
+        # Row 64 is the high-water mark with 24 flows left: this add
+        # compacts the rows to 0..23 first.
+        store.add(spec(64), TIE_PATHS[rng.randrange(len(TIE_PATHS))])
+        assert store.size == 25
+        assert_live_state_recounted(store)
+        rates, reference = store_and_reference(store, caps)
+        assert rates == reference
+        for flow_id in store.flow_ids()[::3]:
+            store.remove(flow_id)
+            assert_live_state_recounted(store)
+            rates, reference = store_and_reference(store, caps)
+            assert rates == reference
+
+    @pytest.mark.parametrize(
+        "bad_path", [("a", "z"), ("a", "b", "a")], ids=["unknown", "repeated"]
+    )
+    def test_raising_path_leaves_live_state(self, bad_path):
+        caps = self.caps([1, 2, 3, 4, 5, 6])
+        store = FlowStore(caps)
+        store.add(spec(0), ("a", "b", "c"))
+        store.add(spec(1), ("b", "c"))
+        before = live_state(store)
+        with pytest.raises((KeyError, ValueError)):
+            store.add(spec(2), bad_path)
+        assert live_state(store) == before
+        with pytest.raises((KeyError, ValueError)):
+            store.set_path(0, bad_path)
+        assert live_state(store) == before
+        assert store.path(0) == ("a", "b", "c")
+        assert_live_state_recounted(store)
+        rates, reference = store_and_reference(store, caps)
+        assert rates == reference
 
 
 class TestFlowStore:
