@@ -173,11 +173,11 @@ class TestColumnarFairShareDifferential:
     def test_large_classes_subtract_once_per_flow(self):
         # Classes of 16 flows and more take numpy's subtract reduction;
         # one product per link instead would round differently.
-        flow_paths = {}
-        for flow_id in range(120):
-            flow_paths[flow_id] = [
-                ("a", "b", "c"), ("b", "c"), ("a", "b"), ("c", "d", "a")
-            ][flow_id % 7 % 4]
+        # Interleaved classes of 17 to 35 flows.
+        paths = [("a", "b", "c"), ("b", "c"), ("a", "b"), ("c", "d", "a")]
+        flow_paths = {
+            flow_id: paths[flow_id % 7 % 4] for flow_id in range(120)
+        }
         capacities = {
             link: value * 1e9 / 3
             for link, value in zip(
@@ -277,8 +277,7 @@ class TestFlowStoreChurnDifferential:
             assert rates == reference  # exact float equality, no tolerance
 
 
-# Node paths for the hard cases: every simple path in LINKS' graph that
-# the cases below use.
+# Simple node paths over LINKS' nodes that the compaction case draws from.
 TIE_PATHS = [
     ("a", "b"),
     ("a", "b", "c"),
