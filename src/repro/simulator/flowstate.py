@@ -163,26 +163,19 @@ class _Filling:
         entry of that same value.
         """
         heap, share = self.heap, self.share
-        while True:
-            best, link = heappop(heap)
+        tied: List[int] = []
+        best = None
+        while heap and (best is None or heap[0][0] == best):
+            value, link = heappop(heap)
             current = share.get(link)
-            if current == best:
-                break
-            if current is not None and current > best:
+            if current == value:
+                best = value
+                if link not in tied:
+                    tied.append(link)
+            elif current is not None and current > value:
                 heappush(heap, (current, link))
-        if not heap or heap[0][0] != best:
-            return link
-        tied = [link]
-        while heap and heap[0][0] == best:
-            _, other = heappop(heap)
-            current = share.get(other)
-            if current == best:
-                if other not in tied:
-                    tied.append(other)
-            elif current is not None and current > best:
-                heappush(heap, (current, other))
         if len(tied) == 1:
-            return link
+            return tied[0]
         keys = self.keys
         for other in tied:
             if other not in keys:
