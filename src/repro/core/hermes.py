@@ -41,7 +41,8 @@ from .guarantees import (
     shadow_capacity_for,
 )
 from .partition import PartitionMap, PartitionOutcome
-# Unused here; hermesbench/layertrace.py wraps it at this module path.
+# Unused here; hermesbench/layertrace.py and repro.obs.perf wrap it at
+# this module path.
 from .partition import partition_new_rule  # noqa: F401
 from .prediction import Predictor, make_predictor
 from .rule_manager import (

@@ -18,13 +18,11 @@ would break the replay/parity guarantees.
 A schedule-order race sanitizer (:mod:`repro.analysis.races`) can attach
 via :meth:`EventScheduler.attach_sanitizer`: it is then told about every
 ``schedule()`` (to capture the scheduling call site) and every ``pop()``
-(to attribute subsequent state accesses to the dispatched event).  A
-wall-clock profiler (:mod:`repro.obs.perf`) attaches the same way via
-:meth:`EventScheduler.attach_profiler` and is told about every ``pop()``
-so it can attribute the wall time until the *next* pop to the dispatched
-event.  With neither attached — the default — each hook is a single
-``is None`` test, and runs are byte-identical to a scheduler without the
-seams.
+(to attribute subsequent state accesses to the dispatched event).
+Detached — the default — the hook is a single ``is None`` test, and runs
+are byte-identical to a scheduler without the seam.  Wall-clock timing
+(:mod:`repro.obs.perf`) needs no seam: for the length of a profile it
+wraps ``schedule`` and ``pop`` from outside, as the ``kernel`` layer.
 """
 
 from __future__ import annotations
@@ -74,7 +72,6 @@ class EventScheduler:
         self._heap: List[Event] = []
         self._seq = itertools.count()
         self._sanitizer = None
-        self._profiler = None
 
     @property
     def sanitizer(self):
@@ -89,20 +86,6 @@ class EventScheduler:
         :class:`repro.analysis.races.RaceSanitizer`.
         """
         self._sanitizer = sanitizer
-
-    @property
-    def profiler(self):
-        """The attached wall-clock profiler, or None (the default)."""
-        return self._profiler
-
-    def attach_profiler(self, profiler) -> None:
-        """Attach a wall-clock profiler (``None`` detaches).
-
-        The profiler must expose ``on_dispatch(event)``; see
-        :class:`repro.obs.perf.Profiler`.  Like the sanitizer seam, a
-        detached profiler costs one ``is None`` test per pop.
-        """
-        self._profiler = profiler
 
     def schedule(
         self,
@@ -140,8 +123,6 @@ class EventScheduler:
         event = heapq.heappop(self._heap)
         if self._sanitizer is not None:
             self._sanitizer.on_dispatch(event)
-        if self._profiler is not None:
-            self._profiler.on_dispatch(event)
         return event
 
     def next_time(self) -> float:

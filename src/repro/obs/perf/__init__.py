@@ -2,9 +2,9 @@
 
 Three concerns, one package:
 
-* :mod:`~repro.obs.perf.profiler` — opt-in hotspot attribution over the
-  kernel dispatch path and the tracer span stream (off-path cost: one
-  ``is None`` test; off = byte-identical runs).
+* :mod:`~repro.obs.perf.profiler` — opt-in per-layer self time, in the
+  benchmark's layer names, from wrappers installed on the layer entry
+  points for the length of one profile (profiled = byte-identical runs).
 * :mod:`~repro.obs.perf.burn` — the guarantee-burn ledger: SLO
   compliance, violation windows, and per-layer budget attribution from
   an existing sim-time trace.
@@ -39,11 +39,10 @@ from .burn import (
 from .cli import PERF_FORMAT
 from .flame import trace_collapsed, write_collapsed
 from .profiler import (
+    LayerCost,
     ProfileReport,
     Profiler,
-    SpanCost,
-    profile_simulation,
-    subsystem_of,
+    layer_entry_points,
 )
 from .wallclock import timestamp, unix_time, wallclock
 
@@ -53,20 +52,19 @@ __all__ = [
     "GuaranteeBurnReport",
     "HeadlineDelta",
     "LayerBurn",
+    "LayerCost",
     "PERF_FORMAT",
     "ProfileReport",
     "Profiler",
-    "SpanCost",
     "ViolationWindow",
     "bench_artifact",
     "compare",
     "guarantee_burn",
+    "layer_entry_points",
     "load_artifact",
     "machine_fingerprint",
     "metric_direction",
-    "profile_simulation",
     "read_history",
-    "subsystem_of",
     "timestamp",
     "trace_collapsed",
     "unix_time",

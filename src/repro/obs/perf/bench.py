@@ -6,9 +6,9 @@ measured, *on what machine*, or *at which commit* — so there was no perf
 trajectory, only snapshots.  Every suite now funnels through one writer:
 
 * :func:`bench_artifact` builds the versioned document — format tag,
-  suite name, a **machine fingerprint** (CPU count, Python, platform,
-  git commit), a flat numeric ``headline`` (the comparison surface), and
-  a free-form suite ``payload``;
+  suite name, a **machine fingerprint** (CPU count, usable cores,
+  Python, platform, git commit), a flat numeric ``headline`` (the
+  comparison surface), and a free-form suite ``payload``;
 * :func:`write_bench_artifact` writes ``BENCH_<suite>.json``, appends a
   trajectory point to ``results/perf_history.jsonl`` (one JSON line per
   bench run: the curve the ROADMAP's scaling item needs), and
@@ -70,11 +70,27 @@ def git_commit() -> str:
     return result.stdout.strip() or "unknown"
 
 
+#: Fingerprint fields that, when two artifacts disagree on them, make a
+#: wall-clock comparison a comparison of machines as much as of code.
+_COMPARABILITY_FIELDS = ("cpu_count", "usable_cores", "python")
+
+
 def machine_fingerprint() -> Dict[str, object]:
     """Where a measurement was taken: the context a wall-clock number
-    is meaningless without."""
+    is meaningless without.
+
+    ``usable_cores`` is the CPU affinity set of this process (None where
+    the platform cannot tell), which a container or a CPU quota can keep
+    well below ``cpu_count``.
+    """
+    usable = (
+        len(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity")
+        else None
+    )
     return {
         "cpu_count": os.cpu_count() or 1,
+        "usable_cores": usable,
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": sys.platform,
@@ -302,7 +318,8 @@ def compare(
     """Compare two artifacts' shared headline metrics.
 
     Returns ``(deltas, notes)`` — notes flag metrics present on only one
-    side and suite mismatches.  A metric regresses when it is worse than
+    side, suite mismatches, and fingerprints that disagree on core counts
+    or Python version.  A metric regresses when it is worse than
     ``1 + threshold`` times the baseline (lower-is-better) or below
     ``1 / (1 + threshold)`` of it (higher-is-better).
     """
@@ -315,6 +332,14 @@ def compare(
         notes.append(
             f"comparing different suites: {suite_a!r} vs {suite_b!r}"
         )
+    print_a = artifact_a.get("fingerprint") or {}
+    print_b = artifact_b.get("fingerprint") or {}
+    for name in _COMPARABILITY_FIELDS:
+        if print_a.get(name) != print_b.get(name):
+            notes.append(
+                f"machines differ in {name}: {print_a.get(name)!r} vs "
+                f"{print_b.get(name)!r}"
+            )
     head_a: Dict[str, float] = artifact_a["headline"]
     head_b: Dict[str, float] = artifact_b["headline"]
     for missing in sorted(set(head_a) ^ set(head_b)):

@@ -2,9 +2,9 @@
 
 * ``perf profile SCENARIO`` — run a canned scenario (demo / fig01 /
   fig08 / chaos) under the wall-clock profiler with tracing on; print
-  the hotspot report and the guarantee-burn ledger; optionally write the
-  ``hermes-perf/1`` JSON artifact, a wall-clock flamegraph, and the
-  trace itself.
+  the per-layer calls and self times and the guarantee-burn ledger;
+  optionally write the ``hermes-perf/2`` JSON artifact, a wall-clock
+  flamegraph of nested ``loop;…`` stacks, and the trace itself.
 * ``perf report TRACE`` — the guarantee-burn ledger of an existing
   trace (``--json`` for the structured form).
 * ``perf flamegraph TRACE`` — sim-time collapsed stacks from a trace's
@@ -25,7 +25,7 @@ import argparse
 import json
 
 #: Versioned profile-artifact format tag.
-PERF_FORMAT = "hermes-perf/1"
+PERF_FORMAT = "hermes-perf/2"
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -40,20 +40,18 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     tracer = RecordingTracer(meta={"scenario": args.scenario})
     with use_tracer(tracer):
         simulation, meta = canned_scenario(args.scenario)
-        profiler = Profiler(meta=meta)
-        profiler.watch_simulation(simulation)
-        profiler.watch_tracer(tracer)
-        profiler.begin()
-        metrics = simulation.run()
-    report = profiler.finish()
+        profiler = Profiler(meta=meta).begin()
+        try:
+            metrics = profiler.run(simulation)
+        finally:
+            report = profiler.finish()
     burn = guarantee_burn(tracer.records, guarantee=args.guarantee_ms * 1e-3)
     print(report.render())
     print()
     print(burn.render())
     print()
     print(
-        f"{len(metrics.rits())} installs, {len(tracer.records)} trace "
-        f"records, {profiler.events_seen} kernel events"
+        f"{len(metrics.rits())} installs, {len(tracer.records)} trace records"
     )
     if args.out:
         document = {
@@ -152,7 +150,7 @@ def register(subparsers) -> None:
         "scenario", help="canned scenario: demo, fig01, fig08, or chaos"
     )
     p_profile.add_argument(
-        "--out", help="write the hermes-perf/1 JSON artifact here"
+        "--out", help="write the hermes-perf/2 JSON artifact here"
     )
     p_profile.add_argument(
         "--flame", help="write wall-clock collapsed stacks here"

@@ -11,12 +11,13 @@ Two sources fold into the same format:
   child spans — under the stack of span names from the root down.  A
   flowmod → agent.batch → agent.action nest renders as three frames.
 * a :class:`~repro.obs.perf.profiler.ProfileReport` (**wall time**):
-  each dispatch segment contributes under ``subsystem;label`` (the
-  report's own :meth:`collapsed`).
+  each stack of layer names contributes its self time under its path
+  from the root down, ``loop;agent;hermes;tcam.insert`` (the report's
+  own :meth:`collapsed`).
 
 Weights are integer microseconds — collapsed-stack consumers expect
 integer sample counts, and a microsecond is fine-grained enough that
-rounding never hides a segment that mattered.
+rounding never hides a stack that mattered.
 """
 
 from __future__ import annotations

@@ -26,7 +26,8 @@ from ..switchsim.channel import ChannelConfig
 from ..topology.routing import Path, PathProvider, path_links_cached
 from ..traffic.flows import FlowSpec
 from .controller import InstallerFactory, SdnController
-# Unused here; hermesbench/layertrace.py wraps it at this module path.
+# Unused here; hermesbench/layertrace.py and repro.obs.perf wrap it at
+# this module path.
 from .fairshare import max_min_fair_rates  # noqa: F401
 from .flowstate import FlowStore
 from .metrics import MetricsCollector
@@ -208,9 +209,6 @@ class Simulation:
         self.clock.advance_to(time)
 
     def _recompute_rates(self) -> None:
-        profiler = self._scheduler.profiler
-        if profiler is not None:
-            profiler.mark("sim.fairshare")
         self._store.recompute()
         self._schedule_completion()
 
@@ -292,8 +290,6 @@ class Simulation:
                     # Arrival order is fixed by the sorted workload and the
                     # loop's explicit arrival-vs-event rule, not by seq.
                     self._scheduler.sanitizer.external("arrival")
-                if self._scheduler.profiler is not None:
-                    self._scheduler.profiler.mark("sim.arrival")
                 self._admit_next_flow()
             else:
                 event = self._scheduler.pop()
@@ -374,30 +370,17 @@ class Simulation:
         self._store.remove(flow_id)
         self.metrics.flow_finished(flow_id, self.now)
         if had_rules:
-            self._remove_flow_rules(spec, path)
+            self.controller.remove_flow_rules(spec, path, self.now)
         self._recompute_rates()
-
-    def _remove_flow_rules(self, spec: FlowSpec, path: Path) -> None:
-        """Delete a flow's rules from the switches of ``path``; the
-        profiler books it as rule removal, not as the event that led here."""
-        profiler = self._scheduler.profiler
-        if profiler is not None:
-            profiler.mark("sim.rule_removal")
-        self.controller.remove_flow_rules(spec, path, self.now)
 
     def _run_te_epoch(self) -> None:
         if self._store:
             flows, eligible_paths, rates = self._store.te_views()
             utilization = self._store.utilization()
-            profiler = self._scheduler.profiler
-            if profiler is not None:
-                profiler.mark("sim.te_plan")
             plan = self.app.plan(
                 flows, eligible_paths, rates, utilization, self._capacities,
                 now=self.now,
             )
-            if profiler is not None:
-                profiler.mark("sim.te_install")
             moves = [
                 move
                 for move in plan
@@ -445,7 +428,7 @@ class Simulation:
             store.set_blackhole_start(flow_id, None)
         self.metrics.flow_rerouted(flow_id)
         if had_rules:
-            self._remove_flow_rules(spec, old_path)
+            self.controller.remove_flow_rules(spec, old_path, self.now)
         self._recompute_rates()
 
     # ------------------------------------------------------------------

@@ -68,7 +68,7 @@ def path_links_cached(path: Path) -> Tuple[Tuple[str, str], ...]:
     by the topology (the :class:`PathProvider` cache), so the memo is
     small — but the links were being recomputed per flow on every rate
     recompute, TE epoch, and link failure, which the wall-clock profiler
-    attributes squarely to the ``fairshare`` subsystem.  Hot paths call
+    attributes squarely to the ``fairshare`` layer.  Hot paths call
     this directly; :func:`path_links` stays the list-returning wrapper.
     """
     return tuple(tuple(sorted((a, b))) for a, b in zip(path, path[1:]))

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -32,11 +33,8 @@ from repro.obs.perf.burn import (
     guarantee_burn,
 )
 from repro.obs.perf.flame import trace_collapsed
-from repro.obs.perf.profiler import (
-    Profiler,
-    UNATTRIBUTED_LABELS,
-    subsystem_of,
-)
+from repro.obs.perf.profiler import ROOT_LAYER, Profiler, layer_entry_points
+from repro.obs.perf.wallclock import wallclock
 from repro.obs.summary import FlowModBreakdown
 from repro.obs.tracer import RecordingTracer
 
@@ -54,175 +52,192 @@ CHAOS_TRACE_DIGEST = (
 
 
 # ---------------------------------------------------------------------------
-# Subsystem attribution
+# The profile table
 # ---------------------------------------------------------------------------
 
-class TestSubsystemOf:
-    def test_dispatch_labels(self):
-        assert subsystem_of("event:epoch") == "fairshare"
-        assert subsystem_of("event:complete") == "completion"
-        assert subsystem_of("event:flowmod-arrive") == "channel"
-        assert subsystem_of("event:activate") == "installer"
-        assert subsystem_of("event:something-new") == "kernel-dispatch"
-
-    def test_span_labels(self):
-        assert subsystem_of("span:agent.action") == "switch-cpu"
-        assert subsystem_of("span:install.path") == "installer"
-        assert subsystem_of("span:hermes.migration") == "rule-manager"
-        assert subsystem_of("span:hermes.gatekeeper") == "gatekeeper"
-        assert subsystem_of("span:verify.online") == "verifier"
-
-    def test_loop_marks(self):
-        assert subsystem_of("sim.arrival") == "arrival"
-        assert subsystem_of("sim.fairshare") == "fairshare"
-        assert subsystem_of("sim.te_plan") == "te_plan"
-        assert subsystem_of("sim.te_install") == "installer"
-        # Rule deletes after a completion or a reroute are their own layer.
-        assert subsystem_of("sim.rule_removal") == "rule_removal"
-
-    def test_unknown_labels_map_to_themselves(self):
-        # New instrumentation points surface by name, never as "other".
-        assert subsystem_of("somewhere.else") == "somewhere.else"
-
-
-class _FakeEvent:
-    def __init__(self, kind):
-        self.kind = kind
+def _spin(seconds=2e-4):
+    """Burn a little wall time, so a stack's self time is never zero."""
+    deadline = wallclock() + seconds
+    while wallclock() < deadline:
+        pass
 
 
 class TestProfilerSegments:
-    def test_segment_counts_and_attribution(self):
-        profiler = Profiler(meta={"scenario": "unit"})
-        profiler.begin()
-        profiler.on_dispatch(_FakeEvent("epoch"))
-        profiler.on_dispatch(_FakeEvent("epoch"))
-        profiler.mark("sim.arrival")
-        profiler.on_dispatch(_FakeEvent("flowmod-arrive"))
-        report = profiler.finish()
+    """Stacks of layer names and their self times, from ``Profiler.call``."""
 
-        assert report.segments["event:epoch"][0] == 2
-        assert report.segments["sim.arrival"][0] == 1
-        assert report.segments["event:flowmod-arrive"][0] == 1
+    @staticmethod
+    def _profile():
+        profiler = Profiler(meta={"scenario": "unit"})
+
+        def agent():
+            _spin()
+            profiler.call("tcam.insert", _spin)
+
+        def loop():
+            _spin()
+            profiler.call("kernel", _spin)
+            profiler.call("kernel", _spin)
+            profiler.call("agent", agent)
+
+        profiler.call(ROOT_LAYER, loop)
+        return profiler.finish()
+
+    def test_stack_counts_and_attribution(self):
+        report = self._profile()
+        assert set(report.stacks) == {
+            ("loop",),
+            ("loop", "kernel"),
+            ("loop", "agent"),
+            ("loop", "agent", "tcam.insert"),
+        }
+        assert report.stacks[("loop", "kernel")].calls == 2
+        assert report.stacks[("loop",)].calls == 1
         assert report.meta == {"scenario": "unit"}
-        assert profiler.events_seen == 3
-        # Everything between begin() and the first cut is "setup" and
-        # excluded from attribution; everything after the first dispatch
-        # is attributed.
-        assert 0.0 < report.attributed_seconds <= report.total_seconds
-        attributed = sum(
-            seconds
-            for label, (_count, seconds) in report.segments.items()
-            if label not in UNATTRIBUTED_LABELS
+        # Every second under the root lands in exactly one stack.
+        assert all(cost.self_seconds > 0 for cost in report.stacks.values())
+        accounted = sum(cost.self_seconds for cost in report.stacks.values())
+        assert accounted == pytest.approx(report.total_seconds, rel=1e-9)
+        layers = report.layers
+        assert layers["kernel"].calls == 2
+        assert layers["tcam.insert"].self_seconds == pytest.approx(
+            report.stacks[("loop", "agent", "tcam.insert")].self_seconds
         )
-        assert report.attributed_seconds == pytest.approx(attributed)
 
     def test_finish_is_idempotent(self):
         profiler = Profiler()
-        profiler.begin()
-        profiler.on_dispatch(_FakeEvent("epoch"))
+        profiler.call(ROOT_LAYER, _spin)
         first = profiler.finish()
         second = profiler.finish()
         assert first.total_seconds == second.total_seconds
-        assert first.segments == second.segments
+        assert first.stacks == second.stacks
 
     def test_finish_without_begin(self):
         report = Profiler().finish()
         assert report.total_seconds == 0.0
-        assert report.attributed_fraction == 0.0
+        assert report.stacks == {}
+        assert report.layers == {}
 
     def test_report_round_trips_to_json(self):
-        profiler = Profiler()
-        profiler.begin()
-        profiler.on_dispatch(_FakeEvent("epoch"))
-        report = profiler.finish()
-        payload = json.loads(json.dumps(report.to_dict()))
-        assert "event:epoch" in payload["segments"]
-        assert payload["subsystems"]
-        assert 0.0 <= payload["attributed_fraction"] <= 1.0
+        payload = json.loads(json.dumps(self._profile().to_dict()))
+        assert set(payload["layers"]) == {
+            "loop", "kernel", "agent", "tcam.insert"
+        }
+        assert payload["layers"]["kernel"]["calls"] == 2
+        assert "loop;agent;tcam.insert" in payload["stacks"]
+        assert payload["total_seconds"] > 0
 
-    def test_collapsed_stacks_carry_subsystem_prefix(self):
-        profiler = Profiler()
-        profiler.begin()
-        for _ in range(50):
-            profiler.on_dispatch(_FakeEvent("epoch"))
-        report = profiler.finish()
-        lines = report.collapsed()
-        assert any(line.startswith("fairshare;event:epoch ") for line in lines)
+    def test_collapsed_stacks_start_at_the_root(self):
+        lines = self._profile().collapsed()
+        stacks = [line.rsplit(" ", 1)[0] for line in lines]
+        assert "loop;agent;tcam.insert" in stacks
         for line in lines:
             stack, weight = line.rsplit(" ", 1)
+            assert stack.split(";")[0] == ROOT_LAYER
             assert int(weight) > 0
 
-    def test_render_mentions_subsystems(self):
-        profiler = Profiler()
-        profiler.begin()
-        profiler.on_dispatch(_FakeEvent("epoch"))
-        text = profiler.finish().render()
-        assert "attributed" in text
-        assert "fairshare" in text
+    def test_render_lists_layers(self):
+        text = self._profile().render()
+        assert "layer self times sum to" in text
+        assert "tcam.insert" in text
+        assert "loop;agent;tcam.insert" in text
 
 
-class TestWatchTracer:
-    def test_span_self_and_cumulative_nesting(self):
-        tracer = RecordingTracer()
-        profiler = Profiler().watch_tracer(tracer)
-        profiler.begin()
-        outer = tracer.start_span("flowmod", 0.0)
-        inner = tracer.start_span("agent.action", 0.1)
-        inner.finish(0.2)
-        outer.finish(0.3)
-        report = profiler.finish()
+# ---------------------------------------------------------------------------
+# The layer entry points
+# ---------------------------------------------------------------------------
 
-        assert report.spans["flowmod"].count == 1
-        assert report.spans["agent.action"].count == 1
-        # The child's wall time is subtracted from the parent's self time.
-        flowmod = report.spans["flowmod"]
-        action = report.spans["agent.action"]
-        assert flowmod.cumulative_seconds >= flowmod.self_seconds
-        assert flowmod.cumulative_seconds == pytest.approx(
-            flowmod.self_seconds + action.cumulative_seconds, abs=1e-3
+REPO_ROOT = os.path.dirname(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+)
+
+
+class TestProfilerWraps:
+    def test_agent_submit_nests_down_to_tcam_insert(self):
+        from repro.core import HermesInstaller
+        from repro.switchsim import FlowMod, SwitchAgent
+        from repro.tcam import Action, Rule, pica8_p3290
+
+        agent = SwitchAgent(HermesInstaller(pica8_p3290()), name="s1")
+        profiler = Profiler().begin()
+        try:
+            for index in range(40):
+                rule = Rule.from_prefix(
+                    f"10.0.{index}.0/24", 5, Action.output(1)
+                )
+                agent.submit(FlowMod.add(rule), at_time=index * 1e-3)
+        finally:
+            report = profiler.finish()
+        inserts = [
+            stack
+            for stack in report.stacks
+            if stack[0] == "agent" and stack[-1] == "tcam.insert"
+        ]
+        assert inserts, sorted(report.stacks)
+        assert all("hermes" in stack for stack in inserts)
+        roots = [stack for stack in report.stacks if len(stack) == 1]
+        assert roots == [("agent",)]
+        assert report.stacks[("agent",)].calls == 40
+        layers = report.layers
+        accounted = sum(cost.self_seconds for cost in layers.values())
+        assert accounted == pytest.approx(report.total_seconds, rel=0.01)
+        assert layers["tcam.insert"].calls >= 40
+
+    def test_finish_restores_every_entry_point(self):
+        from repro.switchsim.channel import Channel, ResilientChannel
+
+        points = layer_entry_points()
+        before = [
+            (owner, attr, vars(owner).get(attr), getattr(owner, attr))
+            for owner, attr, _layer in points
+        ]
+        assert "send" not in vars(ResilientChannel)  # inherited
+        profiler = Profiler().begin()
+        assert "send" in vars(ResilientChannel)
+        assert all(
+            getattr(owner, attr) is not original
+            for owner, attr, _own, original in before
         )
+        profiler.finish()
+        for owner, attr, own, original in before:
+            assert vars(owner).get(attr) is own, (owner, attr)
+            assert getattr(owner, attr) is original, (owner, attr)
+        assert "send" not in vars(ResilientChannel)
+        assert ResilientChannel.send is Channel.send
+        with pytest.raises(RuntimeError):
+            profiler.begin()
 
-    def test_recorded_trace_is_unchanged_by_profiling(self):
-        plain = RecordingTracer()
-        span = plain.start_span("flowmod", 0.0, switch="s1")
-        span.finish(0.5)
-        plain.event("hermes.gatekeeper", 0.1, latency=1e-4)
+    def test_layer_names_are_benchmark_layers(self):
+        path = os.path.join(REPO_ROOT, "BENCHMARK.json")
+        with open(path, encoding="utf-8") as handle:
+            per_layer = {
+                entry["name"] for entry in json.load(handle)["per_layer"]
+            }
+        names = {layer for _owner, _attr, layer in layer_entry_points()}
+        missing = sorted(
+            name
+            for name in names | {ROOT_LAYER}
+            if f"{name}.self_s" not in per_layer
+        )
+        assert not missing, f"layers with no per_layer self_s entry: {missing}"
 
-        watched = RecordingTracer()
-        Profiler().watch_tracer(watched).begin()
-        span = watched.start_span("flowmod", 0.0, switch="s1")
-        span.finish(0.5)
-        watched.event("hermes.gatekeeper", 0.1, latency=1e-4)
+    def test_entry_points_match_the_benchmark_layertrace(self):
+        import importlib.util
 
-        assert plain.records == watched.records
+        path = os.path.join(REPO_ROOT, "hermesbench", "layertrace.py")
+        spec = importlib.util.spec_from_file_location("layertrace", path)
+        layertrace = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(layertrace)
 
-    def test_double_finish_counts_once(self):
-        tracer = RecordingTracer()
-        profiler = Profiler().watch_tracer(tracer)
-        profiler.begin()
-        span = tracer.start_span("flowmod", 0.0)
-        span.finish(0.1)
-        span.finish(0.2)  # idempotent at the tracer; profiler must agree
-        report = profiler.finish()
-        assert report.spans["flowmod"].count == 1
-        assert len(tracer.records) == 1
+        class Recorder:
+            def __init__(self):
+                self.wrapped = []
 
-    def test_scheduler_seam_attaches_and_detaches(self):
-        from repro.engine import EventScheduler
+            def wrap(self, owner, attr, key, hook=None):
+                self.wrapped.append((owner, attr, key))
 
-        scheduler = EventScheduler()
-        assert scheduler.profiler is None
-        profiler = Profiler().watch_scheduler(scheduler)
-        assert scheduler.profiler is profiler
-        scheduler.schedule(0.0, "epoch")
-        profiler.begin()
-        scheduler.pop()
-        assert profiler.events_seen == 1
-        scheduler.attach_profiler(None)
-        assert scheduler.profiler is None
-        scheduler.schedule(0.1, "epoch")
-        scheduler.pop()
-        assert profiler.events_seen == 1
+        recorder = Recorder()
+        layertrace.install_layer_wraps(recorder)
+        assert Counter(recorder.wrapped) == Counter(layer_entry_points())
 
 
 # ---------------------------------------------------------------------------
@@ -240,18 +255,20 @@ from repro.obs.perf import Profiler
 
 mode = sys.argv[1]
 tracer = RecordingTracer(meta={"scenario": "engine-parity"})
+accounted = 0.0
 with use_tracer(tracer):
     simulation, _meta = canned_scenario("chaos")
-    profiler = None
     if mode == "on":
-        profiler = Profiler()
-        profiler.watch_simulation(simulation)
-        profiler.watch_tracer(tracer)
-        profiler.begin()
-    metrics = simulation.run()
-fraction = 0.0
-if profiler is not None:
-    fraction = profiler.finish().attributed_fraction
+        profiler = Profiler().begin()
+        try:
+            metrics = profiler.run(simulation)
+        finally:
+            report = profiler.finish()
+        accounted = sum(
+            cost.self_seconds for cost in report.layers.values()
+        ) / report.total_seconds
+    else:
+        metrics = simulation.run()
 payload = json.dumps(
     [metrics.rits(), metrics.fcts(), sorted(metrics.jcts().items())]
 ).encode()
@@ -259,18 +276,15 @@ trace_payload = "\n".join(trace_lines(tracer)).encode()
 print(json.dumps({
     "result": hashlib.sha256(payload).hexdigest(),
     "trace": hashlib.sha256(trace_payload).hexdigest(),
-    "attributed_fraction": fraction,
+    "accounted_fraction": accounted,
 }))
 """
 
 
 def _run_parity(mode: str) -> dict:
     env = dict(os.environ)
-    root = os.path.dirname(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    )
     env["PYTHONPATH"] = (
-        os.path.join(root, "src") + os.pathsep + env.get("PYTHONPATH", "")
+        os.path.join(REPO_ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
     )
     result = subprocess.run(
         [sys.executable, "-c", _PARITY_SCRIPT, mode],
@@ -291,11 +305,11 @@ class TestProfilerParity:
         # The uninstrumented run still reproduces the seed captures...
         assert off["result"] == CHAOS_RESULT_DIGEST
         assert off["trace"] == CHAOS_TRACE_DIGEST
-        # ...and attaching the profiler changes neither metrics nor trace.
+        # ...and profiling changes neither metrics nor trace.
         assert on["result"] == off["result"]
         assert on["trace"] == off["trace"]
-        # The profiled run attributes nearly all of its wall time.
-        assert on["attributed_fraction"] >= 0.95
+        # The layer self times account for the profiled run's wall time.
+        assert on["accounted_fraction"] == pytest.approx(1.0, rel=0.01)
 
 
 class TestAttributionOnFig08:
@@ -303,21 +317,27 @@ class TestAttributionOnFig08:
         # The acceptance scenario: the ISP workload with real installs.
         from repro.experiments.common import canned_scenario
         from repro.obs import use_tracer
-        from repro.obs.perf import profile_simulation
 
-        tracer = RecordingTracer()
-        with use_tracer(tracer):
+        with use_tracer(RecordingTracer()):
             simulation, meta = canned_scenario("fig08")
-            report = profile_simulation(simulation, tracer=tracer, meta=meta)
-        assert report.attributed_fraction >= 0.95
-        assert report.spans, "span stream produced no wall-clock costs"
-        assert any(
-            label.startswith("event:") for label in report.segments
-        )
-        # TE planning is reported as its own layer, not as fair share,
-        # and Hermes rule deletes as their own layer, not as completion.
-        assert report.subsystems.get("te_plan", 0.0) > 0.0
-        assert report.subsystems.get("rule_removal", 0.0) > 0.0
+            profiler = Profiler(meta=meta).begin()
+            start = wallclock()
+            try:
+                profiler.run(simulation)
+                wall = wallclock() - start
+            finally:
+                report = profiler.finish()
+        layers = report.layers
+        # The layer self times add up to the run's wall time.
+        accounted = sum(cost.self_seconds for cost in layers.values())
+        assert accounted == pytest.approx(wall, rel=0.01)
+        # TE planning and the controller are their own layers; fair share
+        # is FlowStore.recompute alone, called straight from the loop.
+        assert layers["te_plan"].self_seconds > 0.0
+        assert layers["controller"].self_seconds > 0.0
+        assert [stack for stack in report.stacks if "fairshare" in stack] == [
+            ("loop", "fairshare")
+        ]
         # Every write is verified; with no faults injected none is
         # re-issued.
         assert all(
@@ -554,6 +574,33 @@ class TestBenchCompare:
             self._doc({"run_seconds": 1.0}, suite="b"),
         )
         assert any("different suites" in note for note in notes)
+
+    def test_machine_mismatch_is_noted(self):
+        baseline = self._doc({"run_seconds": 1.0})
+        same = self._doc({"run_seconds": 1.0})
+        _deltas, notes = compare(baseline, same)
+        assert not any("machines differ" in note for note in notes)
+        ours = baseline["fingerprint"]
+        for name, value in (
+            ("cpu_count", ours["cpu_count"] + 1),
+            ("usable_cores", (ours["usable_cores"] or 0) + 1),
+            ("python", ours["python"] + "+other"),
+        ):
+            other = self._doc({"run_seconds": 1.0})
+            other["fingerprint"][name] = value
+            _deltas, notes = compare(baseline, other)
+            assert [note for note in notes if "machines differ" in note] == [
+                f"machines differ in {name}: {ours[name]!r} vs {value!r}"
+            ]
+
+    def test_fingerprint_records_usable_cores(self):
+        fingerprint = machine_fingerprint()
+        usable = fingerprint["usable_cores"]
+        if hasattr(os, "sched_getaffinity"):
+            assert usable == len(os.sched_getaffinity(0))
+            assert 1 <= usable <= fingerprint["cpu_count"]
+        else:
+            assert usable is None
 
     def test_zero_baseline_guard(self):
         deltas, _ = compare(
