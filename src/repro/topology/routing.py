@@ -2,8 +2,13 @@
 
 The proactive traffic-engineering SDNApp (Section 8.1.1) moves flows between
 alternative paths; these helpers enumerate the candidates.  Results are
-cached per graph because path enumeration dominates simulator start-up on
-the k=16 fat tree.
+cached per :class:`PathProvider`, which means per
+:class:`~repro.simulator.simulation.Simulation` (each builds its own),
+because path enumeration dominates simulator start-up on the k=16 fat
+tree.  The TE planner's path table
+(:class:`~repro.simulator.sdnapp.PathTable`) has the same lifetime.  No
+such cache may outlive a benchmark round: a round that reused another's
+paths would time less work than it reports.
 """
 
 from __future__ import annotations

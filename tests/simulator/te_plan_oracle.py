@@ -1,13 +1,14 @@
 """The rescanning TE planner: the test oracle for ``ProactiveTeApp.plan``.
 
 :meth:`repro.simulator.sdnapp.ProactiveTeApp.plan` indexes the flows by
-hot link once per call, costs each path at most once between accepted
-moves, and skips flows already rejected since the last move.  This module
-keeps the planner those shortcuts replace: it rescans every flow's path for
-each congested link and re-costs the current and every candidate path of
-each flow it considers.  It decides the same reroutes directly from the
-planning rule, so the differential tests hold the shipped planner to it,
-and the operation-count gate checks that it blows the per-flow bound.
+hot link once per call and decides every flow it tries from a vectorised
+decision table, rebuilt once per accepted move.  This module keeps the
+planner those shortcuts replace: it rescans every flow's path for each
+congested link and re-costs the current and every candidate path of each
+flow it considers, one ``max`` over a dict at a time.  It decides the same
+reroutes directly from the planning rule, so the differential tests hold
+the shipped planner to it, and the operation-count gate checks that it
+blows the per-flow bound.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,15 @@ from repro.simulator import (
 )
 from repro.simulator.controller import background_rules
 from repro.tcam import Action, Rule, ideal_switch, pica8_p3290
-from repro.topology import FatTreeSpec, PathProvider, build_fat_tree, hosts, path_links
+from repro.topology import (
+    FatTreeSpec,
+    PathProvider,
+    abilene,
+    build_fat_tree,
+    hosts,
+    path_links,
+    pops,
+)
 from repro.traffic import FlowSpec, flows_of, generate_jobs
 
 from .te_plan_oracle import rescan_plan
@@ -29,6 +38,11 @@ from .te_plan_oracle import rescan_plan
 @pytest.fixture(scope="module")
 def small_tree():
     return build_fat_tree(FatTreeSpec(k=4, link_capacity=1e9))
+
+
+@pytest.fixture(scope="module")
+def abilene_network():
+    return abilene(link_capacity=1e9)
 
 
 def naive_factory(switch_name):
@@ -182,12 +196,43 @@ class TestTeApp:
         assert len(moves) == 1
         assert moves[0].new_path != path
 
+    def test_negative_residue_is_not_padded_away(self):
+        """A path shorter than the planner's widest path keeps its own
+        cost: links a move left slightly negative do not read as 0.0."""
+        graph = nx.Graph()
+        for a, b in [("a", "b"), ("a", "c"), ("c", "f"), ("f", "b"), ("a", "d"), ("d", "e"), ("e", "b")]:
+            graph.add_edge(a, b, capacity=1e9)
+        provider = PathProvider(graph)
+        app = ProactiveTeApp(provider, TeAppConfig(utilization_threshold=0.7))
+        flow = FlowSpec(source="a", destination="b", size=1e9, start_time=0.0)
+        current = ("a", "d", "e", "b")
+        utilization = {link: 0.95 for link in path_links(current)}
+        utilization.update({link: -1e-9 for link in path_links(("a", "c", "f", "b"))})
+        utilization[("a", "b")] = -2e-9
+        capacities = {tuple(sorted(edge)): 1e9 for edge in graph.edges}
+        args = ({flow.flow_id: flow}, {flow.flow_id: current}, {flow.flow_id: 1e8}, utilization, capacities)
+        moves = app.plan(*args)
+        assert [move.new_path for move in moves] == [("a", "b")]
+        assert moves == rescan_plan(app, *args)
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_plan_matches_rescan_oracle(self, small_tree, data):
-        """The indexed, cost-caching planner returns exactly the reroutes of
-        the rescanning oracle: same flows, same paths, same order."""
-        provider = PathProvider(small_tree)
+        """The table-driven planner returns exactly the reroutes of the
+        rescanning oracle: same flows, same paths, same order.  The fat
+        tree's candidates of one pair all have the same length."""
+        self.check_plan_against_oracle(small_tree, sorted(hosts(small_tree)), data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_plan_matches_rescan_oracle_on_abilene(self, abilene_network, data):
+        """As above on Abilene, whose k shortest paths have mixed lengths,
+        so the planner's link rows are padded."""
+        self.check_plan_against_oracle(abilene_network, pops(abilene_network), data)
+
+    @staticmethod
+    def check_plan_against_oracle(graph, servers, data):
+        provider = PathProvider(graph)
         threshold = data.draw(st.sampled_from([0.5, 0.7]), label="threshold")
         config = TeAppConfig(
             utilization_threshold=threshold,
@@ -195,7 +240,6 @@ class TestTeApp:
             improvement_margin=data.draw(st.sampled_from([0.0, 0.05]), label="margin"),
         )
         app = ProactiveTeApp(provider, config)
-        servers = sorted(hosts(small_tree))
         # Few endpoint pairs, so many flows share one current path.
         pairs = data.draw(
             st.lists(
@@ -222,15 +266,20 @@ class TestTeApp:
             paths = provider.paths(source, destination)
             path = paths[data.draw(st.integers(0, len(paths) - 1))]
             if shape == "doubled":
-                # Walk the first transit link back and forth: the path
-                # lists that link three times.
-                path = path[:3] + path[1:]
+                # Walk the first transit link (the only link of a one-hop
+                # path) back and forth: the path lists that link three times.
+                first = 1 if len(path) > 2 else 0
+                path = path[: first + 2] + path[first:]
             current_paths[flow.flow_id] = path
         # Load the links the flows can use; a link left out reads as idle.
         links = sorted(
             {link for pair in pairs for path in provider.paths(*pair) for link in path_links(path)}
         )
-        levels = st.sampled_from([None, 0.0, threshold, threshold + 1e-9, 0.8, 0.95, 1.3])
+        # A slightly negative level is the residue a move's subtraction
+        # can leave: a path's cost must not round it up to 0.0.
+        levels = st.sampled_from(
+            [None, -1e-9, 0.0, threshold, threshold + 1e-9, 0.8, 0.95, 1.3]
+        )
         utilization = {}
         for link in links:
             level = data.draw(levels | st.floats(0.0, 1.5))
@@ -247,6 +296,15 @@ class TestTeApp:
             TeAppConfig(utilization_threshold=1.5)
         with pytest.raises(ValueError):
             TeAppConfig(max_moves_per_epoch=-1)
+        for bad in (
+            dict(epoch=math.nan),
+            dict(epoch=math.inf),
+            dict(improvement_margin=-1.0),
+            dict(improvement_margin=math.nan),
+            dict(max_moves_per_epoch=2.5),
+        ):
+            with pytest.raises(ValueError):
+                TeAppConfig(**bad)
 
 
 class TestEndToEnd:

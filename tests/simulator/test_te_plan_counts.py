@@ -1,16 +1,24 @@
-"""Per-epoch work of the TE planner, counted.
+"""Per-epoch work of the TE planner, counted, and its decisions on real epochs.
 
 ``ProactiveTeApp.plan`` must index the flows by hot link once per call and
-cost each path at most once between accepted moves, rather than rescanning
-every flow's path per congested link and re-costing every candidate of
-every flow it tries.  A wall-clock gate for this depends on the host; this
-test counts the work instead, so a return of the rescan fails on any
-machine.  Every path scan and path cost reads the path's links through
-``path_links_cached``, so the count of its calls, per active flow per plan,
-is the planner's work.
+decide flows from a decision table that it rebuilds at most once per
+accepted move, rather than rescanning every flow's path per congested link
+and re-costing every candidate of every flow it tries.  A wall-clock gate
+for this depends on the host; these tests count the work instead, so a
+return of the rescan fails on any machine.  Two counters see it:
 
-The rescanning oracle runs under the same counter and must blow the bound,
-so the counter is known to see a rescan.
+- ``path_links_cached`` calls per active flow per plan.  The planner reads
+  a path's links through it when it indexes the flows, when a move shifts
+  load and copies the moved paths' links into the decision table, and when
+  its path table first registers a path.  Costing reads the table's link
+  rows, not ``path_links_cached``.
+- ``DecisionTable.decide`` calls per plan: every path cost the planner
+  computes comes from one of them.
+
+The rescanning oracle runs under the first counter and must blow the bound,
+so the counter is known to see a rescan.  The same recorded epochs, and a
+short Geant run whose candidates have mixed lengths, hold the planner to
+the oracle's reroutes.
 """
 
 import dataclasses
@@ -18,7 +26,13 @@ import dataclasses
 import pytest
 
 from repro.baselines import make_installer
-from repro.experiments.common import QUICK_SCALE, facebook_workload, te_simulation_config
+from repro.experiments.common import (
+    QUICK_SCALE,
+    WorkloadScale,
+    facebook_workload,
+    isp_workload,
+    te_simulation_config,
+)
 from repro.simulator import Simulation, sdnapp
 from repro.simulator.sdnapp import ProactiveTeApp
 from repro.tcam import ideal_switch
@@ -26,17 +40,17 @@ from repro.tcam import ideal_switch
 from . import te_plan_oracle
 
 # Calls of path_links_cached per active flow per plan.  On these epochs the
-# planner peaks below 15 (mean ~6); the rescan averages above 50.
-PER_FLOW_BOUND = 16
+# planner peaks at 3 (mean ~1.1, 7 when its path table starts empty); the
+# rescan averages above 50.
+PER_FLOW_BOUND = 8
 SIM_SECONDS = 20.0
+GEANT_SCALE = WorkloadScale(isp_flow_duration=2.0)
+GEANT_SIM_SECONDS = 10.0
 
 
-@pytest.fixture(scope="module")
-def epochs():
-    """The arguments of every plan call of a fat-tree MapReduce run (the
-    TE setup of Figures 1 and 8), on ideal switches so the run is quick."""
-    graph, flows, _, _ = facebook_workload(QUICK_SCALE)
-    config = dataclasses.replace(te_simulation_config(QUICK_SCALE), max_time=SIM_SECONDS)
+def record_plans(graph, flows, config):
+    """The arguments of every plan call with active flows of one run, on
+    ideal switches so the run is quick."""
     recorded = []
     real_plan = ProactiveTeApp.plan
 
@@ -52,6 +66,26 @@ def epochs():
     return [epoch for epoch in recorded if epoch[1]]
 
 
+@pytest.fixture(scope="module")
+def epochs():
+    """The plan calls of a fat-tree MapReduce run (the TE setup of
+    Figures 1 and 8)."""
+    graph, flows, _, _ = facebook_workload(QUICK_SCALE)
+    config = dataclasses.replace(te_simulation_config(QUICK_SCALE), max_time=SIM_SECONDS)
+    return record_plans(graph, flows, config)
+
+
+@pytest.fixture(scope="module")
+def geant_epochs():
+    """The plan calls of a short Geant run (the ISP setup of Figures 8
+    and 9), whose k shortest paths have mixed lengths."""
+    graph, flows = isp_workload("geant", GEANT_SCALE)
+    config = dataclasses.replace(
+        te_simulation_config(GEANT_SCALE), max_time=GEANT_SIM_SECONDS
+    )
+    return record_plans(graph, flows, config)
+
+
 @pytest.fixture
 def scans(monkeypatch):
     """Counts ``path_links_cached`` calls made by the planner and the oracle."""
@@ -64,6 +98,20 @@ def scans(monkeypatch):
 
     monkeypatch.setattr(sdnapp, "path_links_cached", counting)
     monkeypatch.setattr(te_plan_oracle, "path_links_cached", counting)
+    return calls
+
+
+@pytest.fixture
+def rebuilds(monkeypatch):
+    """Counts rebuilds of the planner's decision table."""
+    calls = [0]
+    real = sdnapp.DecisionTable.decide
+
+    def counting(table):
+        calls[0] += 1
+        return real(table)
+
+    monkeypatch.setattr(sdnapp.DecisionTable, "decide", counting)
     return calls
 
 
@@ -87,9 +135,33 @@ def test_plan_scans_each_path_a_bounded_number_of_times(epochs, scans):
     assert worst <= PER_FLOW_BOUND
 
 
+def test_plan_rebuilds_decisions_at_most_once_per_move(epochs, rebuilds):
+    total = 0
+    for app, flows, paths, rates, utilization, capacities in epochs:
+        rebuilds[0] = 0
+        moves = len(app.plan(flows, paths, rates, utilization, capacities))
+        assert rebuilds[0] <= moves + 1
+        total += rebuilds[0]
+    assert total > 0
+
+
 def test_rescan_oracle_breaks_the_bound(epochs, scans):
     total = 0
     for app, flows, paths, rates, utilization, capacities in epochs:
         te_plan_oracle.rescan_plan(app, flows, paths, rates, utilization, capacities)
         total += scans[0]
     assert total / sum(len(epoch[1]) for epoch in epochs) > 3 * PER_FLOW_BOUND
+
+
+@pytest.mark.parametrize("recorded", ["epochs", "geant_epochs"])
+def test_plan_matches_rescan_oracle_on_recorded_epochs(recorded, request):
+    """Every recorded epoch, replayed through the run's own app (whose path
+    table the run filled), gets exactly the oracle's reroutes."""
+    moves = 0
+    for app, flows, paths, rates, utilization, capacities in request.getfixturevalue(recorded):
+        plan = app.plan(flows, paths, rates, utilization, capacities)
+        assert plan == te_plan_oracle.rescan_plan(
+            app, flows, paths, rates, utilization, capacities
+        )
+        moves += len(plan)
+    assert moves > 0
