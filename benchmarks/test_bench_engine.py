@@ -5,7 +5,7 @@ from 1k to 1M flows, and the curve lands in one JSON artifact
 (``BENCH_engine.json``).  Two probes per size: the rate-recompute
 microbenchmark times ``_recompute_rates()`` on a loaded simulation
 against the dict reference — the work a per-flow-object backend does per
-recompute: build a ``path_links_cached`` dict, run
+recompute: build a per-flow dict of path links, run
 :func:`~repro.simulator.fairshare.max_min_fair_rates`, assign the rates —
 and a full run with batched same-instant arrivals and a ``max_time`` cut
 proves the size actually *runs* end to end.  The reference is measured up
@@ -58,7 +58,7 @@ from repro.topology import (
     host_name,
     hosts,
 )
-from repro.topology.routing import path_links_cached
+from repro.topology.routing import path_links
 from repro.traffic.flows import FlowSpec
 
 
@@ -129,12 +129,18 @@ def _time_reference_recompute(simulation, repeats):
     simulation's active flows (path dict, fair share, rate assignment)."""
     store = simulation._store
     active = {flow_id: store.path(flow_id) for flow_id in store.flow_ids()}
-    capacities = simulation._capacities
+    capacities = {
+        tuple(sorted((a, b))): data["capacity"]
+        for a, b, data in simulation.graph.edges(data=True)
+    }
+    # Each distinct path's links, computed once, as a per-flow object
+    # backend would hold them.
+    links_of = {path: path_links(path) for path in set(active.values())}
     best = math.inf
     for _ in range(repeats):
         start = time.perf_counter()
         paths = {
-            flow_id: path_links_cached(path)
+            flow_id: links_of[path]
             for flow_id, path in active.items()
         }
         rates = max_min_fair_rates(paths, capacities)

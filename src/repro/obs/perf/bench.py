@@ -206,6 +206,7 @@ def append_history(document: dict, results_dir: str) -> str:
         "unix_time": document["unix_time"],
         "commit": document["fingerprint"]["commit"],
         "cpu_count": document["fingerprint"]["cpu_count"],
+        "usable_cores": document["fingerprint"].get("usable_cores"),
         "python": document["fingerprint"]["python"],
         "headline": document["headline"],
     }

@@ -5,8 +5,11 @@ per flow:
 
 * :class:`FlowStore` holds remaining-bytes / rate / flag / blackhole /
   path-id columns as numpy arrays.  Each distinct path is interned once:
-  the store memoizes its id and its dense link-id list, so a row carries
-  only the path's id and a reroute rewrites one integer.
+  the store memoizes its id, its dense link-id list and its row of the
+  link-row matrix, so a row carries only the path's id and a reroute
+  rewrites one integer.  The store is the simulation's only path index:
+  the TE planner interns its candidate paths here and costs them from the
+  same link rows.
 * Beside the columns the store keeps the fair-share filling's setup state
   live across ``add``/``remove``/``set_path``: per *path class* (the
   active flows on one interned path) its flow count and its member rows;
@@ -75,7 +78,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..topology.routing import Path, path_links_cached
+from ..topology.routing import Path, path_links
 from .fairshare import Link, UNCONSTRAINED_RATE
 
 #: Flag bits of the :class:`FlowStore` ``flags`` column.
@@ -125,7 +128,7 @@ class _Filling:
     def rates(self) -> Dict[int, float]:
         """The rate of every class with links, keyed by path id."""
         store = self.store
-        classes_on, path_links = store._link_classes, store._path_links
+        classes_on, links_of = store._link_classes, store._path_links
         class_size = store._class_size
         share, remaining, count = self.share, self.remaining, self.count
         rates: Dict[int, float] = {}
@@ -141,7 +144,7 @@ class _Filling:
                 # subtracting the share once per flow.
                 rates[path_id] = rate
                 flows = class_size[path_id]
-                for link in path_links[path_id]:
+                for link in links_of[path_id]:
                     left = remaining[link] - value
                     if flows > 1:
                         left = _subtract(left, value, flows - 1)
@@ -243,11 +246,14 @@ class FlowStore:
             [link_capacities[link] for link in links], dtype=np.float64
         )
         # Interned paths: id per path, and per id the path and its
-        # dense link ids.
+        # dense link ids, also as a row of ``link_rows`` padded with
+        # ``len(links)`` (one past the last link id).  Interning writes
+        # one row; the matrix doubles its rows or widens only to make
+        # room for it, and is never rebuilt.
         self._path_id: Dict[Path, int] = {}
         self._path_of: List[Path] = []
         self._path_links: List[List[int]] = []
-        self._link_table_cache: Optional[np.ndarray] = None
+        self.link_rows = np.full((64, 1), len(links), dtype=np.int64)
         # Live fill state, kept in step by add/remove/set_path: per path
         # id, its active flow count and its member rows (ascending from
         # ``_head``, which indexes the first member; entries before it,
@@ -306,7 +312,7 @@ class FlowStore:
     # ------------------------------------------------------------------
     # Row lifecycle
     # ------------------------------------------------------------------
-    def _intern(self, path: Path) -> int:
+    def intern(self, path: Path) -> int:
         """The path's id, interning it (and its link ids) on first use.
 
         Raises:
@@ -316,21 +322,44 @@ class FlowStore:
         path_id = self._path_id.get(path)
         if path_id is None:
             ids = []
-            for link in path_links_cached(path):
+            for link in path_links(path):
                 link_id = self._link_id.get(link)
                 if link_id is None:
                     raise KeyError(f"path {path!r} uses unknown link {link}")
                 ids.append(link_id)
             if len(set(ids)) != len(ids):
                 raise ValueError(f"path {path!r} traverses a link twice")
-            path_id = self._path_id[path] = len(self._path_of)
+            path_id = len(self._path_of)
+            if path_id == len(self.link_rows) or len(ids) > self.link_rows.shape[1]:
+                self._extend_link_rows(len(ids))
+            self.link_rows[path_id, : len(ids)] = ids
+            self._path_id[path] = path_id
             self._path_of.append(path)
             self._path_links.append(ids)
             self._class_size.append(0)
             self._members.append([])
             self._head.append(0)
-            self._link_table_cache = None
         return path_id
+
+    def _extend_link_rows(self, width: int) -> None:
+        """Make room in ``link_rows`` for the next path, of ``width`` links:
+        double the rows when they are full, widen when it is wider."""
+        rows, old_width = self.link_rows.shape
+        if len(self._path_of) == rows:
+            rows *= 2
+        grown = np.full(
+            (rows, max(width, old_width)), self.link_capacity.size, dtype=np.int64
+        )
+        grown[: len(self.link_rows), :old_width] = self.link_rows
+        self.link_rows = grown
+
+    def path_of(self, path_id: int) -> Path:
+        """The interned path with id ``path_id``."""
+        return self._path_of[path_id]
+
+    def link_ids(self, path_id: int) -> List[int]:
+        """The link ids of interned path ``path_id``, in path order."""
+        return self._path_links[path_id]
 
     def _enter(self, row: int, path_id: int) -> None:
         """Count ``row`` into class ``path_id`` and the class's links."""
@@ -395,21 +424,6 @@ class FlowStore:
             head = 0
         self._head[path_id] = head
 
-    def _link_table(self) -> np.ndarray:
-        """Link ids per path id as a matrix, padded with ``len(links)``
-        (one past the last link id); rebuilt after a new path is interned."""
-        if self._link_table_cache is None:
-            width = max(map(len, self._path_links), default=0)
-            table = np.full(
-                (len(self._path_links), width),
-                self.link_capacity.size,
-                dtype=np.int64,
-            )
-            for path_id, links in enumerate(self._path_links):
-                table[path_id, : len(links)] = links
-            self._link_table_cache = table
-        return self._link_table_cache
-
     def _grow_rows(self) -> None:
         new_cap = self._cap * 2
         for name in ("flow_id", "remaining", "rate", "flags",
@@ -434,7 +448,7 @@ class FlowStore:
         flow_id = spec.flow_id
         if flow_id in self._row_of:
             raise ValueError(f"flow {flow_id} is already active")
-        path_id = self._intern(path)
+        path_id = self.intern(path)
         if self.size == self._cap:
             if len(self._row_of) <= self.size // 2 and self.size >= 64:
                 self.compact()
@@ -504,7 +518,7 @@ class FlowStore:
             ValueError: when the path traverses a link twice.
         """
         row = self._row_of[flow_id]
-        path_id = self._intern(path)
+        path_id = self.intern(path)
         old = int(self.path_id[row])
         if path_id != old:
             self.path_id[row] = path_id
@@ -601,39 +615,27 @@ class FlowStore:
         by_path[list(rates)] = list(rates.values())
         self.rate[rows] = by_path[self.path_id[rows]]
 
-    def utilization(self) -> Dict[Link, float]:
-        """Per-link utilization, identical to
-        :func:`~repro.simulator.fairshare.link_utilization` over the active
-        flows' ``path_links_cached`` links: the same values, dict insertion
-        order (so TE planning tie-breaks don't move) and key objects.
+    def utilization(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-link utilization as ``(link ids, utilizations)``: the entries
+        of :func:`~repro.simulator.fairshare.link_utilization` over the
+        active flows' links, with the same values in the same order.
 
-        Each key is the link tuple of the first active path that uses the
-        link, so the TE planner's ``link in path_links_cached(path)`` tests
-        and dict lookups succeed on identity, not tuple comparison.
+        The order is first encounter: active rows in admission order, and
+        within a row the links in path order.  The TE planner breaks ties
+        among congested links by it.  A link that no active flow uses, or
+        whose capacity is zero, is left out.
         """
         rows = self.active_rows()
-        if rows.size == 0:
-            return {}
-        path_ids = self.path_id[rows]
-        table = self._link_table()
+        table = self.link_rows[self.path_id[rows]]
         # Row-major adds: each link sums its flows' rates in admission
         # order, as the dict reference does; padding lands in the extra slot.
         load = np.zeros(self.link_capacity.size + 1, dtype=np.float64)
-        np.add.at(
-            load,
-            table[path_ids].ravel(),
-            np.repeat(self.rate[rows], table.shape[1]),
-        )
-        first_key: Dict[int, Link] = {}
-        for path_id in dict.fromkeys(path_ids.tolist()):
-            for link in path_links_cached(self._path_of[path_id]):
-                first_key.setdefault(self._link_id[link], link)
-        result: Dict[Link, float] = {}
-        for link_id, link in first_key.items():
-            capacity = float(self.link_capacity[link_id])
-            if capacity > 0.0:
-                result[link] = float(load[link_id]) / capacity
-        return result
+        np.add.at(load, table.ravel(), np.repeat(self.rate[rows], table.shape[1]))
+        links, first = np.unique(table, return_index=True)
+        links = links[np.argsort(first)]
+        links = links[links < self.link_capacity.size]
+        links = links[self.link_capacity[links] > 0.0]
+        return links, load[links] / self.link_capacity[links]
 
     # ------------------------------------------------------------------
     # Link events
@@ -650,32 +652,23 @@ class FlowStore:
         rows = self.active_rows()
         if link_id is None or rows.size == 0:
             return []
-        hits = (self._link_table()[self.path_id[rows]] == link_id).any(axis=1)
+        hits = (self.link_rows[self.path_id[rows]] == link_id).any(axis=1)
         return [int(fid) for fid in self.flow_id[rows[hits]]]
 
     # ------------------------------------------------------------------
     # TE snapshot
     # ------------------------------------------------------------------
-    def te_views(
-        self,
-    ) -> Tuple[Dict[int, object], Dict[int, Path], Dict[int, float]]:
-        """``(flows, eligible_paths, rates)`` dicts for one TE epoch.
+    def te_views(self) -> Tuple[List[int], List[int], List[float]]:
+        """``(flow ids, path ids, rates)`` of the flows a TE epoch may move.
 
-        Keyed by flow id in admission order; ``eligible_paths`` leaves out
-        flows whose previous move is still pending activation.  Plain
-        dicts, because the TE app reads every entry several times.
+        In admission order; flows whose previous move is still pending
+        activation are left out.  Plain lists, because the TE app reads
+        every entry several times.
         """
         rows = self.active_rows()
-        flow_ids = self.flow_id[rows].tolist()
-        rates = dict(zip(flow_ids, self.rate[rows].tolist()))
-        pending = (self.flags[rows] & FLAG_PENDING).tolist()
-        path_ids = self.path_id[rows].tolist()
-        flows: Dict[int, object] = {}
-        eligible: Dict[int, Path] = {}
-        for flow_id, row, is_pending, path_id in zip(
-            flow_ids, rows.tolist(), pending, path_ids
-        ):
-            flows[flow_id] = self._specs[row]
-            if not is_pending:
-                eligible[flow_id] = self._path_of[path_id]
-        return flows, eligible, rates
+        rows = rows[(self.flags[rows] & FLAG_PENDING) == 0]
+        return (
+            self.flow_id[rows].tolist(),
+            self.path_id[rows].tolist(),
+            self.rate[rows].tolist(),
+        )

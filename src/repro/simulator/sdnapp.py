@@ -16,14 +16,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Dict, List, Mapping
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..obs.tracer import get_tracer
-from ..topology.routing import Path, PathProvider, path_links_cached
-from ..traffic.flows import FlowSpec
-from .fairshare import Link
+from ..topology.routing import Path, PathProvider
+from .flowstate import FlowStore
 
 
 @dataclass(frozen=True)
@@ -70,147 +69,114 @@ class Reroute:
     new_path: Path
 
 
-# Reserved link slots of the utilization array a :class:`DecisionTable`
-# reads.  A path's link row is padded with ``_PAD``; a path without links
-# costs the ``_IDLE`` slot, as ``max(..., default=0.0)`` would; path 0, the
-# sentinel that pads candidate rows, costs the ``_UNREACHABLE`` slot.
-_PAD, _IDLE, _UNREACHABLE = 0, 1, 2
-_RESERVED = (-math.inf, 0.0, math.inf)
-
-
-class PathTable:
-    """Integer ids for the paths and links the TE planner costs.
-
-    Built lazily from a :class:`PathProvider` and kept for the app's
-    lifetime, so it lives as long as the provider's own cache: one
-    :class:`~repro.simulator.simulation.Simulation`.  Registering a path
-    registers every candidate of its endpoints, and the path itself when it
-    is not among them.  Each path ``p`` has a link row (its link slots,
-    padded with ``_PAD``) and a candidate row (the ids of the candidates of
-    ``p[0] -> p[-1]`` other than ``p``, in provider order, padded with the
-    sentinel path 0).
-    """
-
-    def __init__(self, provider: PathProvider) -> None:
-        self.provider = provider
-        self.ids: Dict[Path, int] = {}
-        self.paths: List[Path] = [()]
-        self.slot_of: Dict[Link, int] = {}
-        self.link_rows = np.full((64, 1), _PAD, dtype=np.intp)
-        self.link_rows[0, 0] = _UNREACHABLE
-        self.candidate_rows = np.zeros((64, provider.k_paths), dtype=np.intp)
-
-    def id_of(self, path: Path) -> int:
-        """``path``'s id, registering its endpoints' candidates on first sight."""
-        path_id = self.ids.get(path)
-        if path_id is None:
-            pair = [self._add(candidate) for candidate in self.provider.paths(path[0], path[-1])]
-            path_id = self._add(path)
-            for member in dict.fromkeys(pair + [path_id]):
-                others = [candidate for candidate in pair if candidate != member]
-                self.candidate_rows[member, : len(others)] = others
-        return path_id
-
-    def _add(self, path: Path) -> int:
-        path_id = self.ids.get(path)
-        if path_id is not None:
-            return path_id
-        path_id = len(self.paths)
-        slots = [
-            self.slot_of.setdefault(link, len(self.slot_of) + len(_RESERVED))
-            for link in path_links_cached(path)
-        ] or [_IDLE]
-        if path_id == len(self.link_rows):
-            self.link_rows = np.vstack([self.link_rows, np.full_like(self.link_rows, _PAD)])
-            self.candidate_rows = np.vstack(
-                [self.candidate_rows, np.zeros_like(self.candidate_rows)]
-            )
-        width = self.link_rows.shape[1]
-        if len(slots) > width:
-            padding = np.full((len(self.link_rows), len(slots) - width), _PAD, dtype=np.intp)
-            self.link_rows = np.hstack([self.link_rows, padding])
-        self.link_rows[path_id, : len(slots)] = slots
-        self.ids[path] = path_id
-        self.paths.append(path)
-        return path_id
-
-
 class DecisionTable:
     """One plan's move decisions, per current path.
 
-    Holds the working utilization by link slot, and the link rows of the
-    plan's current paths and of their candidates only, so a rebuild costs
-    just the paths this plan can try.
+    Holds the link rows of the plan's current paths and of their
+    candidates only, so a rebuild costs just the paths this plan can try.
+    It reads the plan's working utilization, which the planner updates in
+    place as it accepts moves.
     """
 
     def __init__(
         self,
-        table: PathTable,
-        current_ids: List[int],
-        utilization: Mapping[Link, float],
+        link_rows: np.ndarray,
+        utilization: np.ndarray,
+        current: List[int],
+        candidates: np.ndarray,
         margin: float,
     ) -> None:
-        self.slot_of = table.slot_of
+        """Args:
+            link_rows: the store's link-row matrix; its padding indexes the
+                last slot of ``utilization``.
+            utilization: working utilization per link id, then a ``-inf``
+                slot, so padding never wins a path's max.
+            current: store path ids of the current paths, one per row.
+            candidates: per row, the store path ids of the candidates,
+                padded with -1 (one row of ``k_paths`` per current path).
+            margin: the improvement a move must beat.
+        """
+        self.utilization = utilization
         self.margin = margin
-        values = list(_RESERVED) + [0.0] * len(self.slot_of)
-        for link, value in utilization.items():
-            slot = self.slot_of.get(link)
-            if slot is not None:
-                values[slot] = value
-        # A link ``utilization`` leaves out reads 0.0.
-        self.utilization = np.array(values)
-        current = np.array(current_ids, dtype=np.intp)
-        self._candidate_ids = table.candidate_rows[current]
-        needed, local = np.unique(
-            np.concatenate([current, self._candidate_ids.ravel()]), return_inverse=True
-        )
-        self._link_rows = table.link_rows[needed]
+        self._candidate_ids = candidates
+        ids = np.concatenate([current, candidates.ravel()]).astype(np.intp)
+        needed = np.unique(ids[ids >= 0])
+        # Padding maps to -1, which reads the +inf appended to the costs.
+        local = np.where(ids >= 0, np.searchsorted(needed, ids), -1)
+        self._link_rows = link_rows[needed]
         self._current = local[: len(current)]
-        self._candidates = local[len(current):].reshape(self._candidate_ids.shape)
+        self._candidates = local[len(current):].reshape(candidates.shape)
         self._rows = np.arange(len(current))
 
-    def update(self, utilization: Mapping[Link, float], path: Path) -> None:
-        """Copy the utilization of ``path``'s links from ``utilization``."""
-        for link in path_links_cached(path):
-            self.utilization[self.slot_of[link]] = utilization.get(link, 0.0)
-
     def decide(self) -> List[int]:
-        """Per row of ``current_ids``, the id of the path a flow there moves
-        to, or 0 to stay.
+        """Per row of ``current``, the store path id a flow there moves
+        to, or -1 to stay.
 
         A path's cost is the utilization of its hottest link.  A flow moves
         to the first cheapest candidate when that beats its current path's
         cost by more than ``margin``.
         """
-        cost = self.utilization[self._link_rows].max(axis=1)
+        cost = np.append(self.utilization[self._link_rows].max(axis=1), math.inf)
         candidate_cost = cost[self._candidates]
         best = candidate_cost.argmin(axis=1)
         accept = candidate_cost[self._rows, best] < cost[self._current] - self.margin
-        return np.where(accept, self._candidate_ids[self._rows, best], 0).tolist()
+        return np.where(accept, self._candidate_ids[self._rows, best], -1).tolist()
 
 
 class ProactiveTeApp:
-    """Moves the biggest flows off the hottest links each epoch."""
+    """Moves the biggest flows off the hottest links each epoch.
 
-    def __init__(self, provider: PathProvider, config: TeAppConfig = TeAppConfig()) -> None:
+    Paths are the ids of ``store``, the simulation's one path index: the
+    app interns the candidates of each path it tries there and costs them
+    from the store's link rows.
+    """
+
+    def __init__(
+        self, provider: PathProvider, store: FlowStore, config: TeAppConfig = TeAppConfig()
+    ) -> None:
         self.provider = provider
+        self.store = store
         self.config = config
-        self.table = PathTable(provider)
+        # Store path id -> the ids of the other candidates of its
+        # endpoints, in provider order, padded with -1 to k_paths.
+        self._candidates: Dict[int, List[int]] = {}
+
+    def _candidate_row(self, path_id: int) -> List[int]:
+        """The candidate row of store path ``path_id``, interning the
+        candidates of its endpoints on first sight."""
+        others = self._candidates.get(path_id)
+        if others is None:
+            store, k = self.store, self.provider.k_paths
+            path = store.path_of(path_id)
+            pair = [
+                store.intern(candidate)
+                for candidate in self.provider.paths(path[0], path[-1])
+            ]
+            for member in dict.fromkeys(pair + [path_id]):
+                row = [candidate for candidate in pair if candidate != member]
+                self._candidates[member] = row + [-1] * (k - len(row))
+            others = self._candidates[path_id]
+        return others
 
     def plan(
         self,
-        flows: Mapping[int, FlowSpec],
-        current_paths: Mapping[int, Path],
-        rates: Mapping[int, float],
-        utilization: Mapping[Link, float],
-        capacities: Mapping[Link, float],
+        flow_ids: Sequence[int],
+        path_ids: Sequence[int],
+        rates: Sequence[float],
+        utilization: Tuple[np.ndarray, np.ndarray],
         now: float = 0.0,
     ) -> List[Reroute]:
         """Propose up to ``max_moves_per_epoch`` reroutes for this epoch.
 
-        Congested links are visited hottest first.  On each, the flows
-        that cross it are tried largest rate first (ties in
-        ``current_paths`` order), and a flow moves to its cheapest
+        ``flow_ids``, ``path_ids`` (store path ids) and ``rates`` list the
+        flows that may move, in admission order, as
+        :meth:`FlowStore.te_views` returns them.  ``utilization`` is
+        ``(link ids, utilizations)``, as :meth:`FlowStore.utilization`
+        returns it; a link it leaves out reads 0.0.
+
+        Congested links are visited hottest first, ties in ``utilization``
+        order.  On each, the flows that cross it are tried largest rate
+        first (ties in admission order), and a flow moves to its cheapest
         candidate path when that beats its current path by
         ``improvement_margin``.  Utilization is updated incrementally as
         moves are chosen so one epoch's moves do not all pile onto the same
@@ -227,65 +193,74 @@ class ProactiveTeApp:
         """
         threshold = self.config.utilization_threshold
         max_moves = self.config.max_moves_per_epoch
-        working_utilization: Dict[Link, float] = dict(utilization)
-        congested = sorted(
-            (link for link, value in working_utilization.items() if value > threshold),
-            key=lambda link: -working_utilization[link],
-        )
+        links, values = utilization
+        hot = values > threshold
+        # Hottest first; the stable sort keeps ties in ``utilization`` order.
+        congested = links[hot][np.argsort(-values[hot], kind="stable")].tolist()
         moves: List[Reroute] = []
         if congested:
-            table = self.table
-            # Hot link -> crossing flow ids, largest rate first: one stable
-            # sort, so ties keep ``current_paths`` order in every bucket.
-            crossing: Dict[Link, List[int]] = {link: [] for link in congested}
-            # Path id -> its row in the decision table; row 0 is the
-            # sentinel path 0, which never moves.
-            row_of_path: Dict[int, int] = {0: 0}
+            store = self.store
+            capacity = store.link_capacity
+            # Working utilization per link id; the last slot, which the
+            # link rows' padding reads, never wins a path's max.
+            working = np.zeros(capacity.size + 1)
+            working[links] = values
+            working[-1] = -math.inf
+            # Hot link -> crossing flows (indexes into the arguments),
+            # largest rate first: one stable sort, so ties keep admission
+            # order in every bucket.
+            crossing: Dict[int, List[int]] = {link: [] for link in congested}
+            # Current path id -> its row in the decision table, and per
+            # crossing flow its row; a moved flow's row becomes -1.
+            row_of_path: Dict[int, int] = {}
             flow_rows: Dict[int, int] = {}
-            for flow_id in sorted(current_paths, key=lambda flow_id: -rates.get(flow_id, 0.0)):
-                path = current_paths[flow_id]
-                hot = False
-                # A path that lists a link twice enters its bucket twice,
-                # back to back: the second entry is skipped as moved or
-                # rejected.
-                for link in path_links_cached(path):
+            by_rate = np.argsort(-np.asarray(rates, dtype=np.float64), kind="stable")
+            for index in by_rate.tolist():
+                path_id = path_ids[index]
+                crosses = False
+                for link in store.link_ids(path_id):
                     bucket = crossing.get(link)
                     if bucket is not None:
-                        bucket.append(flow_id)
-                        hot = True
-                if hot:
-                    flow_rows[flow_id] = row_of_path.setdefault(
-                        table.id_of(path), len(row_of_path)
-                    )
+                        bucket.append(index)
+                        crosses = True
+                if crosses:
+                    flow_rows[index] = row_of_path.setdefault(path_id, len(row_of_path))
+            current = list(row_of_path)
+            # Registering candidates may extend the store's link rows, so
+            # it comes before the table reads them.
+            candidates = np.array(
+                [self._candidate_row(path_id) for path_id in current], dtype=np.intp
+            ).reshape(len(current), self.provider.k_paths)
             decision_table = DecisionTable(
-                table, list(row_of_path), working_utilization,
+                store.link_rows, working, current, candidates,
                 self.config.improvement_margin,
             )
             decisions = None
             for hot_link in congested:
                 if len(moves) >= max_moves:
                     break
-                for flow_id in crossing[hot_link]:
+                for index in crossing[hot_link]:
                     if len(moves) >= max_moves:
                         break
+                    row = flow_rows[index]
+                    if row < 0:
+                        continue
                     if decisions is None:
                         decisions = decision_table.decide()
-                    best_id = decisions[flow_rows[flow_id]]
-                    if not best_id:
+                    best_id = decisions[row]
+                    if best_id < 0:
                         continue
-                    best_path = table.paths[best_id]
-                    moves.append(Reroute(flow_id=flow_id, new_path=best_path))
-                    # A moved flow is tried no more: it now reads row 0.
-                    flow_rows[flow_id] = 0
-                    self._shift_load(
-                        working_utilization, current_paths[flow_id], best_path,
-                        rates.get(flow_id, 0.0), capacities,
+                    moves.append(
+                        Reroute(flow_id=flow_ids[index], new_path=store.path_of(best_id))
                     )
-                    decision_table.update(working_utilization, current_paths[flow_id])
-                    decision_table.update(working_utilization, best_path)
+                    flow_rows[index] = -1
+                    self._shift_load(
+                        working, store.link_ids(path_ids[index]), store.link_ids(best_id),
+                        rates[index], capacity,
+                    )
                     # The move rewrote utilizations: every decision may be stale.
                     decisions = None
-                    if working_utilization.get(hot_link, 0.0) <= threshold:
+                    if working[hot_link] <= threshold:
                         break
         tracer = get_tracer()
         if tracer.enabled:
@@ -297,20 +272,19 @@ class ProactiveTeApp:
 
     @staticmethod
     def _shift_load(
-        utilization: Dict[Link, float],
-        old_path: Path,
-        new_path: Path,
+        utilization: np.ndarray,
+        old_links: List[int],
+        new_links: List[int],
         rate: float,
-        capacities: Mapping[Link, float],
+        capacity: np.ndarray,
     ) -> None:
-        """Move ``rate`` worth of load from old_path to new_path in place."""
-        for link in path_links_cached(old_path):
-            capacity = capacities.get(link, 0.0)
-            if capacity > 0:
-                # det: allow(shared-state-mutation) -- planner scratch dict, local to one plan() call
-                utilization[link] = utilization.get(link, 0.0) - rate / capacity
-        for link in path_links_cached(new_path):
-            capacity = capacities.get(link, 0.0)
-            if capacity > 0:
-                # det: allow(shared-state-mutation) -- planner scratch dict, local to one plan() call
-                utilization[link] = utilization.get(link, 0.0) + rate / capacity
+        """Move ``rate`` worth of load from old_links to new_links in place,
+        one link at a time in path order."""
+        for link in old_links:
+            if capacity[link] > 0:
+                # det: allow(shared-state-mutation) -- planner scratch array, local to one plan() call
+                utilization[link] -= rate / capacity[link]
+        for link in new_links:
+            if capacity[link] > 0:
+                # det: allow(shared-state-mutation) -- planner scratch array, local to one plan() call
+                utilization[link] += rate / capacity[link]

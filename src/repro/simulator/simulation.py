@@ -23,7 +23,7 @@ from ..faults.injector import FaultInjector
 from ..faults.spec import FaultPlan
 from ..obs.tracer import get_tracer
 from ..switchsim.channel import ChannelConfig
-from ..topology.routing import Path, PathProvider, path_links_cached
+from ..topology.routing import Path, PathProvider, path_links
 from ..traffic.flows import FlowSpec
 from .controller import InstallerFactory, SdnController
 # Unused here; hermesbench/layertrace.py and repro.obs.perf wrap it at
@@ -76,6 +76,17 @@ class SimulationConfig:
     fault_seed: int = 0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.control_rtt) and self.control_rtt >= 0):
+            raise ValueError(f"control_rtt must be finite and >= 0: {self.control_rtt}")
+        if not self.max_time >= 0:
+            raise ValueError(f"max_time must be >= 0: {self.max_time}")
+        if self.baseline_occupancy < 0:
+            raise ValueError(
+                f"baseline_occupancy cannot be negative: {self.baseline_occupancy}"
+            )
+        for failure_time, link in self.link_failures:
+            if not math.isfinite(failure_time):
+                raise ValueError(f"link {link} fails at a non-finite time: {failure_time}")
         if self.initial_path_policy not in ("ecmp-hash", "static"):
             raise ValueError(
                 "initial_path_policy must be 'ecmp-hash' (hash flows over the "
@@ -139,15 +150,16 @@ class Simulation:
         )
         if self.config.baseline_occupancy > 0:
             self.controller.prefill_switches(self.config.baseline_occupancy)
-        self.app = ProactiveTeApp(self.provider, self.config.te)
         self.metrics = MetricsCollector()
-        self._capacities = {
-            tuple(sorted((a, b))): data["capacity"]
-            for a, b, data in graph.edges(data=True)
-        }
         self._arrivals = sorted(flows, key=lambda flow: flow.start_time)
         self._arrival_index = 0
-        self._store = FlowStore(self._capacities)
+        self._store = FlowStore(
+            {
+                tuple(sorted((a, b))): data["capacity"]
+                for a, b, data in graph.edges(data=True)
+            }
+        )
+        self.app = ProactiveTeApp(self.provider, self._store, self.config.te)
         self._rate_epoch = 0
         self._failed_links: set = set()
         self.blackhole_time = 0.0  # flow-seconds spent on failed paths
@@ -325,7 +337,7 @@ class Simulation:
                 path
                 for path in ecmp
                 if not any(
-                    link in self._failed_links for link in path_links_cached(path)
+                    link in self._failed_links for link in path_links(path)
                 )
             ]
             if healthy:
@@ -374,24 +386,23 @@ class Simulation:
         self._recompute_rates()
 
     def _run_te_epoch(self) -> None:
-        if self._store:
-            flows, eligible_paths, rates = self._store.te_views()
-            utilization = self._store.utilization()
+        store = self._store
+        if store:
+            flow_ids, path_ids, rates = store.te_views()
             plan = self.app.plan(
-                flows, eligible_paths, rates, utilization, self._capacities,
-                now=self.now,
+                flow_ids, path_ids, rates, store.utilization(), now=self.now
             )
             moves = [
                 move
                 for move in plan
-                if move.flow_id in self._store
+                if move.flow_id in store
                 and not any(
                     link in self._failed_links
-                    for link in path_links_cached(move.new_path)
+                    for link in path_links(move.new_path)
                 )
             ]
             assignments = [
-                (flows[move.flow_id], move.new_path) for move in moves
+                (store.spec(move.flow_id), move.new_path) for move in moves
             ]
             # One reconfiguration round = one per-switch FlowMod batch —
             # the granularity at which ESPRES/Tango reorder and rewrite.
@@ -438,7 +449,7 @@ class Simulation:
         for candidate in self.provider.paths(spec.source, spec.destination):
             if not any(
                 link in self._failed_links
-                for link in path_links_cached(candidate)
+                for link in path_links(candidate)
             ):
                 return candidate
         return None
@@ -451,7 +462,6 @@ class Simulation:
         the control-plane action latency Hermes bounds.
         """
         self._failed_links.add(link)
-        self._capacities[link] = 0.0
         repairs = []
         specs = {}
         self._store.fail_link(link)

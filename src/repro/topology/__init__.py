@@ -18,7 +18,7 @@ from .isp import (
     pops,
     quest,
 )
-from .routing import Path, PathProvider, path_links, path_links_cached, path_switches
+from .routing import Path, PathProvider, path_links, path_switches
 
 __all__ = [
     "FatTreeSpec",
@@ -35,7 +35,6 @@ __all__ = [
     "host_name",
     "hosts",
     "path_links",
-    "path_links_cached",
     "path_switches",
     "pops",
     "quest",

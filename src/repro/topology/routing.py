@@ -5,16 +5,17 @@ alternative paths; these helpers enumerate the candidates.  Results are
 cached per :class:`PathProvider`, which means per
 :class:`~repro.simulator.simulation.Simulation` (each builds its own),
 because path enumeration dominates simulator start-up on the k=16 fat
-tree.  The TE planner's path table
-(:class:`~repro.simulator.sdnapp.PathTable`) has the same lifetime.  No
-such cache may outlive a benchmark round: a round that reused another's
-paths would time less work than it reports.
+tree.  A path's ids, and the ids of its links, live in the simulation's
+:class:`~repro.simulator.flowstate.FlowStore`, the one path index that
+the fair share and the TE planner both read; :func:`path_links` itself
+keeps nothing.  No cache may outlive a simulation, and so a benchmark
+round: a round that reused another's paths would time less work than it
+reports.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from typing import Dict, List, Tuple
 
 import networkx as nx
@@ -65,23 +66,9 @@ class PathProvider:
         return [path for path in candidates if len(path) == best_length]
 
 
-@lru_cache(maxsize=None)
-def path_links_cached(path: Path) -> Tuple[Tuple[str, str], ...]:
-    """The (canonically ordered) links a path traverses, memoized.
-
-    Paths are immutable tuples and the set of distinct paths is bounded
-    by the topology (the :class:`PathProvider` cache), so the memo is
-    small — but the links were being recomputed per flow on every rate
-    recompute, TE epoch, and link failure, which the wall-clock profiler
-    attributes squarely to the ``fairshare`` layer.  Hot paths call
-    this directly; :func:`path_links` stays the list-returning wrapper.
-    """
-    return tuple(tuple(sorted((a, b))) for a, b in zip(path, path[1:]))
-
-
 def path_links(path: Path) -> List[Tuple[str, str]]:
     """The (canonically ordered) links a path traverses."""
-    return list(path_links_cached(path))
+    return [tuple(sorted((a, b))) for a, b in zip(path, path[1:])]
 
 
 def path_switches(path: Path, graph: nx.Graph) -> List[str]:

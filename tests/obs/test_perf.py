@@ -526,8 +526,20 @@ class TestBenchArtifacts:
         point = read_history(str(tmp_path))[0]
         assert set(point) == {
             "suite", "date", "unix_time", "commit", "cpu_count",
-            "python", "headline",
+            "usable_cores", "python", "headline",
         }
+
+    def test_history_point_carries_usable_cores(self, tmp_path):
+        """A history row is as honest about cores as its artifact: it
+        copies ``usable_cores``, and an older artifact without one reads None."""
+        document = bench_artifact("unit", {"run_seconds": 1.0})
+        append_history(document, str(tmp_path))
+        older = bench_artifact("unit", {"run_seconds": 1.0})
+        del older["fingerprint"]["usable_cores"]
+        append_history(older, str(tmp_path))
+        points = read_history(str(tmp_path))
+        assert points[0]["usable_cores"] == document["fingerprint"]["usable_cores"]
+        assert points[1]["usable_cores"] is None
 
 
 class TestBenchCompare:

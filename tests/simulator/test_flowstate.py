@@ -40,7 +40,7 @@ from repro.simulator import (
     max_min_fair_rates,
 )
 from repro.simulator.flowstate import _Filling
-from repro.topology.routing import path_links_cached
+from repro.topology.routing import path_links
 from repro.traffic.flows import FlowSpec
 
 from tests.engine.test_parity import _run_script
@@ -122,7 +122,7 @@ def store_and_reference(store, capacities):
     }
     reference = max_min_fair_rates(
         {
-            flow_id: path_links_cached(store.path(flow_id))
+            flow_id: path_links(store.path(flow_id))
             for flow_id in store.flow_ids()
         },
         capacities,
@@ -133,7 +133,7 @@ def store_and_reference(store, capacities):
 def reference_rates(flow_paths, capacities):
     return max_min_fair_rates(
         {
-            flow_id: path_links_cached(path)
+            flow_id: path_links(path)
             for flow_id, path in flow_paths.items()
         },
         capacities,
@@ -562,45 +562,65 @@ class TestFlowStore:
 
     def test_utilization_matches_reference(self):
         from repro.simulator import link_utilization
-        from repro.topology.routing import path_links_cached
 
         store = self.make()
-        paths = {1: ("a", "b", "c"), 2: ("b", "c")}
+        paths = {1: ("c", "b", "a"), 2: ("b", "c", "d"), 3: ("d", "c")}
         for flow_id, path in paths.items():
             store.add(spec(flow_id), path)
         store.recompute()
-        reference = link_utilization(
-            {
-                flow_id: path_links_cached(path)
-                for flow_id, path in paths.items()
-            },
-            {
-                flow_id: float(store.rate[store.row(flow_id)])
-                for flow_id in paths
-            },
-            self.CAPS,
-        )
-        utilization = store.utilization()
-        assert utilization == reference
-        # Same key objects too: the TE planner's link lookups hit on identity.
-        assert [id(link) for link in utilization] == [
-            id(link) for link in reference
-        ]
+        link_of = {link_id: link for link, link_id in store._link_id.items()}
+        capacities = dict(self.CAPS)
+        for failed in (None, ("b", "c")):
+            if failed is not None:
+                # A zero-capacity link is left out, as the reference does.
+                store.fail_link(failed)
+                capacities[failed] = 0.0
+            reference = link_utilization(
+                {flow_id: path_links(path) for flow_id, path in paths.items()},
+                {
+                    flow_id: float(store.rate[store.row(flow_id)])
+                    for flow_id in paths
+                },
+                capacities,
+            )
+            links, values = store.utilization()
+            # Same values in the same order: first encounter over the rows,
+            # links in path order.
+            assert list(
+                zip([link_of[link] for link in links.tolist()], values.tolist())
+            ) == list(reference.items())
 
-    def test_te_views_are_admission_ordered_mappings(self):
+    def test_utilization_of_an_empty_store_is_empty(self):
+        links, values = self.make().utilization()
+        assert links.size == 0 and values.size == 0
+
+    def test_te_views_are_admission_ordered(self):
         store = self.make()
         store.add(spec(3, size=5.0), ("a", "b"))
         store.add(spec(1, size=6.0), ("b", "c"))
+        store.add(spec(2, size=7.0), ("b", "c"))
         store.set_pending_activation(1, True)
-        flows, eligible, rates = store.te_views()
-        assert list(flows) == [3, 1]
-        assert list(rates) == [3, 1]
-        assert eligible[3] == ("a", "b")
-        assert list(eligible) == [3] and len(eligible) == 1
-        with pytest.raises(KeyError):
-            eligible[1]
-        assert rates.get(99, 0.0) == 0.0
-        assert flows[1].size == 6.0
+        store.rate[store.row(3)] = 2.0
+        flow_ids, path_ids, rates = store.te_views()
+        assert flow_ids == [3, 2]
+        assert [store.path_of(path_id) for path_id in path_ids] == [
+            ("a", "b"), ("b", "c"),
+        ]
+        assert rates == [2.0, 0.0]
+
+    def test_link_rows_pad_interned_paths(self):
+        """Each interned path's link ids, in path order, padded with one
+        past the last link id; a longer path widens the matrix in place."""
+        store = self.make()
+        short = store.intern(("b", "c"))
+        long = store.intern(("d", "c", "b", "a"))
+        pad = len(self.CAPS)
+        assert store.link_ids(long) == [
+            store._link_id[link] for link in path_links(("d", "c", "b", "a"))
+        ]
+        assert store.link_rows[short, :3].tolist() == store.link_ids(short) + [pad, pad]
+        assert store.link_rows[long, :3].tolist() == store.link_ids(long)
+        assert store.intern(("b", "c")) == short
 
 
 def _fat_tree_workload(burst=False, seed=5, flows_count=120):

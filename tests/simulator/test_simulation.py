@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import make_installer
 from repro.simulator import (
+    FlowStore,
     MetricsCollector,
     ProactiveTeApp,
     SdnController,
@@ -43,6 +44,25 @@ def small_tree():
 @pytest.fixture(scope="module")
 def abilene_network():
     return abilene(link_capacity=1e9)
+
+
+def store_of(graph, capacities=None):
+    """A flow store over ``graph``'s links, with ``capacities`` overriding
+    the graph's own."""
+    links = {
+        tuple(sorted((a, b))): data["capacity"] for a, b, data in graph.edges(data=True)
+    }
+    links.update(capacities or {})
+    return FlowStore(links)
+
+
+def utilization_of(store, utilization):
+    """A ``{link: value}`` dict as plan's ``(link ids, values)``, in the
+    dict's order."""
+    return (
+        np.array([store._link_id[link] for link in utilization], dtype=np.intp),
+        np.array(list(utilization.values()), dtype=np.float64),
+    )
 
 
 def naive_factory(switch_name):
@@ -156,42 +176,32 @@ class TestController:
 class TestTeApp:
     def test_no_moves_below_threshold(self, small_tree):
         provider = PathProvider(small_tree)
-        app = ProactiveTeApp(provider, TeAppConfig(utilization_threshold=0.9))
+        store = store_of(small_tree)
+        app = ProactiveTeApp(provider, store, TeAppConfig(utilization_threshold=0.9))
         flow = FlowSpec(
             source="host-0-0-0", destination="host-1-0-0", size=1e9, start_time=0.0
         )
         path = provider.shortest_path(flow.source, flow.destination)
         utilization = {link: 0.5 for link in path_links(path)}
         moves = app.plan(
-            {flow.flow_id: flow},
-            {flow.flow_id: path},
-            {flow.flow_id: 5e8},
-            utilization,
-            {link: 1e9 for link in path_links(path)},
+            [flow.flow_id], [store.intern(path)], [5e8], utilization_of(store, utilization)
         )
         assert moves == []
 
     def test_moves_congested_flow_to_cold_path(self, small_tree):
         provider = PathProvider(small_tree)
-        app = ProactiveTeApp(provider, TeAppConfig(utilization_threshold=0.7))
+        store = store_of(small_tree)
+        app = ProactiveTeApp(provider, store, TeAppConfig(utilization_threshold=0.7))
         flow = FlowSpec(
             source="host-0-0-0", destination="host-3-0-0", size=1e9, start_time=0.0
         )
         path = provider.paths(flow.source, flow.destination)[0]
-        capacities = {
-            tuple(sorted((a, b))): data["capacity"]
-            for a, b, data in small_tree.edges(data=True)
-        }
         # Congest the transit links only: the first and last links (host
         # access) are shared by every alternative path and unavoidable.
         transit = path_links(path)[1:-1]
         utilization = {link: 0.95 for link in transit}
         moves = app.plan(
-            {flow.flow_id: flow},
-            {flow.flow_id: path},
-            {flow.flow_id: 9.5e8},
-            utilization,
-            capacities,
+            [flow.flow_id], [store.intern(path)], [9.5e8], utilization_of(store, utilization)
         )
         assert len(moves) == 1
         assert moves[0].new_path != path
@@ -203,14 +213,16 @@ class TestTeApp:
         for a, b in [("a", "b"), ("a", "c"), ("c", "f"), ("f", "b"), ("a", "d"), ("d", "e"), ("e", "b")]:
             graph.add_edge(a, b, capacity=1e9)
         provider = PathProvider(graph)
-        app = ProactiveTeApp(provider, TeAppConfig(utilization_threshold=0.7))
+        store = store_of(graph)
+        app = ProactiveTeApp(provider, store, TeAppConfig(utilization_threshold=0.7))
         flow = FlowSpec(source="a", destination="b", size=1e9, start_time=0.0)
         current = ("a", "d", "e", "b")
         utilization = {link: 0.95 for link in path_links(current)}
         utilization.update({link: -1e-9 for link in path_links(("a", "c", "f", "b"))})
         utilization[("a", "b")] = -2e-9
-        capacities = {tuple(sorted(edge)): 1e9 for edge in graph.edges}
-        args = ({flow.flow_id: flow}, {flow.flow_id: current}, {flow.flow_id: 1e8}, utilization, capacities)
+        args = (
+            [flow.flow_id], [store.intern(current)], [1e8], utilization_of(store, utilization)
+        )
         moves = app.plan(*args)
         assert [move.new_path for move in moves] == [("a", "b")]
         assert moves == rescan_plan(app, *args)
@@ -239,7 +251,6 @@ class TestTeApp:
             max_moves_per_epoch=data.draw(st.sampled_from([0, 1, 16]), label="moves"),
             improvement_margin=data.draw(st.sampled_from([0.0, 0.05]), label="margin"),
         )
-        app = ProactiveTeApp(provider, config)
         # Few endpoint pairs, so many flows share one current path.
         pairs = data.draw(
             st.lists(
@@ -251,30 +262,28 @@ class TestTeApp:
             ),
             label="pairs",
         )
-        # Equal rates are common: ties must break in current_paths order.
-        rate_values = st.sampled_from([0.0, 1e8, 2e8, 5e8]) | st.floats(0.0, 1e9)
-        flows, current_paths, rates = {}, {}, {}
-        for source, destination in data.draw(
-            st.lists(st.sampled_from(pairs), min_size=1, max_size=32), label="flows"
-        ):
-            flow = FlowSpec(source, destination, size=1e9, start_time=0.0)
-            flows[flow.flow_id] = flow
-            rates[flow.flow_id] = data.draw(rate_values)
-            shape = data.draw(st.sampled_from(["path", "path", "pending", "doubled"]))
-            if shape == "pending":
-                continue  # in flight: planned around, never moved
-            paths = provider.paths(source, destination)
-            path = paths[data.draw(st.integers(0, len(paths) - 1))]
-            if shape == "doubled":
-                # Walk the first transit link (the only link of a one-hop
-                # path) back and forth: the path lists that link three times.
-                first = 1 if len(path) > 2 else 0
-                path = path[: first + 2] + path[first:]
-            current_paths[flow.flow_id] = path
         # Load the links the flows can use; a link left out reads as idle.
         links = sorted(
             {link for pair in pairs for path in provider.paths(*pair) for link in path_links(path)}
         )
+        capacities = {link: data.draw(st.sampled_from([1e9, 1e9, 1e9, 0.0])) for link in links}
+        store = store_of(graph, capacities)
+        app = ProactiveTeApp(provider, store, config)
+        # Equal rates are common: ties must break in admission order.
+        rate_values = st.sampled_from([0.0, 1e8, 2e8, 5e8]) | st.floats(0.0, 1e9)
+        flow_ids, path_ids, rates = [], [], []
+        for source, destination in data.draw(
+            st.lists(st.sampled_from(pairs), min_size=1, max_size=32), label="flows"
+        ):
+            flow = FlowSpec(source, destination, size=1e9, start_time=0.0)
+            rate = data.draw(rate_values)
+            if data.draw(st.sampled_from(["path", "path", "pending"])) == "pending":
+                continue  # in flight: planned around, never moved
+            paths = provider.paths(source, destination)
+            path = paths[data.draw(st.integers(0, len(paths) - 1))]
+            flow_ids.append(flow.flow_id)
+            path_ids.append(store.intern(path))
+            rates.append(rate)
         # A slightly negative level is the residue a move's subtraction
         # can leave: a path's cost must not round it up to 0.0.
         levels = st.sampled_from(
@@ -285,9 +294,8 @@ class TestTeApp:
             level = data.draw(levels | st.floats(0.0, 1.5))
             if level is not None:
                 utilization[link] = level
-        capacities = {link: data.draw(st.sampled_from([1e9, 1e9, 1e9, 0.0])) for link in links}
-        moves = app.plan(flows, current_paths, rates, utilization, capacities)
-        assert moves == rescan_plan(app, flows, current_paths, rates, utilization, capacities)
+        args = (flow_ids, path_ids, rates, utilization_of(store, utilization))
+        assert app.plan(*args) == rescan_plan(app, *args)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -410,3 +418,22 @@ class TestEndToEnd:
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError):
             SimulationConfig(initial_path_policy="random")
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(baseline_occupancy=-1),
+            dict(max_time=math.nan),
+            dict(max_time=-1.0),
+            dict(control_rtt=math.nan),
+            dict(link_failures=((math.inf, ("a", "b")),)),
+            dict(link_failures=((math.nan, ("a", "b")),)),
+        ],
+        ids=[
+            "negative-occupancy", "nan-max-time", "negative-max-time",
+            "nan-control-rtt", "inf-failure-time", "nan-failure-time",
+        ],
+    )
+    def test_bad_config_rejected(self, bad):
+        with pytest.raises(ValueError):
+            SimulationConfig(**bad)

@@ -7,16 +7,18 @@ and re-costing every candidate of every flow it tries.  A wall-clock gate
 for this depends on the host; these tests count the work instead, so a
 return of the rescan fails on any machine.  Two counters see it:
 
-- ``path_links_cached`` calls per active flow per plan.  The planner reads
-  a path's links through it when it indexes the flows, when a move shifts
-  load and copies the moved paths' links into the decision table, and when
-  its path table first registers a path.  Costing reads the table's link
-  rows, not ``path_links_cached``.
+- Link walks per flow per plan: ``FlowStore.link_ids`` calls, the
+  planner's only per-flow read of a path's links.  It reads them once per
+  flow when it indexes the flows by hot link, and for the old and the new
+  path of each move it shifts load over.  Costing reads the store's link
+  rows for all the plan's paths at once, and interning a candidate walks
+  its links inside the store; neither is a per-flow read.
 - ``DecisionTable.decide`` calls per plan: every path cost the planner
   computes comes from one of them.
 
-The rescanning oracle runs under the first counter and must blow the bound,
-so the counter is known to see a rescan.  The same recorded epochs, and a
+The rescanning oracle runs under the first counter, which also counts its
+``path_links`` calls, and must blow the bound, so the counter is known to
+see a rescan.  The same recorded epochs, and a
 short Geant run whose candidates have mixed lengths, hold the planner to
 the oracle's reroutes.
 """
@@ -33,15 +35,14 @@ from repro.experiments.common import (
     isp_workload,
     te_simulation_config,
 )
-from repro.simulator import Simulation, sdnapp
+from repro.simulator import FlowStore, Simulation, sdnapp
 from repro.simulator.sdnapp import ProactiveTeApp
 from repro.tcam import ideal_switch
 
 from . import te_plan_oracle
 
-# Calls of path_links_cached per active flow per plan.  On these epochs the
-# planner peaks at 3 (mean ~1.1, 7 when its path table starts empty); the
-# rescan averages above 50.
+# Link walks per flow per plan.  On these epochs the planner peaks at 2
+# (mean ~1.05); the rescan averages above 60.
 PER_FLOW_BOUND = 8
 SIM_SECONDS = 20.0
 GEANT_SCALE = WorkloadScale(isp_flow_duration=2.0)
@@ -88,16 +89,22 @@ def geant_epochs():
 
 @pytest.fixture
 def scans(monkeypatch):
-    """Counts ``path_links_cached`` calls made by the planner and the oracle."""
+    """Counts the link walks of the planner (``FlowStore.link_ids``) and of
+    the oracle (``path_links``)."""
     calls = [0]
-    real = sdnapp.path_links_cached
+    real_link_ids = FlowStore.link_ids
+    real_path_links = te_plan_oracle.path_links
 
-    def counting(path):
+    def counting_link_ids(store, path_id):
         calls[0] += 1
-        return real(path)
+        return real_link_ids(store, path_id)
 
-    monkeypatch.setattr(sdnapp, "path_links_cached", counting)
-    monkeypatch.setattr(te_plan_oracle, "path_links_cached", counting)
+    def counting_path_links(path):
+        calls[0] += 1
+        return real_path_links(path)
+
+    monkeypatch.setattr(FlowStore, "link_ids", counting_link_ids)
+    monkeypatch.setattr(te_plan_oracle, "path_links", counting_path_links)
     return calls
 
 
@@ -119,27 +126,24 @@ def test_epochs_are_congested(epochs):
     """The recorded epochs exercise the planner: many flows, moves most epochs."""
     assert len(epochs) >= 50
     assert sum(len(epoch[1]) for epoch in epochs) / len(epochs) >= 100
-    moves = sum(
-        len(app.plan(flows, paths, rates, utilization, capacities))
-        for app, flows, paths, rates, utilization, capacities in epochs
-    )
+    moves = sum(len(app.plan(*args)) for app, *args in epochs)
     assert moves >= 2 * len(epochs)
 
 
 def test_plan_scans_each_path_a_bounded_number_of_times(epochs, scans):
     worst = 0.0
-    for app, flows, paths, rates, utilization, capacities in epochs:
+    for app, *args in epochs:
         scans[0] = 0
-        app.plan(flows, paths, rates, utilization, capacities)
-        worst = max(worst, scans[0] / len(flows))
+        app.plan(*args)
+        worst = max(worst, scans[0] / len(args[0]))
     assert worst <= PER_FLOW_BOUND
 
 
 def test_plan_rebuilds_decisions_at_most_once_per_move(epochs, rebuilds):
     total = 0
-    for app, flows, paths, rates, utilization, capacities in epochs:
+    for app, *args in epochs:
         rebuilds[0] = 0
-        moves = len(app.plan(flows, paths, rates, utilization, capacities))
+        moves = len(app.plan(*args))
         assert rebuilds[0] <= moves + 1
         total += rebuilds[0]
     assert total > 0
@@ -147,8 +151,8 @@ def test_plan_rebuilds_decisions_at_most_once_per_move(epochs, rebuilds):
 
 def test_rescan_oracle_breaks_the_bound(epochs, scans):
     total = 0
-    for app, flows, paths, rates, utilization, capacities in epochs:
-        te_plan_oracle.rescan_plan(app, flows, paths, rates, utilization, capacities)
+    for app, *args in epochs:
+        te_plan_oracle.rescan_plan(app, *args)
         total += scans[0]
     assert total / sum(len(epoch[1]) for epoch in epochs) > 3 * PER_FLOW_BOUND
 
@@ -158,10 +162,8 @@ def test_plan_matches_rescan_oracle_on_recorded_epochs(recorded, request):
     """Every recorded epoch, replayed through the run's own app (whose path
     table the run filled), gets exactly the oracle's reroutes."""
     moves = 0
-    for app, flows, paths, rates, utilization, capacities in request.getfixturevalue(recorded):
-        plan = app.plan(flows, paths, rates, utilization, capacities)
-        assert plan == te_plan_oracle.rescan_plan(
-            app, flows, paths, rates, utilization, capacities
-        )
+    for app, *args in request.getfixturevalue(recorded):
+        plan = app.plan(*args)
+        assert plan == te_plan_oracle.rescan_plan(app, *args)
         moves += len(plan)
     assert moves > 0
