@@ -16,16 +16,17 @@ This module is the *dynamic* half of the detector (the sanitizer); the
 static half lives in :mod:`repro.analysis.project`.  The sanitizer is
 opt-in instrumentation over a live run:
 
-* :meth:`RaceSanitizer.watch_scheduler` attaches to an
-  :class:`~repro.engine.scheduler.EventScheduler`.  Every ``schedule()``
+* :meth:`RaceSanitizer.watch_scheduler` wraps one
+  :class:`~repro.engine.scheduler.EventScheduler` instance's ``schedule``
+  and ``pop`` (the kernel has no seam for it).  Every ``schedule()``
   records the scheduling call site (the witness, and the anchor for
   ``# race: allow(...)`` pragma suppressions); every ``pop()`` starts a
   new *footprint* — all shared-state accesses until the next pop belong
   to the popped event.
 * Taps record the accesses: :class:`~repro.tcam.table.TcamTable`
-  mutations arrive through the existing ``add_listener`` seam, RNG draws
-  through a delegating generator proxy, and agent / channel / installer
-  state through lightweight method wrappers
+  mutations arrive through the existing ``add_listener`` seam, a table's
+  latency-noise draws through a delegating generator proxy, and agent /
+  channel / installer state through lightweight method wrappers
   (:meth:`~RaceSanitizer.watch_agent`, :meth:`~RaceSanitizer.watch_channel`,
   :meth:`~RaceSanitizer.watch_installer`).  Clock advances are derived
   from dispatch times: the event that first moves the run to a new
@@ -37,16 +38,15 @@ opt-in instrumentation over a live run:
   write/write or write/read pair on one state key there is reported as a
   race, with both events' kinds, the key, and both scheduling call sites.
 
-A run with no sanitizer attached executes byte-identically to one without
-the seam (the scheduler's hooks are a single ``is None`` test); a run
-*with* the sanitizer must produce identical metrics — the taps are pure
-observers — which ``tests/analysis/test_races.py`` pins cross-process.
+A run with no sanitizer attached runs the kernel untouched; a run *with*
+the sanitizer must produce identical metrics — the wrappers and taps are
+pure observers — which ``tests/analysis/test_races.py`` pins
+cross-process.
 
-Work driven outside the scheduler (arrival admission) is attributed
-to an *external* footprint via
-:meth:`RaceSanitizer.external`: its ordering against kernel events is
-fixed by the driving loop, not by ``seq``, so it never participates in
-race pairs.
+Every dispatch is a kernel event, flow arrivals included, so every
+access belongs to a popped event's footprint.  Same-instant arrivals
+share a ``(time, tier)`` bucket; their schedule site carries a justified
+pragma, because their order is the workload's stable start-time order.
 """
 
 from __future__ import annotations
@@ -119,8 +119,7 @@ class RaceReport:
 class _Footprint:
     """The shared-state accesses attributed to one dispatched event."""
 
-    event: Optional[Event]  # None: external (loop-ordered) work
-    label: str = ""
+    event: Event
     site: str = ""
     allowed: frozenset = frozenset()
     reads: Dict[str, str] = field(default_factory=dict)
@@ -214,7 +213,7 @@ class RaceSanitizer:
         return self._tracer if self._tracer is not None else get_tracer()
 
     # ------------------------------------------------------------------
-    # Scheduler hooks (called by EventScheduler when attached)
+    # Scheduler hooks (called by the wrapped schedule/pop)
     # ------------------------------------------------------------------
     def on_schedule(self, event: Event) -> None:
         """Record the scheduling call site (and its pragmas) for ``event``."""
@@ -238,17 +237,6 @@ class RaceSanitizer:
             # this instant; same-instant peers never conflict on time.
             self.record_write("clock", f"advance to {event.time:.6f}")
 
-    def external(self, label: str) -> None:
-        """Attribute subsequent accesses to loop-ordered (non-racing) work.
-
-        The driving loop calls this before admitting an arrival: its
-        order against kernel events is fixed by the loop's explicit
-        dispatch rules, not by the ``seq`` tie-break, so its accesses
-        must not be charged to the last popped event.
-        """
-        self._close_current()
-        self._current = _Footprint(event=None, label=label)
-
     # ------------------------------------------------------------------
     # Access recording (called by the taps)
     # ------------------------------------------------------------------
@@ -266,8 +254,24 @@ class RaceSanitizer:
     # Instrumentation installers
     # ------------------------------------------------------------------
     def watch_scheduler(self, scheduler) -> None:
-        """Attach to ``scheduler``'s schedule/pop hooks."""
-        scheduler.attach_sanitizer(self)
+        """Wrap ``scheduler``'s ``schedule`` and ``pop`` (this instance
+        only): each scheduled event records its call site, each popped
+        one opens a footprint."""
+        original_schedule, original_pop = scheduler.schedule, scheduler.pop
+        sanitizer = self
+
+        def recording_schedule(*args, **kwargs):
+            event = original_schedule(*args, **kwargs)
+            sanitizer.on_schedule(event)
+            return event
+
+        def recording_pop():
+            event = original_pop()
+            sanitizer.on_dispatch(event)
+            return event
+
+        scheduler.schedule = recording_schedule
+        scheduler.pop = recording_pop
 
     def watch_table(self, table, key: str) -> None:
         """Record ``table`` mutations (listener seam) and lookups as ``key``.
@@ -329,18 +333,6 @@ class RaceSanitizer:
             if table is not None and hasattr(table, "add_listener"):
                 self.watch_table(table, f"{key}:{attribute}")
 
-    def watch_rng(self, streams) -> None:
-        """Wrap a :class:`~repro.engine.rng.RngStreams` registry so every
-        draw from a named stream records a write on ``rng:<name>``."""
-        original_stream = streams.stream
-        sanitizer = self
-
-        def recording_stream(name):
-            generator = original_stream(name)
-            return _RngTap(sanitizer, f"rng:{name}", generator)
-
-        streams.stream = recording_stream
-
     def watch_simulation(self, simulation) -> None:
         """Instrument a :class:`~repro.simulator.Simulation` end to end:
         its scheduler, and every agent, channel, and installer (with
@@ -367,11 +359,7 @@ class RaceSanitizer:
     def _close_current(self) -> None:
         footprint = self._current
         self._current = None
-        if (
-            footprint is not None
-            and footprint.event is not None
-            and (footprint.reads or footprint.writes)
-        ):
+        if footprint is not None and (footprint.reads or footprint.writes):
             self._instant.append(footprint)
 
     def _flush_instant(self) -> None:
@@ -471,7 +459,9 @@ class RaceSanitizer:
     @staticmethod
     def _calling_site() -> Tuple[str, frozenset]:
         """``(path:line, allowed-rules)`` of the nearest non-plumbing frame."""
-        frame = sys._getframe(2)  # skip _calling_site and on_schedule
+        # Skip _calling_site and on_schedule; the schedule wrapper and the
+        # kernel are plumbing frames, skipped below.
+        frame = sys._getframe(2)
         while frame is not None:
             path = frame.f_code.co_filename
             normalized = path.replace(os.sep, "/")

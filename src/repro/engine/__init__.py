@@ -7,10 +7,10 @@ re-implement privately:
   :class:`SerialResource` (a busy-horizon for one-at-a-time hardware like
   the switch CPU);
 * **scheduling** — :class:`EventScheduler`, a single priority queue with
-  deterministic ``(time, tier, seq)`` ordering identical to the
-  simulator's legacy heap (``seq`` breaks same-instant ties in scheduling
-  order; :data:`TIER_COMPLETION` slots flow completions ahead of
-  same-time events);
+  deterministic ``(time, tier, seq)`` ordering (``seq`` breaks
+  same-instant ties in scheduling order; :data:`TIER_COMPLETION` and
+  :data:`TIER_ARRIVAL` slot flow completions, then flow arrivals, ahead
+  of same-time events);
 * **randomness** — :class:`RngStreams`, named seeded streams replacing
   the experiment layer's closure-counter seed derivation.
 
@@ -25,7 +25,7 @@ rule flags a private simulated clock (an assigned ``now`` /
 
 from .clock import Clock, SerialResource
 from .rng import RngStreams
-from .scheduler import TIER_COMPLETION, TIER_DEFAULT, Event, EventScheduler
+from .scheduler import TIER_ARRIVAL, TIER_COMPLETION, TIER_DEFAULT, Event, EventScheduler
 from . import replay
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "EventScheduler",
     "RngStreams",
     "SerialResource",
+    "TIER_ARRIVAL",
     "TIER_COMPLETION",
     "TIER_DEFAULT",
     "replay",

@@ -37,10 +37,11 @@ class Clock:
     def advance_to(self, time: float) -> float:
         """Move the clock forward to ``time``; returns the new now.
 
-        Raises ``ValueError`` on any attempt to move backwards — a
-        scheduling bug that would silently corrupt every derived timeline.
+        Raises ``ValueError`` on any attempt to move backwards, or to a NaN
+        time — a scheduling bug that would silently corrupt every derived
+        timeline.
         """
-        if time < self._now:
+        if not time >= self._now:
             raise ValueError(
                 f"clock cannot run backwards: now={self._now!r}, asked {time!r}"
             )
@@ -75,14 +76,6 @@ class SerialResource:
     def start_time(self, at_time: float) -> float:
         """When work submitted at ``at_time`` would begin (no state change)."""
         return max(at_time, self._free_at)
-
-    def acquire(self, at_time: float, duration: float) -> float:
-        """Occupy the resource for ``duration`` starting no earlier than
-        ``at_time``; returns the start time.  ``free_at`` becomes
-        ``start + duration``."""
-        start = self.start_time(at_time)
-        self._free_at = start + duration
-        return start
 
     def occupy_until(self, time: float) -> None:
         """Extend the busy horizon to ``time`` (never backwards)."""

@@ -1,13 +1,13 @@
 """The discrete-event scheduler: one priority queue, deterministic order.
 
 Events dispatch in ``(time, tier, seq)`` order.  ``seq`` is a per-scheduler
-monotone counter, so two events at the same instant fire in the order they
-were scheduled — exactly the tie-break the simulator's private heap used
-(its entries were ``(time, seq, ...)``).  The ``tier`` field slots a class
-of events *ahead* of same-time peers regardless of scheduling order:
-flow-completion events use :data:`TIER_COMPLETION` so the event-driven
-completion path preserves the legacy dispatch order
-(completion → arrival → other events) at shared timestamps.
+monotone counter, so two events at the same instant and tier fire in the
+order they were scheduled.  The ``tier`` field slots a class of events
+*ahead* of same-time peers regardless of scheduling order: at a shared
+instant flow completions (:data:`TIER_COMPLETION`) fire first, then flow
+arrivals (:data:`TIER_ARRIVAL`), then everything else
+(:data:`TIER_DEFAULT`).  The heap alone decides that order; no client loop
+merges a second event source into it.
 
 The scheduler is pure stdlib and knows nothing about what events mean;
 clients dispatch on :attr:`Event.kind`.  Stale-event handling is the
@@ -15,14 +15,10 @@ client's job too (e.g. the simulator stamps completion events with a
 rate-epoch and skips superseded ones on pop) — cancellation by mutation
 would break the replay/parity guarantees.
 
-A schedule-order race sanitizer (:mod:`repro.analysis.races`) can attach
-via :meth:`EventScheduler.attach_sanitizer`: it is then told about every
-``schedule()`` (to capture the scheduling call site) and every ``pop()``
-(to attribute subsequent state accesses to the dispatched event).
-Detached — the default — the hook is a single ``is None`` test, and runs
-are byte-identical to a scheduler without the seam.  Wall-clock timing
-(:mod:`repro.obs.perf`) needs no seam: for the length of a profile it
-wraps ``schedule`` and ``pop`` from outside, as the ``kernel`` layer.
+The scheduler has no instrumentation seam.  Observers wrap ``schedule``
+and ``pop`` from outside: the race sanitizer (:mod:`repro.analysis.races`)
+on one scheduler instance, the wall-clock profiler (:mod:`repro.obs.perf`)
+on the class for the length of a profile.
 """
 
 from __future__ import annotations
@@ -37,8 +33,10 @@ from .clock import Clock
 
 #: Tier of engine-scheduled flow completions: sorts before same-time events.
 TIER_COMPLETION = 0
+#: Tier of flow arrivals: after same-time completions, before everything else.
+TIER_ARRIVAL = 1
 #: Tier of everything else (the default).
-TIER_DEFAULT = 1
+TIER_DEFAULT = 2
 
 
 @dataclass(order=True, frozen=True)
@@ -71,21 +69,6 @@ class EventScheduler:
         self.clock = clock if clock is not None else Clock()
         self._heap: List[Event] = []
         self._seq = itertools.count()
-        self._sanitizer = None
-
-    @property
-    def sanitizer(self):
-        """The attached race sanitizer, or None (the default: no recording)."""
-        return self._sanitizer
-
-    def attach_sanitizer(self, sanitizer) -> None:
-        """Attach a race sanitizer (``None`` detaches).
-
-        The sanitizer must expose ``on_schedule(event)`` and
-        ``on_dispatch(event)``; see
-        :class:`repro.analysis.races.RaceSanitizer`.
-        """
-        self._sanitizer = sanitizer
 
     def schedule(
         self,
@@ -97,9 +80,10 @@ class EventScheduler:
         """Enqueue an event; returns the (immutable) scheduled event.
 
         ``time`` may equal the current instant (the event fires next) but
-        events cannot be scheduled in the past.
+        events cannot be scheduled in the past, nor at a NaN time (which
+        would break heap order without an error).
         """
-        if time < self.clock.now:
+        if not time >= self.clock.now:
             raise ValueError(
                 f"cannot schedule into the past: now={self.clock.now!r}, "
                 f"asked {time!r}"
@@ -108,8 +92,6 @@ class EventScheduler:
             time=time, tier=tier, seq=next(self._seq), kind=kind, payload=payload
         )
         heapq.heappush(self._heap, event)
-        if self._sanitizer is not None:
-            self._sanitizer.on_schedule(event)
         return event
 
     def peek(self) -> Optional[Event]:
@@ -120,10 +102,7 @@ class EventScheduler:
         """Remove and return the next event (does not advance the clock —
         callers advance explicitly so they can drain state up to the
         event's instant first)."""
-        event = heapq.heappop(self._heap)
-        if self._sanitizer is not None:
-            self._sanitizer.on_dispatch(event)
-        return event
+        return heapq.heappop(self._heap)
 
     def next_time(self) -> float:
         """Timestamp of the next event, or ``inf`` when empty."""

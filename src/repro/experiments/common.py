@@ -9,7 +9,7 @@ fat tree, thousands of jobs); the shapes are identical, the tails longer.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
@@ -18,7 +18,7 @@ from ..baselines import make_installer
 from ..core import GuaranteeSpec, HermesConfig
 from ..engine.rng import RngStreams
 from ..obs.tracer import Tracer, get_tracer, use_tracer
-from ..simulator import Simulation, SimulationConfig, TeAppConfig
+from ..simulator import MetricsCollector, Simulation, SimulationConfig, TeAppConfig
 from ..switchsim import SwitchAgent
 from ..tcam import get_switch_model
 from ..topology import FatTreeSpec, build_fat_tree, get_isp_topology, hosts, pops
@@ -190,6 +190,31 @@ def run_te_simulation(
         )
         metrics = simulation.run()
     return metrics, simulation
+
+
+def run_schemes(
+    graph: nx.Graph,
+    flows,
+    runs: Sequence[Tuple[str, str, str]],
+    config: SimulationConfig,
+) -> Dict[str, MetricsCollector]:
+    """Run one workload under each ``(label, scheme, switch)``, in order.
+
+    Hermes runs use :func:`default_hermes_config`.  Returns each run's
+    metrics by label; Figures 1, 8 and 9 read their JCTs, RITs and FCTs
+    from it.
+    """
+    return {
+        label: run_te_simulation(
+            graph,
+            flows,
+            scheme,
+            switch,
+            hermes_config=default_hermes_config() if scheme == "hermes" else None,
+            config=config,
+        )[0]
+        for label, scheme, switch in runs
+    }
 
 
 # ----------------------------------------------------------------------

@@ -22,9 +22,8 @@ from .common import (
     QUICK_SCALE,
     FULL_SCALE,
     WorkloadScale,
-    default_hermes_config,
     facebook_workload,
-    run_te_simulation,
+    run_schemes,
     te_simulation_config,
 )
 
@@ -34,6 +33,8 @@ SCHEMES: Tuple[Tuple[str, str], ...] = (
     ("Tango", "tango"),
     ("ESPRES", "espres"),
 )
+#: Label of the zero-latency reference run every ratio divides by.
+BASELINE = "zero-latency"
 
 
 @dataclass
@@ -53,24 +54,14 @@ class Fig01Config:
 def run(config: Fig01Config = Fig01Config()) -> ExperimentResult:
     """Regenerate the Figure 1 CDFs (reported at fixed percentiles)."""
     graph, flows, short_ids, long_ids = facebook_workload(config.scale)
-    sim_config = te_simulation_config(config.scale)
-
-    baseline_metrics, _ = run_te_simulation(
-        graph, flows, "naive", "ideal", config=sim_config
-    )
-    baseline_jcts = baseline_metrics.jcts()
+    runs = [(BASELINE, "naive", "ideal")]
+    runs += [(label, scheme, config.switch) for label, scheme in SCHEMES]
+    metrics = run_schemes(graph, flows, runs, te_simulation_config(config.scale))
+    baseline_jcts = metrics[BASELINE].jcts()
 
     rows: List[tuple] = []
-    for label, scheme in SCHEMES:
-        metrics, _ = run_te_simulation(
-            graph,
-            flows,
-            scheme,
-            config.switch,
-            hermes_config=default_hermes_config() if scheme == "hermes" else None,
-            config=sim_config,
-        )
-        jcts = metrics.jcts()
+    for label, _scheme in SCHEMES:
+        jcts = metrics[label].jcts()
         for job_class, ids in (("short", short_ids), ("long", long_ids)):
             class_baseline = {j: baseline_jcts[j] for j in baseline_jcts if j in ids}
             class_subject = {j: jcts[j] for j in jcts if j in ids}

@@ -15,14 +15,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from ..analysis import ExperimentResult, median_improvement, percentile_summary
+from ..tcam import get_switch_model
 from .common import (
     QUICK_SCALE,
     SWITCHES_UNDER_TEST,
     WorkloadScale,
-    default_hermes_config,
     facebook_workload,
     isp_workload,
-    run_te_simulation,
+    run_schemes,
     te_simulation_config,
 )
 
@@ -37,6 +37,17 @@ class Fig08Config:
     percentiles: Tuple[float, ...] = (50, 90, 95, 99)
 
 
+def scheme_runs(hermes_switch: str) -> List[Tuple[str, str, str]]:
+    """The ``(label, scheme, switch)`` runs of Figures 8 and 9: each raw
+    switch model, then Hermes on ``hermes_switch``."""
+    runs = [
+        (get_switch_model(switch).name, "naive", switch)
+        for switch in SWITCHES_UNDER_TEST
+    ]
+    runs.append(("Hermes", "hermes", hermes_switch))
+    return runs
+
+
 def collect_rits(
     workload: str, scale: WorkloadScale, hermes_switch: str
 ) -> Dict[str, List[float]]:
@@ -47,24 +58,8 @@ def collect_rits(
     else:
         graph, flows = isp_workload(workload, scale)
         sim_config = te_simulation_config(scale, control_rtt=10e-3)  # WAN RTT
-    series: Dict[str, List[float]] = {}
-    for switch in SWITCHES_UNDER_TEST:
-        metrics, _ = run_te_simulation(
-            graph, flows, "naive", switch, config=sim_config
-        )
-        from ..tcam import get_switch_model
-
-        series[get_switch_model(switch).name] = metrics.rits()
-    hermes_metrics, _ = run_te_simulation(
-        graph,
-        flows,
-        "hermes",
-        hermes_switch,
-        hermes_config=default_hermes_config(),
-        config=sim_config,
-    )
-    series["Hermes"] = hermes_metrics.rits()
-    return series
+    metrics = run_schemes(graph, flows, scheme_runs(hermes_switch), sim_config)
+    return {label: run.rits() for label, run in metrics.items()}
 
 
 def run(config: Fig08Config = Fig08Config()) -> ExperimentResult:

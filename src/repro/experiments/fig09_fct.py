@@ -13,17 +13,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from ..analysis import ExperimentResult, percentile_summary
-from ..tcam import get_switch_model
 from .common import (
     QUICK_SCALE,
-    SWITCHES_UNDER_TEST,
     WorkloadScale,
-    default_hermes_config,
     facebook_workload,
     isp_workload,
-    run_te_simulation,
+    run_schemes,
     te_simulation_config,
 )
+from .fig08_rit import scheme_runs
 
 
 @dataclass
@@ -50,21 +48,12 @@ def _fct_series(metrics, short_ids) -> Dict[str, List[float]]:
 def run(config: Fig09Config = Fig09Config()) -> ExperimentResult:
     """Regenerate the Figure 9 CDFs (reported at fixed percentiles)."""
     rows: List[tuple] = []
+    runs = scheme_runs(config.hermes_switch)
 
     # Panels (a) and (b): Facebook, all jobs and short jobs.
     graph, flows, short_ids, _ = facebook_workload(config.scale)
-    sim_config = te_simulation_config(config.scale)
-    runs = [(sw, "naive", get_switch_model(sw).name) for sw in SWITCHES_UNDER_TEST]
-    runs.append((config.hermes_switch, "hermes", "Hermes"))
-    for switch, scheme, label in runs:
-        metrics, _ = run_te_simulation(
-            graph,
-            flows,
-            scheme,
-            switch,
-            hermes_config=default_hermes_config() if scheme == "hermes" else None,
-            config=sim_config,
-        )
+    facebook = run_schemes(graph, flows, runs, te_simulation_config(config.scale))
+    for label, metrics in facebook.items():
         for panel, fcts in _fct_series(metrics, short_ids).items():
             if not fcts:
                 continue
@@ -77,15 +66,7 @@ def run(config: Fig09Config = Fig09Config()) -> ExperimentResult:
     # Panel (c): Geant.
     graph, flows = isp_workload("geant", config.scale)
     wan_config = te_simulation_config(config.scale, control_rtt=10e-3)
-    for switch, scheme, label in runs:
-        metrics, _ = run_te_simulation(
-            graph,
-            flows,
-            scheme,
-            switch,
-            hermes_config=default_hermes_config() if scheme == "hermes" else None,
-            config=wan_config,
-        )
+    for label, metrics in run_schemes(graph, flows, runs, wan_config).items():
         fcts = metrics.fcts()
         if not fcts:
             continue

@@ -131,13 +131,3 @@ class FaultPlan:
     tcam: TcamWriteFault = field(default_factory=TcamWriteFault)
     stall: AgentStall = field(default_factory=AgentStall)
     crash: AgentCrash = field(default_factory=AgentCrash)
-
-    @property
-    def is_null(self) -> bool:
-        """True when no fault has a non-zero probability or schedule."""
-        return (
-            self.flowmod == FlowModFault()
-            and self.tcam == TcamWriteFault()
-            and self.stall == AgentStall()
-            and self.crash == AgentCrash()
-        )

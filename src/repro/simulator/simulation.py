@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import networkx as nx
 
 from ..engine.clock import Clock
-from ..engine.scheduler import TIER_COMPLETION, EventScheduler
+from ..engine.scheduler import TIER_ARRIVAL, TIER_COMPLETION, EventScheduler
 from ..faults.injector import FaultInjector
 from ..faults.spec import FaultPlan
 from ..obs.tracer import get_tracer
@@ -189,10 +189,13 @@ class Simulation:
     def _schedule(self, time: float, kind: str, payload: object = None) -> None:
         self._scheduler.schedule(time, kind, payload)
 
-    def _next_arrival_time(self) -> float:
+    def _schedule_next_arrival(self) -> None:
+        """Queue the workload's next arrival; one is pending at a time, so
+        the heap stays small however many flows the workload holds."""
         if self._arrival_index < len(self._arrivals):
-            return self._arrivals[self._arrival_index].start_time
-        return math.inf
+            start_time = self._arrivals[self._arrival_index].start_time
+            # race: allow(schedule-order-race) -- arrivals fire in the workload's stable start-time order, one pending at a time
+            self._scheduler.schedule(start_time, "arrive", tier=TIER_ARRIVAL)
 
     def _schedule_completion(self) -> None:
         """Re-arm the earliest completion for the new rate epoch.
@@ -231,11 +234,12 @@ class Simulation:
         When the *next* arrival shares this exact instant and no kernel
         event can fire in between, the next dispatch is provably that
         arrival — whose own recompute covers this one, so skipping here
-        is unobservable (rates are only read at dispatches).  The one
-        exception is a zero-size flow, which must complete before the
-        next same-instant arrival and therefore keeps the eager
-        recompute.  This turns an N-flow burst from N progressive
-        fillings into one.
+        is unobservable (rates are only read at dispatches).  That next
+        arrival is not queued yet, so an empty heap at this instant means
+        nothing else can fire first.  The one exception is a zero-size
+        flow, which must complete before the next same-instant arrival
+        and therefore keeps the eager recompute.  This turns an N-flow
+        burst from N progressive fillings into one.
         """
         if (
             spec.size > 0
@@ -253,6 +257,7 @@ class Simulation:
     def run(self) -> MetricsCollector:
         """Run to completion (or ``max_time``); returns the metrics."""
         self._schedule(self.config.te.epoch, "epoch")
+        self._schedule_next_arrival()
         self._loop()
         return self.metrics
 
@@ -263,67 +268,55 @@ class Simulation:
         return epoch == self._rate_epoch and flow_id in self._store
 
     def _loop(self) -> None:
-        """Kernel loop: completions are scheduled events.
+        """Kernel loop: every event — arrival, completion, TE epoch, path
+        activation, reactive start, link failure — comes off the one heap.
 
         Stale completion events (superseded by a later rate epoch, or for
         an already-finished flow) are discarded on peek *without advancing
         time* — an extra advance point would add a draining step and move
-        the remaining-bytes floats.  At shared instants completions carry
-        :data:`~repro.engine.scheduler.TIER_COMPLETION` so they sort
-        first, and arrivals beat all other same-time events.
+        the remaining-bytes floats.  At shared instants the tiers order
+        completions first, then arrivals, then everything else.
         """
+        scheduler = self._scheduler
         while True:
-            head = self._scheduler.peek()
+            head = scheduler.peek()
             while (
                 head is not None
                 and head.tier == TIER_COMPLETION
                 and not self._completion_is_live(head)
             ):
-                self._scheduler.pop()
-                head = self._scheduler.peek()
-            event_time = head.time if head is not None else math.inf
-            arrival_time = self._next_arrival_time()
-            next_time = min(event_time, arrival_time)
-            if math.isinf(next_time):
+                scheduler.pop()
+                head = scheduler.peek()
+            if head is None or math.isinf(head.time):
                 break
-            if next_time > self.config.max_time:
+            if head.time > self.config.max_time:
                 self._advance_to(self.config.max_time)
                 break
-            self._advance_to(next_time)
-            completion_first = (
-                head is not None
-                # det: allow(float-eq) -- identity dispatch against min()
-                and head.time == next_time
-                and head.tier == TIER_COMPLETION
-            )
-            # det: allow(float-eq) -- identity dispatch against min()
-            if arrival_time == next_time and not completion_first:
-                if self._scheduler.sanitizer is not None:
-                    # Arrival order is fixed by the sorted workload and the
-                    # loop's explicit arrival-vs-event rule, not by seq.
-                    self._scheduler.sanitizer.external("arrival")
-                self._admit_next_flow()
-            else:
-                event = self._scheduler.pop()
-                if event.kind == "complete":
-                    # Live by construction: stale heads were discarded above.
-                    self._complete_flow(event.payload[0])
-                else:
-                    self._dispatch(event.kind, event.payload)
+            self._advance_to(head.time)
+            self._dispatch(scheduler.pop())
             if not self._store and self._arrival_index >= len(self._arrivals):
-                if not self._scheduler.pending(("activate", "start")):
+                if not scheduler.pending(("activate", "start")):
                     break
 
-    def _dispatch(self, kind: str, payload) -> None:
-        """Route one non-completion event to its handler."""
-        if kind == "epoch":
+    def _dispatch(self, event) -> None:
+        """Route one event to its handler."""
+        kind = event.kind
+        if kind == "complete":
+            # Live by construction: the loop discards stale heads first.
+            self._complete_flow(event.payload[0])
+        elif kind == "arrive":
+            self._admit_next_flow()
+            # Queued only after the admission's batching decision, which
+            # must see the heap without it.
+            self._schedule_next_arrival()
+        elif kind == "epoch":
             self._run_te_epoch()
         elif kind == "activate":
-            self._activate_path(payload)
+            self._activate_path(event.payload)
         elif kind == "start":
-            self._start_reactive_flow(payload)
+            self._start_reactive_flow(event.payload)
         elif kind == "fail":
-            self._fail_link(payload)
+            self._fail_link(event.payload)
 
     # ------------------------------------------------------------------
     # Event handlers

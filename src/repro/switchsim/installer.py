@@ -91,23 +91,6 @@ class RuleInstaller(abc.ABC):
         for rule in rules:
             self.apply(FlowMod.add(rule))
 
-    def lookup_semantics_equal(self, other: "RuleInstaller", keys: Iterable[int]) -> bool:
-        """True when both installers forward every probed key identically.
-
-        Rule ids differ across installers (partitioning creates fragments),
-        so equality is judged on the *action* applied to each key — the
-        paper's correctness criterion ("behave in an identical manner as a
-        single monolithic table").
-        """
-        for key in keys:
-            mine = self.lookup(key)
-            theirs = other.lookup(key)
-            mine_action = None if mine is None else mine.action
-            theirs_action = None if theirs is None else theirs.action
-            if mine_action != theirs_action:
-                return False
-        return True
-
 
 class DirectInstaller(RuleInstaller):
     """The baseline: every FlowMod goes straight at one monolithic table.

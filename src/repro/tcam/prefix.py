@@ -15,7 +15,7 @@ bugs surface at creation time rather than during comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 MAX_PREFIX_LEN = 32
 _ADDRESS_SPACE = 1 << MAX_PREFIX_LEN
@@ -144,14 +144,6 @@ class Prefix:
         bit = 1 << (MAX_PREFIX_LEN - self.length)
         return Prefix(self.network ^ bit, self.length)
 
-    def is_sibling_of(self, other: "Prefix") -> bool:
-        """Return True when the two prefixes merge into a single parent."""
-        return (
-            self.length == other.length
-            and self.length > 0
-            and self.network ^ other.network == 1 << (MAX_PREFIX_LEN - self.length)
-        )
-
     def subtract(self, other: "Prefix") -> List["Prefix"]:
         """Return the minimal prefix set covering ``self`` minus ``other``.
 
@@ -172,18 +164,6 @@ class Prefix:
             current = current.parent()
         remainder.reverse()  # largest fragments first, purely cosmetic
         return remainder
-
-    def subtract_all(self, others: Iterable["Prefix"]) -> List["Prefix"]:
-        """Return the minimal prefix set covering ``self`` minus every ``other``."""
-        fragments = [self]
-        for other in others:
-            next_fragments: List[Prefix] = []
-            for fragment in fragments:
-                next_fragments.extend(fragment.subtract(other))
-            fragments = next_fragments
-            if not fragments:
-                break
-        return merge_prefixes(fragments)
 
 
 def merge_prefixes(prefixes: Sequence[Prefix]) -> List[Prefix]:

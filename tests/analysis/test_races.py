@@ -5,7 +5,8 @@ anything else does not), witness content, pragma suppression, the
 instrumentation taps (table listener, RNG proxy value-identity), the
 planted-race fixture, and — the acceptance-critical one — that a
 sanitizer-on run's metrics are byte-identical to sanitizer-off for the
-canonical chaos scenario (observation must not perturb the simulation).
+canonical chaos scenario and for reactive same-instant arrivals
+(observation must not perturb the simulation).
 """
 
 import os
@@ -13,7 +14,6 @@ import subprocess
 import sys
 
 import numpy as np
-import pytest
 
 from repro.analysis.races import (
     SCHEDULE_ORDER_RACE,
@@ -116,22 +116,6 @@ class TestHappensBefore:
         assert "'early'" in rendered and "'late'" in rendered and "'k'" in rendered
 
 
-class TestExternalAttribution:
-    def test_external_work_does_not_race_with_events(self):
-        scheduler = EventScheduler()
-        sanitizer = RaceSanitizer()
-        sanitizer.watch_scheduler(scheduler)
-        scheduler.schedule(1.0, "evt")
-        event = scheduler.pop()
-        scheduler.clock.advance_to(event.time)
-        sanitizer.record_write("k")
-        # Loop-ordered work at the same instant touches the same key.
-        sanitizer.external("arrival")
-        sanitizer.record_write("k")
-        sanitizer.finish()
-        assert sanitizer.races == []
-
-
 class TestSuppression:
     def test_race_pragma_at_call_site_suppresses(self):
         scheduler = EventScheduler()
@@ -163,6 +147,15 @@ class TestSuppression:
         assert len(sanitizer.races) == 1
 
 
+def _watched_scheduler(sanitizer, kinds):
+    """A watched scheduler holding one event per kind, at distinct times."""
+    scheduler = EventScheduler()
+    sanitizer.watch_scheduler(scheduler)
+    for time, kind in enumerate(kinds, start=1):
+        scheduler.schedule(float(time), kind)
+    return scheduler
+
+
 class TestTaps:
     def test_table_tap_records_mutations_through_listener_seam(self):
         from repro.tcam.prefix import Prefix
@@ -173,29 +166,29 @@ class TestTaps:
         sanitizer = RaceSanitizer()
         table = TcamTable(pica8_p3290(), name="s1")
         sanitizer.watch_table(table, "table:s1")
-        sanitizer.external("setup")
+        scheduler = _watched_scheduler(sanitizer, ("setup", "reader"))
+        scheduler.pop()
         rule = Rule.from_prefix(Prefix(10 << 24, 8), 5, Action.output(1))
         table.insert(rule)
         assert "table:s1" in sanitizer._current.writes
-        sanitizer.external("reader")
+        scheduler.pop()
         table.lookup(10 << 24)
         assert "table:s1" in sanitizer._current.reads
 
     def test_rng_tap_is_value_identical(self):
-        from repro.engine.rng import RngStreams
+        from repro.tcam.switch_models import pica8_p3290
+        from repro.tcam.table import TcamTable
 
-        plain = RngStreams(42)
-        watched = RngStreams(42)
+        plain = np.random.default_rng(42)
+        table = TcamTable(pica8_p3290(), name="s1", rng=np.random.default_rng(42))
         sanitizer = RaceSanitizer()
-        sanitizer.watch_rng(watched)
-        sanitizer.external("draws")
-        a = plain.stream("latency")
-        b = watched.stream("latency")
-        assert list(a.integers(0, 100, size=16)) == list(
-            b.integers(0, 100, size=16)
+        sanitizer.watch_table(table, "table:s1")
+        _watched_scheduler(sanitizer, ("draws",)).pop()
+        assert list(plain.integers(0, 100, size=16)) == list(
+            table.rng.integers(0, 100, size=16)
         )
-        assert a.normal() == b.normal()
-        assert "rng:latency" in sanitizer._current.writes
+        assert plain.normal() == table.rng.normal()
+        assert "table:s1:rng" in sanitizer._current.writes
 
     def test_sanitizer_repr_counts(self):
         sanitizer = _drive(
@@ -281,7 +274,7 @@ print(json.dumps(
 """
 
 
-def _run_chaos(mode: str) -> dict:
+def _run_watched(mode: str, script: str = _CHAOS_SCRIPT) -> dict:
     import json
 
     env = dict(os.environ)
@@ -290,7 +283,7 @@ def _run_chaos(mode: str) -> dict:
         os.path.join(root, "src") + os.pathsep + env.get("PYTHONPATH", "")
     )
     result = subprocess.run(
-        [sys.executable, "-c", _CHAOS_SCRIPT, mode],
+        [sys.executable, "-c", script, mode],
         capture_output=True,
         text=True,
         env=env,
@@ -301,11 +294,79 @@ def _run_chaos(mode: str) -> dict:
 
 class TestObservationDoesNotPerturb:
     def test_sanitizer_on_metrics_equal_sanitizer_off(self):
-        on = _run_chaos("on")
-        off = _run_chaos("off")
+        on = _run_watched("on")
+        off = _run_watched("off")
         assert on["digest"] == off["digest"]
         assert on["races"] == 0
         assert off["races"] == -1  # sanitizer never constructed
+
+
+_REACTIVE_SCRIPT = r"""
+import hashlib
+import json
+import sys
+
+from repro.analysis.races import RaceSanitizer
+from repro.baselines import make_installer
+from repro.simulator import Simulation, SimulationConfig, TeAppConfig
+from repro.tcam import pica8_p3290
+from repro.topology import FatTreeSpec, build_fat_tree, hosts
+from repro.traffic import FlowSpec
+
+graph = build_fat_tree(FatTreeSpec(k=4, link_capacity=1e9))
+names = hosts(graph)
+# Two same-instant bursts, every flow from one host: all paths share its
+# edge switch, so each burst's packet-ins write the same agent state.
+flows = [
+    FlowSpec(
+        source=names[0],
+        destination=names[1 + index],
+        size=1e6,
+        start_time=0.01 * (index // 4),
+        flow_id=index,
+    )
+    for index in range(8)
+]
+config = SimulationConfig(
+    te=TeAppConfig(epoch=10.0),
+    baseline_occupancy=100,
+    max_time=1e3,
+    routing_mode="reactive",
+)
+simulation = Simulation(
+    graph, flows, lambda name: make_installer("naive", pica8_p3290()), config
+)
+races = suppressed = -1
+if sys.argv[1] == "on":
+    sanitizer = RaceSanitizer()
+    sanitizer.watch_simulation(simulation)
+metrics = simulation.run()
+if sys.argv[1] == "on":
+    races = len(sanitizer.finish())
+    suppressed = len(sanitizer.suppressed)
+payload = json.dumps([metrics.rits(), metrics.fcts()]).encode()
+print(json.dumps({
+    "digest": hashlib.sha256(payload).hexdigest(),
+    "flows": len(metrics.fcts()),
+    "races": races,
+    "suppressed": suppressed,
+}))
+"""
+
+
+class TestReactiveArrivals:
+    def test_same_instant_packet_ins_are_suppressed_and_unperturbed(self):
+        # Reactive arrivals install rules from the arrival event itself, so
+        # a same-instant burst through one switch conflicts on its agent;
+        # the arrival site's pragma covers that (start-time order is the
+        # workload's), and watching must not move any metric.
+        on = _run_watched("on", _REACTIVE_SCRIPT)
+        off = _run_watched("off", _REACTIVE_SCRIPT)
+        assert on["flows"] == off["flows"] == 8
+        assert on["digest"] == off["digest"]
+        assert on["races"] == 0
+        assert on["suppressed"] > 0
+        assert off["suppressed"] == -1  # sanitizer never constructed
 
 
 class TestRacesCli:

@@ -109,10 +109,19 @@ class TestPartitionNewRule:
         outcome = partition_new_rule(new, blockers)
         fragment_prefixes = [f.match.to_prefix() for f in outcome.fragments]
         blocker_prefixes = [b.match.to_prefix() for b in blockers]
-        expected = new.match.to_prefix().subtract_all(blocker_prefixes)
         from repro.tcam import covers_same_addresses
 
-        assert covers_same_addresses(fragment_prefixes, expected)
+        # The blockers lie inside the new rule, so the fragments are its
+        # complement exactly when they miss every blocker and, with them,
+        # cover the rule.
+        assert not any(
+            fragment.overlaps(blocker)
+            for fragment in fragment_prefixes
+            for blocker in blocker_prefixes
+        )
+        assert covers_same_addresses(
+            fragment_prefixes + blocker_prefixes, [new.match.to_prefix()]
+        )
 
 
 class TestMergeMatches:

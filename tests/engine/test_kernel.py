@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.engine import (
+    TIER_ARRIVAL,
     TIER_COMPLETION,
     Clock,
     EventScheduler,
@@ -39,20 +40,26 @@ class TestClock:
         with pytest.raises(ValueError):
             clock.advance_to(4.999)
 
+    def test_nan_raises(self):
+        # A NaN clock would make every later comparison false.
+        clock = Clock(start=1.0)
+        with pytest.raises(ValueError):
+            clock.advance_to(math.nan)
+        assert clock.now == 1.0
+
 
 class TestSerialResource:
     def test_work_at_idle_starts_immediately(self):
         cpu = SerialResource()
         assert cpu.start_time(3.0) == 3.0
-        assert cpu.acquire(3.0, duration=2.0) == 3.0
-        assert cpu.free_at == 5.0
+        assert cpu.free_at == 0.0
 
     def test_work_queues_behind_busy_horizon(self):
         cpu = SerialResource()
-        cpu.acquire(0.0, duration=4.0)
+        cpu.occupy_until(4.0)
         assert cpu.start_time(1.0) == 4.0
-        assert cpu.acquire(1.0, duration=1.0) == 4.0
-        assert cpu.free_at == 5.0
+        assert cpu.start_time(5.0) == 5.0
+        assert cpu.free_at == 4.0
 
     def test_occupy_until_never_moves_backwards(self):
         cpu = SerialResource()
@@ -88,10 +95,13 @@ class TestEventScheduler:
         ]
 
     def test_completion_tier_beats_same_time_default(self):
+        # Same-instant order is completion, then arrival, then the rest.
         scheduler = EventScheduler()
         scheduler.schedule(1.0, "epoch")
+        scheduler.schedule(1.0, "arrive", tier=TIER_ARRIVAL)
         scheduler.schedule(1.0, "complete", tier=TIER_COMPLETION)
         assert scheduler.pop().kind == "complete"
+        assert scheduler.pop().kind == "arrive"
         assert scheduler.pop().kind == "epoch"
 
     def test_scheduling_into_the_past_raises(self):
@@ -100,6 +110,14 @@ class TestEventScheduler:
         with pytest.raises(ValueError):
             scheduler.schedule(4.0, "late")
         scheduler.schedule(5.0, "now-is-fine")
+
+    def test_scheduling_at_nan_raises(self):
+        # A NaN event compares false against everything and would break
+        # heap order silently.
+        scheduler = EventScheduler()
+        with pytest.raises(ValueError):
+            scheduler.schedule(math.nan, "broken")
+        assert len(scheduler) == 0
 
     def test_peek_pop_next_time_pending(self):
         scheduler = EventScheduler()

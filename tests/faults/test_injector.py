@@ -4,7 +4,6 @@ import pytest
 
 from repro.faults import (
     AgentCrash,
-    AgentStall,
     FaultInjector,
     FaultLog,
     FaultPlan,
@@ -23,15 +22,6 @@ def rule(prefix, priority):
 
 
 class TestSpecs:
-    def test_null_plan_by_default(self):
-        assert FaultPlan().is_null
-
-    def test_any_nonzero_probability_is_not_null(self):
-        assert not FaultPlan(flowmod=FlowModFault(drop=0.1)).is_null
-        assert not FaultPlan(tcam=TcamWriteFault(silent=0.5)).is_null
-        assert not FaultPlan(stall=AgentStall(probability=0.2, duration=1.0)).is_null
-        assert not FaultPlan(crash=AgentCrash(times=(1.0,))).is_null
-
     def test_probability_validation(self):
         with pytest.raises(ValueError):
             FlowModFault(drop=1.5)

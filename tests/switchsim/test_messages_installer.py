@@ -91,14 +91,3 @@ class TestDirectInstaller:
 
     def test_advance_time_is_noop(self, installer):
         assert installer.advance_time(12.0) == 0.0
-
-    def test_semantic_equality_helper(self):
-        left = DirectInstaller(pica8_p3290(), capacity=16)
-        right = DirectInstaller(pica8_p3290(), capacity=16)
-        shared = rule("10.0.0.0/8", 5, port=1)
-        left.apply(FlowMod.add(shared))
-        right.apply(FlowMod.add(rule("10.0.0.0/8", 5, port=1)))
-        probes = [Prefix.from_string("10.0.0.1").network, 0]
-        assert left.lookup_semantics_equal(right, probes)
-        right.apply(FlowMod.add(rule("0.0.0.0/0", 1, port=9)))
-        assert not left.lookup_semantics_equal(right, probes)
