@@ -1,7 +1,5 @@
 """Benchmark regenerating Figure 1 (increased ratio of JCT)."""
 
-import numpy as np
-
 from repro.experiments import fig01_jct
 
 from .conftest import run_and_render

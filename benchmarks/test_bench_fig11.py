@@ -1,7 +1,5 @@
 """Benchmark regenerating Figure 11 (installation-time series)."""
 
-import numpy as np
-
 from repro.experiments import fig11_timeseries
 
 from .conftest import run_and_render

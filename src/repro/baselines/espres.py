@@ -54,6 +54,10 @@ class EspresInstaller(RuleInstaller):
         """Cumulative entry shifts of the underlying table."""
         return self._direct.shift_count()
 
+    def prefill_table(self):
+        """The underlying monolithic table."""
+        return self._direct.prefill_table()
+
     def apply(self, flow_mod: FlowMod) -> FlowModResult:
         """Apply a single FlowMod (no scheduling opportunity)."""
         return self._direct.apply(flow_mod)

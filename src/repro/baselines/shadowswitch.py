@@ -135,10 +135,9 @@ class ShadowSwitchInstaller(RuleInstaller):
         """Cumulative entry shifts of the hardware table."""
         return self.tcam.stats.total_shifts
 
-    def prefill(self, rules) -> None:
+    def prefill_table(self) -> TcamTable:
         """Background rules go straight to the TCAM (their steady state)."""
-        for rule in rules:
-            self.tcam.insert(rule)
+        return self.tcam
 
     # ------------------------------------------------------------------
     # Introspection

@@ -56,6 +56,17 @@ class TangoInstaller(RuleInstaller):
         """Cumulative entry shifts of the underlying table."""
         return self._direct.shift_count()
 
+    def prefill_table(self):
+        """The underlying monolithic table."""
+        return self._direct.prefill_table()
+
+    def prefill(self, rules: Sequence[Rule]) -> None:
+        """Bulk-load the table; each background rule stands for itself."""
+        self._direct.prefill(rules)
+        for rule in rules:
+            self._members_of[rule.rule_id] = [rule]
+            self._physical_of[rule.rule_id] = rule.rule_id
+
     # ------------------------------------------------------------------
     # RuleInstaller interface
     # ------------------------------------------------------------------

@@ -433,16 +433,14 @@ class HermesInstaller(RuleInstaller):
             include_warnings=include_warnings,
         )
 
-    def prefill(self, rules) -> None:
-        """Background rules belong in the main table from the start.
+    def prefill_table(self) -> TcamTable:
+        """Background rules belong in the main slice from the start.
 
         This is where the Rule Manager would have migrated them anyway;
         installing them directly avoids polluting violation statistics with
-        warm-up traffic.  Prefill writes the raw slice: faults model the
-        measured run, not the preexisting table state.
+        warm-up traffic.
         """
-        for rule in rules:
-            self.tcam.slice("main").insert(rule)
+        return self.tcam.slice("main")
 
     # ------------------------------------------------------------------
     # ADD

@@ -11,7 +11,7 @@ the sustained update rate by timing actual inserts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..analysis import ExperimentResult
 from ..tcam import Action, InsertOrder, Rule, TcamTable, get_switch_model

@@ -34,20 +34,26 @@ from ..traffic.flows import FlowSpec
 InstallerFactory = Callable[[str], RuleInstaller]
 
 
-def background_rules(count: int) -> List[Rule]:
+def background_triples(count: int) -> List[Tuple[TernaryMatch, int, Action]]:
     """The prefill rule set: ``count`` low-priority /24s over 10.0.0.0/8.
 
-    The ``index``-th rule matches ``10.<index // 256 % 256>.<index % 256>.0/24``
-    at priority ``10 + index % 80``, below every TE override rule.
+    The ``index``-th ``(match, priority, action)`` triple matches
+    ``10.<index // 256 % 256>.<index % 256>.0/24`` at priority
+    ``10 + index % 80``, below every TE override rule.
     """
     return [
-        Rule(
+        (
             TernaryMatch((10 << 24) | ((index & 0xFFFF) << 8), 0xFFFFFF00),
             10 + (index % 80),
             Action.output((index % 8) + 1),
         )
         for index in range(count)
     ]
+
+
+def background_rules(count: int) -> List[Rule]:
+    """The prefill rule set as fresh rules (see :func:`background_triples`)."""
+    return [Rule(*triple) for triple in background_triples(count)]
 
 
 def flow_match(flow: FlowSpec) -> TernaryMatch:
@@ -160,17 +166,34 @@ class SdnController:
     # Warm-up
     # ------------------------------------------------------------------
     def prefill_switches(self, rules_per_switch: int) -> None:
-        """Pre-install background rules on every switch (no time charged).
+        """Pre-install background rules on every switch.
 
         Rules are /24 prefixes over 10.0.0.0/8 with priorities in a low
         band (below every TE override rule), so a TE insert lands above
         them and pays the occupancy-dependent shifting cost — the situation
-        Table 1 measures.
+        Table 1 measures.  The prefill charges no simulated time, but it
+        draws the same latency noise and keeps the same write and shift
+        counts as one insert per rule (:meth:`RuleInstaller.prefill`).
+        Every switch gets fresh rules over one shared set of matches and
+        actions.
+
+        Raises:
+            ValueError: when ``rules_per_switch`` is negative or does not
+                fit some switch's table; nothing is written then.
         """
         if rules_per_switch < 0:
             raise ValueError("rules_per_switch cannot be negative")
+        for name, agent in self.agents.items():
+            table = agent.installer.prefill_table()
+            if rules_per_switch > table.free_entries:
+                raise ValueError(
+                    f"baseline occupancy {rules_per_switch} does not fit switch "
+                    f"{name!r}: its {table.name!r} table has capacity "
+                    f"{table.capacity} ({table.free_entries} free)"
+                )
+        triples = background_triples(rules_per_switch)
         for agent in self.agents.values():
-            agent.installer.prefill(background_rules(rules_per_switch))
+            agent.installer.prefill([Rule(*triple) for triple in triples])
 
     # ------------------------------------------------------------------
     # Path programming

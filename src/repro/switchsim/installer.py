@@ -9,7 +9,7 @@ interchangeably, which is what lets us A/B the systems the paper compares.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..faults.table import FaultyTable, TcamWriteError
 from ..tcam.rule import Rule
@@ -79,17 +79,26 @@ class RuleInstaller(abc.ABC):
         """
         return {}
 
-    def prefill(self, rules: Iterable[Rule]) -> None:
+    @abc.abstractmethod
+    def prefill_table(self) -> TcamTable:
+        """The physical table background rules live in, never fault-wrapped.
+
+        Schemes with multi-level storage name the rules' steady-state home
+        (Hermes: the main table).
+        """
+
+    def prefill(self, rules: Sequence[Rule]) -> None:
         """Pre-install background rules before measurement starts.
 
         Production switches are never empty — routing entries and ACLs
         occupy the table, and Table 1 shows occupancy is what makes inserts
-        slow.  Prefill installs rules without charging simulated time.
-        Schemes with multi-level storage override this to place the rules
-        in their steady-state home (Hermes: the main table).
+        slow.  Prefill loads :meth:`prefill_table` in bulk
+        (:meth:`TcamTable.load`): it charges no simulated time, but draws
+        the same latency noise and keeps the same write and shift counts as
+        one insert per rule.  It writes the raw table: faults model the
+        measured run, not the preexisting table state.
         """
-        for rule in rules:
-            self.apply(FlowMod.add(rule))
+        self.prefill_table().load(rules)
 
 
 class DirectInstaller(RuleInstaller):
@@ -119,11 +128,20 @@ class DirectInstaller(RuleInstaller):
                 :class:`~repro.faults.table.FaultyTable` and may fail or
                 silently no-op.
         """
-        self.table = TcamTable(timing, capacity=capacity, name="monolithic", rng=rng)
+        self._raw = TcamTable(timing, capacity=capacity, name="monolithic", rng=rng)
+        self.table = self._raw
         self.injector = injector
         if injector is not None:
-            self.table = FaultyTable(self.table, injector)
+            self.table = FaultyTable(self._raw, injector)
         self.order = order
+
+    def prefill_table(self) -> TcamTable:
+        """The monolithic table, unwrapped."""
+        return self._raw
+
+    def prefill(self, rules: Sequence[Rule]) -> None:
+        """Bulk-load the raw table in this installer's insert order."""
+        self._raw.load(rules, order=self.order)
 
     def apply(self, flow_mod: FlowMod) -> FlowModResult:
         """Apply one FlowMod directly to the monolithic table.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -232,6 +232,51 @@ class TcamTable:
         self.stats.record("insert", result)
         self._notify("rule_installed", rule)
         return result
+
+    def load(self, rules: Sequence[Rule], order: InsertOrder = InsertOrder.RANDOM) -> None:
+        """Install ``rules`` in turn, exactly as one :meth:`insert` each would.
+
+        Entries, sort keys, :class:`TableStats` (busy time summed in the
+        same order), the latency-noise draws and the ``rule_installed``
+        notifications, in order, all match the per-rule inserts; the
+        listeners hear of the rules once all of them are written.  The
+        latencies come from one array call instead of one call per rule.
+
+        Raises:
+            TableFullError: when the rules do not all fit.
+            ValueError: when a rule id is already installed or repeats in
+                ``rules``.  Either error leaves the table untouched.
+        """
+        if len(rules) > self.free_entries:
+            raise TableFullError(
+                f"{self.name}: capacity {self.capacity} cannot take {len(rules)} "
+                f"more rules at occupancy {self.occupancy}"
+            )
+        batch = set()
+        for rule in rules:
+            if rule.rule_id in self._by_id or rule.rule_id in batch:
+                raise ValueError(f"{self.name}: rule #{rule.rule_id} already installed")
+            batch.add(rule.rule_id)
+        occupancies = np.arange(len(self._entries), len(self._entries) + len(rules))
+        shifts = []
+        for rule in rules:
+            key = -rule.priority * _SEQ_SPAN + self._next_seq
+            position = bisect.bisect_left(self._keys, key)
+            shifts.append(len(self._entries) - position)
+            self._entries.insert(position, rule)
+            self._keys.insert(position, key)
+            self._key_of[rule.rule_id] = key
+            self._next_seq += 1
+            self._by_id[rule.rule_id] = rule
+        latencies = self.timing.insertion_latencies(
+            occupancies, np.array(shifts), order=order, rng=self.rng
+        )
+        self.stats.insertions += len(rules)
+        self.stats.total_shifts += sum(shifts)
+        for latency in latencies.tolist():
+            self.stats.busy_time += latency
+        for rule in rules:
+            self._notify("rule_installed", rule)
 
     @property
     def lowest_priority(self) -> Optional[int]:

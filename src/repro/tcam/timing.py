@@ -98,12 +98,28 @@ class EmpiricalTimingModel:
             raise ValueError("occupancy cannot be negative")
         occ = float(min(occupancy, self.capacity))
         if occ >= self._occupancies[-1]:
-            # Extrapolate with the slope of the last measured segment.
-            x0, x1 = self._occupancies[-2], self._occupancies[-1]
-            y0, y1 = self._latencies[-2], self._latencies[-1]
-            slope = (y1 - y0) / (x1 - x0)
-            return float(y1 + slope * (occ - x1))
+            return float(self._extrapolate(occ))
         return float(np.interp(occ, self._occupancies, self._latencies))
+
+    def base_insertion_latencies(self, occupancies: np.ndarray) -> np.ndarray:
+        """:meth:`base_insertion_latency` at each of ``occupancies``, bit for bit.
+
+        np.interp runs the same C formula on an array as on one float, so
+        each element equals the scalar call at that occupancy.
+        """
+        occ = np.minimum(occupancies, self.capacity).astype(float)
+        return np.where(
+            occ >= self._occupancies[-1],
+            self._extrapolate(occ),
+            np.interp(occ, self._occupancies, self._latencies),
+        )
+
+    def _extrapolate(self, occ):
+        """The last measured segment extended to ``occ`` (a float or an array)."""
+        x0, x1 = self._occupancies[-2], self._occupancies[-1]
+        y0, y1 = self._latencies[-2], self._latencies[-1]
+        slope = (y1 - y0) / (x1 - x0)
+        return y1 + slope * (occ - x1)
 
     def insertion_latency(
         self,
@@ -136,6 +152,33 @@ class EmpiricalTimingModel:
         latency *= order.value
         if rng is not None and self.noise_sigma > 0:
             latency *= float(rng.lognormal(mean=0.0, sigma=self.noise_sigma))
+        return latency
+
+    def insertion_latencies(
+        self,
+        occupancies: np.ndarray,
+        shifts: np.ndarray,
+        order: InsertOrder = InsertOrder.RANDOM,
+        rng: Optional[np.random.Generator] = None,
+    ) -> np.ndarray:
+        """Sample a run of insertions, one array call for as many scalar ones.
+
+        Element ``i`` equals ``insertion_latency(occupancies[i],
+        shifts=shifts[i], order=order, rng=rng)`` from the ``i``-th of
+        those calls, bit for bit, and ``rng`` ends in the same state: one
+        ``lognormal(size=n)`` draws the same values as n scalar draws.  An
+        insert never shifts more entries than are resident, so
+        ``shifts[i] <= occupancies[i]``.
+        """
+        latency = self.base_insertion_latencies(occupancies)
+        floor = latency / self.priority_penalty
+        fraction = np.minimum(1.0, shifts / np.maximum(occupancies, 1))
+        latency = np.where(shifts == 0, floor, floor + (latency - floor) * fraction)
+        latency *= order.value
+        if rng is not None and self.noise_sigma > 0:
+            latency *= rng.lognormal(
+                mean=0.0, sigma=self.noise_sigma, size=len(latency)
+            )
         return latency
 
     def worst_case_insertion_latency(self, occupancy: int) -> float:
@@ -208,6 +251,9 @@ class IdealTimingModel(EmpiricalTimingModel):
 
     def base_insertion_latency(self, occupancy: int) -> float:  # noqa: D102
         return 0.0
+
+    def base_insertion_latencies(self, occupancies: np.ndarray) -> np.ndarray:  # noqa: D102
+        return np.zeros(len(occupancies))
 
     def max_occupancy_for_guarantee(self, guarantee: float) -> int:  # noqa: D102
         return self.capacity

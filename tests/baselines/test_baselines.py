@@ -228,6 +228,19 @@ class TestFactory:
         with pytest.raises(KeyError):
             make_installer("magic", pica8_p3290())
 
+    @pytest.mark.parametrize("name", INSTALLER_NAMES)
+    def test_prefill_lands_in_the_prefill_table_and_stays_deletable(self, name):
+        installer = make_installer(name, pica8_p3290(), rng=np.random.default_rng(0))
+        rules = [rule(f"10.{index}.0.0/16", 10 + index % 3) for index in range(40)]
+        installer.prefill(rules)
+        table = installer.prefill_table()
+        assert sorted(r.rule_id for r in table.rules()) == [r.rule_id for r in rules]
+        assert table.stats.insertions == 40
+        assert installer.lookup(key("10.7.1.1")).rule_id == rules[7].rule_id
+        installer.apply(FlowMod.delete(rules[7].rule_id))
+        assert installer.occupancy() == 39
+        assert installer.lookup(key("10.7.1.1")) is None
+
 
 def random_flow_mods(count, seed):
     """A seeded ADD/DELETE/MODIFY sequence that only addresses live rules."""

@@ -6,8 +6,6 @@ between the diverted-to-main insertion paths, migration, and Figure 6's
 un-partitioning.
 """
 
-import pytest
-
 from repro.core import GuaranteeSpec, HermesConfig, HermesInstaller
 from repro.switchsim import FlowMod
 from repro.tcam import Action, Prefix, Rule, pica8_p3290

@@ -1,6 +1,5 @@
 """Tests for the HermesInstaller: guarantees, correctness, migration."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

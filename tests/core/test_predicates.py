@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.predicates import (
-    Predicate,
     action_kind,
     everything,
     nothing,
@@ -12,7 +11,7 @@ from repro.core.predicates import (
     priority_band,
     within_prefix,
 )
-from repro.tcam import Action, Rule, TernaryMatch
+from repro.tcam import Action, Rule
 
 
 def rule(prefix, priority, action=None):

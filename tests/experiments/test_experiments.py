@@ -20,7 +20,6 @@ from repro.experiments import (
     table1,
 )
 from repro.experiments.common import (
-    QUICK_SCALE,
     WorkloadScale,
     facebook_workload,
     installer_factory,

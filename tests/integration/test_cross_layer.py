@@ -6,7 +6,6 @@ a monolithic reference, and the operator API over a running workload.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +14,7 @@ from repro.bgp import BgpRouter, generate_updates, get_router_profile
 from repro.core import GuaranteeSpec, HermesConfig, HermesInstaller, HermesService
 from repro.switchsim import DirectInstaller, FlowMod, SwitchAgent
 from repro.tcam import Action, Prefix, Rule, dell_8132f, pica8_p3290
-from repro.traffic import MicrobenchConfig, generate_trace, seed_rules
+from repro.traffic import MicrobenchConfig, generate_trace
 
 
 class TestBgpThroughHermes:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.baselines import make_installer
 from repro.simulator import SdnController
-from repro.tcam import pica8_p3290, get_switch_model
+from repro.tcam import pica8_p3290
 from repro.topology import FatTreeSpec, PathProvider, build_fat_tree
 from repro.traffic import FlowSpec
 

@@ -1,6 +1,5 @@
 """Tests for link-failure injection and blackhole accounting."""
 
-import numpy as np
 import pytest
 
 from repro.baselines import make_installer

@@ -144,6 +144,15 @@ class TestController:
         assert agent.installer.occupancy() == 100
         assert agent.stats.actions == 0  # warm-up is not measured
 
+    def test_prefill_past_capacity_writes_nothing(self, small_tree):
+        controller = SdnController(small_tree, naive_factory)
+        capacity = pica8_p3290().capacity
+        with pytest.raises(ValueError, match=f"capacity {capacity}"):
+            controller.prefill_switches(capacity + 1)
+        assert all(
+            agent.installer.occupancy() == 0 for agent in controller.agents.values()
+        )
+
     def test_background_rules_are_the_dotted_quad_slash24s(self):
         count = 70_000  # past 65,536, where the second octet wraps
         rules = background_rules(count)
@@ -428,12 +437,14 @@ class TestEndToEnd:
             dict(control_rtt=math.nan),
             dict(link_failures=((math.inf, ("a", "b")),)),
             dict(link_failures=((math.nan, ("a", "b")),)),
+            dict(baseline_occupancy=ideal_switch().capacity + 1),
         ],
         ids=[
             "negative-occupancy", "nan-max-time", "negative-max-time",
             "nan-control-rtt", "inf-failure-time", "nan-failure-time",
+            "occupancy-over-capacity",
         ],
     )
-    def test_bad_config_rejected(self, bad):
+    def test_bad_config_rejected(self, bad, small_tree):
         with pytest.raises(ValueError):
-            SimulationConfig(**bad)
+            Simulation(small_tree, [], ideal_factory, SimulationConfig(**bad))

@@ -1,9 +1,14 @@
 """Tests for the physical TCAM table model (ordering, shifting, latencies)."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.tcam import (
+    SWITCH_MODEL_NAMES,
     Action,
     InsertOrder,
     Rule,
@@ -11,6 +16,8 @@ from repro.tcam import (
     TableFullError,
     TcamTable,
     TernaryMatch,
+    dell_8132f,
+    get_switch_model,
     pica8_p3290,
 )
 
@@ -181,3 +188,117 @@ class TestStats:
         assert len(noisy_latencies) == 5  # lognormal noise differs per call
         first = quiet.insert(rule("10.0.0.0/8", 50)).latency
         assert first == quiet.timing.insertion_latency(0, shifts=0)
+
+
+class _Recorder:
+    """A table listener logging every change event in order."""
+
+    def __init__(self):
+        self.events = []
+
+    def rule_installed(self, rule):
+        self.events.append(("installed", rule.rule_id))
+
+    def rule_removed(self, rule):
+        self.events.append(("removed", rule.rule_id))
+
+
+def _keyed_rules(priorities):
+    return [
+        Rule(TernaryMatch(index, 0xFFFFFFFF), priority, Action.output(1))
+        for index, priority in enumerate(priorities)
+    ]
+
+
+def _snapshot(table):
+    """Everything ``load`` may write, including the noise generator."""
+    return (
+        list(table._entries),
+        list(table._keys),
+        dict(table._key_of),
+        dict(table._by_id),
+        table._next_seq,
+        copy.copy(table.stats),
+        table.rng.bit_generator.state,
+    )
+
+
+class TestBulkLoad:
+    """``load`` against the oracle of one ``insert`` per rule."""
+
+    @staticmethod
+    def twin_tables(model, capacity, seed, resident, deleted):
+        """Two identical tables already holding ``resident`` minus ``deleted``."""
+        tables = []
+        for _ in range(2):
+            table = TcamTable(
+                get_switch_model(model),
+                capacity=capacity,
+                rng=np.random.default_rng(seed),
+            )
+            for rule_ in resident:
+                table.insert(rule_)
+            for rule_ in deleted:
+                table.delete(rule_.rule_id)
+            recorder = _Recorder()
+            table.add_listener(recorder)
+            tables.append((table, recorder))
+        return tables
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        model=st.sampled_from(SWITCH_MODEL_NAMES),
+        capacity=st.integers(1, 48),
+        seed=st.integers(0, 2**32 - 1),
+        order=st.sampled_from(list(InsertOrder)),
+        data=st.data(),
+    )
+    def test_load_equals_per_rule_inserts(self, model, capacity, seed, order, data):
+        priorities = st.integers(0, 6)  # a narrow band: many ties
+        resident = _keyed_rules(data.draw(st.lists(priorities, max_size=capacity)))
+        deleted = data.draw(st.lists(st.sampled_from(resident), unique=True)) if resident else []
+        free = capacity - len(resident) + len(deleted)
+        size = free if data.draw(st.booleans()) else data.draw(st.integers(0, free))
+        batch = _keyed_rules(data.draw(st.lists(priorities, min_size=size, max_size=size)))
+        (oracle, heard), (subject, told) = self.twin_tables(
+            model, capacity, seed, resident, deleted
+        )
+        for rule_ in batch:
+            oracle.insert(rule_, order=order)
+        subject.load(batch, order=order)
+        assert subject._entries == oracle._entries
+        assert subject._keys == oracle._keys
+        assert subject._key_of == oracle._key_of
+        assert subject._by_id == oracle._by_id
+        assert subject._next_seq == oracle._next_seq
+        assert subject.stats == oracle.stats  # busy_time compared with ==
+        assert told.events == heard.events
+        assert subject.rng.random() == oracle.rng.random()
+
+    def test_load_past_the_last_measured_point(self):
+        # Dell's curve ends at 750 entries; a full load extrapolates past it.
+        rules = _keyed_rules([index % 80 for index in range(dell_8132f().capacity)])
+        oracle, subject = (
+            TcamTable(dell_8132f(), rng=np.random.default_rng(7)) for _ in range(2)
+        )
+        for rule_ in rules:
+            oracle.insert(rule_)
+        subject.load(rules)
+        assert subject.stats == oracle.stats
+        assert subject._keys == oracle._keys
+        assert subject.rng.random() == oracle.rng.random()
+
+    @pytest.mark.parametrize("model", SWITCH_MODEL_NAMES)
+    def test_bad_loads_leave_the_table_unchanged(self, model):
+        resident = _keyed_rules([3, 1, 3])
+        (table, told), _ = self.twin_tables(model, 5, 1, resident, [])
+        before = _snapshot(table)
+        fresh = _keyed_rules([2, 2, 2])
+        with pytest.raises(TableFullError):
+            table.load(fresh)
+        with pytest.raises(ValueError):
+            table.load([fresh[0], resident[1]])
+        with pytest.raises(ValueError):
+            table.load([fresh[0], fresh[0]])
+        assert _snapshot(table) == before
+        assert told.events == []

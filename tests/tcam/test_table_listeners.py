@@ -1,7 +1,5 @@
 """Tests for TcamTable change notifications and the O(1) accessors."""
 
-import pytest
-
 from repro.tcam import Action, Rule, TcamTable, pica8_p3290
 
 

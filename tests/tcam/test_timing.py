@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.tcam import (
+    SWITCH_MODEL_NAMES,
     EmpiricalTimingModel,
     InsertOrder,
     commodity_switch_models,
@@ -79,6 +80,15 @@ class TestInterpolation:
     def test_negative_occupancy_rejected(self):
         with pytest.raises(ValueError):
             pica8_p3290().base_insertion_latency(-1)
+
+    @pytest.mark.parametrize("name", SWITCH_MODEL_NAMES)
+    def test_array_curve_equals_scalar_curve(self, name):
+        # Every occupancy, past the last measured point and past capacity.
+        model = get_switch_model(name)
+        occupancies = np.arange(model.capacity + 64)
+        assert model.base_insertion_latencies(occupancies).tolist() == [
+            model.base_insertion_latency(int(occupancy)) for occupancy in occupancies
+        ]
 
 
 class TestPenalties:

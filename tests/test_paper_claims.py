@@ -5,7 +5,6 @@ paper's abstract or takeaways; the full regenerations live in benchmarks/.
 """
 
 import numpy as np
-import pytest
 
 from repro.core import (
     GuaranteeSpec,
