@@ -80,9 +80,12 @@ def installer_factory(
 
     Each switch gets an independent installer (and an independent named
     :class:`~repro.engine.rng.RngStreams` stream when ``seed`` is given, so
-    latency noise differs per switch but runs stay reproducible).
+    latency noise differs per switch but runs stay reproducible).  The
+    switches share one timing model: it holds no per-switch state, so its
+    per-occupancy table is built once per factory, not once per switch.
     """
     streams = RngStreams(seed) if seed is not None else None
+    timing = get_switch_model(switch)
 
     def factory(switch_name: str):
         rng = None
@@ -90,7 +93,7 @@ def installer_factory(
             rng = streams.stream(f"installer:{switch_name}")
         return make_installer(
             scheme,
-            get_switch_model(switch),
+            timing,
             rng=rng,
             hermes_config=(
                 replace(hermes_config) if hermes_config is not None else None

@@ -81,8 +81,9 @@ def run_scheme(label: str, scheme: str, switch: str, config: FailoverConfig):
         link_failures=_failure_schedule(graph, config),
     )
     hermes_config = default_hermes_config() if scheme == "hermes" else None
+    timing = get_switch_model(switch)
     factory = lambda name: make_installer(
-        scheme, get_switch_model(switch), hermes_config=hermes_config
+        scheme, timing, hermes_config=hermes_config
     )
     simulation = Simulation(graph, flows, factory, sim_config)
     metrics = simulation.run()

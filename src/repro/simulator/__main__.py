@@ -90,7 +90,8 @@ def main(argv=None) -> int:
         routing_mode="reactive" if args.reactive else "proactive",
         max_time=3600.0,
     )
-    factory = lambda name: make_installer(args.scheme, get_switch_model(args.switch))
+    timing = get_switch_model(args.switch)
+    factory = lambda name: make_installer(args.scheme, timing)
     simulation = Simulation(graph, flows, factory, config)
     print(
         f"Running {args.scheme} on {args.switch} over {args.topology} "

@@ -206,7 +206,8 @@ class SwitchAgent:
         # advance_time first: migration-era shifts belong to the Rule
         # Manager's own span, not to this batch's delta.
         background = self.installer.advance_time(at_time)
-        shifts_before = self.installer.shift_count()
+        # Shifts feed only the batch span, so untraced runs never read them.
+        shifts_before = self.installer.shift_count() if tracer.enabled else 0
         start = self._cpu.start_time(at_time)
         completed_actions: List[CompletedAction] = []
         try:
@@ -214,7 +215,9 @@ class SwitchAgent:
         except BaseException:
             batch_span.finish(end=at_time, error=True)
             raise
-        batch_shifts = self.installer.shift_count() - shifts_before
+        batch_shifts = (
+            self.installer.shift_count() - shifts_before if tracer.enabled else 0
+        )
         cursor = start
         for index, (flow_mod, result) in enumerate(zip(flow_mods, results)):
             finish = cursor + result.latency

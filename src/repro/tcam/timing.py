@@ -13,6 +13,8 @@ measurements (Kuźniar et al. [42], He et al. [38], Lazaris et al. [43]):
 :class:`EmpiricalTimingModel` encodes exactly this: a piecewise-linear
 interpolation of published (occupancy -> latency) points, multiplicative
 priority/order penalties, and seeded lognormal noise for run-to-run variation.
+Scalar reads of the curve index a per-occupancy table built once from the
+array formula, so the two paths agree bit for bit.
 The *worst-case* latency at a given occupancy is deterministic and is what
 Hermes's shadow sizing (Fig 14) is computed from.
 """
@@ -21,6 +23,8 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -65,8 +69,15 @@ class EmpiricalTimingModel:
     delete_latency: float = 1e-4
     modify_latency: float = 2e-4
     noise_sigma: float = 0.20
-    _occupancies: np.ndarray = field(init=False, repr=False)
-    _latencies: np.ndarray = field(init=False, repr=False)
+    # Derived from ``occupancy_latency_points``, so left out of ``==``
+    # (numpy arrays have no truth value).
+    _occupancies: np.ndarray = field(init=False, repr=False, compare=False)
+    _latencies: np.ndarray = field(init=False, repr=False, compare=False)
+    # The curve at every integer occupancy 0..capacity, built from the
+    # array path on the first scalar call (see :meth:`_table`).
+    _curve: Optional[array] = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         if not self.occupancy_latency_points:
@@ -92,34 +103,45 @@ class EmpiricalTimingModel:
         """Deterministic insertion latency (seconds) at the given occupancy.
 
         This is the priority-shifting insert cost: the published occupancy
-        curves were measured with rule sets that force entry movement.
+        curves were measured with rule sets that force entry movement.  It
+        reads the per-occupancy table, so it equals
+        :meth:`base_insertion_latencies` at ``occupancy`` bit for bit.
         """
         if occupancy < 0:
             raise ValueError("occupancy cannot be negative")
-        occ = float(min(occupancy, self.capacity))
-        if occ >= self._occupancies[-1]:
-            return float(self._extrapolate(occ))
-        return float(np.interp(occ, self._occupancies, self._latencies))
+        return self._table()[min(occupancy, self.capacity)]
 
     def base_insertion_latencies(self, occupancies: np.ndarray) -> np.ndarray:
-        """:meth:`base_insertion_latency` at each of ``occupancies``, bit for bit.
+        """The occupancy curve at each of ``occupancies``: the one formula.
 
-        np.interp runs the same C formula on an array as on one float, so
-        each element equals the scalar call at that occupancy.
+        Piecewise-linear ``np.interp`` between the points, and the last
+        segment extended past the last point; occupancies above capacity
+        read the curve at capacity.
         """
+        if np.any(occupancies < 0):
+            raise ValueError("occupancy cannot be negative")
         occ = np.minimum(occupancies, self.capacity).astype(float)
-        return np.where(
-            occ >= self._occupancies[-1],
-            self._extrapolate(occ),
-            np.interp(occ, self._occupancies, self._latencies),
-        )
-
-    def _extrapolate(self, occ):
-        """The last measured segment extended to ``occ`` (a float or an array)."""
         x0, x1 = self._occupancies[-2], self._occupancies[-1]
         y0, y1 = self._latencies[-2], self._latencies[-1]
         slope = (y1 - y0) / (x1 - x0)
-        return y1 + slope * (occ - x1)
+        return np.where(
+            occ >= x1,
+            y1 + slope * (occ - x1),
+            np.interp(occ, self._occupancies, self._latencies),
+        )
+
+    def _table(self) -> array:
+        """The curve at occupancies 0..capacity, built once on first use.
+
+        The bulk prefill goes through the array path and builds no table.
+        """
+        curve = self._curve
+        if curve is None:
+            curve = self._curve = array("d")
+            curve.frombytes(
+                self.base_insertion_latencies(np.arange(self.capacity + 1)).tobytes()
+            )
+        return curve
 
     def insertion_latency(
         self,
@@ -200,16 +222,10 @@ class EmpiricalTimingModel:
             The maximal occupancy (possibly 0 when even an empty-table insert
             exceeds the budget) capped at table capacity.
         """
-        if self.worst_case_insertion_latency(0) > guarantee:
-            return 0
-        low, high = 0, self.capacity
-        while low < high:
-            mid = (low + high + 1) // 2
-            if self.worst_case_insertion_latency(mid) <= guarantee:
-                low = mid
-            else:
-                high = mid - 1
-        return low
+        # The curve never decreases (``__post_init__`` rejects falling
+        # points, and the last segment's slope is >= 0), so one bisection
+        # finds the last occupancy whose latency fits.
+        return max(0, bisect_right(self._table(), guarantee) - 1)
 
     # ------------------------------------------------------------------
     # Other control actions
@@ -248,15 +264,6 @@ class IdealTimingModel(EmpiricalTimingModel):
             modify_latency=0.0,
             noise_sigma=0.0,
         )
-
-    def base_insertion_latency(self, occupancy: int) -> float:  # noqa: D102
-        return 0.0
-
-    def base_insertion_latencies(self, occupancies: np.ndarray) -> np.ndarray:  # noqa: D102
-        return np.zeros(len(occupancies))
-
-    def max_occupancy_for_guarantee(self, guarantee: float) -> int:  # noqa: D102
-        return self.capacity
 
     def update_rate(self, occupancy: int) -> float:  # noqa: D102
         return math.inf

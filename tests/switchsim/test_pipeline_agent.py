@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core import HermesInstaller
+from repro.obs import RecordingTracer, use_tracer
 from repro.switchsim import (
     DirectInstaller,
     FlowMod,
@@ -122,3 +124,23 @@ class TestSwitchAgent:
     def test_lookup_delegates(self, agent):
         agent.submit(FlowMod.add(rule("10.0.0.0/8", 5, port=8)))
         assert agent.lookup(key("10.0.0.1")).action.port == 8
+
+
+class TestBatchSpanShifts:
+    def test_traced_batch_span_carries_the_shift_delta(self):
+        hermes = HermesInstaller(pica8_p3290())
+        agent = SwitchAgent(hermes, name="s1")
+        # Rising priorities: each insert lands above the residents and
+        # shifts them, so the delta is not trivially zero.
+        mods = [FlowMod.add(rule(f"10.{i}.0.0/16", 10 + i)) for i in range(6)]
+        tracer = RecordingTracer()
+        before = hermes.shift_count()
+        with use_tracer(tracer):
+            agent.submit_batch(mods, at_time=0.0)
+        delta = hermes.shift_count() - before
+        assert delta > 0
+        [batch] = [
+            record for record in tracer.records
+            if record["type"] == "span" and record["name"] == "agent.batch"
+        ]
+        assert batch["attrs"]["shifts"] == delta

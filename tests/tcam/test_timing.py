@@ -19,6 +19,33 @@ from repro.tcam import (
     pica8_p3290,
 )
 
+
+def scalar_curve_oracle(model, occupancy):
+    """The curve as one scalar ``np.interp`` per occupancy, past the last
+    point along the last segment: the formula the per-occupancy table
+    replaced, kept here as its oracle."""
+    xs, ys = model._occupancies, model._latencies
+    occ = float(min(occupancy, model.capacity))
+    if occ >= xs[-1]:
+        slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+        return float(ys[-1] + slope * (occ - xs[-1]))
+    return float(np.interp(occ, xs, ys))
+
+
+def binary_search_oracle(model, guarantee):
+    """Guarantee sizing as a binary search over scalar curve reads."""
+    if model.worst_case_insertion_latency(0) > guarantee:
+        return 0
+    low, high = 0, model.capacity
+    while low < high:
+        mid = (low + high + 1) // 2
+        if model.worst_case_insertion_latency(mid) <= guarantee:
+            low = mid
+        else:
+            high = mid - 1
+    return low
+
+
 # Table 1 of the paper: occupancy -> updates per second.
 PICA8_TABLE1 = {50: 1266.0, 200: 114.0, 1000: 23.0, 2000: 12.0}
 DELL_TABLE1 = {50: 970.0, 250: 494.0, 500: 42.0, 750: 29.0}
@@ -81,14 +108,26 @@ class TestInterpolation:
         with pytest.raises(ValueError):
             pica8_p3290().base_insertion_latency(-1)
 
+    def test_negative_occupancy_rejected_by_the_array_path(self):
+        with pytest.raises(ValueError):
+            pica8_p3290().base_insertion_latencies(np.array([3, -1]))
+
     @pytest.mark.parametrize("name", SWITCH_MODEL_NAMES)
     def test_array_curve_equals_scalar_curve(self, name):
-        # Every occupancy, past the last measured point and past capacity.
+        # Every occupancy, past the last measured point and past capacity:
+        # the scalar reads (the table) and the array path both equal the
+        # scalar formula bit for bit.
         model = get_switch_model(name)
         occupancies = np.arange(model.capacity + 64)
-        assert model.base_insertion_latencies(occupancies).tolist() == [
-            model.base_insertion_latency(int(occupancy)) for occupancy in occupancies
-        ]
+        expected = [scalar_curve_oracle(model, int(o)) for o in occupancies]
+        assert [model.base_insertion_latency(int(o)) for o in occupancies] == expected
+        assert model.base_insertion_latencies(occupancies).tolist() == expected
+
+    @pytest.mark.parametrize("name", SWITCH_MODEL_NAMES)
+    def test_table_never_decreases(self, name):
+        model = get_switch_model(name)
+        curve = [model.base_insertion_latency(o) for o in range(model.capacity + 1)]
+        assert all(b >= a for a, b in zip(curve, curve[1:]))
 
 
 class TestPenalties:
@@ -145,6 +184,32 @@ class TestGuaranteeSizing:
         shadow = model.max_occupancy_for_guarantee(5e-3)
         assert 0 < shadow / model.capacity < 0.05
 
+    @pytest.mark.parametrize("name", SWITCH_MODEL_NAMES)
+    def test_sizing_equals_binary_search(self, name):
+        model = get_switch_model(name)
+        empty = model.base_insertion_latency(0)
+        full = model.base_insertion_latency(model.capacity)
+        samples = [
+            model.base_insertion_latency(o) for o in range(0, model.capacity + 1, 97)
+        ]
+        guarantees = [empty / 2 - 1e-9, empty, full, full * 2 + 1e-9]
+        # Each sampled latency, and the floats just below and above it.
+        guarantees += [
+            np.nextafter(value, toward)
+            for value in samples
+            for toward in (-np.inf, np.inf)
+        ]
+        guarantees += samples
+        guarantees += list(np.linspace(empty, full, 41))
+        for guarantee in guarantees:
+            assert model.max_occupancy_for_guarantee(guarantee) == (
+                binary_search_oracle(model, guarantee)
+            ), guarantee
+        # Below the empty-table latency nothing fits; above the full-table
+        # latency everything does.
+        assert model.max_occupancy_for_guarantee(empty / 2 - 1e-9) == 0
+        assert model.max_occupancy_for_guarantee(full * 2 + 1e-9) == model.capacity
+
     @given(st.floats(min_value=1e-4, max_value=0.2))
     def test_sizing_monotone_in_budget(self, budget):
         model = dell_8132f()
@@ -185,6 +250,10 @@ class TestRegistry:
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError):
             get_switch_model("cisco-9000")
+
+    def test_models_compare_by_their_parameters(self):
+        assert pica8_p3290() == pica8_p3290()
+        assert pica8_p3290() != dell_8132f()
 
     def test_commodity_models_are_fresh_instances(self):
         first = commodity_switch_models()
