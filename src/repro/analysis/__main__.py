@@ -10,8 +10,8 @@ Four subcommands::
 
 ``lint`` runs both the per-file determinism lint and the project-wide
 schedule-order pass (``shared-state-mutation`` / ``ambiguous-tier``) over
-the same paths.  ``races`` runs a canned scenario (``demo``, ``fig01``,
-``fig08``, ``chaos``) — or, given a ``.py`` path, a fixture module
+the same paths.  ``races`` runs a canned scenario (``fig01``, ``fig08``,
+``chaos``) — or, given a ``.py`` path, a fixture module
 exposing ``run(sanitizer)`` — under the dynamic race sanitizer and
 reports every schedule-order race with its witness pair; exit 1 when any
 race is found.
@@ -255,7 +255,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     races_cmd.add_argument(
         "scenario",
         help=(
-            "demo, fig01, fig08, or chaos — or a path to a .py fixture "
+            "fig01, fig08, or chaos — or a path to a .py fixture "
             "module exposing run(sanitizer)"
         ),
     )

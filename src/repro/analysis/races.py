@@ -512,8 +512,8 @@ def run_fixture(path: str, sanitizer: Optional[RaceSanitizer] = None):
 def run_scenario(name: str, sanitizer: Optional[RaceSanitizer] = None):
     """Run one canned scenario end to end under the sanitizer.
 
-    ``name`` is ``demo`` (the traced obs demo workload), ``fig01``,
-    ``fig08``, or ``chaos`` (the parity scenarios, quick scale).  Returns
+    ``name`` is ``fig01``, ``fig08``, or ``chaos`` (the parity
+    scenarios, quick scale).  Returns
     ``(sanitizer, metrics)`` with the sanitizer finished.  These are the
     runs CI requires to be race-free.
     """

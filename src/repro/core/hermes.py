@@ -493,10 +493,13 @@ class HermesInstaller(RuleInstaller):
                 used_guaranteed_path=False,
             )
 
+        gatekeeper = 0.0
+
         def charge(blockers: List[Rule], outcome: PartitionOutcome) -> float:
             # Pure GateKeeper + Algorithm 1 cost; the TCAM writes add on
             # top of it.
-            latency = PARTITION_LATENCY_BUDGET * max(32, 4 * len(blockers))
+            nonlocal gatekeeper
+            gatekeeper = PARTITION_LATENCY_BUDGET * max(32, 4 * len(blockers))
             if tracer.enabled:
                 tracer.event(
                     "hermes.gatekeeper",
@@ -504,12 +507,12 @@ class HermesInstaller(RuleInstaller):
                     category="hermes",
                     reason=decision.reason,
                     use_shadow=True,
-                    latency=latency,
+                    latency=gatekeeper,
                     blockers=len(blockers),
                     fragments=len(outcome.fragments),
                     rule=rule.rule_id,
                 )
-            return latency
+            return gatekeeper
 
         outcome, latency = self.rule_manager.install(
             rule, self._now, on_partition=charge
@@ -528,6 +531,7 @@ class HermesInstaller(RuleInstaller):
                 fragment.rule_id for fragment in outcome.fragments
             ),
             used_guaranteed_path=True,
+            gatekeeper=gatekeeper,
         )
 
     # ------------------------------------------------------------------
@@ -665,6 +669,7 @@ class HermesInstaller(RuleInstaller):
             latency=delete_result.latency + add_result.latency,
             installed_rule_ids=add_result.installed_rule_ids,
             used_guaranteed_path=add_result.used_guaranteed_path,
+            gatekeeper=add_result.gatekeeper,
         )
 
     def _logical_rule(self, rule_id: int) -> Optional[Rule]:

@@ -223,7 +223,47 @@ def run_schemes(
 # ----------------------------------------------------------------------
 # Canned scenarios (shared by the race CLI, the perf CLI, and CI)
 # ----------------------------------------------------------------------
-CANNED_SCENARIOS = ("demo", "fig01", "fig08", "chaos")
+CANNED_SCENARIOS = ("fig01", "fig08", "chaos")
+
+
+def faulted_scenario(
+    jobs: int, seed: int, max_time: float, drop: float = 0.1,
+    duplicate: float = 0.0, scheme: str = "hermes", switch: str = "pica8-p3290",
+) -> Simulation:
+    """MapReduce jobs on a k=4 fat tree over a lossy resilient channel,
+    built but not run: FlowMods drop with probability ``drop`` (30% of
+    drops lose only the ack) and duplicate with ``duplicate``."""
+    from ..faults import FaultInjector, FaultPlan, FlowModFault
+    from ..switchsim import ChannelConfig
+
+    graph = build_fat_tree(FatTreeSpec(k=4, link_capacity=1e9))
+    flows = flows_of(
+        generate_jobs(
+            hosts(graph), job_count=jobs, arrival_rate=6.0,
+            rng=np.random.default_rng(seed),
+        )
+    )
+    plan = FaultPlan(
+        flowmod=FlowModFault(drop=drop, ack_loss_fraction=0.3, duplicate=duplicate)
+    )
+    injector = FaultInjector(plan=plan, seed=seed)
+    config = SimulationConfig(
+        te=TeAppConfig(epoch=0.25),
+        baseline_occupancy=200,
+        max_time=max_time,
+        channel_config=ChannelConfig(),
+        fault_plan=plan,
+        fault_seed=seed,
+    )
+    timing = get_switch_model(switch)
+    hermes_config = default_hermes_config() if scheme == "hermes" else None
+
+    def factory(switch_name):
+        return make_installer(
+            scheme, timing, hermes_config=hermes_config, injector=injector
+        )
+
+    return Simulation(graph, flows, factory, config, injector=injector)
 
 
 def canned_scenario(name: str):
@@ -256,36 +296,8 @@ def canned_scenario(name: str):
         )
         simulation = Simulation(graph, list(flows), factory, config)
         meta = {"scenario": name, "scheme": "hermes", "switch": "pica8-p3290"}
-    elif name in ("demo", "chaos"):
-        from ..faults import FaultInjector, FaultPlan, FlowModFault
-        from ..switchsim import ChannelConfig
-
-        graph = build_fat_tree(FatTreeSpec(k=4, link_capacity=1e9))
-        flows = flows_of(
-            generate_jobs(
-                hosts(graph), job_count=4, arrival_rate=6.0,
-                rng=np.random.default_rng(13),
-            )
-        )
-        plan = FaultPlan(flowmod=FlowModFault(drop=0.1, ack_loss_fraction=0.3))
-        injector = FaultInjector(plan=plan, seed=13)
-        config = SimulationConfig(
-            te=TeAppConfig(epoch=0.25),
-            baseline_occupancy=200,
-            max_time=2.5,
-            channel_config=ChannelConfig(),
-            fault_plan=plan,
-            fault_seed=13,
-        )
-        timing = get_switch_model("pica8-p3290")
-        hermes_config = default_hermes_config()
-
-        def factory(switch_name):
-            return make_installer(
-                "hermes", timing, hermes_config=hermes_config, injector=injector
-            )
-
-        simulation = Simulation(graph, flows, factory, config, injector=injector)
+    elif name == "chaos":
+        simulation = faulted_scenario(jobs=4, seed=13, max_time=2.5)
         meta = {
             "scenario": name,
             "scheme": "hermes",

@@ -7,8 +7,9 @@
 * :mod:`~repro.obs.metrics` — counters, gauges, fixed-bucket histograms.
 * :mod:`~repro.obs.export` — JSONL (``hermes-trace/1``), Chrome
   trace-event JSON, Prometheus text.
-* :mod:`~repro.obs.summary` — per-stage FlowMod breakdowns and trace diffs
-  (the engine behind ``python -m repro.obs``).
+* :mod:`~repro.obs.summary` — per-stage FlowMod breakdowns, from a trace
+  or from a run's channel histories, and trace diffs (the engine behind
+  ``python -m repro.obs``).
 * :mod:`~repro.obs.online` — the tracer-listener verification hook.
 * :mod:`~repro.obs.perf` — the wall-clock performance observatory:
   opt-in hotspot profiler, guarantee-burn ledger, and the
@@ -41,6 +42,7 @@ from .summary import (
     percentile,
     render_diff,
     render_summary,
+    run_breakdowns,
     summarize,
 )
 from .tracer import (
@@ -79,6 +81,7 @@ __all__ = [
     "FlowModBreakdown",
     "TraceSummary",
     "flowmod_breakdowns",
+    "run_breakdowns",
     "summarize",
     "percentile",
     "render_summary",

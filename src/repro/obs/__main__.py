@@ -44,49 +44,20 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_scenario(args: argparse.Namespace) -> int:
+def build_scenario(args: argparse.Namespace):
+    """The ``scenario`` command's simulation, built but not run."""
     # Heavy imports stay local: `summary`/`diff` must work without numpy.
-    import numpy as np
+    from ..experiments.common import faulted_scenario
 
-    from ..baselines import make_installer
-    from ..experiments.common import default_hermes_config
-    from ..faults import FaultInjector, FaultPlan, FlowModFault
-    from ..simulator import Simulation, SimulationConfig, TeAppConfig
-    from ..switchsim import ChannelConfig
-    from ..tcam import get_switch_model
-    from ..topology import FatTreeSpec, build_fat_tree, hosts
-    from ..traffic import flows_of, generate_jobs
+    return faulted_scenario(
+        jobs=args.jobs, seed=args.seed, max_time=args.max_time,
+        drop=args.drop, duplicate=0.02, scheme=args.scheme, switch=args.switch,
+    )
+
+
+def _cmd_scenario(args: argparse.Namespace) -> int:
     from .export import write_chrome_trace, write_prometheus, write_trace
     from .tracer import RecordingTracer, use_tracer
-
-    graph = build_fat_tree(FatTreeSpec(k=4, link_capacity=1e9))
-    flows = flows_of(
-        generate_jobs(
-            hosts(graph),
-            job_count=args.jobs,
-            arrival_rate=6.0,
-            rng=np.random.default_rng(args.seed),
-        )
-    )
-    plan = FaultPlan(
-        flowmod=FlowModFault(drop=args.drop, ack_loss_fraction=0.3, duplicate=0.02)
-    )
-    injector = FaultInjector(plan=plan, seed=args.seed)
-    sim_config = SimulationConfig(
-        te=TeAppConfig(epoch=0.25),
-        baseline_occupancy=200,
-        max_time=args.max_time,
-        channel_config=ChannelConfig(),
-        fault_plan=plan,
-        fault_seed=args.seed,
-    )
-    timing = get_switch_model(args.switch)
-    hermes_config = default_hermes_config() if args.scheme == "hermes" else None
-
-    def factory(name):
-        return make_installer(
-            args.scheme, timing, hermes_config=hermes_config, injector=injector
-        )
 
     tracer = RecordingTracer(
         meta={
@@ -98,8 +69,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         }
     )
     with use_tracer(tracer):
-        simulation = Simulation(graph, flows, factory, sim_config, injector=injector)
-        metrics = simulation.run()
+        metrics = build_scenario(args).run()
 
     os.makedirs(args.out_dir, exist_ok=True)
     trace_path = os.path.join(args.out_dir, "trace.jsonl")

@@ -6,8 +6,8 @@ Three concerns, one package:
   benchmark's layer names, from wrappers installed on the layer entry
   points for the length of one profile (profiled = byte-identical runs).
 * :mod:`~repro.obs.perf.burn` — the guarantee-burn ledger: SLO
-  compliance, violation windows, and per-layer budget attribution from
-  an existing sim-time trace.
+  compliance, violation windows, and per-layer budget attribution over
+  per-action breakdowns, read from a trace or from an untraced run.
 * :mod:`~repro.obs.perf.bench` — the ``hermes-bench/1`` artifact layer
   every benchmark suite writes through, plus the regression comparator
   and the ``results/`` index/history generators.

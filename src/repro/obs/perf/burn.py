@@ -1,34 +1,36 @@
-"""The guarantee-burn ledger: SLO compliance from a trace.
+"""The guarantee-burn ledger: SLO compliance of control actions.
 
 Hermes's product is a *latency guarantee* — the paper's default is 5 ms
-per rule installation.  The summarizer already splits every installed
-FlowMod's latency into the four layers of the control path
-(:data:`repro.obs.summary.STAGES`: gatekeeper → queue → tcam → channel);
-this module joins those breakdowns against the configured guarantee and
-reports, as one structured object:
+per rule installation.  Every control action's latency splits into the
+four layers of the control path (:data:`repro.obs.summary.STAGES`:
+gatekeeper → queue → tcam → channel), read from a trace by
+:func:`~repro.obs.summary.flowmod_breakdowns` or from an untraced run by
+:func:`~repro.obs.summary.run_breakdowns`.  This module scores those
+breakdowns against the configured guarantee and reports, as one
+structured object:
 
-* **compliance** — how many installs landed inside the budget, the
-  violation rate, and the burn-fraction distribution (latency divided by
-  guarantee: 1.0 = the budget exactly spent);
+* **compliance** — how many actions landed inside the budget, split by
+  command, the violation rate, and the burn-fraction distribution
+  (latency divided by guarantee: 1.0 = the budget exactly spent);
 * **violation windows** — contiguous sim-time intervals holding the
   violations, merged when closer than ``window_gap`` (a burst of
   violations reads as one incident, the way an SLO postmortem slices
   time);
 * **per-layer budget attribution** — how much of the budget each layer
-  burned on average and at the tail, over compliant and violating
-  installs separately, so "the channel ate the budget" and "the TCAM ate
-  the budget" are distinguishable at a glance.
+  burned on average and at the tail, so "the channel ate the budget" and
+  "the TCAM ate the budget" are distinguishable at a glance.
 
-The ledger is pure sim-time arithmetic over an existing trace — it never
-reads the wall clock and never perturbs a run.
+The ledger is pure sim-time arithmetic — it never reads the wall clock
+and never perturbs a run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Sequence
 
-from ..summary import STAGES, FlowModBreakdown, flowmod_breakdowns, percentile
+from ..summary import STAGES, FlowModBreakdown, percentile
 
 #: The paper's headline guarantee: 5 ms per rule installation.
 DEFAULT_GUARANTEE_SECONDS = 5e-3
@@ -42,10 +44,10 @@ class ViolationWindow:
     """One contiguous burst of guarantee violations.
 
     Attributes:
-        start: sim time of the first violating install's start.
-        end: sim time of the last violating install's end.
-        count: violating installs inside the window.
-        worst_seconds: the slowest install's attributed latency.
+        start: sim time of the first violating action's start.
+        end: sim time of the last violating action's end.
+        count: violating actions inside the window.
+        worst_seconds: the slowest action's attributed latency.
         worst_layer: the layer that burned the most budget in the window.
     """
 
@@ -55,40 +57,24 @@ class ViolationWindow:
     worst_seconds: float
     worst_layer: str
 
-    def to_dict(self) -> dict:
-        return {
-            "start": self.start,
-            "end": self.end,
-            "count": self.count,
-            "worst_seconds": self.worst_seconds,
-            "worst_layer": self.worst_layer,
-        }
-
 
 @dataclass
 class LayerBurn:
-    """One layer's share of the guarantee budget across installs."""
+    """One layer's share of the guarantee budget across actions."""
 
     mean_seconds: float = 0.0
     p99_seconds: float = 0.0
     mean_budget_share: float = 0.0  # mean(layer / guarantee)
     share_of_latency: float = 0.0  # layer total / all-layer total
 
-    def to_dict(self) -> dict:
-        return {
-            "mean_seconds": self.mean_seconds,
-            "p99_seconds": self.p99_seconds,
-            "mean_budget_share": self.mean_budget_share,
-            "share_of_latency": self.share_of_latency,
-        }
-
 
 @dataclass
 class GuaranteeBurnReport:
-    """Everything the ledger derives from one trace + one guarantee."""
+    """Everything the ledger derives from one run + one guarantee."""
 
     guarantee_seconds: float
-    installed: int
+    actions: int
+    commands: Dict[str, int]
     compliant: int
     violations: int
     violation_rate: float
@@ -101,37 +87,27 @@ class GuaranteeBurnReport:
 
     def to_dict(self) -> dict:
         """JSON-ready payload for artifacts and the CLI's ``--json``."""
-        return {
-            "guarantee_seconds": self.guarantee_seconds,
-            "installed": self.installed,
-            "compliant": self.compliant,
-            "violations": self.violations,
-            "violation_rate": self.violation_rate,
-            "burn_p50": self.burn_p50,
-            "burn_p99": self.burn_p99,
-            "burn_max": self.burn_max,
-            "layers": {
-                name: layer.to_dict() for name, layer in self.layers.items()
-            },
-            "windows": [window.to_dict() for window in self.windows],
-            "worst": [
-                {
-                    "span_id": item.span_id,
-                    "switch": item.switch,
-                    "start": item.start,
-                    "total_seconds": item.total,
-                    "burn": item.total / self.guarantee_seconds,
-                }
-                for item in self.worst
-            ],
-        }
+        payload = asdict(self)
+        payload["worst"] = [
+            {
+                "switch": item.switch,
+                "start": item.start,
+                "total_seconds": item.total,
+                "burn": item.total / self.guarantee_seconds,
+            }
+            for item in self.worst
+        ]
+        return payload
 
     def render(self) -> str:
         """The CLI's text report for one ledger."""
         g_ms = self.guarantee_seconds * 1e3
+        split = ", ".join(
+            f"{count} {command}" for command, count in sorted(self.commands.items())
+        ) or "none"
         lines = [
             f"guarantee-burn ledger against a {g_ms:g} ms guarantee:",
-            f"  {self.installed} installed FlowMods, "
+            f"  {self.actions} control actions ({split}), "
             f"{self.compliant} compliant, {self.violations} violations "
             f"({self.violation_rate * 100:.2f}%)",
             f"  budget burn: p50={self.burn_p50 * 100:.1f}%  "
@@ -160,7 +136,7 @@ class GuaranteeBurnReport:
                 )
         else:
             lines.append("")
-            lines.append("  no violation windows: every install met the budget")
+            lines.append("  no violation windows: every action met the budget")
         if self.worst:
             lines.append("")
             lines.append("  worst offenders:")
@@ -207,17 +183,17 @@ def _freeze_window(items: Sequence[FlowModBreakdown]) -> ViolationWindow:
 
 
 def guarantee_burn(
-    source,
+    breakdowns: Sequence[FlowModBreakdown],
     guarantee: float = DEFAULT_GUARANTEE_SECONDS,
     window_gap: float = DEFAULT_WINDOW_GAP,
     top: int = 5,
 ) -> GuaranteeBurnReport:
-    """Build the ledger from trace records or ready-made breakdowns.
+    """Score per-action breakdowns against a guarantee.
 
     Args:
-        source: either a sequence of raw ``hermes-trace/1`` records or a
-            sequence of :class:`~repro.obs.summary.FlowModBreakdown`.
-        guarantee: the per-install budget in sim seconds.
+        breakdowns: :class:`~repro.obs.summary.FlowModBreakdown` items
+            sorted by start, as both producers give them.
+        guarantee: the per-action budget in sim seconds.
         window_gap: merge violations closer than this into one window.
         top: worst offenders to keep on the report.
 
@@ -226,17 +202,12 @@ def guarantee_burn(
     """
     if guarantee <= 0:
         raise ValueError(f"guarantee must be positive: {guarantee!r}")
-    items: Sequence[FlowModBreakdown]
-    if source and isinstance(source[0], FlowModBreakdown):
-        items = list(source)
-    else:
-        items = flowmod_breakdowns(source)
-    violating = [item for item in items if item.total > guarantee]
-    burns = [item.total / guarantee for item in items]
-    total_latency = sum(item.total for item in items)
+    violating = [item for item in breakdowns if item.total > guarantee]
+    burns = [item.total / guarantee for item in breakdowns]
+    total_latency = sum(item.total for item in breakdowns)
     layers: Dict[str, LayerBurn] = {}
     for name in STAGES:
-        values = [item.stage(name) for item in items]
+        values = [item.stage(name) for item in breakdowns]
         layer_total = sum(values)
         layers[name] = LayerBurn(
             mean_seconds=layer_total / len(values) if values else 0.0,
@@ -248,13 +219,14 @@ def guarantee_burn(
                 layer_total / total_latency if total_latency > 0 else 0.0
             ),
         )
-    worst = sorted(violating or items, key=lambda item: -item.total)[:top]
+    worst = sorted(violating or breakdowns, key=lambda item: -item.total)[:top]
     return GuaranteeBurnReport(
         guarantee_seconds=guarantee,
-        installed=len(items),
-        compliant=len(items) - len(violating),
+        actions=len(breakdowns),
+        commands=dict(Counter(item.command for item in breakdowns)),
+        compliant=len(breakdowns) - len(violating),
         violations=len(violating),
-        violation_rate=len(violating) / len(items) if items else 0.0,
+        violation_rate=len(violating) / len(breakdowns) if breakdowns else 0.0,
         burn_p50=percentile(burns, 50),
         burn_p99=percentile(burns, 99),
         burn_max=max(burns, default=0.0),

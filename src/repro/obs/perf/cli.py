@@ -1,10 +1,11 @@
 """The ``perf`` subcommand group of ``python -m repro.obs``.
 
-* ``perf profile SCENARIO`` — run a canned scenario (demo / fig01 /
-  fig08 / chaos) under the wall-clock profiler with tracing on; print
-  the per-layer calls and self times and the guarantee-burn ledger;
-  optionally write the ``hermes-perf/2`` JSON artifact, a wall-clock
-  flamegraph of nested ``loop;…`` stacks, and the trace itself.
+* ``perf profile SCENARIO`` — run a canned scenario (fig01 / fig08 /
+  chaos) untraced under the wall-clock profiler; print the per-layer
+  calls and self times and the guarantee-burn ledger, read from the
+  run's channel histories; optionally write the ``hermes-perf/2`` JSON
+  artifact and a wall-clock flamegraph of nested ``loop;…`` stacks.
+  Traces come from ``python -m repro.obs scenario``.
 * ``perf report TRACE`` — the guarantee-burn ledger of an existing
   trace (``--json`` for the structured form).
 * ``perf flamegraph TRACE`` — sim-time collapsed stacks from a trace's
@@ -30,29 +31,27 @@ PERF_FORMAT = "hermes-perf/2"
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     from ...experiments.common import canned_scenario
-    from ..export import write_trace
-    from ..tracer import RecordingTracer, use_tracer
+    from ..summary import run_breakdowns
     from .bench import machine_fingerprint
     from .burn import guarantee_burn
     from .flame import write_collapsed
     from .profiler import Profiler
 
-    tracer = RecordingTracer(meta={"scenario": args.scenario})
-    with use_tracer(tracer):
-        simulation, meta = canned_scenario(args.scenario)
-        profiler = Profiler(meta=meta).begin()
-        try:
-            metrics = profiler.run(simulation)
-        finally:
-            report = profiler.finish()
-    burn = guarantee_burn(tracer.records, guarantee=args.guarantee_ms * 1e-3)
+    simulation, meta = canned_scenario(args.scenario)
+    profiler = Profiler(meta=meta).begin()
+    try:
+        metrics = profiler.run(simulation)
+    finally:
+        report = profiler.finish()
+    burn = guarantee_burn(
+        run_breakdowns(simulation.controller.channels.values()),
+        guarantee=args.guarantee_ms * 1e-3,
+    )
     print(report.render())
     print()
     print(burn.render())
     print()
-    print(
-        f"{len(metrics.rits())} installs, {len(tracer.records)} trace records"
-    )
+    print(f"{len(metrics.rits())} installs")
     if args.out:
         document = {
             "format": PERF_FORMAT,
@@ -68,19 +67,17 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if args.flame:
         write_collapsed(report.collapsed(), args.flame)
         print(f"wrote {args.flame} (wall-clock collapsed stacks)")
-    if args.trace_out:
-        write_trace(tracer, args.trace_out)
-        print(f"wrote {args.trace_out}")
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from ..export import read_trace
+    from ..summary import flowmod_breakdowns
     from .burn import guarantee_burn
 
     _header, records = read_trace(args.trace)
     burn = guarantee_burn(
-        records,
+        flowmod_breakdowns(records),
         guarantee=args.guarantee_ms * 1e-3,
         window_gap=args.window_gap,
     )
@@ -147,16 +144,13 @@ def register(subparsers) -> None:
         "profile", help="profile a canned scenario (hotspots + burn)"
     )
     p_profile.add_argument(
-        "scenario", help="canned scenario: demo, fig01, fig08, or chaos"
+        "scenario", help="canned scenario: fig01, fig08, or chaos"
     )
     p_profile.add_argument(
         "--out", help="write the hermes-perf/2 JSON artifact here"
     )
     p_profile.add_argument(
         "--flame", help="write wall-clock collapsed stacks here"
-    )
-    p_profile.add_argument(
-        "--trace-out", help="write the recorded hermes-trace/1 JSONL here"
     )
     p_profile.add_argument(
         "--guarantee-ms",

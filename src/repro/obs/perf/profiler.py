@@ -23,6 +23,7 @@ an unprofiled one (pinned digests in ``tests/obs/test_perf.py``).
 from __future__ import annotations
 
 import functools
+import gc
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -261,7 +262,11 @@ class Profiler:
             self._current = parent
 
     def run(self, simulation):
-        """Run ``simulation`` under the root layer; returns its metrics."""
+        """Run ``simulation`` under the root layer; returns its metrics.
+
+        Collects first, so no gen-2 pause over set-up garbage lands in it.
+        """
+        gc.collect()
         return self.call(ROOT_LAYER, simulation.run)
 
     def finish(self) -> ProfileReport:

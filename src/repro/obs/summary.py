@@ -1,28 +1,31 @@
-"""Trace analysis: per-stage FlowMod breakdowns, summaries, and diffs.
+"""Per-stage FlowMod breakdowns, trace summaries, and diffs.
 
-The summarizer joins a trace's spans back into per-FlowMod lifecycles and
-splits each installed FlowMod's controller-observed latency into the four
-stages of the control path:
+Each control action's controller-observed latency splits into the four
+stages of the control path.  Every stage is computed once, in the
+component where it happens, and carried on what that component returns:
 
 * **gatekeeper** — Hermes's admission decision plus Algorithm 1's overlap
-  scan (the ``latency`` attribute of the ``hermes.gatekeeper`` event; zero
-  for non-Hermes schemes);
-* **queue** — time the FlowMod waited for the switch CPU
-  (``agent.action``'s ``queue_delay`` attribute);
-* **tcam** — installer execution minus the gatekeeper share: the physical
-  TCAM write/shift cost;
+  scan: ``FlowModResult.gatekeeper``, the ``agent.action`` span's
+  ``gatekeeper`` attribute (zero for diverted inserts and for non-Hermes
+  schemes);
+* **queue** — time the action waited for the switch CPU:
+  ``CompletedAction.queue_delay``, the span's ``queue_delay``;
+* **tcam** — installer execution minus the gatekeeper share, the physical
+  TCAM write/shift cost (``exec_latency`` minus ``gatekeeper``);
 * **channel** — everything the network added on top: propagation,
-  timeouts, backoff, and redeliveries (the enclosing ``flowmod`` span's
-  duration minus the switch-side window).
+  timeouts, backoff, and redeliveries: ``SendOutcome.channel_delay``, the
+  enclosing ``flowmod`` span's ``channel`` attribute.
 
-Stage values are clamped at zero, so a trace produced by any installer
-scheme summarizes sensibly even where a stage does not apply.
+:func:`flowmod_breakdowns` reads those fields from a trace's spans and
+:func:`run_breakdowns` from a run's channel histories, with the same
+result.  Stages are clamped at zero.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: The per-FlowMod stages, in presentation order.
@@ -33,9 +36,13 @@ _PERCENTILES: Tuple[int, ...] = (50, 90, 99)
 
 @dataclass
 class FlowModBreakdown:
-    """One installed FlowMod's per-stage latency split."""
+    """One control action's per-stage latency split.
 
-    span_id: int
+    ``span_id`` is the ``agent.action`` span's id for a breakdown read
+    from a trace, None for one read from a run.
+    """
+
+    span_id: Optional[int]
     switch: str
     command: str
     start: float
@@ -80,116 +87,89 @@ def percentile(values: Sequence[float], pct: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Joining records into breakdowns
+# Reading breakdowns
 # ---------------------------------------------------------------------------
 
-def _span_children(spans: Iterable[dict]) -> Dict[int, List[dict]]:
-    children: Dict[int, List[dict]] = {}
-    for span in spans:
-        children.setdefault(span["parent"], []).append(span)
-    return children
+#: The one order both producers give: by start, end, then switch.  The
+#: sort is stable and both producers list one switch's actions in the
+#: order they ran, so ties come out the same from a trace and a run.
+_ORDER = attrgetter("start", "end", "switch")
 
 
-def _descendants(children: Dict[int, List[dict]], root_id: int) -> List[dict]:
-    found: List[dict] = []
-    frontier = [root_id]
-    while frontier:
-        node = frontier.pop()
-        for child in children.get(node, ()):
-            found.append(child)
-            frontier.append(child["id"])
-    return found
+def _breakdown(
+    span_id, switch, command, start, end, gatekeeper, queue_delay,
+    exec_latency, channel, attempts, delivered, shifts, xid,
+) -> FlowModBreakdown:
+    """A breakdown with every stage clamped at zero."""
+    gatekeeper = max(0.0, gatekeeper)
+    return FlowModBreakdown(
+        span_id, switch, command, start, end, gatekeeper,
+        max(0.0, queue_delay), max(0.0, exec_latency - gatekeeper),
+        max(0.0, channel), attempts, delivered, shifts, xid,
+    )
 
 
 def flowmod_breakdowns(records: Sequence[dict]) -> List[FlowModBreakdown]:
-    """Join spans and events into one breakdown per installed FlowMod.
+    """One breakdown per ``agent.action`` span of a trace.
 
-    ``agent.action`` spans reached through a ``flowmod`` channel span get
-    the channel residual; actions submitted without a channel (direct
-    ``SwitchAgent.submit`` calls, e.g. in replay harnesses) appear with a
-    zero channel stage.  Undelivered sends carry no agent span and are
-    excluded — they never installed anything.
-
-    Each action sits under an ``agent.batch`` span.  A ``hermes.gatekeeper``
-    event is emitted while that span is open, before its action spans
-    exist, so an event joins its action on (enclosing agent span, rule id).
-    ``shifts`` are measured per batch; a batch of one hands them to its
-    only action.
+    An action span carries its own ``gatekeeper``, ``queue_delay`` and
+    ``exec_latency``; its ``flowmod`` grandparent (action, ``agent.batch``,
+    ``flowmod``) carries ``channel``, ``attempts`` and ``delivered``.  An
+    action with no channel span (a direct ``SwitchAgent.submit``, as in
+    the replay harnesses) gets a zero channel stage, one attempt, and
+    delivered.  Undelivered sends hold no action span and are left out:
+    they installed nothing.  ``shifts`` are measured per batch; a batch
+    of one hands them to its only action.
     """
-    spans = [r for r in records if r["type"] == "span"]
-    # (enclosing span id, rule id) -> gatekeeper latencies, in emission
-    # order; a batch may install the same rule id twice (add, then a
-    # repositioning modify), and each takes the next event.
-    gatekeeper_by_key: Dict[Tuple[int, object], List[float]] = {}
-    for record in records:
-        if record["type"] == "event" and record["name"] == "hermes.gatekeeper":
-            attrs = record["attrs"]
-            key = (record.get("span", 0), attrs.get("rule"))
-            gatekeeper_by_key.setdefault(key, []).append(attrs.get("latency", 0.0))
-    children = _span_children(spans)
-    by_id = {span["id"]: span for span in spans}
+    by_id = {record["id"]: record for record in records if record["type"] == "span"}
     breakdowns: List[FlowModBreakdown] = []
-    claimed: set = set()
-
-    def action_breakdown(action: dict, channel_time: float, outer: Optional[dict]) -> FlowModBreakdown:
-        attrs = action["attrs"]
-        parent = by_id.get(action["parent"])
-        enclosing = action
-        shifts = None
-        if parent is not None and parent["name"] == "agent.batch":
-            enclosing = parent
-            if parent["attrs"].get("size") == 1:
-                shifts = parent["attrs"].get("shifts")
-        pending = gatekeeper_by_key.get((enclosing["id"], attrs.get("rule")))
-        gatekeeper = max(0.0, pending.pop(0)) if pending else 0.0
-        queue = max(0.0, attrs.get("queue_delay", 0.0))
-        exec_latency = max(0.0, attrs.get("exec_latency", action["end"] - action["start"]))
-        tcam = max(0.0, exec_latency - gatekeeper)
-        return FlowModBreakdown(
-            span_id=action["id"],
-            switch=str(attrs.get("switch", "?")),
-            command=str(attrs.get("command", "?")),
-            start=action["start"],
-            end=action["end"],
-            gatekeeper=gatekeeper,
-            queue=queue,
-            tcam=tcam,
-            channel=max(0.0, channel_time),
-            attempts=int(outer["attrs"].get("attempts", 1)) if outer else 1,
-            delivered=bool(outer["attrs"].get("delivered", True)) if outer else True,
-            shifts=shifts,
-            xid=attrs.get("xid"),
-        )
-
-    for flowmod in spans:
-        if flowmod["name"] != "flowmod":
+    for span in by_id.values():
+        if span["name"] != "agent.action":
             continue
-        actions = [
-            span
-            for span in _descendants(children, flowmod["id"])
-            if span["name"] == "agent.action"
-        ]
-        if not actions:
-            continue  # undelivered: nothing was installed
-        duration = flowmod["end"] - flowmod["start"]
-        # The switch-side window: the batch span when the actions ran as a
-        # batch, else the actions themselves.  What the channel "cost" is
-        # the send duration minus the time the switch was doing the work.
-        window_start = min(span["start"] for span in actions)
-        window_end = max(span["end"] for span in actions)
-        parent = by_id.get(actions[0]["parent"])
-        if parent is not None and parent["name"] == "agent.batch":
-            window_start = parent["start"]
-            window_end = max(window_end, parent["end"])
-        channel_time = max(0.0, duration - (window_end - window_start))
-        for action in actions:
-            claimed.add(action["id"])
-            breakdowns.append(action_breakdown(action, channel_time, flowmod))
-    # Channel-less actions (direct submits).
-    for span in spans:
-        if span["name"] == "agent.action" and span["id"] not in claimed:
-            breakdowns.append(action_breakdown(span, 0.0, None))
-    breakdowns.sort(key=lambda item: (item.start, item.span_id))
+        attrs = span["attrs"]
+        shifts = None
+        outer: dict = {}
+        batch = by_id.get(span["parent"])
+        if batch is not None and batch["name"] == "agent.batch":
+            if batch["attrs"].get("size") == 1:
+                shifts = batch["attrs"].get("shifts")
+            flowmod = by_id.get(batch["parent"])
+            if flowmod is not None and flowmod["name"] == "flowmod":
+                outer = flowmod["attrs"]
+        breakdowns.append(_breakdown(
+            span["id"], str(attrs.get("switch", "?")),
+            str(attrs.get("command", "?")), span["start"], span["end"],
+            attrs.get("gatekeeper", 0.0), attrs.get("queue_delay", 0.0),
+            attrs.get("exec_latency", span["end"] - span["start"]),
+            outer.get("channel", 0.0), int(outer.get("attempts", 1)),
+            bool(outer.get("delivered", True)), shifts, attrs.get("xid"),
+        ))
+    breakdowns.sort(key=_ORDER)
+    return breakdowns
+
+
+def run_breakdowns(channels: Iterable) -> List[FlowModBreakdown]:
+    """The breakdowns of a run, traced or not, from its channel histories.
+
+    ``channels`` are :class:`~repro.switchsim.channel.Channel` objects
+    (``simulation.controller.channels.values()``).  Each applied send
+    gives one breakdown per action, equal to what
+    :func:`flowmod_breakdowns` reads from the same run's trace, but with
+    no ``span_id`` or ``shifts``.
+    """
+    breakdowns: List[FlowModBreakdown] = []
+    for channel in channels:
+        for sent in channel.history():
+            for completed in sent.completed:
+                result = completed.result
+                breakdowns.append(_breakdown(
+                    None, channel.agent.name, completed.flow_mod.command.value,
+                    completed.submit_time, completed.finish_time,
+                    result.gatekeeper, completed.queue_delay, result.latency,
+                    sent.channel_delay, sent.attempts, sent.delivered, None,
+                    completed.flow_mod.xid,
+                ))
+    breakdowns.sort(key=_ORDER)
     return breakdowns
 
 
@@ -265,7 +245,7 @@ def stage_table(breakdowns: Sequence[FlowModBreakdown]) -> str:
 
 def slowest_table(breakdowns: Sequence[FlowModBreakdown], top: int) -> str:
     """The top-k slowest FlowMods with their stage splits."""
-    ranked = sorted(breakdowns, key=lambda item: (-item.total, item.span_id))[:top]
+    ranked = sorted(breakdowns, key=lambda item: -item.total)[:top]
     lines = []
     for item in ranked:
         lines.append(

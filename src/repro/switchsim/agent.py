@@ -143,10 +143,6 @@ class SwitchAgent:
         """Every completed action, in completion order."""
         return list(self._history)
 
-    def install_latencies(self) -> List[float]:
-        """Per-action response times — the series the RIT CDFs are built from."""
-        return [completed.response_time for completed in self._history]
-
     def _sample_gauges(self, tracer, at_time: float) -> None:
         """Record the installer's gauge readings under this switch's name."""
         readings = self.installer.gauges()
@@ -235,10 +231,9 @@ class SwitchAgent:
                 completed, background_time=background if index == 0 else 0.0
             )
             if tracer.enabled:
-                # Per-action child spans (parented on the open batch span);
-                # shifts are known only batch-wide, so they live on the
-                # batch span instead.  ``rule`` joins each action to the
-                # Gate Keeper event its installer emitted under the batch.
+                # Per-action child spans (parented on the open batch span)
+                # carry the stages known here; shifts are known only
+                # batch-wide, so they live on the batch span instead.
                 tracer.start_span(
                     "agent.action", start=at_time, category="agent",
                     switch=self.name, command=flow_mod.command.value,
@@ -247,6 +242,7 @@ class SwitchAgent:
                     end=finish,
                     queue_delay=completed.queue_delay,
                     exec_latency=result.latency,
+                    gatekeeper=result.gatekeeper,
                     guaranteed=result.used_guaranteed_path,
                 )
             cursor = finish

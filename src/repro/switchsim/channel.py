@@ -78,12 +78,14 @@ class SendOutcome:
             delivery on the naive channel, which has no acks: the
             controller observes each action's own finish time.
         delivered: True when the controller received an ack.
+        sent_time: when the controller sent the batch.
     """
 
     completed: List[CompletedAction]
     attempts: int
     done_time: Optional[float]
     delivered: bool
+    sent_time: float
 
     @property
     def applied(self) -> bool:
@@ -95,6 +97,23 @@ class SendOutcome:
     def retries(self) -> int:
         """Attempts beyond the first."""
         return max(0, self.attempts - 1)
+
+    @property
+    def heard_time(self) -> float:
+        """When the controller learned the outcome: ``done_time``, or on
+        the naive channel (no acks) the last action's finish."""
+        if self.done_time is not None:
+            return self.done_time
+        return self.completed[-1].finish_time if self.completed else self.sent_time
+
+    @property
+    def channel_delay(self) -> float:
+        """Send-to-heard less the switch's window from arrival to last
+        finish: what the network added.  Zero for a send never applied."""
+        if not self.completed:
+            return 0.0
+        window = self.completed[-1].finish_time - self.completed[0].submit_time
+        return max(0.0, (self.heard_time - self.sent_time) - window)
 
 
 @dataclass
@@ -112,6 +131,8 @@ class ChannelStats:
 class Channel:
     """Interface: deliver FlowMod batches to one switch agent."""
 
+    _history: List[SendOutcome]
+
     def send(self, flow_mod: FlowMod, at_time: float) -> SendOutcome:
         """Send one FlowMod: a batch of one (see :meth:`send_batch`)."""
         return self.send_batch((flow_mod,), at_time)
@@ -120,6 +141,21 @@ class Channel:
         self, flow_mods: Sequence[FlowMod], at_time: float
     ) -> SendOutcome:
         raise NotImplementedError
+
+    def history(self) -> List[SendOutcome]:
+        """Every send that took effect on the switch, in send order."""
+        return list(self._history)
+
+    def _close(self, span, outcome: SendOutcome) -> SendOutcome:
+        """Keep an applied send, and finish its ``flowmod`` span."""
+        if outcome.completed:
+            self._history.append(outcome)
+        if get_tracer().enabled:
+            span.finish(
+                end=outcome.heard_time, delivered=outcome.delivered,
+                attempts=outcome.attempts, channel=outcome.channel_delay,
+            )
+        return outcome
 
 
 class NaiveChannel(Channel):
@@ -144,6 +180,7 @@ class NaiveChannel(Channel):
         # standalone channel inherits its agent's timeline.
         self.clock = clock if clock is not None else agent.clock
         self.stats = ChannelStats()
+        self._history: List[SendOutcome] = []
 
     def _verdict_delay(self, at_time: float) -> Optional[float]:
         """Extra delivery delay, or None when the FlowMod is dropped."""
@@ -181,18 +218,14 @@ class NaiveChannel(Channel):
                 raise
         if delay is None:
             self.stats.give_ups += 1
-            span.finish(end=at_time, delivered=False, attempts=1)
-            return SendOutcome(
-                completed=[], attempts=1, done_time=at_time, delivered=False
-            )
-        span.finish(
-            end=max((action.finish_time for action in completed), default=at_time),
-            delivered=True,
-            attempts=1,
-        )
-        return SendOutcome(
-            completed=completed, attempts=1, done_time=None, delivered=True
-        )
+            return self._close(span, SendOutcome(
+                completed=[], attempts=1, done_time=at_time, delivered=False,
+                sent_time=at_time,
+            ))
+        return self._close(span, SendOutcome(
+            completed=completed, attempts=1, done_time=None, delivered=True,
+            sent_time=at_time,
+        ))
 
 
 class ResilientChannel(Channel):
@@ -227,6 +260,7 @@ class ResilientChannel(Channel):
         self._xids = itertools.count(1)
         self._consecutive_timeouts = 0
         self._open_until: Optional[float] = None
+        self._history: List[SendOutcome] = []
 
     # ------------------------------------------------------------------
     # Breaker
@@ -272,11 +306,13 @@ class ResilientChannel(Channel):
         self.stats.sends += 1
         if not flow_mods:
             return SendOutcome(
-                completed=[], attempts=0, done_time=at_time, delivered=True
+                completed=[], attempts=0, done_time=at_time, delivered=True,
+                sent_time=at_time,
             )
         if self._fast_fail(at_time):
             return SendOutcome(
-                completed=[], attempts=0, done_time=at_time, delivered=False
+                completed=[], attempts=0, done_time=at_time, delivered=False,
+                sent_time=at_time,
             )
         xid = next(self._xids)
         stamped = [replace(flow_mod, xid=xid) for flow_mod in flow_mods]
@@ -293,13 +329,13 @@ class ResilientChannel(Channel):
         except BaseException:
             span.finish(end=at_time, error=True)
             raise
-        span.finish(end=done_time, delivered=delivered, attempts=attempts)
-        return SendOutcome(
+        return self._close(span, SendOutcome(
             completed=applied if applied is not None else [],
             attempts=attempts,
             done_time=done_time,
             delivered=delivered,
-        )
+            sent_time=at_time,
+        ))
 
     def _attempt_loop(self, at_time: float, xid: int, apply: Callable):
         """Shared retry machinery; returns (applied, attempts, done, ok)."""

@@ -104,8 +104,11 @@ class FlowModResult:
             after the action (more than one when Hermes partitioned it).
         used_guaranteed_path: True when Hermes serviced the action through
             the shadow table (i.e. under its performance guarantee).
+        gatekeeper: the part of ``latency`` Hermes charged for the Gate
+            Keeper plus Algorithm 1 (0 for diverted inserts, other schemes).
     """
 
     latency: float
     installed_rule_ids: tuple = field(default_factory=tuple)
     used_guaranteed_path: bool = False
+    gatekeeper: float = 0.0

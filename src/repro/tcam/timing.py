@@ -91,6 +91,9 @@ class EmpiricalTimingModel:
             # first measured latency is a conservative floor.
             occupancies.insert(0, 0)
             latencies.insert(0, latencies[0] / 2.0)
+        if len(occupancies) < 2:
+            # A lone point at zero leaves the last segment's slope undefined.
+            raise ValueError(f"{self.name}: needs a point above occupancy 0")
         self._occupancies = np.asarray(occupancies, dtype=float)
         self._latencies = np.asarray(latencies, dtype=float)
         if np.any(np.diff(self._latencies) < 0):

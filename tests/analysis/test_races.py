@@ -393,8 +393,8 @@ class TestRacesCli:
         assert "install-left" in result.stdout
         assert "install-right" in result.stdout
 
-    def test_demo_scenario_is_race_free(self):
-        result = self._cli("demo")
+    def test_chaos_scenario_is_race_free(self):
+        result = self._cli("chaos")
         assert result.returncode == 0, result.stdout + result.stderr
         assert "0 race(s)" in result.stdout
 

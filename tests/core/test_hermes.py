@@ -189,6 +189,35 @@ class TestModify:
         hermes.apply(FlowMod.modify(low.rule_id, priority=99))
         assert hermes.lookup(key("10.0.1.1")).action.port == 1
 
+    def test_gatekeeper_stage_follows_the_add(self):
+        # The Gate Keeper share of an admitted insert is the charge its
+        # event reports; a diverted insert has none, an action-only
+        # modify has none, and a repositioning modify carries its add's.
+        from repro.obs import RecordingTracer, use_tracer
+
+        hermes = make_hermes(shadow_capacity=2)
+        tracer = RecordingTracer()
+        with use_tracer(tracer):
+            admitted = hermes.apply(FlowMod.add(rule("10.0.0.0/8", 50)))
+            hermes.apply(FlowMod.add(rule("11.0.0.0/8", 51)))
+            diverted = hermes.apply(FlowMod.add(rule("12.0.0.0/8", 52)))
+        charges = [
+            record["attrs"]["latency"]
+            for record in tracer.records
+            if record["type"] == "event" and record["name"] == "hermes.gatekeeper"
+        ]
+        assert admitted.used_guaranteed_path and not diverted.used_guaranteed_path
+        assert 0.0 < admitted.gatekeeper == charges[0] < admitted.latency
+        assert diverted.gatekeeper == 0.0 == charges[2]
+        moved = rule("13.0.0.0/8", 60)
+        hermes.advance_time(10.0)
+        hermes.apply(FlowMod.add(moved))
+        action_only = hermes.apply(FlowMod.modify(moved.rule_id, action=Action.drop()))
+        assert action_only.gatekeeper == 0.0
+        repositioned = hermes.apply(FlowMod.modify(moved.rule_id, priority=70))
+        assert repositioned.used_guaranteed_path
+        assert repositioned.gatekeeper == admitted.gatekeeper
+
     def test_modify_unknown_rule_raises(self):
         hermes = make_hermes()
         with pytest.raises(KeyError):

@@ -31,11 +31,12 @@ def build_trace() -> RecordingTracer:
 
     The span nest is the agent's: flowmod -> agent.batch (a batch of one,
     carrying the shifts) -> agent.action, with the Gate Keeper event
-    emitted under the batch span before the action span opens.
+    emitted under the batch span before the action span opens.  Each
+    span carries the stages its component records.
 
     flowmod span: 0.000 -> 0.005 (5 ms), batch window 0.002 -> 0.004
     (2 ms) => channel = 3 ms.  queue_delay = 1 ms, exec_latency = 2 ms,
-    gatekeeper latency = 0.2 ms => tcam = 1.8 ms.
+    gatekeeper = 0.2 ms => tcam = 1.8 ms.
     """
     tracer = RecordingTracer(meta={"scenario": "unit"})
     flowmod = tracer.start_span(
@@ -51,9 +52,9 @@ def build_trace() -> RecordingTracer:
     tracer.start_span(
         "agent.action", start=0.002, category="agent", switch="s1",
         command="add", rule=7,
-    ).finish(end=0.004, queue_delay=0.001, exec_latency=0.002)
+    ).finish(end=0.004, queue_delay=0.001, exec_latency=0.002, gatekeeper=0.0002)
     batch.finish(end=0.004, shifts=3)
-    flowmod.finish(end=0.005, delivered=True, attempts=2)
+    flowmod.finish(end=0.005, delivered=True, attempts=2, channel=0.003)
     tracer.sample("shadow.occupancy", time=0.004, value=10.0, switch="s1")
     tracer.sample("shadow.occupancy", time=0.005, value=12.0, switch="s1")
     return tracer
@@ -137,20 +138,52 @@ class TestBreakdowns:
         assert breakdowns[0].channel == 0.0
 
     def test_gatekeeper_joins_its_action_inside_a_batch(self):
-        # Two actions of one batch: each gatekeeper event goes to the
-        # action with its rule id, not to its neighbour.
+        # Two Hermes inserts in one batch: each action span carries the
+        # Gate Keeper latency of its own insert, which equals its event's.
+        from repro.baselines import make_installer
+        from repro.experiments.common import default_hermes_config
+        from repro.obs import use_tracer
+        from repro.switchsim import FlowMod, SwitchAgent
+        from repro.tcam import Action, Rule, get_switch_model
+
+        installer = make_installer(
+            "hermes", get_switch_model("pica8-p3290"),
+            hermes_config=default_hermes_config(),
+        )
+        # Ten higher-priority main-table rules block the first insert and
+        # none the second, so their Algorithm 1 scans cost differently.
+        # The bottom-priority rule keeps both off the main-table fastpath.
+        installer.prefill([
+            Rule.from_prefix(f"10.{octet}.0.0/16", 9, Action.output(1))
+            for octet in range(10)
+        ] + [Rule.from_prefix("12.0.0.0/8", 1, Action.output(1))])
+        agent = SwitchAgent(installer, name="s1")
         tracer = RecordingTracer()
-        batch = tracer.start_span("agent.batch", start=0.0, switch="s1", size=2)
-        tracer.event("hermes.gatekeeper", time=0.0, latency=0.0003, rule=2)
-        tracer.event("hermes.gatekeeper", time=0.0, latency=0.0001, rule=1)
-        for rule_id, end in ((1, 0.001), (2, 0.002)):
-            tracer.start_span(
-                "agent.action", start=0.0, switch="s1", command="add", rule=rule_id
-            ).finish(end=end, queue_delay=0.0, exec_latency=0.001)
-        batch.finish(end=0.002, shifts=4)
+        with use_tracer(tracer):
+            agent.submit_batch(
+                (
+                    FlowMod.add(Rule.from_prefix("10.0.0.0/8", 5, Action.output(2))),
+                    FlowMod.add(Rule.from_prefix("11.0.0.0/8", 5, Action.output(3))),
+                ),
+                at_time=0.0,
+            )
+        events = {
+            record["attrs"]["rule"]: record["attrs"]["latency"]
+            for record in tracer.records
+            if record["type"] == "event" and record["name"] == "hermes.gatekeeper"
+        }
+        actions = [
+            record for record in tracer.records
+            if record["type"] == "span" and record["name"] == "agent.action"
+        ]
+        assert len(events) == len(actions) == 2
+        assert len(set(events.values())) == 2 and 0.0 not in events.values()
+        for action in actions:
+            assert action["attrs"]["gatekeeper"] == events[action["attrs"]["rule"]]
         first, second = flowmod_breakdowns(tracer.records)
-        assert first.gatekeeper == pytest.approx(0.0001)
-        assert second.gatekeeper == pytest.approx(0.0003)
+        assert (first.gatekeeper, second.gatekeeper) == tuple(
+            action["attrs"]["gatekeeper"] for action in actions
+        )
         # Shifts are batch-wide: no single action owns them.
         assert first.shifts is None and second.shifts is None
 

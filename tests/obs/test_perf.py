@@ -35,8 +35,7 @@ from repro.obs.perf.burn import (
 from repro.obs.perf.flame import trace_collapsed
 from repro.obs.perf.profiler import ROOT_LAYER, Profiler, layer_entry_points
 from repro.obs.perf.wallclock import wallclock
-from repro.obs.summary import FlowModBreakdown
-from repro.obs.tracer import RecordingTracer
+from repro.obs.summary import FlowModBreakdown, flowmod_breakdowns
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
@@ -140,6 +139,28 @@ class TestProfilerSegments:
         assert "layer self times sum to" in text
         assert "tcam.insert" in text
         assert "loop;agent;tcam.insert" in text
+
+    def test_run_collects_garbage_before_the_run(self, monkeypatch):
+        import gc
+
+        order = []
+
+        def collect(*args):
+            order.append("collect")
+            return 0
+
+        class Simulation:
+            def run(self):
+                order.append("run")
+                return "metrics"
+
+        monkeypatch.setattr(gc, "collect", collect)
+        profiler = Profiler().begin()
+        try:
+            assert profiler.run(Simulation()) == "metrics"
+        finally:
+            profiler.finish()
+        assert order == ["collect", "run"]
 
 
 # ---------------------------------------------------------------------------
@@ -313,20 +334,35 @@ class TestProfilerParity:
 
 
 class TestAttributionOnFig08:
-    def test_fig08_attribution_meets_the_gate(self):
-        # The acceptance scenario: the ISP workload with real installs.
-        from repro.experiments.common import canned_scenario
-        from repro.obs import use_tracer
+    def test_fig08_attribution_meets_the_gate(self, monkeypatch):
+        # The acceptance scenario: the ISP workload with real installs,
+        # untraced as `perf profile` runs it.
+        import gc
 
-        with use_tracer(RecordingTracer()):
-            simulation, meta = canned_scenario("fig08")
-            profiler = Profiler(meta=meta).begin()
-            start = wallclock()
+        from repro.experiments.common import canned_scenario
+
+        # Profiler.run collects before it starts the run; time that
+        # collection, which lies outside the profile by design.
+        collecting = []
+        collect = gc.collect
+
+        def timed_collect(*args):
+            began = wallclock()
             try:
-                profiler.run(simulation)
-                wall = wallclock() - start
+                return collect(*args)
             finally:
-                report = profiler.finish()
+                collecting.append(wallclock() - began)
+
+        monkeypatch.setattr(gc, "collect", timed_collect)
+        simulation, meta = canned_scenario("fig08")
+        profiler = Profiler(meta=meta).begin()
+        start = wallclock()
+        try:
+            profiler.run(simulation)
+            wall = wallclock() - start - sum(collecting)
+        finally:
+            report = profiler.finish()
+        assert len(collecting) == 1
         layers = report.layers
         # The layer self times add up to the run's wall time.
         accounted = sum(cost.self_seconds for cost in layers.values())
@@ -374,11 +410,11 @@ class TestGuaranteeBurn:
 
     def test_empty_source(self):
         report = guarantee_burn([])
-        assert report.installed == 0
+        assert report.actions == 0
         assert report.violations == 0
         assert report.violation_rate == 0.0
         assert report.windows == []
-        assert "0 installed FlowMods" in report.render()
+        assert "0 control actions (none)" in report.render()
 
     def test_compliance_split(self):
         items = [
@@ -388,7 +424,8 @@ class TestGuaranteeBurn:
         ]
         report = guarantee_burn(items)
         assert report.guarantee_seconds == DEFAULT_GUARANTEE_SECONDS
-        assert report.installed == 3
+        assert report.actions == 3
+        assert report.commands == {"add": 3}
         assert report.compliant == 2
         assert report.violations == 1
         assert report.violation_rate == pytest.approx(1 / 3)
@@ -425,23 +462,29 @@ class TestGuaranteeBurn:
         assert channel.share_of_latency == pytest.approx(3 / 4)
         assert report.layers["gatekeeper"].mean_seconds == 0.0
 
-    def test_accepts_raw_trace_records(self):
-        # A flowmod span wrapping one agent.action: the summarizer path.
+    def test_scores_breakdowns_read_from_a_trace(self):
+        # The agent's nest, flowmod -> agent.batch -> agent.action, each
+        # span carrying the stages its component records.
         records = [
             {
-                "type": "span", "id": 2, "parent": 1, "name": "agent.action",
-                "cat": "switch", "start": 0.001, "end": 0.003,
-                "attrs": {"switch": "s1", "command": "add",
+                "type": "span", "id": 3, "parent": 2, "name": "agent.action",
+                "cat": "agent", "start": 0.001, "end": 0.003,
+                "attrs": {"switch": "s1", "command": "add", "gatekeeper": 0.0,
                           "queue_delay": 0.0, "exec_latency": 0.002},
+            },
+            {
+                "type": "span", "id": 2, "parent": 1, "name": "agent.batch",
+                "cat": "agent", "start": 0.001, "end": 0.003,
+                "attrs": {"switch": "s1", "size": 1},
             },
             {
                 "type": "span", "id": 1, "parent": 0, "name": "flowmod",
                 "cat": "channel", "start": 0.0, "end": 0.010,
-                "attrs": {"attempts": 1, "delivered": True},
+                "attrs": {"attempts": 1, "delivered": True, "channel": 0.008},
             },
         ]
-        report = guarantee_burn(records)
-        assert report.installed == 1
+        report = guarantee_burn(flowmod_breakdowns(records))
+        assert report.actions == 1
         item = report.worst[0]
         assert item.tcam == pytest.approx(0.002)
         assert item.channel == pytest.approx(0.008)
@@ -452,6 +495,8 @@ class TestGuaranteeBurn:
         assert payload["violations"] == 1
         assert payload["windows"][0]["count"] == 1
         assert payload["worst"][0]["burn"] == pytest.approx(1.6)
+        assert payload["commands"] == {"add": 1}
+        assert "span_id" not in payload["worst"][0]
 
 
 # ---------------------------------------------------------------------------
@@ -680,46 +725,74 @@ class TestTraceCollapsed:
 # The perf CLI
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def perf_trace(tmp_path_factory):
-    """One small traced chaos scenario written as hermes-trace/1."""
-    from repro.experiments.common import canned_scenario
-    from repro.obs import RecordingTracer, use_tracer, write_trace
-
-    tracer = RecordingTracer(meta={"scenario": "perf-cli"})
-    with use_tracer(tracer):
-        simulation, _meta = canned_scenario("demo")
-        simulation.run()
-    path = tmp_path_factory.mktemp("perf-cli") / "trace.jsonl"
-    write_trace(tracer, str(path))
-    return str(path)
-
-
 class TestPerfCli:
-    def test_report_text_and_json(self, perf_trace, capsys):
+    def test_report_text_and_json(self, faulted_run, capsys):
         from repro.obs.__main__ import main
 
-        assert main(["perf", "report", perf_trace]) == 0
+        assert main(["perf", "report", faulted_run.path]) == 0
         out = capsys.readouterr().out
         assert "guarantee-burn ledger" in out
 
-        assert main(["perf", "report", perf_trace, "--json"]) == 0
+        assert main(["perf", "report", faulted_run.path, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert "violation_rate" in payload
         assert set(payload["layers"]) == {
             "gatekeeper", "queue", "tcam", "channel",
         }
+        # The faulted run's ledger is not empty, and the channel burns
+        # part of it.
+        assert payload["actions"] > 0 and payload["violations"] > 0
+        assert sum(payload["commands"].values()) == payload["actions"]
+        assert payload["layers"]["channel"]["share_of_latency"] > 0.0
 
-    def test_flamegraph_to_file(self, perf_trace, tmp_path, capsys):
+    def test_flamegraph_to_file(self, faulted_run, tmp_path, capsys):
         from repro.obs.__main__ import main
 
         out = tmp_path / "flame.folded"
-        assert main(["perf", "flamegraph", perf_trace, "--out", str(out)]) == 0
+        assert main(
+            ["perf", "flamegraph", faulted_run.path, "--out", str(out)]
+        ) == 0
         capsys.readouterr()
         for line in out.read_text().splitlines():
             stack, weight = line.rsplit(" ", 1)
             assert stack
             assert int(weight) > 0
+
+    def test_profile_runs_untraced_and_scores_the_run(self, tmp_path):
+        # A fresh interpreter, so rule ids and hence the ledger match a
+        # standalone `perf profile fig08`; any tracer built fails the run.
+        script = (
+            "import sys\n"
+            "import repro.obs.tracer as tracer\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise AssertionError('perf profile built a tracer')\n"
+            "tracer.RecordingTracer.__init__ = refuse\n"
+            "from repro.obs.__main__ import main\n"
+            "sys.exit(main(['perf', 'profile', 'fig08', '--out', sys.argv[1]]))\n"
+        )
+        out = tmp_path / "perf.json"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = (
+            os.path.join(REPO_ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        # Every control action counts, and the label says which commands.
+        assert (
+            "2295 control actions (1227 add, 1068 delete), 2253 compliant, "
+            "42 violations (1.83%)"
+        ) in result.stdout
+        burn = json.loads(out.read_text())["burn"]
+        assert burn["actions"] == 2295
+        assert burn["commands"] == {"add": 1227, "delete": 1068}
+        assert burn["violations"] == 42
+        assert burn["burn_p99"] == pytest.approx(1.138, abs=5e-4)
+        assert burn["layers"]["queue"]["share_of_latency"] == pytest.approx(
+            0.726, abs=5e-4
+        )
+        assert all("span_id" not in item for item in burn["worst"])
 
     def test_bench_compare_exit_codes(self, capsys):
         from repro.obs.__main__ import main

@@ -226,3 +226,60 @@ class TestCircuitBreaker:
         assert outcome.delivered
         assert not channel.breaker_open
         assert occupancy(agent) == 1
+
+
+class TestChannelHistory:
+    def test_naive_history_keeps_applied_sends_in_order(self):
+        plan = FaultPlan(flowmod=FlowModFault(drop=0.5, ack_loss_fraction=0.0))
+        channel = NaiveChannel(make_agent(), FaultInjector(plan, seed=3))
+        outcomes = [
+            channel.send(FlowMod.add(rule(f"10.0.{index}.0/24", 5)), index * 0.01)
+            for index in range(16)
+        ]
+        applied = [outcome for outcome in outcomes if outcome.applied]
+        assert 0 < len(applied) < len(outcomes)
+        assert channel.history() == applied
+        # Fire-and-forget with no delay: the controller hears at the finish.
+        assert all(outcome.channel_delay == 0.0 for outcome in applied)
+
+    def test_lost_ack_wait_is_channel_delay(self):
+        plan = FaultPlan(flowmod=FlowModFault(drop=1.0, ack_loss_fraction=1.0))
+        injector = FaultInjector(plan, seed=0)
+        agent = make_agent(injector)
+        channel = resilient(agent, injector, max_retries=2, breaker_threshold=128)
+        outcome = channel.send(FlowMod.add(rule("10.0.0.0/24", 5)), at_time=1.0)
+        (action,) = outcome.completed
+        assert outcome.sent_time == 1.0
+        assert outcome.channel_delay == (outcome.done_time - 1.0) - (
+            action.finish_time - action.submit_time
+        )
+        assert outcome.channel_delay > 2 * channel.config.timeout
+        assert channel.history() == [outcome]
+
+    def test_traced_flowmod_span_carries_the_channel_stage(self):
+        from repro.obs import RecordingTracer, use_tracer
+
+        plan = FaultPlan(flowmod=FlowModFault(drop=1.0, ack_loss_fraction=1.0))
+        injector = FaultInjector(plan, seed=0)
+        channel = resilient(make_agent(injector), injector, max_retries=1)
+        tracer = RecordingTracer()
+        with use_tracer(tracer):
+            outcome = channel.send(FlowMod.add(rule("10.0.0.0/24", 5)), 0.0)
+        (span,) = [
+            record for record in tracer.records
+            if record["type"] == "span" and record["name"] == "flowmod"
+        ]
+        assert span["attrs"]["channel"] == outcome.channel_delay > 0.0
+
+    def test_untraced_send_never_computes_the_channel_stage(self, monkeypatch):
+        from repro.switchsim import SendOutcome
+
+        def refuse(_self):
+            raise AssertionError("channel_delay read on an untraced send")
+
+        monkeypatch.setattr(SendOutcome, "channel_delay", property(refuse))
+        injector = FaultInjector(FaultPlan(), seed=0)
+        channel = resilient(make_agent(injector), injector)
+        assert channel.send(FlowMod.add(rule("10.0.0.0/24", 5)), 0.0).applied
+        naive = NaiveChannel(make_agent())
+        assert naive.send(FlowMod.add(rule("10.0.0.0/24", 5)), 0.0).applied

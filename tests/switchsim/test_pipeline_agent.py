@@ -115,10 +115,13 @@ class TestSwitchAgent:
         assert agent.busy_until == pytest.approx(completed[-1].finish_time)
 
     def test_history_and_latencies(self, agent):
-        agent.submit(FlowMod.add(rule("10.0.0.0/8", 5)))
-        agent.submit(FlowMod.add(rule("11.0.0.0/8", 5)))
-        assert len(agent.history()) == 2
-        assert len(agent.install_latencies()) == 2
+        first = agent.submit(FlowMod.add(rule("10.0.0.0/8", 5)))
+        second = agent.submit(FlowMod.add(rule("11.0.0.0/8", 5)))
+        assert agent.history() == [first, second]
+        assert [action.response_time for action in agent.history()] == [
+            first.finish_time - first.submit_time,
+            second.finish_time - second.submit_time,
+        ]
         assert agent.stats.actions == 2
 
     def test_lookup_delegates(self, agent):

@@ -104,6 +104,19 @@ class TestInterpolation:
         with pytest.raises(ValueError):
             EmpiricalTimingModel(name="bogus", capacity=100, occupancy_latency_points=[])
 
+    def test_lone_zero_occupancy_point_rejected(self):
+        # No zero anchor is added, so one knot would leave the last
+        # segment's slope undefined on the first read.
+        with pytest.raises(ValueError, match="above occupancy 0"):
+            EmpiricalTimingModel(
+                name="bogus", capacity=100, occupancy_latency_points=[(0, 1e-3)]
+            )
+        # One point above zero gets the anchor and is a valid curve.
+        model = EmpiricalTimingModel(
+            name="one", capacity=100, occupancy_latency_points=[(50, 1e-3)]
+        )
+        assert model.base_insertion_latency(50) == pytest.approx(1e-3)
+
     def test_negative_occupancy_rejected(self):
         with pytest.raises(ValueError):
             pica8_p3290().base_insertion_latency(-1)
