@@ -33,6 +33,14 @@ SENSITIVITY_ROWS_DIGEST = (
 ABLATION_ROWS_DIGEST = (
     "4f16fb4aaf9ed3624935d37c1b36c954249ebb698959180cc9d380ae5ede965e"
 )
+# sha256 of ``result.rows`` for a small chaos sweep whose resilient cells
+# retry and whose lossy cells drop FlowMods, so the retry and loss columns
+# are nonzero.  Captured while those columns were still read from a
+# trace-folded metrics registry; reading them from the fault log must
+# give the same rows.
+CHAOS_ROWS_DIGEST = (
+    "2b1eedc6edd9eb538e085fb7759ff17979a5abda1131a1805952f32e2a44afd0"
+)
 
 _SCENARIO_SCRIPT = r"""
 import hashlib
@@ -159,12 +167,20 @@ def ablation():
     return _rows_digest(run(AblationConfig(duration=0.3))), None
 
 
+def chaos_rows():
+    from repro.experiments.chaos import ChaosConfig, run
+
+    config = ChaosConfig(job_count=6, max_time=4.0, drop_rates=(0.0, 0.25))
+    return _rows_digest(run(config)), None
+
+
 SCENARIOS = {
     "fig01": fig01,
     "fig08": fig08,
     "chaos": chaos,
     "sensitivity": sensitivity,
     "ablation": ablation,
+    "chaos_rows": chaos_rows,
 }
 result, trace = SCENARIOS[sys.argv[1]]()
 print(json.dumps({"result": result, "trace": trace}))
@@ -242,6 +258,9 @@ class TestPinnedDigests:
 
     def test_ablation_rows_pinned(self):
         assert _scenario_digests("ablation")["result"] == ABLATION_ROWS_DIGEST
+
+    def test_chaos_experiment_rows_pinned(self):
+        assert _scenario_digests("chaos_rows")["result"] == CHAOS_ROWS_DIGEST
 
     def test_chaos_cross_process_determinism(self):
         # Two fresh interpreters, identical digests — the trace digest
