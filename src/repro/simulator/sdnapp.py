@@ -172,7 +172,8 @@ class ProactiveTeApp:
         flows that may move, in admission order, as
         :meth:`FlowStore.te_views` returns them.  ``utilization`` is
         ``(link ids, utilizations)``, as :meth:`FlowStore.utilization`
-        returns it; a link it leaves out reads 0.0.
+        returns it; a link it leaves out reads 0.0, except a link whose
+        capacity is zero (a failed link), which reads +inf.
 
         Congested links are visited hottest first, ties in ``utilization``
         order.  On each, the flows that cross it are tried largest rate
@@ -201,10 +202,13 @@ class ProactiveTeApp:
         if congested:
             store = self.store
             capacity = store.link_capacity
-            # Working utilization per link id; the last slot, which the
-            # link rows' padding reads, never wins a path's max.
+            # Working utilization per link id; a dead (zero-capacity) link
+            # costs +inf, so no path through it is ever cheaper.  The last
+            # slot, which the link rows' padding reads, never wins a
+            # path's max.
             working = np.zeros(capacity.size + 1)
             working[links] = values
+            working[:-1][capacity == 0] = math.inf
             working[-1] = -math.inf
             # Hot link -> crossing flows (indexes into the arguments),
             # largest rate first: one stable sort, so ties keep admission

@@ -385,15 +385,7 @@ class Simulation:
             plan = self.app.plan(
                 flow_ids, path_ids, rates, store.utilization(), now=self.now
             )
-            moves = [
-                move
-                for move in plan
-                if move.flow_id in store
-                and not any(
-                    link in self._failed_links
-                    for link in path_links(move.new_path)
-                )
-            ]
+            moves = [move for move in plan if move.flow_id in store]
             assignments = [
                 (store.spec(move.flow_id), move.new_path) for move in moves
             ]

@@ -14,6 +14,7 @@ operation-count gate checks that it blows the per-flow bound.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
 import numpy as np
@@ -72,13 +73,13 @@ def rescan_plan(
                 break
             rate = rate_of[flow_id]
             current_path = current_paths[flow_id]
-            current_cost = _path_cost(current_path, working_utilization)
+            current_cost = _path_cost(current_path, working_utilization, capacities)
             best_path = None
             best_cost = current_cost - config.improvement_margin
             for candidate in app.provider.paths(current_path[0], current_path[-1]):
                 if candidate == current_path:
                     continue
-                cost = _path_cost(candidate, working_utilization)
+                cost = _path_cost(candidate, working_utilization, capacities)
                 if cost < best_cost:
                     best_cost = cost
                     best_path = candidate
@@ -92,10 +93,17 @@ def rescan_plan(
     return moves
 
 
-def _path_cost(path: Path, utilization: Mapping[Link, float]) -> float:
-    """A path's cost: the utilization of its hottest link."""
+def _path_cost(
+    path: Path, utilization: Mapping[Link, float], capacities: Mapping[Link, float]
+) -> float:
+    """A path's cost: the utilization of its hottest link, where a dead
+    (zero-capacity) link is never usable."""
     return max(
-        (utilization.get(link, 0.0) for link in path_links(path)), default=0.0
+        (
+            math.inf if capacities[link] == 0 else utilization.get(link, 0.0)
+            for link in path_links(path)
+        ),
+        default=0.0,
     )
 
 

@@ -1,12 +1,15 @@
 """Tests for link-failure injection and blackhole accounting."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.baselines import make_installer
 from repro.simulator import Simulation, SimulationConfig, TeAppConfig
 from repro.tcam import ideal_switch, pica8_p3290
 from repro.topology import FatTreeSpec, build_fat_tree, hosts, path_links
-from repro.traffic import FlowSpec
+from repro.traffic import FlowSpec, flows_of, generate_jobs
 
 
 @pytest.fixture(scope="module")
@@ -100,3 +103,35 @@ class TestFailureInjection:
         metrics = sim.run()
         assert len(metrics.fcts()) == 1
         assert sim.blackhole_time == 0.0  # nothing was in flight
+
+
+class TestTeAfterFailure:
+    def test_planner_never_moves_a_flow_onto_a_dead_link(self, tree):
+        # Two of agg-0-0's uplinks die at t = 1 s under a TE app that
+        # replans every 0.2 s.  A dead link has zero capacity, and the
+        # planner must cost it as unusable, not as idle.
+        dead = {("agg-0-0", "core-0"), ("agg-0-0", "core-1")}
+        flows = flows_of(
+            generate_jobs(hosts(tree), job_count=40, rng=np.random.default_rng(7))
+        )
+        # Explicit ids: ECMP hashes on them.
+        flows = [replace(flow, flow_id=index) for index, flow in enumerate(flows)]
+        config = SimulationConfig(
+            te=TeAppConfig(epoch=0.2, utilization_threshold=0.5),
+            link_failures=tuple((1.0, link) for link in sorted(dead)),
+        )
+        factory = lambda name: make_installer("naive", ideal_switch())
+        sim = Simulation(tree, flows, factory, config)
+        plan = sim.app.plan
+        planned = []
+
+        def recording_plan(*args, **kwargs):
+            moves = plan(*args, **kwargs)
+            planned.extend((kwargs["now"], move.new_path) for move in moves)
+            return moves
+
+        sim.app.plan = recording_plan
+        sim.run()
+        assert any(now > 1.0 for now, _path in planned)
+        for _now, path in planned:
+            assert not {tuple(sorted(link)) for link in path_links(path)} & dead

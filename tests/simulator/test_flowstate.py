@@ -684,8 +684,12 @@ def _run_digest(graph, flows, **overrides):
 # backends produced these exact digests.
 NO_TE_DIGEST = "6f3466d9446d20069503b75decb34e67e4d76abf5ac91a816aa6b548e4368449"
 TE_DIGEST = "c718a6c7a72f06e34940bed8bc6ba9f23cd76c092151ecaa6b86886c51669304"
+# LINK_FAILURE_DIGEST was re-pinned once when the TE planner began to cost
+# a dead link at +inf: a move it used to plan onto the failed link, which
+# the epoch then dropped, is now planned onto a healthy path and installed
+# (60 -> 65 RITs); every flow record and the blackhole time are unchanged.
 LINK_FAILURE_DIGEST = (
-    "3a9ce7b4fba37f15e27dcd732317ac770a6c178bfe58e7a1d0bc723e349304e5"
+    "394d32e4362ea0ebdf600c7ecf613403e70495ffeeeac8d8e1174efd2d9d2b0e"
 )
 BURST_DIGEST = "76129164b9f94791c8c0ff8999da643b47285c94a4a34bc7c0e9c20c3f3ab55c"
 
