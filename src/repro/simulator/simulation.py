@@ -47,6 +47,19 @@ class SimulationConfig:
         baseline_occupancy: background rules pre-installed per switch —
             production tables are never empty, and occupancy is what makes
             TCAM inserts slow (Table 1).
+        initial_path_policy: how an arriving flow picks its first path
+            from its ECMP set.  ``"ecmp-hash"`` takes
+            ``ecmp[flow_id % len(ecmp)]``, so routes depend on flow ids;
+            ``"static"`` always takes the first path, so default routes
+            collide and the TE app has congestion to relieve.
+        routing_mode: ``"proactive"`` (default routing exists; only TE
+            moves and failure repairs send FlowMods) or ``"reactive"``
+            (each new flow punts to the controller and starts moving bytes
+            only once its rules are installed; its FCT counts the wait).
+        link_failures: ``((time, (node_a, node_b)), ...)``: each link
+            fails at its (finite) sim time.  Flows on it blackhole until
+            their repair rules are installed; arrivals and TE moves avoid
+            it from then on.
         channel_config: controller→switch delivery.  None is the naive
             channel (fire-and-forget, the seed behaviour); a
             :class:`~repro.switchsim.channel.ChannelConfig` selects the
