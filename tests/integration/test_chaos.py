@@ -1,7 +1,8 @@
 """End-to-end chaos tests: the ISSUE's acceptance criteria, in miniature.
 
-Byte-identity must be checked *cross-process*: rule ids come from a
-process-global counter, so two simulations in one interpreter diverge for
+Byte-identity must be checked *cross-process*: each arm regenerates its
+workload, and flow ids come from a process-global counter that ECMP hashes
+on, so two workloads generated in one interpreter route differently for
 reasons unrelated to faults.  Each arm of the comparison runs in a fresh
 ``python`` subprocess and reports a digest of its metric series.
 """

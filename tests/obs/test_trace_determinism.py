@@ -1,7 +1,9 @@
 """The tentpole's determinism guarantees, checked cross-process.
 
-Two properties, each requiring fresh interpreters (rule ids come from a
-process-global counter, so in-process comparisons prove nothing):
+Two properties, each requiring fresh interpreters (flow ids come from a
+process-global counter that ECMP hashes on, so a scenario regenerated in
+one interpreter routes differently, and spans carry rule ids, which come
+from another process-global counter):
 
 * **golden trace** — the same fixed-seed scenario, traced in two separate
   processes, produces byte-identical JSONL (span ids are per-tracer, trace

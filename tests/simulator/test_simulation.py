@@ -362,6 +362,26 @@ class TestEndToEnd:
             lower_bound = record.spec.size * 8.0 / 1e9  # line rate
             assert record.fct >= lower_bound * (1 - 1e-9)
 
+    def test_same_flows_in_one_process_give_the_same_metrics(self, small_tree):
+        # Rule ids come from a process-global counter, so the second run
+        # installs rules with other ids; results must not depend on them.
+        # What does move between in-process runs is the flow ids of
+        # *regenerated* workloads (ECMP hashes on them), so both runs
+        # share one list of FlowSpecs.
+        from repro.experiments.common import default_hermes_config, installer_factory
+
+        flows = self.make_flows(small_tree)
+        config = SimulationConfig(te=TeAppConfig(epoch=0.25), max_time=1e4)
+        runs = []
+        for _ in range(2):
+            factory = installer_factory(
+                "hermes", "pica8-p3290", hermes_config=default_hermes_config()
+            )
+            metrics = Simulation(small_tree, flows, factory, config).run()
+            runs.append((metrics.rits(), metrics.fcts(), metrics.jcts()))
+        assert runs[0][0], "the run installed no rules"
+        assert runs[0] == runs[1]
+
     def test_realistic_switch_slows_rit_not_correctness(self, small_tree):
         flows = self.make_flows(small_tree)
         config = SimulationConfig(
