@@ -85,16 +85,17 @@ def run_cell(
 ):
     """One (scheme, channel, drop-rate) cell.
 
-    The cell runs under a :class:`~repro.obs.RecordingTracer`: the retry
-    and injected-loss columns are read back from the metrics registry the
-    trace feeds (rather than ad-hoc counters), and an
-    :class:`~repro.obs.OnlineVerifier` re-checks table invariants *during*
-    the run on a sampled schedule, catching the first violating
-    sim-instant instead of only the end state.
+    The retry and injected-loss columns are counts of the injector's
+    fault log, where the channel records each redelivery and the injector
+    each drop.  The cell runs under a
+    :class:`~repro.obs.RecordingTracer` so that an
+    :class:`~repro.obs.OnlineVerifier` listening on it re-checks table
+    invariants *during* the run on a sampled schedule, catching the first
+    violating sim-instant instead of only the end state.
 
     Returns the measured row tail, then the verifier's structured
     violation records, then an observability dict (online-verification
-    report plus the full counter dump).
+    report plus the fault log's counts by kind).
     """
     graph = build_fat_tree(
         FatTreeSpec(k=config.fat_tree_k, link_capacity=config.link_capacity)
@@ -150,13 +151,9 @@ def run_cell(
         )
         verifier.attach(tracer)
         metrics = simulation.run()
-    registry = tracer.metrics
-    fault_events = registry.counter("hermes_fault_events_total")
-    drops = int(
-        fault_events.value(kind="flowmod-drop")
-        + fault_events.value(kind="flowmod-ack-loss")
-    )
-    retries = int(registry.counter("hermes_channel_retries_total").total())
+    log = injector.log
+    drops = log.count("flowmod-drop") + log.count("flowmod-ack-loss")
+    retries = log.count("retry")
     violations = verify_simulation(simulation)
     invariant = sum(
         1 for entry in violations if entry["kind"] == PRIORITY_INVERSION
@@ -166,7 +163,7 @@ def run_cell(
     )
     observability = {
         "online": verifier.report(),
-        "counters": registry.as_dict(),
+        "counters": log.counts(),
     }
     return (
         len(metrics.rits()),
@@ -188,8 +185,8 @@ def run(config: ChaosConfig = ChaosConfig()) -> ExperimentResult:
     verifier; the structured violation records (normally empty) land in
     the result's ``extras["violations"]``, keyed by cell.  Each cell also
     contributes its online-verification report
-    (``extras["online_verification"]``) and the metrics-registry dump
-    (``extras["metrics"]``) from the cell's recording tracer.
+    (``extras["online_verification"]``) and its fault log's counts by kind
+    (``extras["metrics"]``).
     """
     rows: List[tuple] = []
     violations_by_cell = {}

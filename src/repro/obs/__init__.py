@@ -1,14 +1,14 @@
-"""Observability for the control plane: tracing, metrics, exporters.
+"""Observability for the control plane: tracing, exporters, the ledger.
 
 ``repro.obs`` is zero-dependency (stdlib only) and built around sim time:
 
 * :mod:`~repro.obs.tracer` — spans, events, gauge samples; a no-op global
   tracer by default so untraced runs stay byte-identical to the seed.
-* :mod:`~repro.obs.metrics` — counters, gauges, fixed-bucket histograms.
-* :mod:`~repro.obs.export` — JSONL (``hermes-trace/1``), Chrome
-  trace-event JSON, Prometheus text.
+* :mod:`~repro.obs.export` — JSONL (``hermes-trace/1``) and Chrome
+  trace-event JSON.
 * :mod:`~repro.obs.summary` — per-stage FlowMod breakdowns, from a trace
-  or from a run's channel histories, and trace diffs (the engine behind
+  or from a run's channel histories, and the trace summary and diff
+  around their guarantee-burn ledger (the engine behind
   ``python -m repro.obs``).
 * :mod:`~repro.obs.online` — the tracer-listener verification hook.
 * :mod:`~repro.obs.perf` — the wall-clock performance observatory:
@@ -24,15 +24,7 @@ from .export import (
     read_trace,
     trace_lines,
     write_chrome_trace,
-    write_prometheus,
     write_trace,
-)
-from .metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
 )
 from .online import OnlineVerifier
 from .summary import (
@@ -65,18 +57,12 @@ __all__ = [
     "get_tracer",
     "set_tracer",
     "use_tracer",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "DEFAULT_LATENCY_BUCKETS",
     "trace_lines",
     "write_trace",
     "parse_trace_lines",
     "read_trace",
     "chrome_trace",
     "write_chrome_trace",
-    "write_prometheus",
     "OnlineVerifier",
     "FlowModBreakdown",
     "TraceSummary",

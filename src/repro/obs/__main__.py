@@ -2,15 +2,18 @@
 
 Subcommands:
 
-* ``summary TRACE`` — per-stage latency percentiles (gatekeeper / queue /
-  tcam / channel), top-k slowest FlowMods, gauge timelines.
-* ``diff A B`` — stage-by-stage comparison of two traces.
+* ``summary TRACE`` — the trace's guarantee-burn ledger (per-layer
+  gatekeeper / queue / tcam / channel burn, violation windows, worst
+  offenders; ``--guarantee-ms`` sets the budget), then gauge timelines and
+  event counts.
+* ``diff A B`` — two traces' ledgers side by side (actions, violations,
+  per-layer mean/p99), then event counts and gauge peaks.
 * ``scenario --out-dir DIR`` — run a small traced simulation and export
-  all three formats (JSONL trace, Chrome trace-event JSON, Prometheus
-  text); what the CI ``obs`` job round-trips.
+  it as a JSONL trace and Chrome trace-event JSON; what the CI ``obs``
+  job round-trips.
 * ``perf ...`` — the wall-clock performance observatory: scenario
-  profiling, guarantee-burn reports, flamegraphs, and the
-  ``hermes-bench/1`` regression comparator (see :mod:`repro.obs.perf.cli`).
+  profiling, flamegraphs, and the ``hermes-bench/1`` regression
+  comparator (see :mod:`repro.obs.perf.cli`).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .summary import render_diff, render_summary, summarize
 def _cmd_summary(args: argparse.Namespace) -> int:
     header, records = read_trace(args.trace)
     summary = summarize(header, records)
-    print(render_summary(summary, top=args.top, per_flowmod=args.per_flowmod))
+    print(render_summary(summary, guarantee=args.guarantee_ms * 1e-3))
     return 0
 
 
@@ -56,7 +59,7 @@ def build_scenario(args: argparse.Namespace):
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
-    from .export import write_chrome_trace, write_prometheus, write_trace
+    from .export import write_chrome_trace, write_trace
     from .tracer import RecordingTracer, use_tracer
 
     tracer = RecordingTracer(
@@ -74,15 +77,13 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     trace_path = os.path.join(args.out_dir, "trace.jsonl")
     chrome_path = os.path.join(args.out_dir, "trace.chrome.json")
-    prom_path = os.path.join(args.out_dir, "metrics.prom")
     write_trace(tracer, trace_path)
     write_chrome_trace(tracer, chrome_path)
-    write_prometheus(tracer.metrics, prom_path)
     print(
         f"scenario: {args.scheme} on {args.switch}, drop={args.drop}, "
         f"{len(metrics.rits())} installs, {len(tracer.records)} trace records"
     )
-    for path in (trace_path, chrome_path, prom_path):
+    for path in (trace_path, chrome_path):
         print(f"wrote {path}")
     return 0
 
@@ -97,12 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_summary = subparsers.add_parser("summary", help="summarize one trace")
     p_summary.add_argument("trace", help="path to a hermes-trace/1 JSONL file")
     p_summary.add_argument(
-        "--top", type=int, default=5, help="slowest FlowMods to list (default 5)"
-    )
-    p_summary.add_argument(
-        "--per-flowmod",
-        action="store_true",
-        help="print the stage breakdown of every installed FlowMod",
+        "--guarantee-ms",
+        type=float,
+        default=5.0,
+        help="guarantee for the burn ledger (default 5 ms)",
     )
     p_summary.set_defaults(func=_cmd_summary)
 
@@ -112,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff.set_defaults(func=_cmd_diff)
 
     p_scenario = subparsers.add_parser(
-        "scenario", help="run a small traced simulation and export all formats"
+        "scenario", help="run a small traced simulation and export its trace"
     )
     p_scenario.add_argument("--out-dir", required=True, help="output directory")
     p_scenario.add_argument("--scheme", default="hermes", help="installer scheme")

@@ -1,6 +1,6 @@
-"""Trace and metrics exporters.
+"""Trace exporters.
 
-Three output formats, all deterministic (sorted keys, fixed separators):
+Two output formats, both deterministic (sorted keys, fixed separators):
 
 * **JSONL** (``hermes-trace/1``) — one JSON object per line: a header line
   carrying the format tag and the tracer's meta, then every record in
@@ -10,8 +10,6 @@ Three output formats, all deterministic (sorted keys, fixed separators):
 * **Chrome trace-event JSON** — loadable in Perfetto / ``chrome://tracing``.
   Spans become complete (``ph: "X"``) events, events instants, samples
   counter tracks; each switch gets its own thread row.
-* **Prometheus text** — the registry's text-exposition dump (see
-  :meth:`repro.obs.metrics.MetricsRegistry.prometheus_text`).
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List, Tuple
 
-from .metrics import MetricsRegistry
 from .tracer import TRACE_FORMAT, RecordingTracer
 
 _JSON_KWARGS = {"sort_keys": True, "separators": (",", ":")}
@@ -171,12 +168,3 @@ def write_chrome_trace(tracer: RecordingTracer, path: str) -> None:
         json.dump(payload, handle, **_JSON_KWARGS)
         handle.write("\n")
 
-
-# ---------------------------------------------------------------------------
-# Prometheus text
-# ---------------------------------------------------------------------------
-
-def write_prometheus(registry: MetricsRegistry, path: str) -> None:
-    """Write the registry's Prometheus text-exposition dump."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(registry.prometheus_text())

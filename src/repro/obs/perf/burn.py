@@ -30,10 +30,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Sequence
 
-from ..summary import STAGES, FlowModBreakdown, percentile
-
-#: The paper's headline guarantee: 5 ms per rule installation.
-DEFAULT_GUARANTEE_SECONDS = 5e-3
+from ..summary import DEFAULT_GUARANTEE_SECONDS, STAGES, FlowModBreakdown, percentile
 
 #: Violations closer together than this (sim seconds) merge into one window.
 DEFAULT_WINDOW_GAP = 0.05
@@ -86,7 +83,7 @@ class GuaranteeBurnReport:
     worst: List[FlowModBreakdown] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        """JSON-ready payload for artifacts and the CLI's ``--json``."""
+        """JSON-ready payload for the ``hermes-perf/2`` artifact."""
         payload = asdict(self)
         payload["worst"] = [
             {
@@ -99,17 +96,23 @@ class GuaranteeBurnReport:
         ]
         return payload
 
-    def render(self) -> str:
-        """The CLI's text report for one ledger."""
-        g_ms = self.guarantee_seconds * 1e3
+    def headline(self) -> str:
+        """Actions by command, then compliant and violating counts."""
         split = ", ".join(
             f"{count} {command}" for command, count in sorted(self.commands.items())
         ) or "none"
+        return (
+            f"{self.actions} control actions ({split}), "
+            f"{self.compliant} compliant, {self.violations} violations "
+            f"({self.violation_rate * 100:.2f}%)"
+        )
+
+    def render(self) -> str:
+        """The CLI's text report for one ledger."""
+        g_ms = self.guarantee_seconds * 1e3
         lines = [
             f"guarantee-burn ledger against a {g_ms:g} ms guarantee:",
-            f"  {self.actions} control actions ({split}), "
-            f"{self.compliant} compliant, {self.violations} violations "
-            f"({self.violation_rate * 100:.2f}%)",
+            f"  {self.headline()}",
             f"  budget burn: p50={self.burn_p50 * 100:.1f}%  "
             f"p99={self.burn_p99 * 100:.1f}%  max={self.burn_max * 100:.1f}%",
             "",

@@ -5,9 +5,8 @@
   calls and self times and the guarantee-burn ledger, read from the
   run's channel histories; optionally write the ``hermes-perf/2`` JSON
   artifact and a wall-clock flamegraph of nested ``loop;…`` stacks.
-  Traces come from ``python -m repro.obs scenario``.
-* ``perf report TRACE`` — the guarantee-burn ledger of an existing
-  trace (``--json`` for the structured form).
+  A trace's ledger is ``python -m repro.obs summary TRACE``; traces come
+  from ``python -m repro.obs scenario``.
 * ``perf flamegraph TRACE`` — sim-time collapsed stacks from a trace's
   span tree (load the output in speedscope or flamegraph.pl).
 * ``perf bench-compare A B`` — diff two ``hermes-bench/1`` artifacts;
@@ -67,24 +66,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if args.flame:
         write_collapsed(report.collapsed(), args.flame)
         print(f"wrote {args.flame} (wall-clock collapsed stacks)")
-    return 0
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    from ..export import read_trace
-    from ..summary import flowmod_breakdowns
-    from .burn import guarantee_burn
-
-    _header, records = read_trace(args.trace)
-    burn = guarantee_burn(
-        flowmod_breakdowns(records),
-        guarantee=args.guarantee_ms * 1e-3,
-        window_gap=args.window_gap,
-    )
-    if args.json:
-        print(json.dumps(burn.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(burn.render())
     return 0
 
 
@@ -159,27 +140,6 @@ def register(subparsers) -> None:
         help="guarantee for the burn ledger (default 5 ms)",
     )
     p_profile.set_defaults(func=_cmd_profile)
-
-    p_report = perf_sub.add_parser(
-        "report", help="guarantee-burn ledger of an existing trace"
-    )
-    p_report.add_argument("trace", help="path to a hermes-trace/1 JSONL file")
-    p_report.add_argument(
-        "--guarantee-ms",
-        type=float,
-        default=5.0,
-        help="guarantee budget (default 5 ms)",
-    )
-    p_report.add_argument(
-        "--window-gap",
-        type=float,
-        default=0.05,
-        help="merge violations closer than this (sim s) into one window",
-    )
-    p_report.add_argument(
-        "--json", action="store_true", help="emit the structured report"
-    )
-    p_report.set_defaults(func=_cmd_report)
 
     p_flame = perf_sub.add_parser(
         "flamegraph", help="sim-time collapsed stacks from a trace"

@@ -18,7 +18,9 @@ component where it happens, and carried on what that component returns:
 
 :func:`flowmod_breakdowns` reads those fields from a trace's spans and
 :func:`run_breakdowns` from a run's channel histories, with the same
-result.  Stages are clamped at zero.
+result.  Stages are clamped at zero.  The one per-stage report is the
+guarantee-burn ledger (:mod:`repro.obs.perf.burn`): :func:`render_summary`
+prints a trace's, and :func:`render_diff` compares two traces' ledgers.
 """
 
 from __future__ import annotations
@@ -26,23 +28,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 #: The per-FlowMod stages, in presentation order.
 STAGES: Tuple[str, ...] = ("gatekeeper", "queue", "tcam", "channel")
 
-_PERCENTILES: Tuple[int, ...] = (50, 90, 99)
+#: The paper's headline guarantee: 5 ms per rule installation.
+DEFAULT_GUARANTEE_SECONDS = 5e-3
 
 
 @dataclass
 class FlowModBreakdown:
-    """One control action's per-stage latency split.
+    """One control action's per-stage latency split."""
 
-    ``span_id`` is the ``agent.action`` span's id for a breakdown read
-    from a trace, None for one read from a run.
-    """
-
-    span_id: Optional[int]
     switch: str
     command: str
     start: float
@@ -51,10 +49,6 @@ class FlowModBreakdown:
     queue: float
     tcam: float
     channel: float
-    attempts: int = 1
-    delivered: bool = True
-    shifts: Optional[int] = None
-    xid: Optional[int] = None
 
     @property
     def total(self) -> float:
@@ -97,15 +91,13 @@ _ORDER = attrgetter("start", "end", "switch")
 
 
 def _breakdown(
-    span_id, switch, command, start, end, gatekeeper, queue_delay,
-    exec_latency, channel, attempts, delivered, shifts, xid,
+    switch, command, start, end, gatekeeper, queue_delay, exec_latency, channel,
 ) -> FlowModBreakdown:
     """A breakdown with every stage clamped at zero."""
     gatekeeper = max(0.0, gatekeeper)
     return FlowModBreakdown(
-        span_id, switch, command, start, end, gatekeeper,
-        max(0.0, queue_delay), max(0.0, exec_latency - gatekeeper),
-        max(0.0, channel), attempts, delivered, shifts, xid,
+        switch, command, start, end, gatekeeper, max(0.0, queue_delay),
+        max(0.0, exec_latency - gatekeeper), max(0.0, channel),
     )
 
 
@@ -114,12 +106,10 @@ def flowmod_breakdowns(records: Sequence[dict]) -> List[FlowModBreakdown]:
 
     An action span carries its own ``gatekeeper``, ``queue_delay`` and
     ``exec_latency``; its ``flowmod`` grandparent (action, ``agent.batch``,
-    ``flowmod``) carries ``channel``, ``attempts`` and ``delivered``.  An
-    action with no channel span (a direct ``SwitchAgent.submit``, as in
-    the replay harnesses) gets a zero channel stage, one attempt, and
-    delivered.  Undelivered sends hold no action span and are left out:
-    they installed nothing.  ``shifts`` are measured per batch; a batch
-    of one hands them to its only action.
+    ``flowmod``) carries ``channel``.  An action with no channel span (a
+    direct ``SwitchAgent.submit``, as in the replay harnesses) gets a zero
+    channel stage.  Undelivered sends hold no action span and are left
+    out: they installed nothing.
     """
     by_id = {record["id"]: record for record in records if record["type"] == "span"}
     breakdowns: List[FlowModBreakdown] = []
@@ -127,22 +117,17 @@ def flowmod_breakdowns(records: Sequence[dict]) -> List[FlowModBreakdown]:
         if span["name"] != "agent.action":
             continue
         attrs = span["attrs"]
-        shifts = None
-        outer: dict = {}
+        channel = 0.0
         batch = by_id.get(span["parent"])
         if batch is not None and batch["name"] == "agent.batch":
-            if batch["attrs"].get("size") == 1:
-                shifts = batch["attrs"].get("shifts")
             flowmod = by_id.get(batch["parent"])
             if flowmod is not None and flowmod["name"] == "flowmod":
-                outer = flowmod["attrs"]
+                channel = flowmod["attrs"].get("channel", 0.0)
         breakdowns.append(_breakdown(
-            span["id"], str(attrs.get("switch", "?")),
-            str(attrs.get("command", "?")), span["start"], span["end"],
-            attrs.get("gatekeeper", 0.0), attrs.get("queue_delay", 0.0),
-            attrs.get("exec_latency", span["end"] - span["start"]),
-            outer.get("channel", 0.0), int(outer.get("attempts", 1)),
-            bool(outer.get("delivered", True)), shifts, attrs.get("xid"),
+            str(attrs.get("switch", "?")), str(attrs.get("command", "?")),
+            span["start"], span["end"], attrs.get("gatekeeper", 0.0),
+            attrs.get("queue_delay", 0.0),
+            attrs.get("exec_latency", span["end"] - span["start"]), channel,
         ))
     breakdowns.sort(key=_ORDER)
     return breakdowns
@@ -154,8 +139,7 @@ def run_breakdowns(channels: Iterable) -> List[FlowModBreakdown]:
     ``channels`` are :class:`~repro.switchsim.channel.Channel` objects
     (``simulation.controller.channels.values()``).  Each applied send
     gives one breakdown per action, equal to what
-    :func:`flowmod_breakdowns` reads from the same run's trace, but with
-    no ``span_id`` or ``shifts``.
+    :func:`flowmod_breakdowns` reads from the same run's trace.
     """
     breakdowns: List[FlowModBreakdown] = []
     for channel in channels:
@@ -163,11 +147,10 @@ def run_breakdowns(channels: Iterable) -> List[FlowModBreakdown]:
             for completed in sent.completed:
                 result = completed.result
                 breakdowns.append(_breakdown(
-                    None, channel.agent.name, completed.flow_mod.command.value,
+                    channel.agent.name, completed.flow_mod.command.value,
                     completed.submit_time, completed.finish_time,
                     result.gatekeeper, completed.queue_delay, result.latency,
-                    sent.channel_delay, sent.attempts, sent.delivered, None,
-                    completed.flow_mod.xid,
+                    sent.channel_delay,
                 ))
     breakdowns.sort(key=_ORDER)
     return breakdowns
@@ -216,51 +199,6 @@ def summarize(header: dict, records: Sequence[dict]) -> TraceSummary:
 # Rendering
 # ---------------------------------------------------------------------------
 
-def _fmt_ms(seconds: float) -> str:
-    return f"{seconds * 1e3:9.3f}"
-
-
-def stage_table(breakdowns: Sequence[FlowModBreakdown]) -> str:
-    """The per-stage percentile table over installed FlowMods."""
-    lines = [
-        f"{'stage':<12}" + "".join(f"{'p' + str(p):>10}" for p in _PERCENTILES)
-        + f"{'max':>10}{'mean (ms)':>12}"
-    ]
-    rows = list(STAGES) + ["total"]
-    for stage_name in rows:
-        if stage_name == "total":
-            values = [item.total for item in breakdowns]
-        else:
-            values = [item.stage(stage_name) for item in breakdowns]
-        mean = sum(values) / len(values) if values else 0.0
-        lines.append(
-            f"{stage_name:<12}"
-            + "".join(_fmt_ms(percentile(values, p)) + " " for p in _PERCENTILES)
-            + _fmt_ms(max(values) if values else 0.0)
-            + " "
-            + f"{mean * 1e3:10.4f}"
-        )
-    return "\n".join(lines)
-
-
-def slowest_table(breakdowns: Sequence[FlowModBreakdown], top: int) -> str:
-    """The top-k slowest FlowMods with their stage splits."""
-    ranked = sorted(breakdowns, key=lambda item: -item.total)[:top]
-    lines = []
-    for item in ranked:
-        lines.append(
-            f"  t={item.start:8.4f}  {item.switch:<14} {item.command:<7}"
-            f" total={item.total * 1e3:8.3f}ms"
-            f"  gk={item.gatekeeper * 1e3:.3f}"
-            f" queue={item.queue * 1e3:.3f}"
-            f" tcam={item.tcam * 1e3:.3f}"
-            f" chan={item.channel * 1e3:.3f}"
-            f"  attempts={item.attempts}"
-            + (f" shifts={item.shifts}" if item.shifts is not None else "")
-        )
-    return "\n".join(lines)
-
-
 def occupancy_timeline(
     samples: Dict[str, List[Tuple[float, float]]],
     span_range: Tuple[float, float],
@@ -291,8 +229,18 @@ def occupancy_timeline(
     return "\n".join(lines)
 
 
-def render_summary(summary: TraceSummary, top: int = 5, per_flowmod: bool = False) -> str:
-    """The CLI's text report for one trace."""
+def _ledger(summary: TraceSummary, guarantee: float = DEFAULT_GUARANTEE_SECONDS):
+    # The ledger scores this module's breakdowns, so it imports from here.
+    from .perf.burn import guarantee_burn
+
+    return guarantee_burn(summary.breakdowns, guarantee=guarantee)
+
+
+def render_summary(
+    summary: TraceSummary, guarantee: float = DEFAULT_GUARANTEE_SECONDS
+) -> str:
+    """The CLI's text report for one trace: its header, the guarantee-burn
+    ledger of its control actions, then its gauges and event counts."""
     header = summary.header
     counts = summary.record_counts
     lo, hi = summary.span_range
@@ -306,14 +254,8 @@ def render_summary(summary: TraceSummary, top: int = 5, per_flowmod: bool = Fals
     if meta:
         rendered = ", ".join(f"{key}={meta[key]}" for key in sorted(meta))
         lines.append(f"meta: {rendered}")
-    installed = summary.breakdowns
     lines.append("")
-    lines.append(f"per-stage latency over {len(installed)} installed FlowMods (ms):")
-    lines.append(stage_table(installed))
-    if installed and top > 0:
-        lines.append("")
-        lines.append(f"top {min(top, len(installed))} slowest FlowMods:")
-        lines.append(slowest_table(installed, top))
+    lines.append(_ledger(summary, guarantee).render())
     if summary.samples:
         lines.append("")
         lines.append("gauge timelines:")
@@ -323,45 +265,31 @@ def render_summary(summary: TraceSummary, top: int = 5, per_flowmod: bool = Fals
         lines.append("events:")
         for name in sorted(summary.event_counts):
             lines.append(f"  {name:<28} {summary.event_counts[name]}")
-    if per_flowmod and installed:
-        lines.append("")
-        lines.append("per-FlowMod breakdown (ms):")
-        for item in installed:
-            lines.append(
-                f"  #{item.span_id:<6} t={item.start:8.4f} {item.switch:<14}"
-                f" {item.command:<7}"
-                f" gk={item.gatekeeper * 1e3:8.4f} queue={item.queue * 1e3:8.4f}"
-                f" tcam={item.tcam * 1e3:8.4f} chan={item.channel * 1e3:8.4f}"
-                f" total={item.total * 1e3:8.4f}"
-            )
     return "\n".join(lines)
 
 
 def render_diff(
     summary_a: TraceSummary, summary_b: TraceSummary, label_a: str, label_b: str
 ) -> str:
-    """Compare two traces stage-by-stage (counts, p50/p99, gauge peaks)."""
-    a, b = summary_a.breakdowns, summary_b.breakdowns
+    """Compare two traces: their ledgers' actions, violations and
+    per-layer mean/p99 against the default guarantee, then event counts
+    and gauge peaks."""
+    a, b = _ledger(summary_a), _ledger(summary_b)
     lines = [
-        f"A = {label_a}: {len(a)} installed FlowMods",
-        f"B = {label_b}: {len(b)} installed FlowMods",
+        f"A = {label_a}: {a.headline()}",
+        f"B = {label_b}: {b.headline()}",
         "",
-        f"{'stage':<12}{'A p50':>10}{'B p50':>10}{'Δp50':>10}"
+        f"{'layer':<12}{'A mean':>10}{'B mean':>10}{'Δmean':>10}"
         f"{'A p99':>10}{'B p99':>10}{'Δp99':>10}   (ms)",
     ]
-    for stage_name in list(STAGES) + ["total"]:
-        if stage_name == "total":
-            va = [item.total for item in a]
-            vb = [item.total for item in b]
-        else:
-            va = [item.stage(stage_name) for item in a]
-            vb = [item.stage(stage_name) for item in b]
-        a50, b50 = percentile(va, 50), percentile(vb, 50)
-        a99, b99 = percentile(va, 99), percentile(vb, 99)
+    for name in STAGES:
+        la, lb = a.layers[name], b.layers[name]
         lines.append(
-            f"{stage_name:<12}"
-            f"{a50 * 1e3:10.3f}{b50 * 1e3:10.3f}{(b50 - a50) * 1e3:+10.3f}"
-            f"{a99 * 1e3:10.3f}{b99 * 1e3:10.3f}{(b99 - a99) * 1e3:+10.3f}"
+            f"{name:<12}"
+            f"{la.mean_seconds * 1e3:10.3f}{lb.mean_seconds * 1e3:10.3f}"
+            f"{(lb.mean_seconds - la.mean_seconds) * 1e3:+10.3f}"
+            f"{la.p99_seconds * 1e3:10.3f}{lb.p99_seconds * 1e3:10.3f}"
+            f"{(lb.p99_seconds - la.p99_seconds) * 1e3:+10.3f}"
         )
     event_names = sorted(
         set(summary_a.event_counts) | set(summary_b.event_counts)

@@ -27,8 +27,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional
 
-from .metrics import MetricsRegistry
-
 #: Versioned trace format tag, carried in the JSONL header line (the same
 #: convention as ``hermes-table-snapshot/1``).
 TRACE_FORMAT = "hermes-trace/1"
@@ -120,7 +118,7 @@ class Span:
 
 
 class RecordingTracer(Tracer):
-    """A tracer that records, folds into a metrics registry, and notifies.
+    """A tracer that records and notifies.
 
     Records are plain JSON-ready dicts appended to :attr:`records` in
     emission order (a span emits when it *finishes*).  Span ids come from a
@@ -132,14 +130,9 @@ class RecordingTracer(Tracer):
 
     enabled = True
 
-    def __init__(
-        self,
-        meta: Optional[Dict[str, object]] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, meta: Optional[Dict[str, object]] = None) -> None:
         self.meta: Dict[str, object] = dict(meta or {})
         self.records: List[dict] = []
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._listeners: List[Callable[[dict], None]] = []
         self._next_id = 1
         self._open: List[Span] = []
@@ -223,7 +216,6 @@ class RecordingTracer(Tracer):
 
     def _emit(self, record: dict) -> None:
         self.records.append(record)
-        _fold_into_metrics(record, self.metrics)
         for listener in self._listeners:
             listener(record)
 
@@ -240,103 +232,6 @@ class RecordingTracer(Tracer):
 
     def __repr__(self) -> str:
         return f"RecordingTracer(records={len(self.records)}, open={len(self._open)})"
-
-
-# ---------------------------------------------------------------------------
-# Metric folding
-# ---------------------------------------------------------------------------
-
-#: Migration durations run longer than per-rule latencies: 1 ms .. 10 s.
-MIGRATION_BUCKETS = (0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
-
-
-def _fold_into_metrics(record: dict, metrics: MetricsRegistry) -> None:
-    """Fold one trace record into the registry.
-
-    This single mapping is the contract between the instrumentation sites
-    and the experiments that consume the registry: the chaos harness reads
-    ``hermes_channel_retries_total`` and ``hermes_fault_events_total``
-    instead of summing per-channel stats or fault-log counts.
-    """
-    rtype = record["type"]
-    if rtype == "span":
-        name = record["name"]
-        attrs = record["attrs"]
-        duration = record["end"] - record["start"]
-        if name == "agent.action":
-            metrics.counter(
-                "hermes_agent_actions_total", help="FlowMods executed, by command"
-            ).inc(command=attrs.get("command", "?"))
-            metrics.histogram(
-                "hermes_rit_seconds", help="rule installation time (queue + execute)"
-            ).observe(duration)
-            if "queue_delay" in attrs:
-                metrics.histogram(
-                    "hermes_queue_delay_seconds", help="switch-CPU queueing delay"
-                ).observe(attrs["queue_delay"])
-            if "exec_latency" in attrs:
-                metrics.histogram(
-                    "hermes_exec_seconds", help="installer execution latency"
-                ).observe(attrs["exec_latency"])
-            if attrs.get("guaranteed"):
-                metrics.counter(
-                    "hermes_guaranteed_actions_total",
-                    help="actions that took the guaranteed (shadow) path",
-                ).inc()
-        elif name == "agent.batch":
-            # Per-action spans carry everything except shifts, which the
-            # agent can only measure batch-wide.
-            shifts = attrs.get("shifts")
-            if shifts:
-                metrics.counter(
-                    "hermes_tcam_shifts_total", help="TCAM entry shifts performed"
-                ).inc(shifts)
-        elif name == "flowmod":
-            metrics.counter(
-                "hermes_channel_sends_total", help="channel sends, by delivery"
-            ).inc(delivered="true" if attrs.get("delivered") else "false")
-            metrics.counter(
-                "hermes_channel_attempts_total", help="delivery attempts made"
-            ).inc(attrs.get("attempts", 1))
-        elif name == "hermes.migration":
-            metrics.counter(
-                "hermes_migrations_total", help="Rule Manager migrations run"
-            ).inc()
-            metrics.histogram(
-                "hermes_migration_seconds",
-                buckets=MIGRATION_BUCKETS,
-                help="migration duration (copy + optimize + write + clear)",
-            ).observe(duration)
-    elif rtype == "event":
-        name = record["name"]
-        if name.startswith("fault."):
-            kind = name[len("fault."):]
-            metrics.counter(
-                "hermes_fault_events_total",
-                help="fault-log events (injections and recoveries), by kind",
-            ).inc(kind=kind)
-            if kind == "retry":
-                metrics.counter(
-                    "hermes_channel_retries_total", help="channel redeliveries"
-                ).inc()
-        elif name == "hermes.gatekeeper":
-            metrics.counter(
-                "hermes_gatekeeper_decisions_total",
-                help="GateKeeper routing decisions, by reason",
-            ).inc(reason=record["attrs"].get("reason", "?"))
-        elif name == "agent.dedup":
-            metrics.counter(
-                "hermes_agent_dedup_total", help="redeliveries absorbed by xid cache"
-            ).inc()
-        elif name == "channel.timeout":
-            metrics.counter(
-                "hermes_channel_timeouts_total", help="send attempts that timed out"
-            ).inc()
-    elif rtype == "sample":
-        metric_name = "".join(
-            ch if ch.isalnum() or ch == "_" else "_" for ch in record["name"]
-        )
-        metrics.gauge(metric_name).set(record["value"], **record["attrs"])
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ The digests below were captured at the pre-refactor seed HEAD (the legacy
 ``Simulation`` with its private heap and per-layer ``now`` cursors).  The
 kernel-backed simulator must reproduce them byte-for-byte — metrics AND
 golden trace — with zero tolerance.  Each scenario runs in a fresh
-subprocess because rule ids come from a process-global counter.
+subprocess because it generates its workload, whose flow ids come from a
+process-global counter that ECMP hashes on; the trace also carries rule
+ids, which come from another.
 """
 
 import hashlib

@@ -153,7 +153,7 @@ class TestReplayExecution:
             "-m", "repro.obs", "diff", recorded_trace, out_path
         )
         assert completed.returncode == 0
-        assert "installed FlowMods" in completed.stdout
+        assert "control actions" in completed.stdout
 
     def test_replay_records_every_layer_to_the_tracer(
         self, recorded_trace, tmp_path

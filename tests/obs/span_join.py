@@ -12,7 +12,7 @@ must give the same stages as both shipped producers.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.obs.summary import FlowModBreakdown
 
@@ -47,8 +47,6 @@ def flowmod_breakdowns(records: Sequence[dict]) -> List[FlowModBreakdown]:
     Each action sits under an ``agent.batch`` span.  A ``hermes.gatekeeper``
     event is emitted while that span is open, before its action spans
     exist, so an event joins its action on (enclosing agent span, rule id).
-    ``shifts`` are measured per batch; a batch of one hands them to its
-    only action.
     """
     spans = [r for r in records if r["type"] == "span"]
     # (enclosing span id, rule id) -> gatekeeper latencies, in emission
@@ -62,25 +60,22 @@ def flowmod_breakdowns(records: Sequence[dict]) -> List[FlowModBreakdown]:
             gatekeeper_by_key.setdefault(key, []).append(attrs.get("latency", 0.0))
     children = _span_children(spans)
     by_id = {span["id"]: span for span in spans}
-    breakdowns: List[FlowModBreakdown] = []
+    # (action span, channel residual of its send)
+    joined: List[Tuple[dict, float]] = []
     claimed: set = set()
 
-    def action_breakdown(action: dict, channel_time: float, outer: Optional[dict]) -> FlowModBreakdown:
+    def action_breakdown(action: dict, channel_time: float) -> FlowModBreakdown:
         attrs = action["attrs"]
         parent = by_id.get(action["parent"])
         enclosing = action
-        shifts = None
         if parent is not None and parent["name"] == "agent.batch":
             enclosing = parent
-            if parent["attrs"].get("size") == 1:
-                shifts = parent["attrs"].get("shifts")
         pending = gatekeeper_by_key.get((enclosing["id"], attrs.get("rule")))
         gatekeeper = max(0.0, pending.pop(0)) if pending else 0.0
         queue = max(0.0, attrs.get("queue_delay", 0.0))
         exec_latency = max(0.0, attrs.get("exec_latency", action["end"] - action["start"]))
         tcam = max(0.0, exec_latency - gatekeeper)
         return FlowModBreakdown(
-            span_id=action["id"],
             switch=str(attrs.get("switch", "?")),
             command=str(attrs.get("command", "?")),
             start=action["start"],
@@ -89,10 +84,6 @@ def flowmod_breakdowns(records: Sequence[dict]) -> List[FlowModBreakdown]:
             queue=queue,
             tcam=tcam,
             channel=max(0.0, channel_time),
-            attempts=int(outer["attrs"].get("attempts", 1)) if outer else 1,
-            delivered=bool(outer["attrs"].get("delivered", True)) if outer else True,
-            shifts=shifts,
-            xid=attrs.get("xid"),
         )
 
     for flowmod in spans:
@@ -118,11 +109,13 @@ def flowmod_breakdowns(records: Sequence[dict]) -> List[FlowModBreakdown]:
         channel_time = max(0.0, duration - (window_end - window_start))
         for action in actions:
             claimed.add(action["id"])
-            breakdowns.append(action_breakdown(action, channel_time, flowmod))
+            joined.append((action, channel_time))
     # Channel-less actions (direct submits).
     for span in spans:
         if span["name"] == "agent.action" and span["id"] not in claimed:
-            breakdowns.append(action_breakdown(span, 0.0, None))
-    breakdowns.sort(key=lambda item: (item.start, item.span_id))
-    return breakdowns
+            joined.append((span, 0.0))
+    # Gatekeeper events join in emission order, so actions are built in
+    # span order: by start, then span id.
+    joined.sort(key=lambda pair: (pair[0]["start"], pair[0]["id"]))
+    return [action_breakdown(action, channel_time) for action, channel_time in joined]
 

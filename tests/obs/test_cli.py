@@ -1,6 +1,7 @@
 """Tests for ``python -m repro.obs``: scenario export and trace round-trip."""
 
 import os
+import re
 
 import pytest
 
@@ -9,7 +10,7 @@ from repro.obs.__main__ import main
 
 @pytest.fixture(scope="module")
 def scenario_dir(tmp_path_factory):
-    """One small traced scenario, exported in all three formats."""
+    """One small traced scenario, exported in both formats."""
     out_dir = tmp_path_factory.mktemp("obs-scenario")
     code = main(
         [
@@ -25,11 +26,12 @@ def scenario_dir(tmp_path_factory):
 
 
 class TestScenario:
-    def test_exports_all_three_formats(self, scenario_dir):
-        for name in ("trace.jsonl", "trace.chrome.json", "metrics.prom"):
-            path = os.path.join(str(scenario_dir), name)
-            assert os.path.exists(path)
-            assert os.path.getsize(path) > 0
+    def test_exports_both_formats(self, scenario_dir):
+        assert sorted(os.listdir(str(scenario_dir))) == [
+            "trace.chrome.json", "trace.jsonl",
+        ]
+        for name in ("trace.jsonl", "trace.chrome.json"):
+            assert os.path.getsize(os.path.join(str(scenario_dir), name)) > 0
 
     def test_chrome_export_is_valid_json(self, scenario_dir):
         import json
@@ -38,33 +40,39 @@ class TestScenario:
             payload = json.load(handle)
         assert payload["traceEvents"]
 
-    def test_prometheus_export_has_core_series(self, scenario_dir):
-        with open(os.path.join(str(scenario_dir), "metrics.prom")) as handle:
-            text = handle.read()
-        assert "hermes_agent_actions_total" in text
-        assert "hermes_rit_seconds_bucket" in text
-
 
 class TestSummaryCli:
     def test_summary_round_trips_the_trace(self, scenario_dir, capsys):
         trace = os.path.join(str(scenario_dir), "trace.jsonl")
-        assert main(["summary", trace, "--top", "3"]) == 0
+        assert main(["summary", trace]) == 0
         out = capsys.readouterr().out
         assert "hermes-trace/1" in out
         for stage in ("gatekeeper", "queue", "tcam", "channel"):
             assert stage in out
-        assert "installed FlowMods" in out
+        # The one per-stage report is the ledger, which counts control
+        # actions by command.
+        assert "guarantee-burn ledger against a 5 ms guarantee" in out
+        assert re.search(r"\d+ control actions \(\d+ add, \d+ delete\)", out)
+        assert "installed FlowMods" not in out
 
-    def test_per_flowmod_listing(self, scenario_dir, capsys):
-        trace = os.path.join(str(scenario_dir), "trace.jsonl")
-        assert main(["summary", trace, "--per-flowmod"]) == 0
-        assert "per-FlowMod breakdown" in capsys.readouterr().out
+    def test_summary_scores_against_the_given_guarantee(self, faulted_run, capsys):
+        assert main(["summary", faulted_run.path, "--guarantee-ms", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "guarantee-burn ledger against a 1 ms guarantee" in out
+        assert "violation window(s)" in out
 
     def test_diff_of_trace_with_itself(self, scenario_dir, capsys):
         trace = os.path.join(str(scenario_dir), "trace.jsonl")
         assert main(["diff", trace, trace]) == 0
         out = capsys.readouterr().out
-        assert "installed FlowMods" in out
+        assert re.search(r"^A = .*control actions", out, re.MULTILINE)
+        for stage in ("gatekeeper", "queue", "tcam", "channel"):
+            assert re.search(rf"^{stage} .* \+0\.000\s*$", out, re.MULTILINE)
+
+    def test_perf_report_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["perf", "report", "trace.jsonl"])
+        capsys.readouterr()
 
     def test_summary_rejects_non_trace_file(self, tmp_path):
         bogus = tmp_path / "not-a-trace.jsonl"

@@ -1,12 +1,9 @@
-"""Edge cases across ``repro.obs``: empty traces, orphans, Prometheus.
+"""Edge cases across ``repro.obs``: empty traces and orphans.
 
 Observability code runs on whatever a scenario happened to emit — an
 aborted run's empty trace, a crashed layer's orphaned spans — so the
 summarizer, exporters, and flamegraph folder must degrade to sensible
-output instead of raising.  The Prometheus exporter is checked against a
-minimal text-format parser rather than string spot-checks: every sample
-must belong to a declared metric family, and histograms must satisfy the
-cumulative-bucket contract scrapers rely on.
+output instead of raising.
 """
 
 import json
@@ -19,7 +16,6 @@ from repro.obs import (
     parse_trace_lines,
     trace_lines,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.perf.flame import trace_collapsed
 from repro.obs.summary import flowmod_breakdowns, render_summary, summarize
 
@@ -33,7 +29,7 @@ class TestEmptyTrace:
         assert summary.record_counts == {}
         assert summary.span_range == (0.0, 0.0)
         text = render_summary(summary)
-        assert "0 installed FlowMods" in text
+        assert "0 control actions (none)" in text
 
     def test_exporters_on_an_empty_recording(self):
         tracer = RecordingTracer()
@@ -41,7 +37,6 @@ class TestEmptyTrace:
         # Only thread-name metadata events; no spans, counters, instants.
         assert all(event["ph"] == "M" for event in payload["traceEvents"])
         assert trace_collapsed(tracer.records) == []
-        assert tracer.metrics.prometheus_text() == ""
 
     def test_trace_lines_still_carry_the_header(self):
         tracer = RecordingTracer(meta={"k": "v"})
@@ -91,124 +86,3 @@ class TestOrphanedSpans:
         summary = summarize({}, tracer.records)
         assert summary.breakdowns == []
 
-
-# ---------------------------------------------------------------------------
-# Prometheus text-format conformance
-# ---------------------------------------------------------------------------
-
-def _parse_prometheus(text):
-    """Minimal text-format parser: (families, samples).
-
-    families: name -> type from ``# TYPE`` lines.
-    samples: list of (metric_name, labels_dict, value).
-    """
-    families = {}
-    samples = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        if line.startswith("# TYPE "):
-            _, _, name, kind = line.split(" ", 3)
-            families[name] = kind
-            continue
-        if line.startswith("#"):
-            continue
-        body, _, value = line.rpartition(" ")
-        labels = {}
-        name = body
-        if "{" in body:
-            name, _, label_body = body.partition("{")
-            assert label_body.endswith("}")
-            for part in label_body[:-1].split(","):
-                key, _, raw = part.partition("=")
-                assert raw.startswith('"') and raw.endswith('"')
-                labels[key] = raw[1:-1]
-        samples.append((name, labels, float(value)))
-    return families, samples
-
-
-def _family_of(sample_name, families):
-    for suffix in ("_bucket", "_sum", "_count"):
-        base = sample_name[: -len(suffix)] if sample_name.endswith(suffix) else None
-        if base in families and families[base] == "histogram":
-            return base
-    return sample_name if sample_name in families else None
-
-
-@pytest.fixture()
-def folded_registry():
-    """A registry filled through the real record→metric fold."""
-    tracer = RecordingTracer()
-    span = tracer.start_span("flowmod", 0.0, attempts=2, delivered=True)
-    action = tracer.start_span(
-        "agent.action", 0.001, switch="s1", command="add",
-        queue_delay=0.0005, exec_latency=0.001, shifts=3,
-    )
-    action.finish(0.003)
-    span.finish(0.004)
-    tracer.event("hermes.gatekeeper", 0.001, reason="guarantee")
-    tracer.event("channel.timeout", 0.002)
-    tracer.sample("tcam.occupancy", 0.004, 17.0, switch="s1")
-    return tracer.metrics
-
-
-class TestPrometheusConformance:
-    def test_every_sample_belongs_to_a_declared_family(self, folded_registry):
-        families, samples = _parse_prometheus(
-            folded_registry.prometheus_text()
-        )
-        assert samples
-        for name, _labels, _value in samples:
-            assert _family_of(name, families) is not None, name
-
-    def test_counter_names_end_in_total(self, folded_registry):
-        families, _ = _parse_prometheus(folded_registry.prometheus_text())
-        for name, kind in families.items():
-            if kind == "counter":
-                assert name.endswith("_total"), name
-
-    def test_histogram_buckets_are_cumulative_with_inf(self, folded_registry):
-        families, samples = _parse_prometheus(
-            folded_registry.prometheus_text()
-        )
-        histograms = [n for n, k in families.items() if k == "histogram"]
-        assert histograms
-        for base in histograms:
-            buckets = [
-                (labels["le"], value)
-                for name, labels, value in samples
-                if name == f"{base}_bucket"
-            ]
-            assert buckets[-1][0] == "+Inf"
-            counts = [value for _le, value in buckets]
-            assert counts == sorted(counts)
-            count = next(
-                value for name, _l, value in samples
-                if name == f"{base}_count"
-            )
-            assert counts[-1] == count
-
-    def test_label_values_render_quoted(self, folded_registry):
-        _families, samples = _parse_prometheus(
-            folded_registry.prometheus_text()
-        )
-        gauge = [
-            (labels, value)
-            for name, labels, value in samples
-            if name == "tcam_occupancy"
-        ]
-        assert gauge == [({"switch": "s1"}, 17.0)]
-
-    def test_hand_built_registry_round_trips(self):
-        registry = MetricsRegistry()
-        registry.counter("demo_total", help="a demo counter").inc(2, kind="x")
-        registry.gauge("demo_level").set(1.5)
-        registry.histogram("demo_seconds", buckets=(0.1, 1.0)).observe(0.5)
-        families, samples = _parse_prometheus(registry.prometheus_text())
-        assert families == {
-            "demo_total": "counter",
-            "demo_level": "gauge",
-            "demo_seconds": "histogram",
-        }
-        assert ("demo_total", {"kind": "x"}, 2.0) in samples
-        assert ("demo_level", {}, 1.5) in samples

@@ -29,8 +29,8 @@ from repro.obs.tracer import TRACE_FORMAT, RecordingTracer
 def build_trace() -> RecordingTracer:
     """One FlowMod through a channel, plus gauges: known stage values.
 
-    The span nest is the agent's: flowmod -> agent.batch (a batch of one,
-    carrying the shifts) -> agent.action, with the Gate Keeper event
+    The span nest is the agent's: flowmod -> agent.batch (a batch of one)
+    -> agent.action, with the Gate Keeper event
     emitted under the batch span before the action span opens.  Each
     span carries the stages its component records.
 
@@ -124,8 +124,6 @@ class TestBreakdowns:
         assert item.queue == pytest.approx(0.001)
         assert item.tcam == pytest.approx(0.0018)
         assert item.channel == pytest.approx(0.003)
-        assert item.attempts == 2
-        assert item.shifts == 3
         assert item.switch == "s1"
 
     def test_direct_submit_has_zero_channel(self):
@@ -184,8 +182,6 @@ class TestBreakdowns:
         assert (first.gatekeeper, second.gatekeeper) == tuple(
             action["attrs"]["gatekeeper"] for action in actions
         )
-        # Shifts are batch-wide: no single action owns them.
-        assert first.shifts is None and second.shifts is None
 
     def test_gatekeeper_total_matches_events_on_a_te_run(self):
         from repro.experiments.common import canned_scenario
@@ -235,7 +231,12 @@ class TestBreakdowns:
         assert len(breakdowns) == 200
         assert admitted > 150
         assert sum(item.gatekeeper > 0 for item in breakdowns) == admitted
-        assert all(item.shifts is not None for item in breakdowns)
+        # Shifts are measured batch-wide, on the batch span.
+        batches = [
+            record for record in tracer.records
+            if record["type"] == "span" and record["name"] == "agent.batch"
+        ]
+        assert batches and all("shifts" in batch["attrs"] for batch in batches)
 
     def test_undelivered_flowmods_excluded(self):
         tracer = RecordingTracer()
@@ -258,8 +259,9 @@ class TestRendering:
         tracer = build_trace()
         summary = summarize({"format": TRACE_FORMAT, "meta": tracer.meta},
                             tracer.records)
-        rendered = render_summary(summary, top=3, per_flowmod=True)
-        for stage in ("gatekeeper", "queue", "tcam", "channel", "total"):
+        rendered = render_summary(summary)
+        assert "1 control actions (1 add)" in rendered
+        for stage in ("gatekeeper", "queue", "tcam", "channel"):
             assert stage in rendered
         assert "shadow.occupancy[switch=s1]" in rendered
         assert "hermes.gatekeeper" in rendered
@@ -268,5 +270,5 @@ class TestRendering:
         tracer = build_trace()
         summary = summarize({"format": TRACE_FORMAT}, tracer.records)
         rendered = render_diff(summary, summary, "a.jsonl", "b.jsonl")
-        assert "Δp50" in rendered or "p50" in rendered
+        assert "Δmean" in rendered and "Δp99" in rendered
         assert "a.jsonl" in rendered and "b.jsonl" in rendered

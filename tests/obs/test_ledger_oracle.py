@@ -17,27 +17,16 @@ from repro.obs.summary import flowmod_breakdowns, run_breakdowns
 
 from .span_join import flowmod_breakdowns as joined_breakdowns
 
-COMPARED = (
-    "switch", "command", "start", "end",
-    "gatekeeper", "queue", "tcam", "channel", "attempts", "delivered", "xid",
-)
-
-
-def _fields(breakdowns):
-    return [tuple(getattr(item, name) for name in COMPARED) for item in breakdowns]
-
-
 def _assert_agree(simulation, records):
     from_trace = flowmod_breakdowns(records)
     from_run = run_breakdowns(simulation.controller.channels.values())
-    # The join orders by span id; the producers by (start, end, switch).
+    # The join orders by (start, span id); the producers by (start, end,
+    # switch).
     joined = sorted(
         joined_breakdowns(records), key=lambda item: (item.start, item.end, item.switch)
     )
     assert from_trace, "the run installed nothing"
-    assert _fields(from_trace) == _fields(from_run) == _fields(joined)
-    assert [item.span_id for item in from_trace] == [item.span_id for item in joined]
-    assert all(item.span_id is None for item in from_run)
+    assert from_trace == from_run == joined
     ledger = guarantee_burn(from_trace).to_dict()
     assert guarantee_burn(from_run).to_dict() == ledger
     assert guarantee_burn(joined).to_dict() == ledger
@@ -59,6 +48,7 @@ def test_canned_scenarios_agree(name):
 
 def test_faulted_scenario_agrees(faulted_run):
     breakdowns = _assert_agree(faulted_run.simulation, faulted_run.records)
-    # Drops, lost acks and duplicates: retried sends show up.
-    assert any(item.attempts > 1 for item in breakdowns)
+    # Drops, lost acks and duplicates: sends are retried, and the channel
+    # stage shows it.
+    assert faulted_run.simulation.injector.log.count("retry") > 0
     assert sum(item.channel for item in breakdowns) > 0

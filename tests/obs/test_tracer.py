@@ -1,4 +1,4 @@
-"""Tests for the tracing core: spans, events, samples, folding, globals."""
+"""Tests for the tracing core: spans, events, samples, listeners, globals."""
 
 from repro.obs.tracer import (
     NULL_SPAN,
@@ -118,48 +118,3 @@ class TestListeners:
         tracer.event("e", time=0.0)
         tracer.start_span("s", start=0.0).finish(end=1.0)
         assert [r["type"] for r in seen] == ["event", "span"]
-
-
-class TestMetricFolding:
-    def test_agent_action_folds_counters_and_histograms(self):
-        tracer = RecordingTracer()
-        batch = tracer.start_span("agent.batch", start=0.0, switch="s1", size=1)
-        tracer.start_span(
-            "agent.action", start=0.0, switch="s1", command="add"
-        ).finish(
-            end=0.003, queue_delay=0.001, exec_latency=0.002, guaranteed=True,
-        )
-        # Shifts are measured batch-wide and fold from the batch span.
-        batch.finish(end=0.003, shifts=4)
-        registry = tracer.metrics
-        assert registry.counter("hermes_agent_actions_total").value(command="add") == 1
-        assert registry.counter("hermes_tcam_shifts_total").total() == 4
-        assert registry.counter("hermes_guaranteed_actions_total").total() == 1
-        assert registry.histogram("hermes_rit_seconds").count == 1
-
-    def test_fault_retry_event_feeds_retry_counter(self):
-        tracer = RecordingTracer()
-        tracer.event("fault.retry", time=0.0, switch="s1")
-        tracer.event("fault.flowmod-drop", time=0.1, switch="s1")
-        registry = tracer.metrics
-        assert registry.counter("hermes_channel_retries_total").total() == 1
-        assert (
-            registry.counter("hermes_fault_events_total").value(kind="flowmod-drop")
-            == 1
-        )
-
-    def test_sample_folds_to_sanitized_gauge(self):
-        tracer = RecordingTracer()
-        tracer.sample("shadow.occupancy", time=0.0, value=12.0, switch="s1")
-        gauge = tracer.metrics.gauge("shadow_occupancy")
-        assert gauge.value(switch="s1") == 12.0
-
-    def test_gatekeeper_event_counts_by_reason(self):
-        tracer = RecordingTracer()
-        tracer.event("hermes.gatekeeper", time=0.0, reason="admitted")
-        assert (
-            tracer.metrics.counter("hermes_gatekeeper_decisions_total").value(
-                reason="admitted"
-            )
-            == 1
-        )
