@@ -6,9 +6,9 @@ post-processes experiment output.  The *static-analysis* half
 the ruleset verifier proves or refutes the shadow+main ≡ monolithic
 invariant over table snapshots, the determinism lint keeps
 nondeterminism hazards out of the simulation paths, and SimRace — the
-dynamic :class:`RaceSanitizer` plus the project-wide pass in
-:mod:`repro.analysis.project` — finds schedule-order races: outcomes
-that depend on the kernel's insertion-order ``seq`` tie-break.
+dynamic :class:`RaceSanitizer` — reports the schedule-order races a run
+exercises: outcomes that depend on the kernel's insertion-order ``seq``
+tie-break.
 """
 
 from .ap import (
@@ -24,7 +24,6 @@ from .lint import (
     lint_source,
 )
 from .pragmas import PragmaIndex, clear_pragma_cache, file_pragmas
-from .project import AMBIGUOUS_TIER, SHARED_STATE_MUTATION, lint_project
 from .races import (
     SCHEDULE_ORDER_RACE,
     RaceReport,
@@ -48,9 +47,7 @@ from .verifier import verify_installer, verify_partition
 from .violations import Violation
 
 __all__ = [
-    "AMBIGUOUS_TIER",
     "SCHEDULE_ORDER_RACE",
-    "SHARED_STATE_MUTATION",
     "ExperimentResult",
     "LintFinding",
     "PragmaIndex",
@@ -71,7 +68,6 @@ __all__ = [
     "increase_ratios",
     "lint_file",
     "lint_paths",
-    "lint_project",
     "lint_source",
     "load_snapshot",
     "lookup_order",

@@ -8,13 +8,11 @@ Four subcommands::
     python -m repro.analysis scenario [--out F]       # canned churn + verify
     python -m repro.analysis races SCENARIO           # schedule-order races
 
-``lint`` runs both the per-file determinism lint and the project-wide
-schedule-order pass (``shared-state-mutation`` / ``ambiguous-tier``) over
-the same paths.  ``races`` runs a canned scenario (``fig01``, ``fig08``,
-``chaos``) — or, given a ``.py`` path, a fixture module
-exposing ``run(sanitizer)`` — under the dynamic race sanitizer and
-reports every schedule-order race with its witness pair; exit 1 when any
-race is found.
+``lint`` runs the determinism lint over the given paths.  ``races`` runs
+a canned scenario (``fig01``, ``fig08``, ``chaos``) — or, given a ``.py``
+path, a fixture module exposing ``run(sanitizer)`` — under the race
+sanitizer, the one schedule-order race detector, and reports every race
+with its witness pair; exit 1 when any race is found.
 
 ``verify`` and ``scenario`` decide with the atomic-predicate engine behind
 :func:`~repro.analysis.verifier.verify_partition`.  With two snapshot
@@ -41,7 +39,6 @@ from typing import List, Optional
 import numpy as np
 
 from .lint import format_findings, lint_paths
-from .project import lint_project
 from .snapshot import (
     diff_snapshots,
     dump_snapshot,
@@ -242,11 +239,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=["src/repro"],
         help="files or directories to lint (default: src/repro)",
     )
-    lint_cmd.add_argument(
-        "--no-project",
-        action="store_true",
-        help="skip the project-wide pass (shared-state-mutation, ambiguous-tier)",
-    )
 
     races_cmd = commands.add_parser(
         "races",
@@ -280,8 +272,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "lint":
         findings = lint_paths(args.paths)
-        if not args.no_project:
-            findings = findings + lint_project(args.paths)
         if findings:
             print(format_findings(findings))
         print(f"{len(findings)} finding(s) in {', '.join(args.paths)}")
@@ -336,6 +326,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _report(_verify_tables(snapshots[0], args.include_warnings))
 
     # scenario
+    if args.steps < 1:
+        print(f"--steps must be at least 1, got {args.steps}", file=sys.stderr)
+        return 2
     hermes, direct = build_scenario(seed=args.seed, steps=args.steps)
     payload = snapshot_tables(hermes.tables(), reference=direct.table)
     if args.corrupt is not None:

@@ -58,7 +58,8 @@ Rules
     timeline.  Files under ``repro/engine/`` are exempt: they *are* the
     kernel.
 ``bare-pragma``
-    A suppression pragma with no justification (see below).
+    A suppression pragma with no justification, or one naming a rule
+    this lint does not have (it would suppress nothing; see below).
 
 Pragmas
 -------
@@ -70,7 +71,8 @@ comment line directly above, naming the rule *and justifying itself*::
     # det: allow(unordered-iteration) -- feeds a set union, order-free
     merged = list(ids_a & ids_b)
 
-``det: allow(rule-a, rule-b)`` suppresses several rules at once.
+``det: allow(rule-a, rule-b)`` suppresses several rules at once.  Every
+name must be one of :data:`ALL_RULES`.
 """
 
 from __future__ import annotations
@@ -615,8 +617,9 @@ class _DeterminismVisitor(ast.NodeVisitor):
 
 
 def pragma_findings(pragmas: PragmaIndex, path: str) -> List[LintFinding]:
-    """``bare-pragma`` findings for every unjustified pragma in the index."""
-    return [
+    """``bare-pragma`` findings for every unjustified pragma in the index,
+    and for every pragma naming a rule outside :data:`ALL_RULES`."""
+    findings = [
         LintFinding(
             rule=BARE_PRAGMA,
             path=path,
@@ -630,6 +633,23 @@ def pragma_findings(pragmas: PragmaIndex, path: str) -> List[LintFinding]:
         )
         for line, col, text in pragmas.unjustified
     ]
+    for line, col, text, rules in pragmas.sites:
+        unknown = sorted(rules.difference(ALL_RULES))
+        if unknown:
+            findings.append(
+                LintFinding(
+                    rule=BARE_PRAGMA,
+                    path=path,
+                    line=line,
+                    col=col,
+                    message=(
+                        f"suppression pragma names unknown rule(s) "
+                        f"{', '.join(unknown)}; it suppresses nothing"
+                    ),
+                    text=text,
+                )
+            )
+    return findings
 
 
 def lint_source(source: str, path: str = "<string>") -> List[LintFinding]:

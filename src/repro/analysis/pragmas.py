@@ -1,11 +1,10 @@
 """Suppression pragmas, parsed once and shared by every analysis family.
 
-Two pragma namespaces live in the tree:
+Two pragma namespaces live in the tree, each written as a ``#`` comment:
 
-* ``# det: allow(rule, ...) -- why`` — the determinism lint's per-line
-  suppressions (:mod:`repro.analysis.lint` and the project-wide pass in
-  :mod:`repro.analysis.project`).
-* ``# race: allow(rule, ...) -- why`` — the schedule-order race
+* ``det: allow(rule, ...) -- why`` — the determinism lint's per-line
+  suppressions (:mod:`repro.analysis.lint`).
+* ``race: allow(rule, ...) -- why`` — the schedule-order race
   sanitizer's call-site suppressions (:mod:`repro.analysis.races`): a
   ``schedule()`` call carrying one declares that same-instant ordering
   against its peers is intentional and pinned by tests.
@@ -23,9 +22,9 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Sequence, Set, Tuple
 
-#: The determinism-lint namespace (``# det: allow(...)``).
+#: The determinism-lint namespace (``det: allow(...)``).
 DET = "det"
-#: The race-sanitizer namespace (``# race: allow(...)``).
+#: The race-sanitizer namespace (``race: allow(...)``).
 RACE = "race"
 
 
@@ -45,6 +44,7 @@ class PragmaIndex:
 
     Attributes:
         allowed: line number -> set of rule names suppressed there.
+        sites: ``(line, col, text, rules)`` of every pragma, in line order.
         unjustified: ``(line, col, text)`` of pragmas with no reason.
     """
 
@@ -52,6 +52,7 @@ class PragmaIndex:
         """Parse every pragma of ``namespace`` out of ``lines``."""
         self.namespace = namespace
         self.allowed: Dict[int, Set[str]] = {}
+        self.sites: List[Tuple[int, int, str, Set[str]]] = []
         self.unjustified: List[Tuple[int, int, str]] = []
         pattern = pragma_pattern(namespace)
         for number, line in enumerate(lines, start=1):
@@ -61,8 +62,10 @@ class PragmaIndex:
             rules = {
                 rule.strip() for rule in match.group(1).split(",") if rule.strip()
             }
+            site = (number, match.start(), line.strip())
+            self.sites.append(site + (rules,))
             if not match.group(2).strip():
-                self.unjustified.append((number, line.index("#"), line.strip()))
+                self.unjustified.append(site)
             self.allowed.setdefault(number, set()).update(rules)
             if line.lstrip().startswith("#"):
                 # A standalone pragma comment covers the line below it.
@@ -90,7 +93,6 @@ def file_pragmas(path: str, namespace: str) -> PragmaIndex:
                 lines = handle.read().splitlines()
         except OSError:
             lines = []
-        # det: allow(shared-state-mutation) -- idempotent cache; the value is a pure function of the key
         _FILE_CACHE[key] = PragmaIndex(namespace, lines)
     return _FILE_CACHE[key]
 

@@ -12,9 +12,9 @@ depend on the ``seq`` tie-break, which means it silently depends on the
 order of unrelated ``schedule()`` calls, and a refactor that reorders
 those calls changes results without failing any invariant.
 
-This module is the *dynamic* half of the detector (the sanitizer); the
-static half lives in :mod:`repro.analysis.project`.  The sanitizer is
-opt-in instrumentation over a live run:
+This module is the detector: a sanitizer that reports the races a run
+actually exercises, each with a witness pair.  It is opt-in
+instrumentation over a live run:
 
 * :meth:`RaceSanitizer.watch_scheduler` wraps one
   :class:`~repro.engine.scheduler.EventScheduler` instance's ``schedule``

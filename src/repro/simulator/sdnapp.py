@@ -286,9 +286,7 @@ class ProactiveTeApp:
         one link at a time in path order."""
         for link in old_links:
             if capacity[link] > 0:
-                # det: allow(shared-state-mutation) -- planner scratch array, local to one plan() call
                 utilization[link] -= rate / capacity[link]
         for link in new_links:
             if capacity[link] > 0:
-                # det: allow(shared-state-mutation) -- planner scratch array, local to one plan() call
                 utilization[link] += rate / capacity[link]

@@ -176,6 +176,7 @@ class Simulation:
         self._rate_epoch = 0
         self._failed_links: set = set()
         self.blackhole_time = 0.0  # flow-seconds spent on failed paths
+        self.failure_repairs = 0  # flows a link failure rerouted (TE moves excluded)
         for failure_time, link in self.config.link_failures:
             self._schedule(failure_time, "fail", tuple(sorted(link)))
 
@@ -366,7 +367,6 @@ class Simulation:
             # is already running.
             outcome = self.controller.install_path(spec, path, self.now)
             self._record_outcome(outcome)
-            # det: allow(ambiguous-tier) -- start/activate collisions are seq-ordered on purpose; order pinned by parity digests
             self._schedule(
                 max(outcome.ready_time, self.now), "start", (spec, path)
             )
@@ -408,7 +408,6 @@ class Simulation:
             for move, outcome in zip(moves, outcomes):
                 self._record_outcome(outcome)
                 self._store.set_pending_activation(move.flow_id, True)
-                # det: allow(ambiguous-tier) -- per-move activations are independent; seq order pinned by parity digests
                 self._schedule(
                     max(outcome.ready_time, self.now),
                     "activate",
@@ -470,6 +469,7 @@ class Simulation:
             healthy = self._first_healthy_path(spec)
             if healthy is not None and healthy != self._store.path(flow_id):
                 repairs.append((flow_id, healthy))
+        self.failure_repairs += len(repairs)
         tracer = get_tracer()
         if tracer.enabled:
             tracer.event(
@@ -483,7 +483,6 @@ class Simulation:
         for (flow_id, path), outcome in zip(repairs, outcomes):
             self._record_outcome(outcome)
             self._store.set_pending_activation(flow_id, True)
-            # det: allow(ambiguous-tier) -- repair activations are independent; seq order pinned by parity digests
             self._schedule(
                 max(outcome.ready_time, self.now), "activate", (flow_id, path)
             )

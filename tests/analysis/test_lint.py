@@ -378,6 +378,15 @@ class TestPragmas:
         code = "import time\nt = time.time()  # det: allow(wall-clock)\n"
         assert rules_of(check(code)) == [BARE_PRAGMA]
 
+    def test_unknown_rule_name_flagged(self):
+        code = (
+            "import time\n"
+            "t = time.time()  # det: allow(wall-clock, no-such-rule) -- typo\n"
+        )
+        findings = check(code)
+        assert rules_of(findings) == [BARE_PRAGMA]
+        assert "no-such-rule" in findings[0].message
+
 
 class TestFixtureAndSources:
     def test_fixture_trips_every_rule(self):
@@ -525,83 +534,3 @@ class TestSharedPragmaHelper:
 
         index = file_pragmas("/no/such/file-anywhere.py", RACE)
         assert index.allowed == {} and index.unjustified == []
-
-
-class TestProjectPass:
-    """The project-wide schedule-order rules (repro.analysis.project)."""
-
-    SCHEDULE_FIXTURE = os.path.join(HERE, "fixtures", "schedule_order_bad.py")
-
-    def _findings(self):
-        from repro.analysis.project import lint_project
-
-        return lint_project([self.SCHEDULE_FIXTURE])
-
-    def test_fixture_trips_both_rules(self):
-        from repro.analysis.project import AMBIGUOUS_TIER, SHARED_STATE_MUTATION
-
-        rules = rules_of(self._findings())
-        assert rules.count(SHARED_STATE_MUTATION) == 2
-        assert rules.count(AMBIGUOUS_TIER) == 2
-
-    def test_shared_state_findings_name_root_and_handler(self):
-        from repro.analysis.project import SHARED_STATE_MUTATION
-
-        messages = [
-            finding.message
-            for finding in self._findings()
-            if finding.rule == SHARED_STATE_MUTATION
-        ]
-        assert any("'REGISTRY'" in message for message in messages)
-        assert any("'peer'" in message for message in messages)
-        assert all("'on_tick'" in message for message in messages)
-
-    def test_ambiguous_tier_names_peer_sites(self):
-        from repro.analysis.project import AMBIGUOUS_TIER
-
-        tier_findings = [
-            finding
-            for finding in self._findings()
-            if finding.rule == AMBIGUOUS_TIER
-        ]
-        assert {finding.line for finding in tier_findings} == {39, 42}
-        assert all("tier=" in finding.message for finding in tier_findings)
-
-    def test_pragma_suppresses_the_third_site(self):
-        from repro.analysis.project import AMBIGUOUS_TIER
-
-        # Line 46 computes the same timestamp but carries a justified
-        # det: allow(ambiguous-tier) pragma.
-        assert 46 not in {
-            finding.line
-            for finding in self._findings()
-            if finding.rule == AMBIGUOUS_TIER
-        }
-
-    def test_self_rooted_writes_are_not_flagged(self):
-        from repro.analysis.project import lint_project
-
-        source = (
-            "class A:\n"
-            "    def dispatch(self, event):\n"
-            "        if event.kind == 'tick':\n"
-            "            self.on_tick()\n"
-            "    def on_tick(self):\n"
-            "        self.count[self.key] = 1\n"
-            "    def arm(self):\n"
-            "        self.scheduler.schedule(1.0, 'tick')\n"
-        )
-        import tempfile
-
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "mod.py")
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(source)
-            assert lint_project([path]) == []
-
-    def test_shipped_sources_pass_project_rules(self):
-        from repro.analysis.project import lint_project
-
-        src = os.path.join(REPO_ROOT, "src", "repro")
-        findings = lint_project([src])
-        assert findings == [], format_findings(findings)

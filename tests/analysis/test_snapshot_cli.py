@@ -150,6 +150,12 @@ class TestCli:
         result = run_cli("verify", "/nonexistent/snapshot.json")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_non_positive_steps_is_a_usage_error(self, steps):
+        result = run_cli("scenario", "--steps", steps)
+        assert result.returncode == 2, result.stdout + result.stderr
+        assert "--steps must be at least 1" in result.stderr
+
     def test_engine_flag_is_a_usage_error(self):
         result = run_cli("scenario", "--engine", "ap")
         assert result.returncode == 2

@@ -12,6 +12,7 @@ from repro.experiments import EXPERIMENTS, run_experiment
 from repro.experiments import (
     ablation,
     bgp_section,
+    failover,
     fig11_timeseries,
     fig12_simple,
     fig13_slack,
@@ -100,6 +101,18 @@ class TestFastExperiments:
         stats = ablation.run_variant({}, config)
         assert stats["migrations"] >= 1
         assert stats["gap_ms"] == 0.0
+
+    def test_failover_repairs_exclude_te_moves(self):
+        # TE still replans every epoch, but with no failure there is
+        # nothing to repair.
+        quiet = failover.FailoverConfig(failure_times=())
+        _, _, repairs = failover.run_scheme("zero-latency", "naive", "ideal", quiet)
+        assert repairs == 0
+        failing = failover.FailoverConfig(job_count=8)
+        _, _, repairs = failover.run_scheme(
+            "zero-latency", "naive", "ideal", failing
+        )
+        assert repairs > 0
 
     def test_bgp_trace_builder(self):
         config = bgp_section.BgpConfig(duration=3.0)
