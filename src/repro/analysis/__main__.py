@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -271,7 +272,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "lint":
-        findings = lint_paths(args.paths)
+        try:
+            findings = lint_paths(args.paths)
+        except OSError as error:
+            print(f"cannot lint: {error}", file=sys.stderr)
+            return 2
         if findings:
             print(format_findings(findings))
         print(f"{len(findings)} finding(s) in {', '.join(args.paths)}")
@@ -282,6 +287,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         sanitizer = RaceSanitizer()
         if args.scenario.endswith(".py"):
+            if not os.path.isfile(args.scenario):
+                print(f"no fixture file {args.scenario!r}", file=sys.stderr)
+                return 2
             run_fixture(args.scenario, sanitizer)
         else:
             try:

@@ -12,14 +12,18 @@ Two pragma namespaces live in the tree, each written as a ``#`` comment:
 Both follow the same grammar: the pragma names one or more rules, must
 justify itself after ``--`` (an unjustified pragma is itself a finding),
 applies to its own line, and — when it is a standalone comment line —
-also to the line directly below.  This module is the single parser for
+also to the line directly below.  Only comment tokens are read (with
+:mod:`tokenize`): the same text in a string literal or a docstring is
+not a pragma.  This module is the single parser for
 that grammar; rule families consume a :class:`PragmaIndex` instead of
 re-walking comment lines themselves.
 """
 
 from __future__ import annotations
 
+import io
 import re
+import tokenize
 from typing import Dict, List, Sequence, Set, Tuple
 
 #: The determinism-lint namespace (``det: allow(...)``).
@@ -42,6 +46,9 @@ def pragma_pattern(namespace: str) -> re.Pattern:
 class PragmaIndex:
     """Per-line suppressions of one namespace over one file's lines.
 
+    Only comment tokens count: pragma text inside a string literal or a
+    docstring suppresses nothing.
+
     Attributes:
         allowed: line number -> set of rule names suppressed there.
         sites: ``(line, col, text, rules)`` of every pragma, in line order.
@@ -55,25 +62,43 @@ class PragmaIndex:
         self.sites: List[Tuple[int, int, str, Set[str]]] = []
         self.unjustified: List[Tuple[int, int, str]] = []
         pattern = pragma_pattern(namespace)
-        for number, line in enumerate(lines, start=1):
-            match = pattern.search(line)
+        for number, col, comment in _comments(lines):
+            match = pattern.search(comment)
             if match is None:
                 continue
+            line = lines[number - 1]
             rules = {
                 rule.strip() for rule in match.group(1).split(",") if rule.strip()
             }
-            site = (number, match.start(), line.strip())
+            site = (number, col + match.start(), line.strip())
             self.sites.append(site + (rules,))
             if not match.group(2).strip():
                 self.unjustified.append(site)
             self.allowed.setdefault(number, set()).update(rules)
-            if line.lstrip().startswith("#"):
+            if not line[:col].strip():
                 # A standalone pragma comment covers the line below it.
                 self.allowed.setdefault(number + 1, set()).update(rules)
 
     def allows(self, line: int, rule: str) -> bool:
         """True when ``rule`` is suppressed on ``line``."""
         return rule in self.allowed.get(line, set())
+
+
+def _comments(lines: Sequence[str]) -> List[Tuple[int, int, str]]:
+    """``(line, col, text)`` of every comment token in ``lines``.
+
+    A source that stops tokenizing part-way keeps the comments read
+    before the break; the lint's parse reports the syntax error itself.
+    """
+    source = io.StringIO("".join(line + "\n" for line in lines))
+    found: List[Tuple[int, int, str]] = []
+    try:
+        for token in tokenize.generate_tokens(source.readline):
+            if token.type == tokenize.COMMENT:
+                found.append((token.start[0], token.start[1], token.string))
+    except (tokenize.TokenError, SyntaxError):
+        pass
+    return found
 
 
 _FILE_CACHE: Dict[Tuple[str, str], PragmaIndex] = {}

@@ -359,6 +359,40 @@ class TestPragmas:
         )
         assert rules_of(check(code)) == [WALL_CLOCK]
 
+    def test_pragma_text_in_a_string_suppresses_nothing(self):
+        code = (
+            "import time\n"
+            'X = "# det: allow(wall-clock) -- why"; t = time.time()\n'
+        )
+        assert rules_of(check(code)) == [WALL_CLOCK]
+
+    def test_pragma_text_in_a_docstring_is_not_a_site(self):
+        from repro.analysis.pragmas import DET, PragmaIndex
+
+        lines = [
+            '"""Quote the grammar: # det: allow(rule, ...)',
+            '# det: allow(not-a-rule)',
+            '"""',
+            "x = 1  # det: allow(wall-clock) -- a real comment",
+        ]
+        index = PragmaIndex(DET, lines)
+        assert [site[0] for site in index.sites] == [4]
+        assert index.unjustified == []
+
+    def test_shipped_pragma_counts(self):
+        from collections import Counter
+
+        from repro.analysis.lint import iter_python_files
+        from repro.analysis.pragmas import DET, PragmaIndex
+
+        counts = Counter()
+        for path in iter_python_files([os.path.join(REPO_ROOT, "src")]):
+            with open(path, encoding="utf-8") as handle:
+                index = PragmaIndex(DET, handle.read().splitlines())
+            for _line, _col, _text, rules in index.sites:
+                counts.update(rules)
+        assert counts == {"wall-clock": 3, "float-eq": 1}
+
     def test_pragma_only_suppresses_named_rules(self):
         code = (
             "import time\n"

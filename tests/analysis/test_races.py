@@ -401,3 +401,10 @@ class TestRacesCli:
     def test_unknown_scenario_is_usage_error(self):
         result = self._cli("no-such-scenario")
         assert result.returncode == 2
+
+    def test_missing_fixture_is_usage_error(self):
+        # Exit 1 means "races found"; a mistyped path must not read as one.
+        result = self._cli("MISSING.py")
+        assert result.returncode == 2, result.stdout + result.stderr
+        assert "MISSING.py" in result.stderr
+        assert "Traceback" not in result.stderr

@@ -150,6 +150,13 @@ class TestCli:
         result = run_cli("verify", "/nonexistent/snapshot.json")
         assert result.returncode == 2
 
+    def test_missing_lint_path_is_a_usage_error(self):
+        # Exit 1 means "findings"; a mistyped path must not read as a catch.
+        result = run_cli("lint", "MISSING.py")
+        assert result.returncode == 2, result.stdout + result.stderr
+        assert "cannot lint" in result.stderr and "MISSING.py" in result.stderr
+        assert "Traceback" not in result.stderr
+
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_non_positive_steps_is_a_usage_error(self, steps):
         result = run_cli("scenario", "--steps", steps)
