@@ -8,6 +8,9 @@ repro.obs diff`` compares stage-by-stage against the original::
     python -m repro.engine replay trace.jsonl \\
         --scheme hermes --switch dell-8132f --out replayed.jsonl
     python -m repro.obs diff trace.jsonl replayed.jsonl
+
+A trace file that is missing or is not a trace is a usage error: a
+message on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -24,15 +27,19 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         from ..experiments.common import default_hermes_config
 
         hermes_config = default_hermes_config()
-    report = replay_file(
-        args.trace,
-        args.scheme,
-        args.switch,
-        out_path=args.out,
-        hermes_config=hermes_config,
-        seed=args.seed,
-        prefill=args.prefill,
-    )
+    try:
+        report = replay_file(
+            args.trace,
+            args.scheme,
+            args.switch,
+            out_path=args.out,
+            hermes_config=hermes_config,
+            seed=args.seed,
+            prefill=args.prefill,
+        )
+    except (OSError, ValueError) as error:
+        print(f"cannot replay {args.trace!r}: {error}", file=sys.stderr)
+        return 2
     print(
         f"replayed {report.executed} FlowMods over {len(report.switches)} "
         f"switches against {report.scheme} on {report.switch_model} "

@@ -80,22 +80,17 @@ def verify_simulation(simulation) -> List[dict]:
     return violations
 
 
-def run_cell(
+def chaos_simulation(
     scheme: str, channel: str, drop_rate: float, config: ChaosConfig
-):
-    """One (scheme, channel, drop-rate) cell.
+) -> Simulation:
+    """One (scheme, channel, drop-rate) cell's simulation, built but not run.
 
-    The retry and injected-loss columns are counts of the injector's
-    fault log, where the channel records each redelivery and the injector
-    each drop.  The cell runs under a
-    :class:`~repro.obs.RecordingTracer` so that an
-    :class:`~repro.obs.OnlineVerifier` listening on it re-checks table
-    invariants *during* the run on a sampled schedule, catching the first
-    violating sim-instant instead of only the end state.
-
-    Returns the measured row tail, then the verifier's structured
-    violation records, then an observability dict (online-verification
-    report plus the fault log's counts by kind).
+    MapReduce jobs on a fat tree; FlowMods drop with probability
+    ``drop_rate`` (``ack_loss_fraction`` of drops lose only the ack) and
+    duplicate with ``config.duplicate``.  The ``resilient`` channel
+    retransmits; ``naive`` is fire-and-forget.  The fault injector is
+    ``simulation.injector``.  Building records nothing to the tracer, so
+    the caller may trace the run alone.
     """
     graph = build_fat_tree(
         FatTreeSpec(k=config.fat_tree_k, link_capacity=config.link_capacity)
@@ -130,6 +125,27 @@ def run_cell(
     factory = lambda name: make_installer(
         scheme, timing, hermes_config=hermes_config, injector=injector
     )
+    return Simulation(graph, flows, factory, sim_config, injector=injector)
+
+
+def run_cell(
+    scheme: str, channel: str, drop_rate: float, config: ChaosConfig
+):
+    """Run and score one (scheme, channel, drop-rate) cell.
+
+    The retry and injected-loss columns are counts of the injector's
+    fault log, where the channel records each redelivery and the injector
+    each drop.  The cell runs under a
+    :class:`~repro.obs.RecordingTracer` so that an
+    :class:`~repro.obs.OnlineVerifier` listening on it re-checks table
+    invariants *during* the run on a sampled schedule, catching the first
+    violating sim-instant instead of only the end state.
+
+    Returns the measured row tail, then the verifier's structured
+    violation records, then an observability dict (online-verification
+    report plus the fault log's counts by kind).
+    """
+    simulation = chaos_simulation(scheme, channel, drop_rate, config)
     tracer = RecordingTracer(
         meta={
             "experiment": "chaos",
@@ -139,19 +155,16 @@ def run_cell(
             "seed": config.seed,
         }
     )
+    verifier = OnlineVerifier(
+        {
+            name: agent.installer
+            for name, agent in simulation.controller.agents.items()
+        }
+    )
     with use_tracer(tracer):
-        simulation = Simulation(
-            graph, flows, factory, sim_config, injector=injector
-        )
-        verifier = OnlineVerifier(
-            {
-                name: agent.installer
-                for name, agent in simulation.controller.agents.items()
-            }
-        )
         verifier.attach(tracer)
         metrics = simulation.run()
-    log = injector.log
+    log = simulation.injector.log
     drops = log.count("flowmod-drop") + log.count("flowmod-ack-loss")
     retries = log.count("retry")
     violations = verify_simulation(simulation)

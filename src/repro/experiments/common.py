@@ -226,46 +226,6 @@ def run_schemes(
 CANNED_SCENARIOS = ("fig01", "fig08", "chaos")
 
 
-def faulted_scenario(
-    jobs: int, seed: int, max_time: float, drop: float = 0.1,
-    duplicate: float = 0.0, scheme: str = "hermes", switch: str = "pica8-p3290",
-) -> Simulation:
-    """MapReduce jobs on a k=4 fat tree over a lossy resilient channel,
-    built but not run: FlowMods drop with probability ``drop`` (30% of
-    drops lose only the ack) and duplicate with ``duplicate``."""
-    from ..faults import FaultInjector, FaultPlan, FlowModFault
-    from ..switchsim import ChannelConfig
-
-    graph = build_fat_tree(FatTreeSpec(k=4, link_capacity=1e9))
-    flows = flows_of(
-        generate_jobs(
-            hosts(graph), job_count=jobs, arrival_rate=6.0,
-            rng=np.random.default_rng(seed),
-        )
-    )
-    plan = FaultPlan(
-        flowmod=FlowModFault(drop=drop, ack_loss_fraction=0.3, duplicate=duplicate)
-    )
-    injector = FaultInjector(plan=plan, seed=seed)
-    config = SimulationConfig(
-        te=TeAppConfig(epoch=0.25),
-        baseline_occupancy=200,
-        max_time=max_time,
-        channel_config=ChannelConfig(),
-        fault_plan=plan,
-        fault_seed=seed,
-    )
-    timing = get_switch_model(switch)
-    hermes_config = default_hermes_config() if scheme == "hermes" else None
-
-    def factory(switch_name):
-        return make_installer(
-            scheme, timing, hermes_config=hermes_config, injector=injector
-        )
-
-    return Simulation(graph, flows, factory, config, injector=injector)
-
-
 def canned_scenario(name: str):
     """Construct (but do not run) one canned end-to-end scenario.
 
@@ -297,13 +257,18 @@ def canned_scenario(name: str):
         simulation = Simulation(graph, list(flows), factory, config)
         meta = {"scenario": name, "scheme": "hermes", "switch": "pica8-p3290"}
     elif name == "chaos":
-        simulation = faulted_scenario(jobs=4, seed=13, max_time=2.5)
+        # chaos.py imports this module; import it at call time.
+        from .chaos import ChaosConfig, chaos_simulation
+
+        config = ChaosConfig(job_count=4, max_time=3.0)
+        simulation = chaos_simulation("hermes", "resilient", 0.1, config)
         meta = {
             "scenario": name,
             "scheme": "hermes",
-            "switch": "pica8-p3290",
+            "switch": config.switch,
+            "channel": "resilient",
             "drop": 0.1,
-            "seed": 13,
+            "seed": config.seed,
         }
     else:
         raise ValueError(

@@ -1,6 +1,7 @@
 """``python -m repro.obs`` — trace summarizer, differ, and demo scenario.
 
-Subcommands:
+Subcommands (a trace file that is missing or is not a trace is a usage
+error: a message on stderr and exit 2):
 
 * ``summary TRACE`` — the trace's guarantee-burn ledger (per-layer
   gatekeeper / queue / tcam / channel burn, violation windows, worst
@@ -8,9 +9,9 @@ Subcommands:
   event counts.
 * ``diff A B`` — two traces' ledgers side by side (actions, violations,
   per-layer mean/p99), then event counts and gauge peaks.
-* ``scenario --out-dir DIR`` — run a small traced simulation and export
-  it as a JSONL trace and Chrome trace-event JSON; what the CI ``obs``
-  job round-trips.
+* ``scenario NAME --out-dir DIR`` — run a canned scenario (fig01 /
+  fig08 / chaos) traced and export it as a JSONL trace and Chrome
+  trace-event JSON; the CI ``obs`` job round-trips ``chaos``.
 * ``perf ...`` — the wall-clock performance observatory: scenario
   profiling, flamegraphs, and the ``hermes-bench/1`` regression
   comparator (see :mod:`repro.obs.perf.cli`).
@@ -22,20 +23,20 @@ import argparse
 import os
 import sys
 
-from .export import read_trace
+from .export import read_trace_arg
 from .summary import render_diff, render_summary, summarize
 
 
 def _cmd_summary(args: argparse.Namespace) -> int:
-    header, records = read_trace(args.trace)
+    header, records = read_trace_arg(args.trace)
     summary = summarize(header, records)
     print(render_summary(summary, guarantee=args.guarantee_ms * 1e-3))
     return 0
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    header_a, records_a = read_trace(args.trace_a)
-    header_b, records_b = read_trace(args.trace_b)
+    header_a, records_a = read_trace_arg(args.trace_a)
+    header_b, records_b = read_trace_arg(args.trace_b)
     print(
         render_diff(
             summarize(header_a, records_a),
@@ -47,32 +48,15 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_scenario(args: argparse.Namespace):
-    """The ``scenario`` command's simulation, built but not run."""
-    # Heavy imports stay local: `summary`/`diff` must work without numpy.
-    from ..experiments.common import faulted_scenario
-
-    return faulted_scenario(
-        jobs=args.jobs, seed=args.seed, max_time=args.max_time,
-        drop=args.drop, duplicate=0.02, scheme=args.scheme, switch=args.switch,
-    )
-
-
 def _cmd_scenario(args: argparse.Namespace) -> int:
+    from ..experiments.common import canned_scenario
     from .export import write_chrome_trace, write_trace
     from .tracer import RecordingTracer, use_tracer
 
-    tracer = RecordingTracer(
-        meta={
-            "scenario": "obs-demo",
-            "scheme": args.scheme,
-            "switch": args.switch,
-            "drop": args.drop,
-            "seed": args.seed,
-        }
-    )
+    simulation, meta = canned_scenario(args.scenario)
+    tracer = RecordingTracer(meta=meta)
     with use_tracer(tracer):
-        metrics = build_scenario(args).run()
+        metrics = simulation.run()
 
     os.makedirs(args.out_dir, exist_ok=True)
     trace_path = os.path.join(args.out_dir, "trace.jsonl")
@@ -80,8 +64,8 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     write_trace(tracer, trace_path)
     write_chrome_trace(tracer, chrome_path)
     print(
-        f"scenario: {args.scheme} on {args.switch}, drop={args.drop}, "
-        f"{len(metrics.rits())} installs, {len(tracer.records)} trace records"
+        f"scenario {args.scenario}: {len(metrics.rits())} installs, "
+        f"{len(tracer.records)} trace records"
     )
     for path in (trace_path, chrome_path):
         print(f"wrote {path}")
@@ -89,6 +73,8 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from ..experiments.common import CANNED_SCENARIOS
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
         description="Summarize, diff, or generate hermes-trace/1 traces.",
@@ -111,21 +97,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff.set_defaults(func=_cmd_diff)
 
     p_scenario = subparsers.add_parser(
-        "scenario", help="run a small traced simulation and export its trace"
+        "scenario", help="run a canned scenario traced and export its trace"
+    )
+    p_scenario.add_argument(
+        "scenario", choices=CANNED_SCENARIOS, help="canned scenario"
     )
     p_scenario.add_argument("--out-dir", required=True, help="output directory")
-    p_scenario.add_argument("--scheme", default="hermes", help="installer scheme")
-    p_scenario.add_argument(
-        "--switch", default="pica8-p3290", help="switch-model registry key"
-    )
-    p_scenario.add_argument(
-        "--drop", type=float, default=0.1, help="FlowMod drop rate"
-    )
-    p_scenario.add_argument("--jobs", type=int, default=6, help="job count")
-    p_scenario.add_argument(
-        "--max-time", type=float, default=6.0, help="sim horizon (s)"
-    )
-    p_scenario.add_argument("--seed", type=int, default=11, help="workload seed")
     p_scenario.set_defaults(func=_cmd_scenario)
 
     from .perf.cli import register as register_perf

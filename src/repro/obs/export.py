@@ -15,6 +15,7 @@ Two output formats, both deterministic (sorted keys, fixed separators):
 from __future__ import annotations
 
 import json
+import sys
 from typing import Dict, Iterable, List, Tuple
 
 from .tracer import TRACE_FORMAT, RecordingTracer
@@ -77,6 +78,16 @@ def read_trace(path: str) -> Tuple[dict, List[dict]]:
     """Load a JSONL trace file into (header, records)."""
     with open(path, "r", encoding="utf-8") as handle:
         return parse_trace_lines(handle)
+
+
+def read_trace_arg(path: str) -> Tuple[dict, List[dict]]:
+    """:func:`read_trace` for a command-line argument: a file that is
+    missing or is not a trace is a usage error (stderr, exit 2)."""
+    try:
+        return read_trace(path)
+    except (OSError, ValueError) as error:
+        print(f"cannot read trace {path!r}: {error}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,17 @@
   run's channel histories; optionally write the ``hermes-perf/2`` JSON
   artifact and a wall-clock flamegraph of nested ``loop;…`` stacks.
   A trace's ledger is ``python -m repro.obs summary TRACE``; traces come
-  from ``python -m repro.obs scenario``.
+  from ``python -m repro.obs scenario NAME``.
 * ``perf flamegraph TRACE`` — sim-time collapsed stacks from a trace's
-  span tree (load the output in speedscope or flamegraph.pl).
+  span tree (load the output in speedscope or flamegraph.pl); a file
+  that is missing or is not a trace is a usage error (exit 2).
 * ``perf bench-compare A B`` — diff two ``hermes-bench/1`` artifacts;
   exits nonzero when a headline metric regressed past the threshold
   (CI's perf gate).
 * ``perf index [DIR]`` — regenerate ``results/INDEX.md`` from the
   artifacts on disk.
 
-Heavy imports stay inside the command functions: ``bench-compare`` and
-``index`` must work without numpy.
+Each command imports what it runs inside its function.
 """
 
 from __future__ import annotations
@@ -70,10 +70,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_flamegraph(args: argparse.Namespace) -> int:
-    from ..export import read_trace
+    from ..export import read_trace_arg
     from .flame import trace_collapsed, write_collapsed
 
-    _header, records = read_trace(args.trace)
+    _header, records = read_trace_arg(args.trace)
     lines = trace_collapsed(records)
     if args.out:
         write_collapsed(lines, args.out)
@@ -116,6 +116,8 @@ def _cmd_index(args: argparse.Namespace) -> int:
 
 def register(subparsers) -> None:
     """Mount the ``perf`` group on ``python -m repro.obs``'s subparsers."""
+    from ...experiments.common import CANNED_SCENARIOS
+
     parser = subparsers.add_parser(
         "perf", help="wall-clock profiling, guarantee burn, bench artifacts"
     )
@@ -125,7 +127,7 @@ def register(subparsers) -> None:
         "profile", help="profile a canned scenario (hotspots + burn)"
     )
     p_profile.add_argument(
-        "scenario", help="canned scenario: fig01, fig08, or chaos"
+        "scenario", choices=CANNED_SCENARIOS, help="canned scenario"
     )
     p_profile.add_argument(
         "--out", help="write the hermes-perf/2 JSON artifact here"

@@ -198,12 +198,13 @@ class ProfileReport:
 
 
 class _Node:
-    """One stack of layer names: its calls, inclusive wall time, and the
-    stacks one layer deeper."""
+    """One stack of layer names: its innermost layer, calls, inclusive
+    wall time, and the stacks one layer deeper."""
 
-    __slots__ = ("calls", "wall", "children")
+    __slots__ = ("layer", "calls", "wall", "children")
 
-    def __init__(self) -> None:
+    def __init__(self, layer: Optional[str] = None) -> None:
+        self.layer = layer
         self.calls = 0
         self.wall = 0.0
         self.children: Dict[str, "_Node"] = {}
@@ -247,11 +248,15 @@ class Profiler:
 
     def call(self, layer: str, function, *args, **kwargs):
         """Run ``function`` as one call into ``layer``, nested under the
-        call that is open."""
+        call that is open.  A call into the layer that is already
+        innermost (``send`` calling ``send_batch``) runs inside the open
+        call, so a layer counts once per entry from another layer."""
         parent = self._current
+        if parent.layer == layer:
+            return function(*args, **kwargs)
         node = parent.children.get(layer)
         if node is None:
-            node = parent.children[layer] = _Node()
+            node = parent.children[layer] = _Node(layer)
         self._current = node
         start = wallclock()
         try:

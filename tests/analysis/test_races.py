@@ -22,6 +22,8 @@ from repro.analysis.races import (
 )
 from repro.engine.scheduler import TIER_COMPLETION, EventScheduler
 
+from ..engine.test_parity import CHAOS_RESULT_DIGEST
+
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 PLANTED_RACE = os.path.join(FIXTURES, "planted_race.py")
 
@@ -223,41 +225,10 @@ import hashlib
 import json
 import sys
 
-import numpy as np
-
 from repro.analysis.races import RaceSanitizer
-from repro.baselines import make_installer
-from repro.experiments.common import default_hermes_config
-from repro.faults import FaultInjector, FaultPlan, FlowModFault
-from repro.simulator import Simulation, SimulationConfig, TeAppConfig
-from repro.switchsim import ChannelConfig
-from repro.tcam import get_switch_model
-from repro.topology import FatTreeSpec, build_fat_tree, hosts
-from repro.traffic import flows_of, generate_jobs
+from repro.experiments.common import canned_scenario
 
-graph = build_fat_tree(FatTreeSpec(k=4, link_capacity=1e9))
-flows = flows_of(
-    generate_jobs(
-        hosts(graph), job_count=4, arrival_rate=6.0,
-        rng=np.random.default_rng(13),
-    )
-)
-plan = FaultPlan(flowmod=FlowModFault(drop=0.1, ack_loss_fraction=0.3))
-injector = FaultInjector(plan=plan, seed=13)
-config = SimulationConfig(
-    te=TeAppConfig(epoch=0.25),
-    baseline_occupancy=200,
-    max_time=2.5,
-    channel_config=ChannelConfig(),
-    fault_plan=plan,
-    fault_seed=13,
-)
-timing = get_switch_model("pica8-p3290")
-hermes_config = default_hermes_config()
-factory = lambda name: make_installer(
-    "hermes", timing, hermes_config=hermes_config, injector=injector
-)
-simulation = Simulation(graph, flows, factory, config, injector=injector)
+simulation, _meta = canned_scenario("chaos")
 races = -1
 if sys.argv[1] == "on":
     sanitizer = RaceSanitizer()
@@ -296,7 +267,7 @@ class TestObservationDoesNotPerturb:
     def test_sanitizer_on_metrics_equal_sanitizer_off(self):
         on = _run_watched("on")
         off = _run_watched("off")
-        assert on["digest"] == off["digest"]
+        assert on["digest"] == off["digest"] == CHAOS_RESULT_DIGEST
         assert on["races"] == 0
         assert off["races"] == -1  # sanitizer never constructed
 

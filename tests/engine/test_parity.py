@@ -20,6 +20,10 @@ import sys
 # the only loop: RITs and JCTs are identical, 7 of 148 FCTs moved by 2 ulps.
 FIG01_DIGEST = "013797aa04e64382d761a75528bf8fd80d86251b557e0920f48e11da67001a77"
 FIG08_DIGEST = "48c45e3e7ef0a0d64e99b0835def7af97c0711ef10e7c3d2048caa5dffeb44d8"
+# The canned chaos scenario (``canned_scenario("chaos")``), traced under
+# the meta ``{"scenario": "engine-parity"}``.  The only pins of these two
+# digests: the profiler parity test (tests/obs/test_perf.py) and the race
+# sanitizer's parity test (tests/analysis/test_races.py) import them.
 CHAOS_RESULT_DIGEST = (
     "acbdc2d3d7e6aa00fe02c53b73b6aa8213ea634e2e4d8f3ee09eab7b8575c244"
 )
@@ -48,8 +52,6 @@ _SCENARIO_SCRIPT = r"""
 import hashlib
 import json
 import sys
-
-import numpy as np
 
 
 def _digest(metrics) -> str:
@@ -111,43 +113,12 @@ def fig08():
 
 
 def chaos():
-    from repro.baselines import make_installer
-    from repro.experiments.common import default_hermes_config
-    from repro.faults import FaultInjector, FaultPlan, FlowModFault
+    from repro.experiments.common import canned_scenario
     from repro.obs import RecordingTracer, trace_lines, use_tracer
-    from repro.simulator import Simulation, SimulationConfig, TeAppConfig
-    from repro.switchsim import ChannelConfig
-    from repro.tcam import get_switch_model
-    from repro.topology import FatTreeSpec, build_fat_tree, hosts
-    from repro.traffic import flows_of, generate_jobs
 
-    graph = build_fat_tree(FatTreeSpec(k=4, link_capacity=1e9))
-    flows = flows_of(
-        generate_jobs(
-            hosts(graph), job_count=4, arrival_rate=6.0,
-            rng=np.random.default_rng(13),
-        )
-    )
-    plan = FaultPlan(flowmod=FlowModFault(drop=0.1, ack_loss_fraction=0.3))
-    injector = FaultInjector(plan=plan, seed=13)
-    config = SimulationConfig(
-        te=TeAppConfig(epoch=0.25),
-        baseline_occupancy=200,
-        max_time=2.5,
-        channel_config=ChannelConfig(),
-        fault_plan=plan,
-        fault_seed=13,
-    )
-    timing = get_switch_model("pica8-p3290")
-    hermes_config = default_hermes_config()
-    factory = lambda name: make_installer(
-        "hermes", timing, hermes_config=hermes_config, injector=injector
-    )
+    simulation, _meta = canned_scenario("chaos")
     tracer = RecordingTracer(meta={"scenario": "engine-parity"})
     with use_tracer(tracer):
-        simulation = Simulation(
-            graph, flows, factory, config, injector=injector
-        )
         metrics = simulation.run()
     trace_payload = "\n".join(trace_lines(tracer)).encode()
     return _digest(metrics), hashlib.sha256(trace_payload).hexdigest()

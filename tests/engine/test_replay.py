@@ -213,3 +213,12 @@ class TestReplayCli:
         assert os.path.exists(out_path)
         header, _ = read_trace(out_path)
         assert header["meta"]["scheme"] == "naive"
+
+    def test_unreadable_trace_is_a_usage_error(self, tmp_path):
+        bogus = tmp_path / "not-a-trace.jsonl"
+        bogus.write_text("not json\n")
+        for path in (str(tmp_path / "MISSING.jsonl"), str(bogus)):
+            completed = _run_cli("-m", "repro.engine", "replay", path)
+            assert completed.returncode == 2, completed.stderr
+            assert path in completed.stderr
+            assert "Traceback" not in completed.stderr

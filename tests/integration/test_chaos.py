@@ -61,6 +61,29 @@ class TestChaosCells:
         assert resilient[LOST] == 0 and naive[LOST] == 0
 
 
+class TestCannedChaos:
+    def test_uses_the_control_path(self):
+        # The canned scenario that the pinned chaos digests, SimRace and
+        # `perf profile chaos` run must send FlowMods through the lossy
+        # channel, the agent and the Gate Keeper.
+        from repro.experiments.common import canned_scenario
+        from repro.obs import RecordingTracer, use_tracer
+
+        simulation, _meta = canned_scenario("chaos")
+        tracer = RecordingTracer()
+        with use_tracer(tracer):
+            simulation.run()
+        names = {(record["type"], record["name"]) for record in tracer.records}
+        assert ("span", "flowmod") in names
+        assert ("event", "hermes.gatekeeper") in names
+        assert ("event", "channel.timeout") in names
+        counts = simulation.injector.log.counts()
+        for kind in (
+            "retry", "flowmod-drop", "flowmod-ack-loss", "flowmod-duplicate"
+        ):
+            assert counts.get(kind, 0) > 0, counts
+
+
 _DIGEST_SCRIPT = r"""
 import hashlib, json, sys
 import numpy as np

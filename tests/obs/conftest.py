@@ -1,4 +1,4 @@
-"""Shared fixture: one traced run of ``python -m repro.obs scenario``."""
+"""Shared fixture: one traced run of the canned chaos scenario."""
 
 from types import SimpleNamespace
 
@@ -7,23 +7,21 @@ import pytest
 
 @pytest.fixture(scope="session")
 def faulted_run(tmp_path_factory):
-    """The ``scenario`` command's faulted defaults, traced.
+    """``canned_scenario("chaos")``, traced.
 
-    Drop 0.1, ack loss 0.3, duplicate 0.02, seed 11: every stage of the
-    control path shows up, the channel most of all.  Gives the run's
-    ``simulation``, its trace ``records``, and the ``path`` of the trace
-    written as hermes-trace/1.
+    Drop 0.1, ack loss 0.3, duplicate 0.02, seed 11, over the resilient
+    channel: every stage of the control path shows up, the channel most
+    of all.  Gives the run's ``simulation``, its trace ``records``, and
+    the ``path`` of the trace written as hermes-trace/1.
     """
+    from repro.experiments.common import canned_scenario
     from repro.obs import RecordingTracer, use_tracer, write_trace
-    from repro.obs.__main__ import build_parser, build_scenario
 
-    out_dir = tmp_path_factory.mktemp("faulted")
-    args = build_parser().parse_args(["scenario", "--out-dir", str(out_dir)])
-    tracer = RecordingTracer(meta={"scenario": "faulted"})
+    simulation, meta = canned_scenario("chaos")
+    tracer = RecordingTracer(meta=meta)
     with use_tracer(tracer):
-        simulation = build_scenario(args)
         simulation.run()
-    path = str(out_dir / "trace.jsonl")
+    path = str(tmp_path_factory.mktemp("faulted") / "trace.jsonl")
     write_trace(tracer, path)
     return SimpleNamespace(
         simulation=simulation, records=tracer.records, path=path

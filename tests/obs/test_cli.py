@@ -10,18 +10,9 @@ from repro.obs.__main__ import main
 
 @pytest.fixture(scope="module")
 def scenario_dir(tmp_path_factory):
-    """One small traced scenario, exported in both formats."""
+    """The canned chaos scenario, traced and exported in both formats."""
     out_dir = tmp_path_factory.mktemp("obs-scenario")
-    code = main(
-        [
-            "scenario",
-            "--out-dir", str(out_dir),
-            "--jobs", "3",
-            "--max-time", "2.0",
-            "--drop", "0.1",
-        ]
-    )
-    assert code == 0
+    assert main(["scenario", "chaos", "--out-dir", str(out_dir)]) == 0
     return out_dir
 
 
@@ -74,8 +65,10 @@ class TestSummaryCli:
             main(["perf", "report", "trace.jsonl"])
         capsys.readouterr()
 
-    def test_summary_rejects_non_trace_file(self, tmp_path):
+    def test_summary_rejects_non_trace_file(self, tmp_path, capsys):
         bogus = tmp_path / "not-a-trace.jsonl"
         bogus.write_text('{"format": "something-else"}\n')
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit) as exit_info:
             main(["summary", str(bogus)])
+        assert exit_info.value.code == 2
+        assert "not a hermes-trace/1 trace" in capsys.readouterr().err

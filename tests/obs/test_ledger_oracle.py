@@ -11,6 +11,7 @@ action and in the ledger they score.
 
 import pytest
 
+from repro.experiments.common import CANNED_SCENARIOS, canned_scenario
 from repro.obs import RecordingTracer, use_tracer
 from repro.obs.perf.burn import guarantee_burn
 from repro.obs.summary import flowmod_breakdowns, run_breakdowns
@@ -33,10 +34,8 @@ def _assert_agree(simulation, records):
     return from_run
 
 
-@pytest.mark.parametrize("name", ["fig01", "fig08"])
+@pytest.mark.parametrize("name", CANNED_SCENARIOS)
 def test_canned_scenarios_agree(name):
-    from repro.experiments.common import canned_scenario
-
     tracer = RecordingTracer()
     with use_tracer(tracer):
         simulation, _meta = canned_scenario(name)
@@ -44,11 +43,7 @@ def test_canned_scenarios_agree(name):
     breakdowns = _assert_agree(simulation, tracer.records)
     # Hermes admits most inserts: the Gate Keeper stage is exercised.
     assert sum(item.gatekeeper > 0 for item in breakdowns) > len(breakdowns) / 4
-
-
-def test_faulted_scenario_agrees(faulted_run):
-    breakdowns = _assert_agree(faulted_run.simulation, faulted_run.records)
-    # Drops, lost acks and duplicates: sends are retried, and the channel
-    # stage shows it.
-    assert faulted_run.simulation.injector.log.count("retry") > 0
-    assert sum(item.channel for item in breakdowns) > 0
+    if name == "chaos":
+        # Drops, lost acks and duplicates: sends are retried, and the
+        # channel stage shows it.
+        assert sum(item.channel for item in breakdowns) > 0

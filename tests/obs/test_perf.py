@@ -37,17 +37,11 @@ from repro.obs.perf.profiler import ROOT_LAYER, Profiler, layer_entry_points
 from repro.obs.perf.wallclock import wallclock
 from repro.obs.summary import FlowModBreakdown, flowmod_breakdowns
 
-FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+# The chaos scenario's pinned digests: the profiler-off subprocess must
+# reproduce them, and profiler-on must match profiler-off byte-for-byte.
+from ..engine.test_parity import CHAOS_RESULT_DIGEST, CHAOS_TRACE_DIGEST
 
-# The chaos scenario's pinned seed digests (tests/engine/test_parity.py):
-# the profiler-off subprocess must still reproduce them, and profiler-on
-# must match profiler-off byte-for-byte.
-CHAOS_RESULT_DIGEST = (
-    "acbdc2d3d7e6aa00fe02c53b73b6aa8213ea634e2e4d8f3ee09eab7b8575c244"
-)
-CHAOS_TRACE_DIGEST = (
-    "f9af0d1c220df4e67fdd252413ce0f9e8cc0b32694975bedfd5256ca55adaddb"
-)
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +196,30 @@ class TestProfilerWraps:
         accounted = sum(cost.self_seconds for cost in layers.values())
         assert accounted == pytest.approx(report.total_seconds, rel=0.01)
         assert layers["tcam.insert"].calls >= 40
+
+    def test_reentry_counts_once_on_canned_chaos(self):
+        # ``send`` calls ``send_batch``, ``submit`` calls ``submit_batch``:
+        # a layer calling itself is one call, not a nested one.
+        from repro.experiments.common import canned_scenario
+
+        simulation, meta = canned_scenario("chaos")
+        profiler = Profiler(meta=meta).begin()
+        try:
+            profiler.run(simulation)
+        finally:
+            report = profiler.finish()
+        sends = sum(
+            channel.stats.sends
+            for channel in simulation.controller.channels.values()
+        )
+        assert sends > 0
+        assert report.layers["channel"].calls == sends
+        repeated = [
+            stack
+            for stack in report.stacks
+            if any(outer == inner for outer, inner in zip(stack, stack[1:]))
+        ]
+        assert not repeated, repeated
 
     def test_finish_restores_every_entry_point(self):
         from repro.switchsim.channel import Channel, ResilientChannel
@@ -773,6 +791,26 @@ class TestPerfCli:
         assert burn["layers"]["queue"]["share_of_latency"] == pytest.approx(
             0.726, abs=5e-4
         )
+
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["perf", "profile", "nosuch"], "nosuch"),
+            (["scenario", "nosuch", "--out-dir", "unused"], "nosuch"),
+            (["perf", "flamegraph", "MISSING.jsonl"], "MISSING.jsonl"),
+            (["summary", "MISSING.jsonl"], "MISSING.jsonl"),
+            (["diff", "MISSING.jsonl", "MISSING.jsonl"], "MISSING.jsonl"),
+            (["perf", "flamegraph", FIXTURES], FIXTURES),
+        ],
+    )
+    def test_bad_input_is_a_usage_error(self, argv, bad, capsys):
+        # Exit 2 and one line on stderr naming the input, no traceback.
+        from repro.obs.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert bad in capsys.readouterr().err
 
     def test_bench_compare_exit_codes(self, capsys):
         from repro.obs.__main__ import main
