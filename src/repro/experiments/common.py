@@ -238,43 +238,40 @@ def canned_scenario(name: str):
     around ``simulation.run()``: every component records to the ambient
     tracer.
     """
+    if name == "chaos":
+        # chaos.py imports this module; import it at call time.
+        from .chaos import ChaosConfig, chaos_simulation
+
+        chaos = ChaosConfig(job_count=4, max_time=3.0)
+        meta = {
+            "scenario": name,
+            "scheme": "hermes",
+            "switch": chaos.switch,
+            "channel": "resilient",
+            "drop": 0.1,
+            "seed": chaos.seed,
+        }
+        simulation = chaos_simulation(
+            meta["scheme"], meta["channel"], meta["drop"], chaos
+        )
+        return simulation, meta
     if name == "fig01":
         scale = WorkloadScale(job_count=10)
         graph, flows, _short, _long = facebook_workload(scale)
         config = te_simulation_config(scale)
-        factory = installer_factory(
-            "hermes", "pica8-p3290", default_hermes_config(), seed=100
-        )
-        simulation = Simulation(graph, list(flows), factory, config)
-        meta = {"scenario": name, "scheme": "hermes", "switch": "pica8-p3290"}
     elif name == "fig08":
         scale = WorkloadScale(isp_flow_duration=3.0)
         graph, flows = isp_workload("geant", scale)
         config = te_simulation_config(scale, control_rtt=10e-3)
-        factory = installer_factory(
-            "hermes", "pica8-p3290", default_hermes_config(), seed=100
-        )
-        simulation = Simulation(graph, list(flows), factory, config)
-        meta = {"scenario": name, "scheme": "hermes", "switch": "pica8-p3290"}
-    elif name == "chaos":
-        # chaos.py imports this module; import it at call time.
-        from .chaos import ChaosConfig, chaos_simulation
-
-        config = ChaosConfig(job_count=4, max_time=3.0)
-        simulation = chaos_simulation("hermes", "resilient", 0.1, config)
-        meta = {
-            "scenario": name,
-            "scheme": "hermes",
-            "switch": config.switch,
-            "channel": "resilient",
-            "drop": 0.1,
-            "seed": config.seed,
-        }
     else:
         raise ValueError(
             f"unknown scenario {name!r}; known: {', '.join(CANNED_SCENARIOS)}"
         )
-    return simulation, meta
+    factory = installer_factory(
+        "hermes", "pica8-p3290", default_hermes_config(), seed=100
+    )
+    meta = {"scenario": name, "scheme": "hermes", "switch": "pica8-p3290"}
+    return Simulation(graph, list(flows), factory, config), meta
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""``python -m repro.obs`` — trace summarizer, differ, and demo scenario.
+"""``python -m repro.obs`` — trace summarizer, differ, and canned scenarios.
 
 Subcommands (a trace file that is missing or is not a trace is a usage
 error: a message on stderr and exit 2):

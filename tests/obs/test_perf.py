@@ -804,7 +804,7 @@ class TestPerfCli:
         ],
     )
     def test_bad_input_is_a_usage_error(self, argv, bad, capsys):
-        # Exit 2 and one line on stderr naming the input, no traceback.
+        # argparse and read_trace_arg both exit 2, naming the input on stderr.
         from repro.obs.__main__ import main
 
         with pytest.raises(SystemExit) as exit_info:
