@@ -87,11 +87,15 @@ class InstallOutcome:
         per_switch_rits: rule-installation time at each switch touched.
         undelivered: FlowMods that never took effect on their switch —
             blackholed installs on a lossy channel.
+        rules: ``(switch, rule id)`` of every rule delivered — the only
+            record of which rules the flow owns, and what
+            :meth:`SdnController.remove_flow_rules` later deletes.
     """
 
     ready_time: float
     per_switch_rits: List[float] = field(default_factory=list)
     undelivered: int = 0
+    rules: List[Tuple[str, int]] = field(default_factory=list)
 
 
 class SdnController:
@@ -159,8 +163,6 @@ class SdnController:
                 self.channels[node] = NaiveChannel(
                     agent, injector=injector, clock=self.clock
                 )
-        # (flow_id, switch) -> installed rule id, for later deletion.
-        self._flow_rules: Dict[Tuple[int, str], int] = {}
 
     # ------------------------------------------------------------------
     # Warm-up
@@ -216,7 +218,8 @@ class SdnController:
         finished (plus the returning half RTT for the barrier
         confirmation).  A lost hop does not delay the ready time: the path
         is unusable there until repair.  Returns one outcome per
-        assignment, in order.
+        assignment, in order; each lists the rules it delivered, which the
+        caller owns from then on.
         """
         per_switch: Dict[str, List[Tuple[int, Rule]]] = {}
         for index, (flow, path) in enumerate(assignments):
@@ -226,7 +229,6 @@ class SdnController:
                     priority=flow_rule_priority(flow),
                     action=Action.output(1),
                 )
-                self._flow_rules[(flow.flow_id, switch)] = rule.rule_id
                 per_switch.setdefault(switch, []).append((index, rule))
         span = get_tracer().start_span(
             "install.batch", start=now, category="controller",
@@ -242,12 +244,11 @@ class SdnController:
                 # The whole batch was lost: every assignment touching this
                 # switch is missing a hop, and no rule exists to delete.
                 for index, _rule in entries:
-                    flow_id = assignments[index][0].flow_id
-                    self._flow_rules.pop((flow_id, switch), None)
                     outcomes[index].undelivered += 1
                 continue
-            for (index, _rule), action in zip(entries, sent.completed):
+            for (index, rule), action in zip(entries, sent.completed):
                 outcome = outcomes[index]
+                outcome.rules.append((switch, rule.rule_id))
                 outcome.per_switch_rits.append(action.response_time)
                 # The resilient channel's ack can trail the last TCAM write
                 # (redelivery); the path is only usable once the controller
@@ -264,15 +265,11 @@ class SdnController:
         return outcomes
 
     def remove_flow_rules(
-        self, flow: FlowSpec, path: Optional[Path], now: float
+        self, rules: Sequence[Tuple[str, int]], now: float
     ) -> None:
-        """Delete the flow's rules from the switches of ``path`` (if any)."""
-        if path is None:
-            return
-        for switch in path_switches(path, self.graph):
-            rule_id = self._flow_rules.pop((flow.flow_id, switch), None)
-            if rule_id is None:
-                continue
+        """Delete exactly ``rules``: ``(switch, rule id)`` pairs that an
+        :class:`InstallOutcome` delivered."""
+        for switch, rule_id in rules:
             try:
                 self.channels[switch].send(
                     FlowMod.delete(rule_id), at_time=now + self.control_rtt / 2
@@ -281,10 +278,6 @@ class SdnController:
                 # The rule was already evicted (e.g. subsumed at insert
                 # time); deletion of a logical no-op is itself a no-op.
                 pass
-
-    def has_rules_for(self, flow_id: int) -> bool:
-        """True when any switch still holds rules for the flow."""
-        return any(key[0] == flow_id for key in self._flow_rules)
 
     # ------------------------------------------------------------------
     # Aggregate telemetry

@@ -83,8 +83,7 @@ from .fairshare import Link, UNCONSTRAINED_RATE
 
 #: Flag bits of the :class:`FlowStore` ``flags`` column.
 FLAG_ACTIVE = np.uint8(0x1)
-FLAG_HAS_RULES = np.uint8(0x2)
-FLAG_PENDING = np.uint8(0x4)
+FLAG_PENDING = np.uint8(0x2)
 
 
 def _subtract(left: float, value: float, times: int) -> float:
@@ -437,7 +436,7 @@ class FlowStore:
         self._specs.extend([None] * (new_cap - self._cap))
         self._cap = new_cap
 
-    def add(self, spec, path: Path, has_installed_rules: bool = False) -> int:
+    def add(self, spec, path: Path) -> int:
         """Admit a flow (remaining bytes = ``spec.size``); returns its row.
 
         Raises:
@@ -459,9 +458,7 @@ class FlowStore:
         self.flow_id[row] = flow_id
         self.remaining[row] = float(spec.size)
         self.rate[row] = 0.0
-        self.flags[row] = (
-            FLAG_ACTIVE | FLAG_HAS_RULES if has_installed_rules else FLAG_ACTIVE
-        )
+        self.flags[row] = FLAG_ACTIVE
         self.blackholed_since[row] = np.nan
         self.path_id[row] = path_id
         self._specs[row] = spec
@@ -536,27 +533,13 @@ class FlowStore:
         """The flow's current path."""
         return self._path_of[self.path_id[self._row_of[flow_id]]]
 
-    def _flag(self, flow_id: int, bit: np.uint8) -> bool:
-        return bool(self.flags[self._row_of[flow_id]] & bit)
-
-    def _set_flag(self, flow_id: int, bit: np.uint8, value: bool) -> None:
-        row = self._row_of[flow_id]
-        if value:
-            self.flags[row] |= bit
-        else:
-            self.flags[row] &= ~bit
-
-    def has_installed_rules(self, flow_id: int) -> bool:
-        """True once the flow's own rules are installed."""
-        return self._flag(flow_id, FLAG_HAS_RULES)
-
-    def set_has_installed_rules(self, flow_id: int, value: bool) -> None:
-        """Set/clear the installed-rules flag."""
-        self._set_flag(flow_id, FLAG_HAS_RULES, value)
-
     def set_pending_activation(self, flow_id: int, value: bool) -> None:
         """Set/clear the pending-activation flag."""
-        self._set_flag(flow_id, FLAG_PENDING, value)
+        row = self._row_of[flow_id]
+        if value:
+            self.flags[row] |= FLAG_PENDING
+        else:
+            self.flags[row] &= ~FLAG_PENDING
 
     def blackhole_start(self, flow_id: int) -> Optional[float]:
         """When the flow started blackholing, or None."""

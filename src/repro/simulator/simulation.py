@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -173,6 +173,10 @@ class Simulation:
             }
         )
         self.app = ProactiveTeApp(self.provider, self._store, self.config.te)
+        # flow id -> (switch, rule id) of the rules its current path uses:
+        # the one record of what a flow owns, deleted when it moves on or
+        # completes.  Default routes (proactive arrivals) own none.
+        self.flow_rules: Dict[int, List[Tuple[str, int]]] = {}
         self._rate_epoch = 0
         self._failed_links: set = set()
         self.blackhole_time = 0.0  # flow-seconds spent on failed paths
@@ -368,7 +372,9 @@ class Simulation:
             outcome = self.controller.install_path(spec, path, self.now)
             self._record_outcome(outcome)
             self._schedule(
-                max(outcome.ready_time, self.now), "start", (spec, path)
+                max(outcome.ready_time, self.now),
+                "start",
+                (spec, path, outcome.rules),
             )
             return
         self._store.add(spec, path)
@@ -376,19 +382,18 @@ class Simulation:
         self._recompute_after_admission(spec)
 
     def _start_reactive_flow(self, payload) -> None:
-        spec, path = payload
-        self._store.add(spec, path, has_installed_rules=True)
+        spec, path, rules = payload
+        self._store.add(spec, path)
+        self.flow_rules[spec.flow_id] = rules
         self.metrics.record_active_peak(len(self._store))
         self._recompute_rates()
 
     def _complete_flow(self, flow_id: int) -> None:
-        spec = self._store.spec(flow_id)
-        path = self._store.path(flow_id)
-        had_rules = self._store.has_installed_rules(flow_id)
         self._store.remove(flow_id)
         self.metrics.flow_finished(flow_id, self.now)
-        if had_rules:
-            self.controller.remove_flow_rules(spec, path, self.now)
+        self.controller.remove_flow_rules(
+            self.flow_rules.pop(flow_id, ()), self.now
+        )
         self._recompute_rates()
 
     def _run_te_epoch(self) -> None:
@@ -411,22 +416,25 @@ class Simulation:
                 self._schedule(
                     max(outcome.ready_time, self.now),
                     "activate",
-                    (move.flow_id, move.new_path),
+                    (move.flow_id, move.new_path, outcome.rules),
                 )
         if self._arrival_index < len(self._arrivals) or self._store:
             self._schedule(self.now + self.config.te.epoch, "epoch")
 
     def _activate_path(self, payload) -> None:
-        flow_id, new_path = payload
+        """Switch a flow onto its newly installed path, make-before-break:
+        the new rules are all in place, so the old ones are deleted now.
+        A flow that completed while they were being installed never uses
+        them; they are deleted instead."""
+        flow_id, new_path, rules = payload
         store = self._store
         if flow_id not in store:
-            return  # completed while the rules were being installed
-        old_path = store.path(flow_id)
-        had_rules = store.has_installed_rules(flow_id)
-        spec = store.spec(flow_id)
+            self.controller.remove_flow_rules(rules, self.now)
+            return
+        old_rules = self.flow_rules.get(flow_id, ())
+        self.flow_rules[flow_id] = rules
         store.set_path(flow_id, new_path)
         store.set_pending_activation(flow_id, False)
-        store.set_has_installed_rules(flow_id, True)
         blackholed_since = store.blackhole_start(flow_id)
         if blackholed_since is not None:
             # The flow was stranded on a failed path until this
@@ -435,8 +443,7 @@ class Simulation:
             self.blackhole_time += self.now - blackholed_since
             store.set_blackhole_start(flow_id, None)
         self.metrics.flow_rerouted(flow_id)
-        if had_rules:
-            self.controller.remove_flow_rules(spec, old_path, self.now)
+        self.controller.remove_flow_rules(old_rules, self.now)
         self._recompute_rates()
 
     # ------------------------------------------------------------------
@@ -484,6 +491,8 @@ class Simulation:
             self._record_outcome(outcome)
             self._store.set_pending_activation(flow_id, True)
             self._schedule(
-                max(outcome.ready_time, self.now), "activate", (flow_id, path)
+                max(outcome.ready_time, self.now),
+                "activate",
+                (flow_id, path, outcome.rules),
             )
         self._recompute_rates()

@@ -5,7 +5,7 @@ import pytest
 from repro.baselines import make_installer
 from repro.simulator import SdnController
 from repro.tcam import pica8_p3290
-from repro.topology import FatTreeSpec, PathProvider, build_fat_tree
+from repro.topology import FatTreeSpec, PathProvider, build_fat_tree, path_switches
 from repro.traffic import FlowSpec
 
 
@@ -20,6 +20,12 @@ def make_controller(tree, scheme="naive"):
         lambda name: make_installer(scheme, pica8_p3290()),
         control_rtt=1e-3,
     )
+
+
+def installed_ids(controller, switch):
+    """Ids of every rule physically installed on ``switch``."""
+    tables = controller.agents[switch].installer.tables()
+    return {rule.rule_id for rules in tables.values() for rule in rules}
 
 
 def assignments_for(tree, count):
@@ -49,7 +55,14 @@ class TestInstallPaths:
             # One RIT per switch on the path (paths have 2 hosts).
             assert len(outcome.per_switch_rits) == len(path) - 2
             assert outcome.ready_time > 0.0
-            assert controller.has_rules_for(flow.flow_id)
+            # The outcome owns one delivered rule per switch of its path,
+            # and each is installed where it says.
+            switches = [switch for switch, _rule_id in outcome.rules]
+            assert sorted(switches) == sorted(path_switches(path, tree))
+            for switch, rule_id in outcome.rules:
+                assert rule_id in installed_ids(controller, switch)
+        rule_ids = [rule_id for o in outcomes for _switch, rule_id in o.rules]
+        assert len(set(rule_ids)) == len(rule_ids)
 
     def test_batching_shares_switch_queues(self, tree):
         """Flows crossing the same switch are serialized there: later batch

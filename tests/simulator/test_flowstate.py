@@ -494,12 +494,12 @@ class TestFlowStore:
         store.add(spec(2, size=6.0), ("b", "c"))
         store.add(spec(3, size=7.0), ("c", "d"))
         store.remove(2)
-        store.set_has_installed_rules(1, True)
+        store.set_pending_activation(1, True)
         store.set_blackhole_start(3, 1.25)
         store.compact()
         assert store.flow_ids() == [1, 3]
-        assert store.has_installed_rules(1) is True
-        assert store.has_installed_rules(3) is False
+        # The pending flag moved with flow 1's row: TE skips only it.
+        assert store.te_views()[0] == [3]
         assert store.blackhole_start(3) == 1.25
         assert store.path(1) == ("a", "b", "c")
         store.recompute()

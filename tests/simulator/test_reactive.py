@@ -79,6 +79,12 @@ class TestReactiveMode:
         )
         factory = lambda name: make_installer("naive", ideal_switch())
         simulation = Simulation(tree, flows, factory, config)
-        simulation.run()
-        for flow in flows:
-            assert not simulation.controller.has_rules_for(flow.flow_id)
+        metrics = simulation.run()
+        assert len(metrics.fcts()) == len(flows)
+        # Each flow's setup rules were owned, then deleted at completion.
+        assert simulation.flow_rules == {}
+        for agent in simulation.controller.agents.values():
+            assert agent.installer.occupancy() == 0
+        assert sum(
+            agent.stats.actions for agent in simulation.controller.agents.values()
+        ) > 0

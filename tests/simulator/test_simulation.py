@@ -132,10 +132,13 @@ class TestController:
             source="host-0-0-0", destination="host-1-0-0", size=1e6, start_time=0.0
         )
         path = provider.shortest_path(flow.source, flow.destination)
-        controller.install_path(flow, path, now=0.0)
-        assert controller.has_rules_for(flow.flow_id)
-        controller.remove_flow_rules(flow, path, now=1.0)
-        assert not controller.has_rules_for(flow.flow_id)
+        outcome = controller.install_path(flow, path, now=0.0)
+        assert len(outcome.rules) == len(path) - 2
+        for switch, _rule_id in outcome.rules:
+            assert controller.agents[switch].installer.occupancy() == 1
+        controller.remove_flow_rules(outcome.rules, now=1.0)
+        for agent in controller.agents.values():
+            assert agent.installer.occupancy() == 0
 
     def test_prefill_sets_occupancy(self, small_tree):
         controller = SdnController(small_tree, naive_factory)
