@@ -18,19 +18,26 @@ import sys
 # sha256 digests captured from the pre-kernel simulator (seed HEAD).
 # FIG01_DIGEST was re-pinned once when event-scheduled completions became
 # the only loop: RITs and JCTs are identical, 7 of 148 FCTs moved by 2 ulps.
-FIG01_DIGEST = "013797aa04e64382d761a75528bf8fd80d86251b557e0920f48e11da67001a77"
-FIG08_DIGEST = "48c45e3e7ef0a0d64e99b0835def7af97c0711ef10e7c3d2048caa5dffeb44d8"
+# Both were re-pinned once when a flow's install outcome became the only
+# record of its rules: a reroute deletes the old rule ids (it used to
+# delete the new ones where the paths shared a switch and leak the old),
+# so tables no longer grow and inserts see lower occupancy (EXPERIMENTS.md,
+# "One owner for a flow's rules").
+FIG01_DIGEST = "e3bafbd64e05ceaaf9ed9d15a08009c0f9702cf53ecdde6e8f9f4ec2d4c39bff"
+FIG08_DIGEST = "6682fbb1f4bdc8fc2fb35520ab825bc54f58903ccf728a39011476970a8bfd8d"
 # The canned chaos scenario (``canned_scenario("chaos")``), traced under
 # the meta ``{"scenario": "engine-parity"}``.  The only pins of these two
 # digests: the profiler parity test (tests/obs/test_perf.py) and the race
 # sanitizer's parity test (tests/analysis/test_races.py) import them.
 # Re-pinned once when canned chaos became a chaos-experiment cell that
-# sends FlowMods: 18 -> 340 trace records, 0 -> 30 RITs.
+# sends FlowMods: 18 -> 340 trace records, 0 -> 30 RITs.  The trace
+# digest was re-pinned again when reroutes began deleting the old rule ids
+# rather than the new ones; the result digest held.
 CHAOS_RESULT_DIGEST = (
     "f837f98dceead4e514a5a8db0e19f213cccf2e124dd65d0fc4ac85859a54f5cf"
 )
 CHAOS_TRACE_DIGEST = (
-    "3ef22e484b1ba614e6e863e2b26b066a7cb06fa01ec0e81365afc90bf0c8bb17"
+    "25f74a83e7e342639d3d8d8478a6bcc59e640c36ba04bd90386d6a8aa69695fe"
 )
 # sha256 of ``result.rows`` for small sensitivity and ablation runs,
 # captured while their cells ran through the process-pool sweep runner.
@@ -45,9 +52,10 @@ ABLATION_ROWS_DIGEST = (
 # retry and whose lossy cells drop FlowMods, so the retry and loss columns
 # are nonzero.  Captured while those columns were still read from a
 # trace-folded metrics registry; reading them from the fault log must
-# give the same rows.
+# give the same rows.  Re-pinned once when reroutes began deleting the
+# old rule ids rather than the new ones.
 CHAOS_ROWS_DIGEST = (
-    "2b1eedc6edd9eb538e085fb7759ff17979a5abda1131a1805952f32e2a44afd0"
+    "66527733a9cf50a851bebf94dbd3e6910441ea60af2526d4b4955fb4bf6f31dc"
 )
 
 _SCENARIO_SCRIPT = r"""

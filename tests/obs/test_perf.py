@@ -780,16 +780,16 @@ class TestPerfCli:
         assert result.returncode == 0, result.stderr
         # Every control action counts, and the label says which commands.
         assert (
-            "2295 control actions (1227 add, 1068 delete), 2253 compliant, "
-            "42 violations (1.83%)"
+            "2454 control actions (1227 add, 1227 delete), 2433 compliant, "
+            "21 violations (0.86%)"
         ) in result.stdout
         burn = json.loads(out.read_text())["burn"]
-        assert burn["actions"] == 2295
-        assert burn["commands"] == {"add": 1227, "delete": 1068}
-        assert burn["violations"] == 42
-        assert burn["burn_p99"] == pytest.approx(1.138, abs=5e-4)
+        assert burn["actions"] == 2454
+        assert burn["commands"] == {"add": 1227, "delete": 1227}
+        assert burn["violations"] == 21
+        assert burn["burn_p99"] == pytest.approx(0.979, abs=5e-4)
         assert burn["layers"]["queue"]["share_of_latency"] == pytest.approx(
-            0.726, abs=5e-4
+            0.713, abs=5e-4
         )
 
     @pytest.mark.parametrize(

@@ -682,16 +682,21 @@ def _run_digest(graph, flows, **overrides):
 # Captured with event-scheduled completions while the per-flow-object
 # backend still ran beside the columnar one: on every scenario below both
 # backends produced these exact digests.
+# TE_DIGEST, LINK_FAILURE_DIGEST and BURST_DIGEST were re-pinned once when
+# a flow's install outcome became the only record of its rules: reroutes
+# delete the old rule ids instead of leaking them, so TE inserts see lower
+# occupancy.  NO_TE_DIGEST installs nothing and held.
 NO_TE_DIGEST = "6f3466d9446d20069503b75decb34e67e4d76abf5ac91a816aa6b548e4368449"
-TE_DIGEST = "c718a6c7a72f06e34940bed8bc6ba9f23cd76c092151ecaa6b86886c51669304"
-# LINK_FAILURE_DIGEST was re-pinned once when the TE planner began to cost
-# a dead link at +inf: a move it used to plan onto the failed link, which
-# the epoch then dropped, is now planned onto a healthy path and installed
-# (60 -> 65 RITs); every flow record and the blackhole time are unchanged.
+TE_DIGEST = "4de09b5a55df646aab00cdec3768520badfdc5ccebb9eed2f44993ef69a0745d"
+# LINK_FAILURE_DIGEST was re-pinned before that when the TE planner began
+# to cost a dead link at +inf: a move it used to plan onto the failed
+# link, which the epoch then dropped, is now planned onto a healthy path
+# and installed (60 -> 65 RITs); every flow record and the blackhole time
+# are unchanged.
 LINK_FAILURE_DIGEST = (
-    "394d32e4362ea0ebdf600c7ecf613403e70495ffeeeac8d8e1174efd2d9d2b0e"
+    "640e8f2e54271f688706cae82affc44ed379ffed8bf564d78ad6698052cdc844"
 )
-BURST_DIGEST = "76129164b9f94791c8c0ff8999da643b47285c94a4a34bc7c0e9c20c3f3ab55c"
+BURST_DIGEST = "298c2155352c4cf8deaa463dbf911d5c802c866b05b36d223eb061033ea08b70"
 
 _TE_DIGEST_SCRIPT = r"""
 import sys
