@@ -32,7 +32,8 @@ FIG08_DIGEST = "6682fbb1f4bdc8fc2fb35520ab825bc54f58903ccf728a39011476970a8bfd8d
 # Re-pinned once when canned chaos became a chaos-experiment cell that
 # sends FlowMods: 18 -> 340 trace records, 0 -> 30 RITs.  The trace
 # digest was re-pinned again when reroutes began deleting the old rule ids
-# rather than the new ones; the result digest held.
+# rather than the new ones (340 -> 351 records: two more deletes, one
+# dropped and retried); the result digest held.
 CHAOS_RESULT_DIGEST = (
     "f837f98dceead4e514a5a8db0e19f213cccf2e124dd65d0fc4ac85859a54f5cf"
 )

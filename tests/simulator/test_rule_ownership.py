@@ -25,6 +25,8 @@ from repro.tcam import ideal_switch
 from repro.topology import FatTreeSpec, PathProvider, build_fat_tree
 from repro.traffic import FlowSpec
 
+from .test_controller_batching import installed_ids
+
 
 def quick_fig01():
     graph, flows, _short, _long = facebook_workload(QUICK_SCALE)
@@ -57,12 +59,6 @@ def test_tables_return_to_prefill(workload, scheme):
     }
     assert {name: count for name, count in extra.items() if count} == {}
     assert simulation.flow_rules == {}
-
-
-def installed_ids(simulation, switch):
-    """Ids of every rule physically installed on ``switch``."""
-    tables = simulation.controller.agents[switch].installer.tables()
-    return {rule.rule_id for rules in tables.values() for rule in rules}
 
 
 class TestReroute:
@@ -103,9 +99,9 @@ class TestReroute:
         simulation._activate_path((flow.flow_id, new_path, new.rules))
         assert simulation.flow_rules == {flow.flow_id: new.rules}
         for switch, rule_id in old.rules:
-            assert rule_id not in installed_ids(simulation, switch)
+            assert rule_id not in installed_ids(simulation.controller, switch)
         for switch, rule_id in new.rules:
-            assert rule_id in installed_ids(simulation, switch)
+            assert rule_id in installed_ids(simulation.controller, switch)
 
     def test_completion_before_activation_deletes_the_new_rules(self, setup):
         simulation, flow, new_path, _old, new = setup
